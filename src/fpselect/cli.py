@@ -474,11 +474,11 @@ def run_fit(config: AnalysisConfig) -> dict:
     }
 
 
-def run_select(config: AnalysisConfig) -> dict:
-    dataset, variables, n_dropped = _data_and_variables(config)
-    criterion = config.criterion()
+def _select_linear(config: AnalysisConfig, dataset: Dataset, names: list[str],
+                   criterion: Criterion) -> tuple[str, SelectionTrace]:
+    """Run the configured selection method (`method`, default backward) on
+    linear terms of the named variables; returns (method, trace)."""
     method = config.get("method", "backward").lower()
-    names = [v.name for v in variables]
     if method == "backward":
         trace = backward_eliminate(dataset, ModelSpec(tuple(Term.linear(v) for v in names)),
                                    criterion)
@@ -488,6 +488,13 @@ def run_select(config: AnalysisConfig) -> dict:
         trace = stepwise(dataset, names, criterion)
     else:
         raise ConfigError(f"unknown selection method {method!r}")
+    return method, trace
+
+
+def run_select(config: AnalysisConfig) -> dict:
+    dataset, variables, n_dropped = _data_and_variables(config)
+    criterion = config.criterion()
+    method, trace = _select_linear(config, dataset, [v.name for v in variables], criterion)
     return {
         "subcommand": "select",
         "schema_version": SCHEMA_VERSION,
@@ -598,9 +605,7 @@ def run_stability(config: AnalysisConfig, workers: int = 1) -> dict:
 def run_shrink(config: AnalysisConfig) -> dict:
     dataset, variables, n_dropped = _data_and_variables(config)
     criterion = config.criterion()
-    names = [v.name for v in variables]
-    trace = backward_eliminate(dataset, ModelSpec(tuple(Term.linear(v) for v in names)),
-                               criterion)
+    method, trace = _select_linear(config, dataset, [v.name for v in variables], criterion)
     spec = trace.final_spec
     if not spec.terms:
         raise ModelBuildError("selection removed every candidate; nothing to shrink")
@@ -619,6 +624,7 @@ def run_shrink(config: AnalysisConfig) -> dict:
         "subcommand": "shrink",
         "schema_version": SCHEMA_VERSION,
         "data": _data_block(config, dataset, n_dropped),
+        "method": method,
         "criterion": str(criterion),
         "selection_steps": _trace_block(trace),
         "selected": list(trace.selected_variables),

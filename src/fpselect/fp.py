@@ -165,4 +165,7 @@ def pretransform(x) -> PreTransform:
             shift = -lo + delta
     shifted_median = float(np.median(x)) + shift
     scale = 10.0 ** math.floor(math.log10(shifted_median) + 0.5)
+    smallest = float(distinct[0]) + shift
+    while smallest / scale <= 0.0:  # a subnormal minimum would underflow to zero
+        scale /= 10.0
     return PreTransform(shift=shift, scale=scale)

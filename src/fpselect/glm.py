@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.stats import f as f_dist
+from scipy.special import fdtrc
 
 from .chi2 import chi2_sf
 from .data import Dataset, Family
@@ -86,16 +86,19 @@ def _expit(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _qr_keep(A: np.ndarray, tol: float = PIVOT_TOL):
-    """Column-pivot-free rank-revealing QR: greedy left-to-right MGS with
-    reorthogonalization. Returns (Q, R, kept) where columns whose residual
-    norm falls below tol * original norm are dropped as aliased."""
-    n, p = A.shape
-    Q = np.empty((n, p))
-    R = np.zeros((p, p))
-    kept: list[int] = []
-    k = 0
-    for j in range(p):
+def _mgs_append(Q: np.ndarray, R: np.ndarray, kept: list[int], A: np.ndarray,
+                first: int = 0, tol: float = PIVOT_TOL) -> None:
+    """Continue a left-to-right modified Gram-Schmidt factorisation with
+    reorthogonalization over the columns of A.
+
+    Q (n, p) and R (p, p) are work buffers whose first len(kept) columns hold
+    the factorisation so far; `kept` lists the design indices of those
+    columns. Column j of A is design column first + j. Each column is
+    orthogonalized against the kept ones and appended to Q, R and `kept`,
+    unless its residual norm falls below tol * its original norm, in which
+    case it is dropped as aliased."""
+    for j in range(A.shape[1]):
+        k = len(kept)
         v = A[:, j].astype(float, copy=True)
         norm0 = np.linalg.norm(v)
         if norm0 == 0.0:
@@ -113,9 +116,26 @@ def _qr_keep(A: np.ndarray, tol: float = PIVOT_TOL):
             continue
         Q[:, k] = v / norm_v
         R[k, k] = norm_v
-        kept.append(j)
-        k += 1
-    return Q[:, :k], R[:k, :k], kept
+        kept.append(first + j)
+
+
+def _qr_keep(A: np.ndarray, tol: float = PIVOT_TOL):
+    """Column-pivot-free rank-revealing QR: greedy left-to-right MGS with
+    reorthogonalization. Returns (Q, R, kept) where columns whose residual
+    norm falls below tol * original norm are dropped as aliased."""
+    n, p = A.shape
+    Q = np.empty((n, p))
+    R = np.zeros((p, p))
+    kept: list[int] = []
+    _mgs_append(Q, R, kept, A, tol=tol)
+    Q, R = _factors(Q, R, len(kept))
+    return Q, R, kept
+
+
+def _factors(Q: np.ndarray, R: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first k columns of the MGS work buffers. Q is returned contiguous,
+    so that products with it do not depend on how wide the buffer was."""
+    return np.ascontiguousarray(Q[:, :k]), R[:k, :k]
 
 
 def _wls(X: np.ndarray, z: np.ndarray, w: np.ndarray | None, kept: list[int]):
@@ -132,6 +152,15 @@ def _wls(X: np.ndarray, z: np.ndarray, w: np.ndarray | None, kept: list[int]):
         raise RankDeficientError("design lost rank under the working weights")
     beta = solve_triangular(R, Q.T @ b)
     return beta, R
+
+
+def _least_squares(X: np.ndarray, y: np.ndarray, Q: np.ndarray, R: np.ndarray,
+                  kept: list[int]) -> tuple[np.ndarray, float]:
+    """Least squares coefficients of y on the kept columns of X, and the
+    residual sum of squares, from the (Q, R, kept) factorisation of X."""
+    beta_k = solve_triangular(R, Q.T @ y)
+    resid = y - X[:, kept] @ beta_k
+    return beta_k, float(resid @ resid)
 
 
 def _embed(values: np.ndarray, kept: list[int], p: int) -> np.ndarray:
@@ -167,7 +196,7 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
         raise DomainError("design matrix contains non-finite values")
     if not np.all(np.isfinite(y)):
         raise DomainError("outcome contains non-finite values")
-    _, _, kept = _qr_keep(X)
+    Q, R, kept = _qr_keep(X)
     dropped = tuple(column_labels[j] for j in range(p) if j not in kept)
     if dropped:
         warnings.warn(f"dropping aliased design columns: {', '.join(dropped)}", stacklevel=3)
@@ -179,9 +208,7 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
         )
 
     if family is Family.GAUSSIAN:
-        beta_k, R = _wls(X, y, None, kept)
-        resid = y - X[:, kept] @ beta_k
-        rss = float(resid @ resid)
+        beta_k, rss = _least_squares(X, y, Q, R, kept)
         sigma2 = rss / (n - len(kept))
         cov_kept = _cov_from_r(R) * sigma2
         return FitResult(
@@ -299,5 +326,5 @@ def deviance_test(fit_reduced: FitResult, fit_full: FitResult, df: int,
         if rss_f <= 0.0:
             return 0.0 if rss_r > rss_f else 1.0
         stat_f = ((rss_r - rss_f) / df) / (rss_f / df2)
-        return float(min(1.0, max(0.0, f_dist.sf(max(stat_f, 0.0), df, df2))))
+        return float(min(1.0, max(0.0, fdtrc(df, df2, max(stat_f, 0.0)))))
     return chi2_sf(stat, df)

@@ -21,7 +21,7 @@ from scipy.special import ndtr, ndtri
 from .data import Dataset, Family
 from .errors import DomainError, InvalidCorrelationError, ModelBuildError
 from .glm import FitResult, fit
-from .model import ModelSpec, Term
+from .model import Fp, Linear, ModelSpec, Term
 from .selection import Criterion, SelectionTrace, backward_eliminate
 from .mfp import MfpConfig, MfpResult, mfp
 
@@ -282,9 +282,13 @@ def _summary_from_fit(fitted: FitResult) -> FitSummary:
             curves[term.variable] = extra
         else:  # several terms of one variable add up (spike models)
             curves[term.variable] = lambda x, a=prior, b=extra: a(x) + b(x)
-        labels = term.labels()
-        if len(labels) == 1 and labels[0] == term.variable:
-            linear[term.variable] = fitted.coefficient(labels[0])
+        transform = term.transform
+        if isinstance(transform, Linear):
+            linear[term.variable] = fitted.coefficient(term.labels()[0])
+        elif isinstance(transform, Fp) and transform.powers.values == (1.0,):
+            # FP1 with power 1 is a straight line on the pre-transformed
+            # scale z = (x + shift) / scale; its slope in x is beta / scale.
+            linear[term.variable] = fitted.coefficient(term.labels()[0]) / transform.scale
     return FitSummary(
         selected=frozenset(t.variable for t in fitted.spec.terms),
         curves=curves,

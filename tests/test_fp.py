@@ -1,15 +1,20 @@
 """Fractional polynomial family: enumeration, bases, pre-transformation, search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpselect import (Dataset, DegenerateVariableError, DomainError, FpPowers,
-                      FP_POWER_SET, ModelSpec, PreTransform, Term, best_fp,
-                      enumerate_fp, fit, fp_basis, pretransform)
+from fpselect import (Dataset, DegenerateVariableError, DomainError, Family, FpPowers,
+                      FP_POWER_SET, ModelBuildError, ModelSpec, PreTransform, Term,
+                      best_fp, enumerate_fp, fit, fp_basis, pretransform,
+                      spike_decompose)
+from fpselect.fp import fp_basis_labels
+from fpselect.glm import fit_design
+from fpselect.model import design_matrix
 
 
 class TestEnumerate:
@@ -87,6 +92,11 @@ class TestPretransform:
         assert pre.scale == 1e5
         z = pre.apply(x)
         assert 0.01 <= np.median(z) <= 100.0
+
+    def test_subnormal_minimum_stays_positive(self):
+        x = np.array([7.0, 5e-324])
+        pre = pretransform(x)
+        assert np.all(pre.apply(x) > 0.0)
 
     def test_constant_column_rejected(self):
         with pytest.raises(DegenerateVariableError):
@@ -176,6 +186,166 @@ class TestBestFp:
         ds = Dataset.from_columns({"x": x, "y": rng.normal(size=50)}, outcome="y")
         with pytest.raises(DomainError):
             best_fp(ds, "x", 1, adjustment=ModelSpec((Term.linear("x"),)))
+
+
+def _fit_every_candidate(ds, variable, degree, adjustment=None, pre=None,
+                         center_at=None):
+    """Reference search: a full `fit_design` of every candidate, as the search
+    did before it scored candidates from one factorisation. Returns the
+    deviance table, the fits (None where the fit failed) and the designs."""
+    adjustment = adjustment or ModelSpec()
+    pre = pre or pretransform(ds.column(variable))
+    base_X, base_labels, _ = design_matrix(ds, adjustment)
+    z = pre.apply(ds.column(variable))
+    table, fits, designs = {}, {}, {}
+    for powers in enumerate_fp(degree):
+        with np.errstate(over="ignore"):
+            basis = fp_basis(z, powers)
+        if center_at is not None:
+            basis = basis - fp_basis(np.array([center_at]), powers)
+        X = np.hstack([base_X, basis])
+        labels = base_labels + fp_basis_labels(variable, powers)
+        designs[powers] = (X, labels)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                fits[powers] = fit_design(X, ds.outcome, ds.family, labels)
+        except ModelBuildError:
+            fits[powers] = None
+            table[powers] = math.inf
+            continue
+        dev = fits[powers].deviance
+        table[powers] = dev if math.isfinite(dev) else math.inf
+    return table, fits, designs
+
+
+def _assert_same_as_fitting_every_candidate(ds, variable, degree, adjustment=None,
+                                            pre=None, center_at=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = best_fp(ds, variable, degree, adjustment, pre, center_at)
+    table, fits, designs = _fit_every_candidate(ds, variable, degree, adjustment,
+                                                pre, center_at)
+    assert list(result.deviance_table) == list(table)
+    for powers, dev in table.items():
+        assert result.deviance_table[powers] == dev, powers  # bit for bit
+    order = list(table)
+    best = min(order, key=lambda p: (table[p], order.index(p)))
+    assert result.best_powers == best
+    X, labels = designs[best]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        winner = fit_design(X, ds.outcome, ds.family, labels)
+    np.testing.assert_array_equal(result.fit.coefficients, winner.coefficients)
+    np.testing.assert_array_equal(result.fit.covariance, winner.covariance)
+    assert result.fit.deviance == winner.deviance
+    assert result.fit.dropped_columns == winner.dropped_columns
+    assert result.fit.model_df == winner.model_df
+    assert result.fit.column_labels == winner.column_labels
+    return result, fits
+
+
+class TestScoreThenFit:
+    """Gaussian candidates are scored from one factorisation of the adjustment
+    design; the table and the winner's fit must equal fitting every candidate."""
+
+    @staticmethod
+    def _dataset(seed, n=300):
+        rng = np.random.default_rng(seed)
+        x = rng.lognormal(size=n)
+        a = rng.standard_normal(n) + 0.3 * np.log(x)
+        b = rng.uniform(0.5, 3.0, n)
+        y = np.log(x) + 0.5 * a + 1.0 / b + rng.standard_normal(n)
+        return Dataset.from_columns({"x": x, "a": a, "b": b, "y": y}, outcome="y")
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_tables_equal_fitting_every_candidate(self, degree):
+        for seed in (101, 103, 107):
+            ds = self._dataset(seed)
+            _assert_same_as_fitting_every_candidate(
+                ds, "x", degree, ModelSpec((Term.linear("a"), Term.linear("b"))))
+            _assert_same_as_fitting_every_candidate(ds, "b", degree)
+
+    def test_aliased_fp2_candidate(self):
+        # Six distinct values, one far out: some FP2 bases lose a column.
+        rng = np.random.default_rng(109)
+        values = np.array([1.0, 1.5, 2.0, 2.5, 3.0, 1e6])
+        x = rng.choice(values, 200)
+        x[:6] = values
+        y = np.log(x) + rng.standard_normal(200)
+        ds = Dataset.from_columns({"x": x, "y": y}, outcome="y")
+        _, fits = _assert_same_as_fitting_every_candidate(ds, "x", 2)
+        assert any(f is not None and f.dropped_columns for f in fits.values())
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_spike_path_with_center(self, degree):
+        rng = np.random.default_rng(113)
+        n = 400
+        x = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.5, 4.0, n))
+        y = 1.0 * (x > 0) + np.log1p(x) + rng.normal(scale=0.5, size=n)
+        ds = Dataset.from_columns({"x": x, "y": y}, outcome="y")
+        decomp = spike_decompose(x, "x")
+        adjustment = ModelSpec((Term.indicator("x", 0.0),))
+        _, fits = _assert_same_as_fitting_every_candidate(
+            ds, "x", degree, adjustment, decomp.pre, decomp.origin)
+        assert any(f is not None and f.dropped_columns for f in fits.values())
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_overflowing_candidates_score_infinite(self, degree):
+        x = np.geomspace(1e-160, 1e-150, 150)
+        rng = np.random.default_rng(127)
+        y = np.log(x) + rng.normal(scale=0.05, size=150)
+        ds = Dataset.from_columns({"x": x, "y": y}, outcome="y")
+        result, fits = _assert_same_as_fitting_every_candidate(
+            ds, "x", degree, pre=PreTransform())
+        failed = [p for p, f in fits.items() if f is None]
+        assert failed
+        assert all(result.deviance_table[p] == math.inf for p in failed)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_adjustment_with_aliased_column(self, degree):
+        rng = np.random.default_rng(131)
+        n = 150
+        x = rng.uniform(0.5, 5.0, n)
+        a = rng.standard_normal(n)
+        y = np.sqrt(x) + a + rng.standard_normal(n)
+        ds = Dataset.from_columns({"x": x, "a": a, "a2": 2.0 * a, "y": y}, outcome="y")
+        adjustment = ModelSpec((Term.linear("a"), Term.linear("a2")))
+        result, _ = _assert_same_as_fitting_every_candidate(ds, "x", degree, adjustment)
+        assert "a2" in result.fit.dropped_columns
+
+    def test_only_the_winner_warns_about_aliasing(self):
+        rng = np.random.default_rng(137)
+        n = 150
+        x = rng.uniform(0.5, 5.0, n)
+        a = rng.standard_normal(n)
+        ds = Dataset.from_columns({"x": x, "a": a, "a2": 2.0 * a,
+                                   "y": x + a + rng.standard_normal(n)}, outcome="y")
+        with pytest.warns(UserWarning, match="aliased") as record:
+            best_fp(ds, "x", 2, ModelSpec((Term.linear("a"), Term.linear("a2"))))
+        assert len([w for w in record if "aliased" in str(w.message)]) == 1
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_every_candidate_failing_raises(self, degree):
+        # n observations against n coefficients: no candidate is identifiable.
+        n = 1 + degree
+        x = np.arange(1.0, n + 1.0)
+        ds = Dataset.from_columns({"x": x, "y": np.sin(x)}, outcome="y")
+        table, _, _ = _fit_every_candidate(ds, "x", degree, pre=PreTransform())
+        assert all(dev == math.inf for dev in table.values())
+        with pytest.raises(ModelBuildError, match="every FP candidate fit failed"):
+            best_fp(ds, "x", degree, pre=PreTransform())
+
+    def test_binomial_tables_equal_fitting_every_candidate(self):
+        rng = np.random.default_rng(139)
+        n = 300
+        x = rng.uniform(0.5, 4.0, n)
+        a = rng.standard_normal(n)
+        eta = np.log(x) + 0.5 * a - 0.5
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        ds = Dataset.from_columns({"x": x, "a": a, "y": y}, outcome="y",
+                                  family=Family.BINOMIAL)
+        _assert_same_as_fitting_every_candidate(ds, "x", 2, ModelSpec((Term.linear("a"),)))
 
 
 class TestScaleInvariance:

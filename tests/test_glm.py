@@ -1,6 +1,7 @@
 """GLM core: fits against closed-form oracles, deviance tests, diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import scipy.stats
 from fpselect import (Dataset, DomainError, Family, FitResult, ModelSpec,
                       NotNestedError, RankDeficientError, Term, deviance_test,
                       fit, lr_statistic)
-from fpselect.glm import gaussian_log_likelihood
+from fpselect.glm import (_cov_from_r, _embed, _embed_cov, _qr_keep, _wls, fit_design,
+                          gaussian_log_likelihood)
 
 
 def make_dataset(columns, outcome="y", family=Family.GAUSSIAN):
@@ -71,6 +73,51 @@ class TestGaussianFit:
         rss = float(np.sum((y - design @ beta) ** 2))
         assert res.deviance == pytest.approx(rss, rel=1e-12)
         assert res.log_likelihood == pytest.approx(gaussian_log_likelihood(rss, len(y)))
+
+
+def _two_qr_gaussian_fit(X, y):
+    """Reference: the Gaussian path that ran a rank-check QR over X and then a
+    second QR over the kept columns through `_wls`."""
+    n, p = X.shape
+    _, _, kept = _qr_keep(X)
+    beta_k, R = _wls(X, y, None, kept)
+    resid = y - X[:, kept] @ beta_k
+    rss = float(resid @ resid)
+    cov = _cov_from_r(R) * (rss / (n - len(kept)))
+    return _embed(beta_k, kept, p), _embed_cov(cov, kept, p), rss
+
+
+class TestOneQrGaussianFit:
+    """Gaussian `fit_design` takes beta and R from its rank-check QR; the
+    result must equal the former two-QR path bit for bit."""
+
+    @staticmethod
+    def _check(X, y):
+        labels = tuple(f"c{j}" for j in range(X.shape[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = fit_design(X, y, Family.GAUSSIAN, labels)
+        coef, cov, rss = _two_qr_gaussian_fit(X, y)
+        np.testing.assert_array_equal(res.coefficients, coef)
+        np.testing.assert_array_equal(res.covariance, cov)
+        assert res.deviance == rss
+
+    def test_full_rank_designs(self):
+        rng = np.random.default_rng(151)
+        for n, p in ((30, 2), (200, 6), (500, 10)):
+            X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+            y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+            self._check(X, y)
+
+    def test_designs_with_aliased_columns(self):
+        rng = np.random.default_rng(157)
+        n = 120
+        a, b = rng.standard_normal(n), rng.uniform(0.5, 3.0, n)
+        y = a - b + rng.standard_normal(n)
+        one = np.ones(n)
+        self._check(np.column_stack([one, a, 2.0 * a, b]), y)
+        self._check(np.column_stack([one, a, b, a + b, b ** -2]), y)
+        self._check(np.column_stack([one, np.zeros(n), a, 3.0 * one]), y)
 
 
 class TestBinomialFit:
