@@ -814,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=sorted(RUNNERS))
     parser.add_argument("--config", required=True, help="path to the analysis config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--workers", type=int, default=1,
                         help="max concurrent replications (stability)")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--alpha-select", type=float, help="override alpha_select")

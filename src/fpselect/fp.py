@@ -164,8 +164,11 @@ def pretransform(x) -> PreTransform:
             delta *= 2.0
             shift = -lo + delta
     shifted_median = float(np.median(x)) + shift
-    scale = 10.0 ** math.floor(math.log10(shifted_median) + 0.5)
+    exponent = math.floor(math.log10(shifted_median) + 0.5)
+    largest = float(distinct[-1]) + shift
+    while math.isinf(largest / 10.0 ** exponent):  # a tiny median would overflow the maximum
+        exponent += 1
     smallest = float(distinct[0]) + shift
-    while smallest / scale <= 0.0:  # a subnormal minimum would underflow to zero
-        scale /= 10.0
-    return PreTransform(shift=shift, scale=scale)
+    while smallest / 10.0 ** exponent <= 0.0:  # a subnormal minimum would underflow to zero
+        exponent -= 1
+    return PreTransform(shift=shift, scale=10.0 ** exponent)

@@ -1,10 +1,10 @@
 """Exhaustive best-fit search over the fractional polynomial family.
 
 The search scores every candidate, then fits only the winner. For the
-Gaussian family the score is the residual sum of squares, computed from one
-QR of the adjustment design that each candidate extends by its own 1-2 FP
-columns; for the binomial family every candidate is fitted by IRLS and scored
-by its deviance.
+Gaussian family the score is the residual sum of squares of the candidate's
+least squares solve, one Householder QR of its design without the covariance;
+for the binomial family every candidate is fitted by IRLS and scored by its
+deviance.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset, Family
 from .errors import DomainError, ModelBuildError
 from .fp import FpPowers, PreTransform, enumerate_fp, fp_basis_labels, pretransform
-from .glm import FitResult, _factors, _least_squares, _mgs_append, fit_design
+from .glm import FitResult, _householder, _rss, _solve, fit_design
 from .model import Fp, Linear, ModelSpec, Term, design_matrix
 
 
@@ -85,34 +85,22 @@ class PowerColumnCache:
         return cols
 
 
-def _gaussian_scorer(base_X: np.ndarray, y: np.ndarray, degree: int) -> Scorer:
+def _gaussian_scorer(y: np.ndarray) -> Scorer:
     """Score candidates by their residual sum of squares without fitting them.
 
-    The adjustment design is factorised once; each candidate continues that
-    modified Gram-Schmidt over its own FP columns, with the aliasing rule of
-    `fit_design`, and is scored by the same least squares arithmetic, so its
+    Each candidate design goes through the least squares routine of
+    `fit_design`, with its aliasing rule, but skips the covariance, so its
     deviance equals that of a full fit bit for bit.
     """
-    n, p_base = base_X.shape
-    width = p_base + degree
-    Q = np.empty((n, width))
-    R = np.zeros((width, width))
-    base_kept: list[int] = []
-    usable = bool(np.all(np.isfinite(base_X)) and np.all(np.isfinite(y)))
-    if usable:
-        _mgs_append(Q, R, base_kept, base_X)
+    usable = bool(np.all(np.isfinite(y)))
 
     def score(X: np.ndarray, labels: tuple[str, ...]) -> tuple[float, None]:
-        cols = X[:, p_base:]
-        if not (usable and np.all(np.isfinite(cols))):
+        if not (usable and np.all(np.isfinite(X))):
             return math.inf, None
-        kept = list(base_kept)
-        _mgs_append(Q, R, kept, cols, first=p_base)
-        k = len(kept)
-        if not 0 < k < n:
+        kept, qr, tau, scale = _householder(X)
+        if not 0 < len(kept) < len(y):
             return math.inf, None
-        _, rss = _least_squares(X, y, *_factors(Q, R, k), kept)
-        return rss, None
+        return _rss(X, y, kept, _solve(qr, tau, scale, y)), None
 
     return score
 
@@ -137,9 +125,9 @@ def best_fp(dataset: Dataset, variable: str, degree: int,
     """Score every FP candidate of the given degree and fit the best one.
 
     The adjustment spec (which must not contain the target variable) is held
-    fixed across candidates. Gaussian candidates are scored from one
-    factorisation of the adjustment design and only the winner is fitted;
-    binomial candidates are each fitted by IRLS. A candidate whose fit fails
+    fixed across candidates. Gaussian candidates are scored by their least
+    squares residual sum of squares and only the winner is fitted; binomial
+    candidates are each fitted by IRLS. A candidate whose fit fails
     scores +inf in the deviance table instead of aborting the search. Ties are
     broken by the canonical enumeration order.
     """
@@ -152,7 +140,7 @@ def best_fp(dataset: Dataset, variable: str, degree: int,
     y = dataset.outcome
     cache = PowerColumnCache(pre.apply(dataset.column(variable)))
     if dataset.family is Family.GAUSSIAN:
-        score = _gaussian_scorer(base_X, y, degree)
+        score = _gaussian_scorer(y)
     else:
         score = _fitting_scorer(y, dataset.family)
 

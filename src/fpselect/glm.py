@@ -1,10 +1,10 @@
 """Generalized linear model fitting by iteratively reweighted least squares.
 
-Supports Gaussian-identity and binomial-logit models. Linear solves go
-through a rank-revealing orthogonal decomposition (modified Gram-Schmidt
-with reorthogonalization); exactly collinear design columns are dropped
-left-to-right with a warning instead of aborting, which keeps exhaustive
-transformation searches alive when a candidate basis degenerates.
+Supports Gaussian-identity and binomial-logit models. Every least squares
+solve (a Gaussian fit, an IRLS step) is one LAPACK Householder QR of the
+design; exactly collinear design columns are dropped left-to-right with a
+warning instead of aborting, which keeps exhaustive transformation searches
+alive when a candidate basis degenerates.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri, dtrtrs
 from scipy.special import fdtrc
 
 from .chi2 import chi2_sf
@@ -86,56 +86,61 @@ def _expit(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mgs_append(Q: np.ndarray, R: np.ndarray, kept: list[int], A: np.ndarray,
-                first: int = 0, tol: float = PIVOT_TOL) -> None:
-    """Continue a left-to-right modified Gram-Schmidt factorisation with
-    reorthogonalization over the columns of A.
-
-    Q (n, p) and R (p, p) are work buffers whose first len(kept) columns hold
-    the factorisation so far; `kept` lists the design indices of those
-    columns. Column j of A is design column first + j. Each column is
-    orthogonalized against the kept ones and appended to Q, R and `kept`,
-    unless its residual norm falls below tol * its original norm, in which
-    case it is dropped as aliased."""
-    for j in range(A.shape[1]):
-        k = len(kept)
-        v = A[:, j].astype(float, copy=True)
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0.0:
-            continue
-        if k:
-            Qk = Q[:, :k]
-            r1 = Qk.T @ v
-            v -= Qk @ r1
-            r2 = Qk.T @ v
-            v -= Qk @ r2
-            R[:k, k] = r1 + r2
-        norm_v = np.linalg.norm(v)
-        if norm_v <= tol * norm0:
-            R[:, k] = 0.0
-            continue
-        Q[:, k] = v / norm_v
-        R[k, k] = norm_v
-        kept.append(first + j)
+def _check_info(routine: str, info: int) -> None:
+    """Raise on a nonzero LAPACK `info`."""
+    if info < 0:
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
+    if info > 0:
+        raise RankDeficientError(f"{routine}: triangular factor is singular at column {info}")
 
 
-def _qr_keep(A: np.ndarray, tol: float = PIVOT_TOL):
-    """Column-pivot-free rank-revealing QR: greedy left-to-right MGS with
-    reorthogonalization. Returns (Q, R, kept) where columns whose residual
-    norm falls below tol * original norm are dropped as aliased."""
-    n, p = A.shape
-    Q = np.empty((n, p))
-    R = np.zeros((p, p))
-    kept: list[int] = []
-    _mgs_append(Q, R, kept, A, tol=tol)
-    Q, R = _factors(Q, R, len(kept))
-    return Q, R, kept
+def _householder(A: np.ndarray, tol: float = PIVOT_TOL):
+    """Householder QR (LAPACK dgeqrf) of the columns of A that the aliasing
+    rule keeps.
+
+    Column j is aliased when |R_jj| <= tol * ||a_j||, with R_jj taken from the
+    kept columns to its left. Zero columns are dropped up front; then the
+    first aliased column is dropped and the remaining columns are factorised
+    again, so a full-rank design takes one call. Columns beyond the n-th kept
+    one are aliased. Each column is divided by a power of two near its largest
+    magnitude, which is exact and keeps squared norms from overflowing.
+    Returns (kept, qr, tau, scale), the factorisation of A[:, kept] / scale."""
+    n = A.shape[0]
+    A = np.asfortranarray(A)
+    peak = np.abs(A).max(axis=0)
+    scale = np.ldexp(0.5, np.frexp(peak)[1])
+    candidates = peak.nonzero()[0]
+    while True:
+        kept = candidates[:n]
+        As = A[:, kept] / scale[kept]
+        norms = np.sqrt(np.einsum("ij,ij->j", As, As))
+        qr, tau, _, info = dgeqrf(As, overwrite_a=True)
+        _check_info("dgeqrf", info)
+        aliased = (np.abs(qr.diagonal()) <= tol * norms).nonzero()[0]
+        if not aliased.size:
+            return kept.tolist(), qr, tau, scale[kept]
+        candidates = np.delete(candidates, aliased[0])
 
 
-def _factors(Q: np.ndarray, R: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first k columns of the MGS work buffers. Q is returned contiguous,
-    so that products with it do not depend on how wide the buffer was."""
-    return np.ascontiguousarray(Q[:, :k]), R[:k, :k]
+def _solve(qr: np.ndarray, tau: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least squares coefficients of b from a `_householder` factorisation."""
+    k = qr.shape[1]
+    qtb, _, info = dormqr("L", "T", qr, tau, b[:, None], 1)
+    _check_info("dormqr", info)
+    beta, info = dtrtrs(qr, qtb[:k])
+    _check_info("dtrtrs", info)
+    return beta[:, 0] / scale
+
+
+def _r_factor(qr: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The triangular factor R of the unscaled kept columns, in the upper
+    triangle; as in LAPACK, the strict lower triangle is not part of it."""
+    return qr[:qr.shape[1]] * scale
+
+
+def _rss(X: np.ndarray, y: np.ndarray, kept: list[int], beta_k: np.ndarray) -> float:
+    resid = y - X[:, kept] @ beta_k
+    return float(resid @ resid)
 
 
 def _wls(X: np.ndarray, z: np.ndarray, w: np.ndarray | None, kept: list[int]):
@@ -146,21 +151,11 @@ def _wls(X: np.ndarray, z: np.ndarray, w: np.ndarray | None, kept: list[int]):
         sw = np.sqrt(w)
         A = A * sw[:, None]
         b = z * sw
-    Q, R, kept2 = _qr_keep(A)
+    kept2, qr, tau, scale = _householder(A)
     if len(kept2) != len(kept):
         # Weighting can only lose rank in degenerate all-zero-weight cases.
         raise RankDeficientError("design lost rank under the working weights")
-    beta = solve_triangular(R, Q.T @ b)
-    return beta, R
-
-
-def _least_squares(X: np.ndarray, y: np.ndarray, Q: np.ndarray, R: np.ndarray,
-                  kept: list[int]) -> tuple[np.ndarray, float]:
-    """Least squares coefficients of y on the kept columns of X, and the
-    residual sum of squares, from the (Q, R, kept) factorisation of X."""
-    beta_k = solve_triangular(R, Q.T @ y)
-    resid = y - X[:, kept] @ beta_k
-    return beta_k, float(resid @ resid)
+    return _solve(qr, tau, scale, b), _r_factor(qr, scale)
 
 
 def _embed(values: np.ndarray, kept: list[int], p: int) -> np.ndarray:
@@ -176,7 +171,10 @@ def _embed_cov(cov_kept: np.ndarray, kept: list[int], p: int) -> np.ndarray:
 
 
 def _cov_from_r(R: np.ndarray) -> np.ndarray:
-    rinv = solve_triangular(R, np.eye(R.shape[0]))
+    """(R^T R)^-1 from the upper triangle of R."""
+    rinv, info = dtrtri(R)
+    _check_info("dtrtri", info)
+    rinv = np.triu(rinv)
     cov = rinv @ rinv.T
     return (cov + cov.T) / 2.0
 
@@ -196,7 +194,7 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
         raise DomainError("design matrix contains non-finite values")
     if not np.all(np.isfinite(y)):
         raise DomainError("outcome contains non-finite values")
-    Q, R, kept = _qr_keep(X)
+    kept, qr, tau, scale = _householder(X)
     dropped = tuple(column_labels[j] for j in range(p) if j not in kept)
     if dropped:
         warnings.warn(f"dropping aliased design columns: {', '.join(dropped)}", stacklevel=3)
@@ -208,9 +206,10 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
         )
 
     if family is Family.GAUSSIAN:
-        beta_k, rss = _least_squares(X, y, Q, R, kept)
+        beta_k = _solve(qr, tau, scale, y)
+        rss = _rss(X, y, kept, beta_k)
         sigma2 = rss / (n - len(kept))
-        cov_kept = _cov_from_r(R) * sigma2
+        cov_kept = _cov_from_r(_r_factor(qr, scale)) * sigma2
         return FitResult(
             coefficients=_embed(beta_k, kept, p),
             covariance=_embed_cov(cov_kept, kept, p),

@@ -146,13 +146,17 @@ def mfp(dataset: Dataset, candidates: Sequence[str],
     trace: list[dict[str, FunctionForm]] = []
     converged = False
     previous_state = None
+    # A variable met again with the same adjustment gets the same decision.
+    memo: dict[tuple[str, ModelSpec], FunctionDecision] = {}
     for _cycle in range(config.max_cycles):
         for v in order:
             adjustment = ModelSpec(tuple(
                 term for other, term in current_terms.items()
                 if other != v and term is not None
             ))
-            decision = _decide(dataset, v, adjustment, config)
+            decision = memo.get((v, adjustment))
+            if decision is None:
+                decision = memo[v, adjustment] = _decide(dataset, v, adjustment, config)
             decisions[v] = decision
             current_terms[v] = decision.term
         trace.append({v: decisions[v].verdict for v in order})

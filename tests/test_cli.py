@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpselect.cli import EXIT_CONFIG_ERROR, main
+from fpselect.cli import EXIT_CONFIG_ERROR, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -20,6 +20,12 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_workers_default_to_one():
+    # The stability thread pool is slower than the sequential path.
+    args = build_parser().parse_args(["stability", "--config", "analysis.cfg"])
+    assert args.workers == 1
 
 
 def write_binary_data(path, seed=5, n=200):

@@ -98,6 +98,12 @@ class TestPretransform:
         pre = pretransform(x)
         assert np.all(pre.apply(x) > 0.0)
 
+    def test_subnormal_median_keeps_maximum_finite(self):
+        x = np.array([0.0, 1.0, 2.225073858507e-311])
+        pre = pretransform(x)
+        z = pre.apply(x)
+        assert np.all(np.isfinite(z)) and np.all(z > 0.0)
+
     def test_constant_column_rejected(self):
         with pytest.raises(DegenerateVariableError):
             pretransform(np.full(10, 3.3))

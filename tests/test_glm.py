@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.linalg import solve_triangular
 
 from fpselect import (Dataset, DomainError, Family, FitResult, ModelSpec,
                       NotNestedError, RankDeficientError, Term, deviance_test,
                       fit, lr_statistic)
-from fpselect.glm import (_cov_from_r, _embed, _embed_cov, _qr_keep, _wls, fit_design,
-                          gaussian_log_likelihood)
+from fpselect.glm import (DEVIANCE_RTOL, MAX_ITER, PIVOT_TOL, _MU_EPS, _binomial_deviance,
+                          _cov_from_r, _embed, _embed_cov, _expit, _householder, _wls,
+                          fit_design, gaussian_log_likelihood)
 
 
 def make_dataset(columns, outcome="y", family=Family.GAUSSIAN):
@@ -75,9 +77,79 @@ class TestGaussianFit:
         assert res.log_likelihood == pytest.approx(gaussian_log_likelihood(rss, len(y)))
 
 
+def _mgs_append(Q, R, kept, A, first=0, tol=PIVOT_TOL):
+    """Reference: the left-to-right modified Gram-Schmidt with
+    reorthogonalization that every least squares solve used before the
+    Householder QR. A column is dropped as aliased when its residual norm
+    falls below tol * its original norm."""
+    for j in range(A.shape[1]):
+        k = len(kept)
+        v = A[:, j].astype(float, copy=True)
+        norm0 = np.linalg.norm(v)
+        if norm0 == 0.0:
+            continue
+        if k:
+            Qk = Q[:, :k]
+            r1 = Qk.T @ v
+            v -= Qk @ r1
+            r2 = Qk.T @ v
+            v -= Qk @ r2
+            R[:k, k] = r1 + r2
+        norm_v = np.linalg.norm(v)
+        if norm_v <= tol * norm0:
+            R[:, k] = 0.0
+            continue
+        Q[:, k] = v / norm_v
+        R[k, k] = norm_v
+        kept.append(first + j)
+
+
+def _qr_keep(A, tol=PIVOT_TOL):
+    """Reference MGS factorisation: (Q, R, kept)."""
+    n, p = A.shape
+    Q = np.empty((n, p))
+    R = np.zeros((p, p))
+    kept = []
+    _mgs_append(Q, R, kept, A, tol=tol)
+    k = len(kept)
+    return np.ascontiguousarray(Q[:, :k]), R[:k, :k], kept
+
+
+def _mgs_solve(A, b):
+    Q, R, _ = _qr_keep(A)
+    return solve_triangular(R, Q.T @ b)
+
+
+def _mgs_fit(X, y, family):
+    """Reference: the former `fit_design`, with an MGS factorisation in every
+    least squares solve. Returns (kept, coefficients over kept, deviance,
+    IRLS iterations)."""
+    _, _, kept = _qr_keep(X)
+    A = X[:, kept]
+    if family is Family.GAUSSIAN:
+        beta = _mgs_solve(A, y)
+        resid = y - A @ beta
+        return kept, beta, float(resid @ resid), 1
+    mu = np.clip((y + 0.5) / 2.0, _MU_EPS, 1.0 - _MU_EPS)
+    eta = np.log(mu / (1.0 - mu))
+    deviance = _binomial_deviance(y, mu)
+    for iterations in range(1, MAX_ITER + 1):
+        w = np.maximum(mu * (1.0 - mu), _MU_EPS)
+        z = eta + (y - mu) / w
+        sw = np.sqrt(w)
+        beta = _mgs_solve(A * sw[:, None], z * sw)
+        eta = A @ beta
+        mu = np.clip(_expit(eta), _MU_EPS, 1.0 - _MU_EPS)
+        new_deviance = _binomial_deviance(y, mu)
+        if abs(new_deviance - deviance) <= DEVIANCE_RTOL * (abs(new_deviance) + 0.1):
+            return kept, beta, new_deviance, iterations
+        deviance = new_deviance
+    return kept, beta, deviance, MAX_ITER
+
+
 def _two_qr_gaussian_fit(X, y):
-    """Reference: the Gaussian path that ran a rank-check QR over X and then a
-    second QR over the kept columns through `_wls`."""
+    """Reference: a rank-check QR over X (the former MGS) and then a second
+    QR over the kept columns through `_wls`."""
     n, p = X.shape
     _, _, kept = _qr_keep(X)
     beta_k, R = _wls(X, y, None, kept)
@@ -118,6 +190,87 @@ class TestOneQrGaussianFit:
         self._check(np.column_stack([one, a, 2.0 * a, b]), y)
         self._check(np.column_stack([one, a, b, a + b, b ** -2]), y)
         self._check(np.column_stack([one, np.zeros(n), a, 3.0 * one]), y)
+
+
+class TestHouseholderMatchesMgs:
+    """The Householder QR keeps the columns the former MGS kept, and the fits
+    agree with fits that factorise by MGS."""
+
+    @staticmethod
+    def _designs():
+        rng = np.random.default_rng(163)
+        n = 80
+        one = np.ones(n)
+        a, b = rng.standard_normal(n), rng.uniform(0.5, 3.0, n)
+        yield "duplicate column", np.column_stack([one, a, b, a])
+        yield "linear combination", np.column_stack([one, a, b, 2.0 * a - 0.5 * b, b ** 2])
+        yield "zero column", np.column_stack([np.zeros(n), one, a, np.zeros(n), b])
+        yield "constant copy of the intercept", np.column_stack([one, a, 3.0 * one, b])
+        yield "wider than n", rng.standard_normal((5, 8))
+
+    def test_same_kept_columns(self):
+        for name, X in self._designs():
+            kept = _householder(X)[0]
+            assert kept == _qr_keep(X)[2], name
+        assert _householder(np.zeros((5, 8)))[0] == []
+
+    @staticmethod
+    def _assert_close(X, y, family, rtol):
+        labels = tuple(f"c{j}" for j in range(X.shape[1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            res = fit_design(X, y, family, labels)
+        kept, beta, deviance, iterations = _mgs_fit(X, y, family)
+        assert [j for j, label in enumerate(labels) if label not in res.dropped_columns] == kept
+        coef = res.coefficients[kept]
+        assert np.max(np.abs(coef - beta)) <= rtol * np.max(np.abs(beta))
+        assert res.deviance == pytest.approx(deviance, rel=rtol)
+        assert res.iterations == iterations
+
+    def test_well_conditioned_designs_agree(self):
+        rng = np.random.default_rng(167)
+        for n, p in ((40, 2), (200, 6), (500, 10)):
+            X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1))])
+            eta = X @ rng.normal(scale=0.5, size=p)
+            self._assert_close(X, eta + rng.standard_normal(n), Family.GAUSSIAN, 1e-12)
+            y = (rng.random(n) < _expit(eta)).astype(float)
+            self._assert_close(X, y, Family.BINOMIAL, 1e-12)
+        for name, X in list(self._designs())[:-1]:
+            y = X @ rng.standard_normal(X.shape[1]) + rng.standard_normal(X.shape[0])
+            self._assert_close(X, y, Family.GAUSSIAN, 1e-12)
+
+    def test_fp2_repeated_minus_two_designs_agree(self):
+        rng = np.random.default_rng(173)
+        for _ in range(10):
+            n = 300
+            x = rng.uniform(0.5, 3.0, n)
+            a = rng.standard_normal(n)
+            X = np.column_stack([np.ones(n), a, x ** -2.0, x ** -2.0 * np.log(x)])
+            eta = 1.0 / x + 0.5 * a - 1.0
+            self._assert_close(X, eta + rng.standard_normal(n), Family.GAUSSIAN, 1e-10)
+            y = (rng.random(n) < _expit(eta)).astype(float)
+            self._assert_close(X, y, Family.BINOMIAL, 1e-10)
+
+    def test_overflowing_column_kept(self):
+        # Values of 1/x near 1e160 have squares that overflow; the column is
+        # not aliased and must be kept.
+        x = np.geomspace(1e-160, 1e-150, 150)
+        rng = np.random.default_rng(79)
+        y = np.log(x) + rng.normal(scale=0.05, size=150)
+        X = np.column_stack([np.ones(150), 1.0 / x])
+        res = fit_design(X, y, Family.GAUSSIAN, ("(intercept)", "x^(-1)"))
+        assert res.dropped_columns == ()
+        scaled = X / np.max(np.abs(X), axis=0)
+        beta = np.linalg.lstsq(scaled, y, rcond=None)[0]
+        rss = float(np.sum((y - scaled @ beta) ** 2))
+        assert res.deviance == pytest.approx(rss, rel=1e-10)
+        assert res.deviance == pytest.approx(5122.52, abs=0.01)
+
+    def test_weights_that_lose_rank_raise(self):
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        w = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(RankDeficientError, match="lost rank"):
+            _wls(X, np.ones(6), w, [0, 1])
 
 
 class TestBinomialFit:

@@ -1,11 +1,17 @@
 """Multivariable cycling: ordering, convergence, tuning-level semantics."""
 
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from fpselect import (Criterion, Dataset, DomainError, FunctionForm, MfpConfig,
                       ModelSpec, Term, backward_eliminate, fit, mfp,
                       removal_order)
+
+# The package exports the `mfp` function under the submodule's name.
+mfp_module = importlib.import_module("fpselect.mfp")
 
 
 def scenario_dataset(seed=301, n=400):
@@ -150,3 +156,50 @@ class TestMfp:
             MfpConfig(alpha_select=0.0)
         with pytest.raises(DomainError):
             MfpConfig(max_cycles=0)
+
+
+def _mfp_deciding_every_visit(dataset, candidates, config):
+    """Reference: the MFP cycle with a fresh function selection test on every
+    visit. Returns (final spec, cycle trace of verdicts)."""
+    order = removal_order(dataset, candidates, config)
+    terms = {v: Term.linear(v) for v in candidates}
+    trace, previous = [], None
+    for _ in range(config.max_cycles):
+        verdicts = {}
+        for v in order:
+            adjustment = ModelSpec(tuple(t for other, t in terms.items()
+                                         if other != v and t is not None))
+            decision = mfp_module._decide(dataset, v, adjustment, config)
+            terms[v], verdicts[v] = decision.term, decision.verdict
+        trace.append(verdicts)
+        state = {v: terms[v] for v in order}
+        if state == previous:
+            break
+        previous = state
+    return ModelSpec(tuple(terms[v] for v in order if terms[v] is not None)), tuple(trace)
+
+
+class TestDecisionMemo:
+    def test_no_pair_searched_twice_and_result_unchanged(self, monkeypatch):
+        ds = scenario_dataset(seed=337)
+        candidates = ["x1", "x2", "x3", "x4"]
+        config = MfpConfig(0.05, 0.05)
+        reference_spec, reference_trace = _mfp_deciding_every_visit(ds, candidates, config)
+
+        searched = Counter()
+        real_fsp_select = mfp_module.fsp_select
+
+        def counting_fsp_select(dataset, variable, *args, adjustment, **kwargs):
+            searched[variable, adjustment] += 1
+            return real_fsp_select(dataset, variable, *args, adjustment=adjustment, **kwargs)
+
+        monkeypatch.setattr(mfp_module, "fsp_select", counting_fsp_select)
+        result = mfp(ds, candidates, config)
+        assert max(searched.values()) == 1
+        visits = len(result.visit_order) * len(result.cycle_trace)
+        assert sum(searched.values()) < visits
+        assert result.final_spec == reference_spec
+        assert result.cycle_trace == reference_trace
+        fresh = fit(ds, reference_spec)
+        np.testing.assert_array_equal(result.fit.coefficients, fresh.coefficients)
+        assert result.fit.deviance == fresh.deviance
