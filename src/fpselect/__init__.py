@@ -7,7 +7,7 @@ post-selection shrinkage, and resampling-based stability analysis.
 
 from .categorize import (CutpointResult, CutScheme, Type1SimulationResult,
                          cut_by_quantiles, min_p_cutpoint, type1_simulation)
-from .chi2 import chi2_sf, regularized_gamma_q
+from .chi2 import chi2_sf
 from .data import Dataset, Family
 from .errors import (AllZeroError, CollinearComponentsError, ConfigError,
                      CycleDetectedError, DataError, DegenerateVariableError,

@@ -1,85 +1,16 @@
-"""Chi-square upper-tail probabilities built on the regularized incomplete gamma function.
-
-The survival function is Q(df/2, x/2) where Q is the regularized upper
-incomplete gamma function. Q is evaluated with the classical split: a power
-series for the lower function P when x < a + 1, and a Lentz-style continued
-fraction for Q otherwise. Both converge to near machine precision for the
-ranges this package needs (x up to a few hundred, df up to ~50).
-"""
+"""Chi-square upper-tail probabilities (`scipy.special.chdtrc`)."""
 
 import math
 
+from scipy.special import chdtrc
+
 from .errors import DomainError
 
-_EPS = 1e-16
-_MAX_ITER = 500
-_TINY = 1e-300
-
-
-def _lower_gamma_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by series; needs x < a + 1."""
-    if x <= 0.0:
-        return 0.0
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def _upper_gamma_cf(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by continued fraction; needs x >= a + 1."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma function Q(a, x) = Gamma(a, x)/Gamma(a)."""
-    if a <= 0.0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise DomainError(f"argument must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _lower_gamma_series(a, x)
-    return _upper_gamma_cf(a, x)
 
 def chi2_sf(x: float, df: int) -> float:
-    """Upper-tail probability P(X > x) for a chi-square variable with df degrees of freedom.
-
-    Parameters
-    ----------
-    x : float
-        Test statistic, must be nonnegative and finite.
-    df : int
-        Degrees of freedom, integer >= 1.
-
-    Returns
-    -------
-    float
-        Survival probability in [0, 1].
-    """
+    """Upper-tail probability P(X > x), in [0, 1], of a chi-square variable
+    with df degrees of freedom; x must be nonnegative or +inf and df a
+    positive integer."""
     if not math.isfinite(x):
         if x == math.inf:
             return 0.0
@@ -89,5 +20,4 @@ def chi2_sf(x: float, df: int) -> float:
     df_int = int(df)
     if df_int != df or df_int < 1:
         raise DomainError(f"degrees of freedom must be a positive integer, got {df}")
-    p = regularized_gamma_q(df_int / 2.0, x / 2.0)
-    return min(1.0, max(0.0, p))
+    return min(1.0, max(0.0, float(chdtrc(df_int, x))))

@@ -78,12 +78,8 @@ class FitResult:
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -185,19 +181,18 @@ def gaussian_log_likelihood(rss: float, n: int) -> float:
     return -0.5 * n * (math.log(2.0 * math.pi * rss / n) + 1.0)
 
 
-def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
-               column_labels: tuple[str, ...],
-               max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL) -> FitResult:
-    """Fit a prebuilt design matrix. Core engine behind `fit` and the searches."""
-    n, p = X.shape
-    if not np.all(np.isfinite(X)):
+def _factorise(X: np.ndarray, y: np.ndarray):
+    """Check the inputs of a fit and factorise its design (`_householder`)."""
+    if not X.shape[0]:
+        raise RankDeficientError("no observations to fit")
+    if not np.isfinite(X).all():
         raise DomainError("design matrix contains non-finite values")
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise DomainError("outcome contains non-finite values")
-    kept, qr, tau, scale = _householder(X)
-    dropped = tuple(column_labels[j] for j in range(p) if j not in kept)
-    if dropped:
-        warnings.warn(f"dropping aliased design columns: {', '.join(dropped)}", stacklevel=3)
+    return _householder(X)
+
+
+def _check_rank(kept: list[int], n: int) -> None:
     if not kept:
         raise RankDeficientError("no usable design columns")
     if n <= len(kept):
@@ -205,26 +200,16 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
             f"{n} observations cannot identify {len(kept)} coefficients"
         )
 
-    if family is Family.GAUSSIAN:
-        beta_k = _solve(qr, tau, scale, y)
-        rss = _rss(X, y, kept, beta_k)
-        sigma2 = rss / (n - len(kept))
-        cov_kept = _cov_from_r(_r_factor(qr, scale)) * sigma2
-        return FitResult(
-            coefficients=_embed(beta_k, kept, p),
-            covariance=_embed_cov(cov_kept, kept, p),
-            deviance=rss,
-            log_likelihood=gaussian_log_likelihood(rss, n),
-            model_df=len(kept),
-            n=n,
-            converged=True,
-            iterations=1,
-            family=family,
-            column_labels=column_labels,
-            dropped_columns=dropped,
-        )
 
-    # Binomial-logit IRLS.
+def _irls(X: np.ndarray, y: np.ndarray, kept: list[int], factors,
+          max_iter: int, tol: float):
+    """Binomial-logit IRLS on the kept columns of X, given their unweighted
+    factorisation `factors` = (qr, tau, scale).
+
+    On a 0/1 outcome every starting weight is equal, so the first step is
+    the unweighted least squares problem and reuses `factors`; later steps
+    factorise the weighted design. Returns (beta, R, deviance, converged,
+    iterations), R being the triangular factor of the last weighted design."""
     mu = np.clip((y + 0.5) / 2.0, _MU_EPS, 1.0 - _MU_EPS)
     eta = np.log(mu / (1.0 - mu))
     deviance = _binomial_deviance(y, mu)
@@ -235,7 +220,11 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
     for iterations in range(1, max_iter + 1):
         w = np.maximum(mu * (1.0 - mu), _MU_EPS)
         z = eta + (y - mu) / w
-        beta_k, R = _wls(X, z, w, kept)
+        if iterations == 1 and np.all(w == w[0]):
+            qr, tau, scale = factors
+            beta_k, R = _solve(qr, tau, scale, z), _r_factor(qr, scale) * math.sqrt(w[0])
+        else:
+            beta_k, R = _wls(X, z, w, kept)
         eta = X[:, kept] @ beta_k
         mu = np.clip(_expit(eta), _MU_EPS, 1.0 - _MU_EPS)
         new_deviance = _binomial_deviance(y, mu)
@@ -244,13 +233,52 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
             converged = True
             break
         deviance = new_deviance
-    separation = bool(np.max(np.abs(beta_k)) > SEPARATION_COEF)
-    cov_kept = _cov_from_r(R)
+    return beta_k, R, deviance, converged, iterations
+
+
+def score_design(X: np.ndarray, y: np.ndarray, family: Family) -> tuple[float, int]:
+    """Deviance and number of kept columns of the fit of a prebuilt design.
+
+    The arithmetic and the errors are those of `fit_design`, so the deviance
+    equals that of the full fit bit for bit; the covariance, the `FitResult`
+    and the aliasing warning are skipped. Searches score their candidates
+    with it and fit only the one they choose."""
+    kept, qr, tau, scale = _factorise(X, y)
+    _check_rank(kept, X.shape[0])
+    if family is Family.GAUSSIAN:
+        return _rss(X, y, kept, _solve(qr, tau, scale, y)), len(kept)
+    return _irls(X, y, kept, (qr, tau, scale), MAX_ITER, DEVIANCE_RTOL)[2], len(kept)
+
+
+def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
+               column_labels: tuple[str, ...],
+               max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL) -> FitResult:
+    """Fit a prebuilt design matrix. Core engine behind `fit` and the searches."""
+    n, p = X.shape
+    kept, qr, tau, scale = _factorise(X, y)
+    dropped = tuple(column_labels[j] for j in range(p) if j not in kept)
+    if dropped:
+        warnings.warn(f"dropping aliased design columns: {', '.join(dropped)}", stacklevel=3)
+    _check_rank(kept, n)
+
+    if family is Family.GAUSSIAN:
+        beta_k = _solve(qr, tau, scale, y)
+        deviance = _rss(X, y, kept, beta_k)
+        sigma2 = deviance / (n - len(kept))
+        cov_kept = _cov_from_r(_r_factor(qr, scale)) * sigma2
+        log_likelihood = gaussian_log_likelihood(deviance, n)
+        converged, iterations, separation = True, 1, False
+    else:
+        beta_k, R, deviance, converged, iterations = _irls(
+            X, y, kept, (qr, tau, scale), max_iter, tol)
+        separation = bool(np.max(np.abs(beta_k)) > SEPARATION_COEF)
+        cov_kept = _cov_from_r(R)
+        log_likelihood = -deviance / 2.0
     return FitResult(
         coefficients=_embed(beta_k, kept, p),
         covariance=_embed_cov(cov_kept, kept, p),
         deviance=deviance,
-        log_likelihood=-deviance / 2.0,
+        log_likelihood=log_likelihood,
         model_df=len(kept),
         n=n,
         converged=converged,
@@ -280,29 +308,28 @@ def fit(dataset: Dataset, spec: ModelSpec, max_iter: int = MAX_ITER,
     return replace(result, spec=spec)
 
 
-def lr_statistic(fit_reduced: FitResult, fit_full: FitResult) -> float:
-    """Likelihood-ratio statistic -2 (ll_reduced - ll_full).
+def deviance_lr_statistic(family: Family, n: int, deviance_reduced: float,
+                          deviance_full: float) -> float:
+    """Likelihood-ratio statistic -2 (ll_reduced - ll_full) of two nested fits
+    on the same n observations, from their deviances.
 
     For the binomial family this is exactly the deviance difference. For the
     Gaussian family, where the deviance is the scale-dependent residual sum of
     squares, the statistic is the profile-likelihood form n*log(rss_r/rss_f),
     which is invariant to affine rescaling of the outcome.
     """
-    if fit_reduced.n != fit_full.n:
-        raise NotNestedError("fits are on different numbers of observations")
-    if fit_reduced.family is not fit_full.family:
-        raise NotNestedError("fits are from different families")
-    if fit_reduced.family is Family.GAUSSIAN:
-        rss_r, rss_f = fit_reduced.deviance, fit_full.deviance
-        if rss_f <= 0.0:
-            return 0.0 if rss_r <= 1e-12 else math.inf
-        return fit_full.n * math.log(rss_r / rss_f)
-    return fit_reduced.deviance - fit_full.deviance
+    if family is Family.GAUSSIAN:
+        if deviance_full <= 0.0:
+            return 0.0 if deviance_reduced <= 1e-12 else math.inf
+        return n * math.log(deviance_reduced / deviance_full)
+    return deviance_reduced - deviance_full
 
 
-def deviance_test(fit_reduced: FitResult, fit_full: FitResult, df: int,
-                  gaussian_f: bool = False) -> float:
-    """P-value of the likelihood-ratio test of a reduced against a full model.
+def deviance_p_value(family: Family, n: int, deviance_reduced: float,
+                     deviance_full: float, model_df_full: int, df: int,
+                     gaussian_f: bool = False) -> float:
+    """P-value of the likelihood-ratio test of a reduced against a full model,
+    from their deviances, the full model's kept columns and n.
 
     The reduced model must be nested in the full one. The default reference
     distribution is chi-square with `df` degrees of freedom for both families;
@@ -310,20 +337,41 @@ def deviance_test(fit_reduced: FitResult, fit_full: FitResult, df: int,
     """
     if df < 1:
         raise DomainError(f"df must be >= 1, got {df}")
-    stat = lr_statistic(fit_reduced, fit_full)
+    stat = deviance_lr_statistic(family, n, deviance_reduced, deviance_full)
     if stat < 0.0:
         if stat < -1e-6:
             raise NotNestedError(
                 f"reduced model fits better than full (statistic {stat:.3g}); models not nested"
             )
         stat = 0.0
-    if gaussian_f and fit_full.family is Family.GAUSSIAN:
-        rss_r, rss_f = fit_reduced.deviance, fit_full.deviance
-        df2 = fit_full.n - fit_full.model_df
+    if gaussian_f and family is Family.GAUSSIAN:
+        df2 = n - model_df_full
         if df2 < 1:
             raise DomainError("no residual degrees of freedom for the F test")
-        if rss_f <= 0.0:
-            return 0.0 if rss_r > rss_f else 1.0
-        stat_f = ((rss_r - rss_f) / df) / (rss_f / df2)
+        if deviance_full <= 0.0:
+            return 0.0 if deviance_reduced > deviance_full else 1.0
+        stat_f = ((deviance_reduced - deviance_full) / df) / (deviance_full / df2)
         return float(min(1.0, max(0.0, fdtrc(df, df2, max(stat_f, 0.0)))))
     return chi2_sf(stat, df)
+
+
+def _check_nested(fit_reduced: FitResult, fit_full: FitResult) -> None:
+    if fit_reduced.n != fit_full.n:
+        raise NotNestedError("fits are on different numbers of observations")
+    if fit_reduced.family is not fit_full.family:
+        raise NotNestedError("fits are from different families")
+
+
+def lr_statistic(fit_reduced: FitResult, fit_full: FitResult) -> float:
+    """`deviance_lr_statistic` of two fits."""
+    _check_nested(fit_reduced, fit_full)
+    return deviance_lr_statistic(fit_full.family, fit_full.n,
+                                 fit_reduced.deviance, fit_full.deviance)
+
+
+def deviance_test(fit_reduced: FitResult, fit_full: FitResult, df: int,
+                  gaussian_f: bool = False) -> float:
+    """`deviance_p_value` of two fits."""
+    _check_nested(fit_reduced, fit_full)
+    return deviance_p_value(fit_full.family, fit_full.n, fit_reduced.deviance,
+                            fit_full.deviance, fit_full.model_df, df, gaussian_f)

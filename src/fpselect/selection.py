@@ -7,19 +7,26 @@ exactly into such thresholds for nested comparisons (a k-d.f. block passes the
 AIC comparison iff its likelihood-ratio statistic exceeds 2k, i.e. iff its
 p-value is below chi2_sf(2k, k), and analogously with penalty log(n) for BIC),
 so selection under AIC/BIC is implemented through that equivalence.
+
+Each run builds the design of every term it can use once. A candidate model
+(a removal or an addition) is scored from a column subset of that design by
+`glm.score_design`, which returns its deviance and kept columns without a
+covariance or a `FitResult`; p-values come from those deviances. Only the
+start model and the models a run moves to are fitted (`fit_design`), so the
+trace equals fitting every candidate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 from .chi2 import chi2_sf
 from .data import Dataset
 from .errors import CycleDetectedError, DomainError, ExposureMissingError
-from .glm import FitResult, deviance_test, fit
-from .model import ModelSpec, Term
+from .glm import FitResult, deviance_p_value, fit_design, score_design
+from .model import ModelSpec, Term, design_matrix
 
 
 @dataclass(frozen=True)
@@ -96,12 +103,55 @@ class SelectionTrace:
         return tuple(dict.fromkeys(t.variable for t in self.final_spec.terms))
 
 
-def _removal_pvalue(dataset: Dataset, current_fit: FitResult, spec: ModelSpec,
-                    term: Term) -> tuple[float, FitResult, int]:
-    reduced_spec = spec.without_term(term)
-    reduced_fit = fit(dataset, reduced_spec)
-    df = max(current_fit.model_df - reduced_fit.model_df, 1)
-    return deviance_test(reduced_fit, current_fit, df), reduced_fit, df
+class _Design:
+    """The design of every term a selection run can use, built once.
+
+    The design of terms from it (with the start spec's intercept) is the
+    intercept column and each term's block in the given order, a column
+    subset equal to `design_matrix` of the spec with those terms."""
+
+    def __init__(self, dataset: Dataset, spec: ModelSpec, extra: Sequence[Term] = ()):
+        union = ModelSpec(tuple(dict.fromkeys(spec.terms + tuple(extra))), spec.intercept)
+        self.dataset = dataset
+        self.intercept = spec.intercept
+        self.X, self.labels, self.term_columns = design_matrix(dataset, union)
+
+    def _columns(self, terms: Sequence[Term]) -> list[int]:
+        cols = [0] if self.intercept else []
+        for term in terms:
+            cols.extend(self.term_columns[term])
+        if not cols:
+            raise DomainError("model spec generates no design columns")
+        return cols
+
+    def score(self, terms: Sequence[Term]) -> tuple[float, int]:
+        """(deviance, model df) of the fit of the terms, without fitting it."""
+        return score_design(self.X[:, self._columns(terms)], self.dataset.outcome,
+                            self.dataset.family)
+
+    def fit(self, spec: ModelSpec) -> FitResult:
+        cols = self._columns(spec.terms)
+        result = fit_design(self.X[:, cols], self.dataset.outcome, self.dataset.family,
+                            tuple(self.labels[c] for c in cols))
+        return replace(result, spec=spec)
+
+    def p_value(self, reduced: tuple[float, int], full: tuple[float, int]) -> tuple[float, int]:
+        """Likelihood-ratio p-value and df of nested (deviance, model df) scores."""
+        df = max(full[1] - reduced[1], 1)
+        return deviance_p_value(self.dataset.family, self.dataset.n, reduced[0], full[0],
+                                full[1], df), df
+
+
+def _removal_pvalue(design: _Design, current: FitResult, spec: ModelSpec,
+                    term: Term) -> tuple[float, int]:
+    reduced = design.score([t for t in spec.terms if t is not term])
+    return design.p_value(reduced, (current.deviance, current.model_df))
+
+
+def _addition_pvalue(design: _Design, current: FitResult, spec: ModelSpec,
+                     term: Term) -> tuple[float, int]:
+    bigger = design.score(spec.with_term(term).terms)
+    return design.p_value((current.deviance, current.model_df), bigger)
 
 
 def backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
@@ -113,8 +163,9 @@ def backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
     pairs) are tested and dropped jointly. `protected` terms are never
     candidates for removal.
     """
+    design = _Design(dataset, start_spec)
     spec = start_spec
-    current = fit(dataset, spec)
+    current = design.fit(spec)
     protected = tuple(protected)
     steps: list[SelectionStep] = []
     while True:
@@ -122,16 +173,16 @@ def backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
         for term in spec.terms:
             if term in protected:
                 continue
-            p, reduced_fit, df = _removal_pvalue(dataset, current, spec, term)
+            p, df = _removal_pvalue(design, current, spec, term)
             if worst is None or p > worst[0]:
-                worst = (p, term, reduced_fit, df)
+                worst = (p, term, df)
         if worst is None:
             break
-        p, term, reduced_fit, df = worst
+        p, term, df = worst
         if p <= criterion_threshold(criterion, dataset.n, df):
             break
         spec = spec.without_term(term)
-        current = reduced_fit
+        current = design.fit(spec)
         steps.append(SelectionStep("drop", term.variable, term, p, current.deviance))
     return SelectionTrace(start_spec, tuple(steps), spec, current, criterion)
 
@@ -147,23 +198,22 @@ def forward_select(dataset: Dataset, candidates: Sequence[Union[str, Term]],
     significant remaining candidate while it passes the criterion."""
     initial = start_spec or ModelSpec()
     spec = initial
-    current = fit(dataset, spec)
-    remaining = [t for t in _as_terms(candidates) if t not in spec.terms]
+    terms = _as_terms(candidates)
+    design = _Design(dataset, spec, terms)
+    current = design.fit(spec)
+    remaining = [t for t in terms if t not in spec.terms]
     steps: list[SelectionStep] = []
     while remaining:
         best = None
         for term in remaining:
-            bigger_spec = spec.with_term(term)
-            bigger_fit = fit(dataset, bigger_spec)
-            df = max(bigger_fit.model_df - current.model_df, 1)
-            p = deviance_test(current, bigger_fit, df)
+            p, df = _addition_pvalue(design, current, spec, term)
             if best is None or p < best[0]:
-                best = (p, term, bigger_fit, df)
-        p, term, bigger_fit, df = best
+                best = (p, term, df)
+        p, term, df = best
         if p > criterion_threshold(criterion, dataset.n, df):
             break
         spec = spec.with_term(term)
-        current = bigger_fit
+        current = design.fit(spec)
         remaining.remove(term)
         steps.append(SelectionStep("add", term.variable, term, p, current.deviance))
     return SelectionTrace(initial, tuple(steps), spec, current, criterion)
@@ -186,7 +236,8 @@ def stepwise(dataset: Dataset, candidates: Sequence[Union[str, Term]],
         )
     all_terms = _as_terms(candidates)
     spec = ModelSpec()
-    current = fit(dataset, spec)
+    design = _Design(dataset, spec, all_terms)
+    current = design.fit(spec)
     steps: list[SelectionStep] = []
     for _ in range(max_iterations):
         changed = False
@@ -195,29 +246,27 @@ def stepwise(dataset: Dataset, candidates: Sequence[Union[str, Term]],
         for term in all_terms:
             if term in spec.terms:
                 continue
-            bigger_fit = fit(dataset, spec.with_term(term))
-            df = max(bigger_fit.model_df - current.model_df, 1)
-            p = deviance_test(current, bigger_fit, df)
+            p, df = _addition_pvalue(design, current, spec, term)
             if best is None or p < best[0]:
-                best = (p, term, bigger_fit, df)
-        if best is not None and best[0] <= criterion_threshold(criterion_in, dataset.n, best[3]):
-            p, term, bigger_fit, _ = best
+                best = (p, term, df)
+        if best is not None and best[0] <= criterion_threshold(criterion_in, dataset.n, best[2]):
+            p, term, _ = best
             spec = spec.with_term(term)
-            current = bigger_fit
+            current = design.fit(spec)
             steps.append(SelectionStep("add", term.variable, term, p, current.deviance))
             changed = True
         # Backward re-checks until every retained term passes.
         while True:
             worst = None
             for term in spec.terms:
-                p, reduced_fit, df = _removal_pvalue(dataset, current, spec, term)
+                p, df = _removal_pvalue(design, current, spec, term)
                 if worst is None or p > worst[0]:
-                    worst = (p, term, reduced_fit, df)
-            if worst is None or worst[0] <= criterion_threshold(criterion_out, dataset.n, worst[3]):
+                    worst = (p, term, df)
+            if worst is None or worst[0] <= criterion_threshold(criterion_out, dataset.n, worst[2]):
                 break
-            p, term, reduced_fit, _ = worst
+            p, term, _ = worst
             spec = spec.without_term(term)
-            current = reduced_fit
+            current = design.fit(spec)
             steps.append(SelectionStep("drop", term.variable, term, p, current.deviance))
             changed = True
         if not changed:
@@ -265,8 +314,9 @@ def augmented_backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
         raise ExposureMissingError(f"exposure term for {exposure_term.variable!r} not in the starting model")
     exposure_labels = exposure_term.labels()
 
+    design = _Design(dataset, start_spec)
     spec = start_spec
-    current = fit(dataset, spec)
+    current = design.fit(spec)
     steps: list[SelectionStep] = []
     kept_as_confounder: set[Term] = set()
     while True:
@@ -274,12 +324,14 @@ def augmented_backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
         for term in spec.terms:
             if term == exposure_term or term in kept_as_confounder:
                 continue
-            p, reduced_fit, df = _removal_pvalue(dataset, current, spec, term)
+            p, _ = _removal_pvalue(design, current, spec, term)
             if p > alpha:
-                ranked.append((p, term, reduced_fit))
+                ranked.append((p, term))
         ranked.sort(key=lambda item: -item[0])
         dropped = False
-        for p, term, reduced_fit in ranked:
+        # Only the change-in-estimate check needs a reduced fit: fit lazily.
+        for p, term in ranked:
+            reduced_fit = design.fit(spec.without_term(term))
             change = _max_exposure_change(current, reduced_fit, exposure_labels, mode)
             if change > cie_threshold:
                 kept_as_confounder.add(term)
@@ -315,13 +367,13 @@ def univariable_screen(dataset: Dataset, candidates: Sequence[Union[str, Term]],
 
     Provided for comparison purposes only; the result carries a warning note.
     """
-    null_fit = fit(dataset, ModelSpec())
+    terms = _as_terms(candidates)
+    design = _Design(dataset, ModelSpec(), terms)
+    null = design.score(())
     pvals: dict[str, float] = {}
     selected: list[str] = []
-    for term in _as_terms(candidates):
-        single = fit(dataset, ModelSpec((term,)))
-        df = max(single.model_df - null_fit.model_df, 1)
-        p = deviance_test(null_fit, single, df)
+    for term in terms:
+        p, _ = design.p_value(null, design.score((term,)))
         pvals[term.variable] = p
         if p < alpha:
             selected.append(term.variable)

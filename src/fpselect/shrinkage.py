@@ -104,10 +104,13 @@ def _out_of_fold_components(dataset: Dataset, spec: ModelSpec, cv: CvScheme):
     keep = [j for j, lab in enumerate(labels) if lab != "(intercept)"]
     if not keep:
         raise DomainError("model spec has no non-intercept terms to shrink")
+    # Every transform acts row by row, so the rows of the full design are the
+    # design of the training rows.
     C = np.zeros((dataset.n, len(keep)))
     for fold_id, (train, test) in enumerate(cv.folds(dataset.n)):
         try:
-            fold_fit = fit(dataset.take_rows(train), spec)
+            fold_fit = fit_design(X_full[train], dataset.outcome[train], dataset.family,
+                                  labels)
         except ModelBuildError as exc:
             raise FoldFitFailureError(fold_id, exc) from exc
         C[test, :] = X_full[np.ix_(test, keep)] * fold_fit.coefficients[keep]

@@ -343,7 +343,15 @@ SHAPE_QUANTILES = (0.01, 0.99)
 def _shape_distance(x: np.ndarray, true_effect: Effect,
                     fitted_curve: Callable[[np.ndarray], np.ndarray] | None) -> float:
     """Mean squared difference between fitted and true curves on the central
-    quantile grid of x, both vertically aligned at the covariate mean."""
+    quantile grid of x, both vertically aligned at the covariate mean.
+
+    A log or power curve is defined on positive values only; for such an
+    effect the grid spans the quantiles of the positive values of x, so a
+    spike at zero does not put log 0 on the grid."""
+    if true_effect.form in ("log", "power"):
+        x = x[x > 0.0]
+    if not x.size:
+        return 0.0
     lo, hi = np.quantile(x, SHAPE_QUANTILES)
     if not hi > lo:
         return 0.0

@@ -238,22 +238,20 @@ def _assert_same_as_fitting_every_candidate(ds, variable, degree, adjustment=Non
     order = list(table)
     best = min(order, key=lambda p: (table[p], order.index(p)))
     assert result.best_powers == best
-    X, labels = designs[best]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        winner = fit_design(X, ds.outcome, ds.family, labels)
+    # The former search kept the winner's own candidate fit.
+    winner = fits[best]
     np.testing.assert_array_equal(result.fit.coefficients, winner.coefficients)
     np.testing.assert_array_equal(result.fit.covariance, winner.covariance)
-    assert result.fit.deviance == winner.deviance
-    assert result.fit.dropped_columns == winner.dropped_columns
-    assert result.fit.model_df == winner.model_df
-    assert result.fit.column_labels == winner.column_labels
+    for field in ("deviance", "dropped_columns", "model_df", "column_labels",
+                  "iterations", "converged", "separation"):
+        assert getattr(result.fit, field) == getattr(winner, field), field
     return result, fits
 
 
 class TestScoreThenFit:
-    """Gaussian candidates are scored from one factorisation of the adjustment
-    design; the table and the winner's fit must equal fitting every candidate."""
+    """Candidates of both families are scored by their deviance without a fit
+    and only the winner is fitted; the table and the winner's fit must equal
+    fitting every candidate."""
 
     @staticmethod
     def _dataset(seed, n=300):
@@ -342,6 +340,16 @@ class TestScoreThenFit:
         with pytest.raises(ModelBuildError, match="every FP candidate fit failed"):
             best_fp(ds, "x", degree, pre=PreTransform())
 
+    @staticmethod
+    def _binomial_dataset(seed, n=300):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.5, 4.0, n)
+        a = rng.standard_normal(n)
+        eta = np.log(x) + 0.5 * a - 0.5
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        return Dataset.from_columns({"x": x, "a": a, "a2": 2.0 * a, "y": y}, outcome="y",
+                                    family=Family.BINOMIAL)
+
     def test_binomial_tables_equal_fitting_every_candidate(self):
         rng = np.random.default_rng(139)
         n = 300
@@ -352,6 +360,20 @@ class TestScoreThenFit:
         ds = Dataset.from_columns({"x": x, "a": a, "y": y}, outcome="y",
                                   family=Family.BINOMIAL)
         _assert_same_as_fitting_every_candidate(ds, "x", 2, ModelSpec((Term.linear("a"),)))
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_binomial_winner_fit_equals_former_search(self, degree):
+        for seed in (149, 157):
+            ds = self._binomial_dataset(seed)
+            _assert_same_as_fitting_every_candidate(ds, "x", degree,
+                                                    ModelSpec((Term.linear("a"),)))
+            _assert_same_as_fitting_every_candidate(ds, "x", degree)
+
+    def test_binomial_adjustment_with_aliased_column(self):
+        ds = self._binomial_dataset(151)
+        adjustment = ModelSpec((Term.linear("a"), Term.linear("a2")))
+        result, _ = _assert_same_as_fitting_every_candidate(ds, "x", 2, adjustment)
+        assert "a2" in result.fit.dropped_columns
 
 
 class TestScaleInvariance:

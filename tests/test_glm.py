@@ -9,11 +9,12 @@ import scipy.stats
 from scipy.linalg import solve_triangular
 
 from fpselect import (Dataset, DomainError, Family, FitResult, ModelSpec,
-                      NotNestedError, RankDeficientError, Term, deviance_test,
-                      fit, lr_statistic)
+                      NotNestedError, RankDeficientError, Term, deviance_test, fit,
+                      lr_statistic)
 from fpselect.glm import (DEVIANCE_RTOL, MAX_ITER, PIVOT_TOL, _MU_EPS, _binomial_deviance,
                           _cov_from_r, _embed, _embed_cov, _expit, _householder, _wls,
-                          fit_design, gaussian_log_likelihood)
+                          deviance_lr_statistic, deviance_p_value, fit_design,
+                          gaussian_log_likelihood, score_design)
 
 
 def make_dataset(columns, outcome="y", family=Family.GAUSSIAN):
@@ -423,3 +424,141 @@ class TestInvariants:
         res = fit(ds, ModelSpec((Term.linear("x"),)), max_iter=1)
         assert not res.converged
         assert res.iterations == 1
+
+
+def _former_expit(eta):
+    """The former masked form of `_expit`: two `exp` calls on the halves."""
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestExpit:
+    def test_bitwise_equal_to_former_formula(self):
+        rng = np.random.default_rng(181)
+        tiny = np.finfo(float).tiny
+        special = np.array([0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, tiny / 4, -tiny / 4,
+                            tiny, -tiny, 709.0, -745.0, 1e308, -1e308, 36.7, -36.7])
+        for eta in (special, rng.standard_normal(100_000) * 20.0,
+                    rng.standard_normal(100_000) * 1e-300):
+            new, old = _expit(eta), _former_expit(eta)
+            np.testing.assert_array_equal(new.view(np.uint64), old.view(np.uint64))
+
+
+def _designs_for_scoring():
+    rng = np.random.default_rng(191)
+    n = 150
+    one = np.ones(n)
+    a, b = rng.standard_normal(n), rng.uniform(0.5, 3.0, n)
+    eta = 0.5 * a - 0.3 * b
+    yield np.column_stack([one, a, b]), eta
+    yield np.column_stack([one, a, 2.0 * a, b]), eta
+    yield np.column_stack([one, a, b ** -2.0, b ** -2.0 * np.log(b)]), eta
+
+
+class TestScoreDesign:
+    """`score_design` returns the deviance and kept columns of `fit_design`
+    bit for bit, raises its errors and does not warn."""
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL])
+    def test_equals_fit_design(self, family):
+        rng = np.random.default_rng(193)
+        for X, eta in _designs_for_scoring():
+            if family is Family.GAUSSIAN:
+                y = eta + rng.standard_normal(len(eta))
+            else:
+                y = (rng.random(len(eta)) < _expit(eta)).astype(float)
+            labels = tuple(f"c{j}" for j in range(X.shape[1]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                deviance, model_df = score_design(X, y, family)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                res = fit_design(X, y, family, labels)
+            assert deviance == res.deviance
+            assert model_df == res.model_df
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL])
+    def test_raises_the_errors_of_fit_design(self, family):
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        cases = [
+            (np.column_stack([np.ones(4), [1.0, np.inf, 2.0, 3.0]]), DomainError),
+            (np.zeros((4, 2)), RankDeficientError),
+            (np.column_stack([np.ones(4), np.arange(4.0), np.arange(4.0) ** 2,
+                              np.arange(4.0) ** 3]), RankDeficientError),
+        ]
+        for X, error in cases:
+            labels = tuple(f"c{j}" for j in range(X.shape[1]))
+            with pytest.raises(error), warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                fit_design(X, y, family, labels)
+            with pytest.raises(error):
+                score_design(X, y, family)
+
+
+def _former_binomial_fit(X, y):
+    """The former IRLS: every step, the first included, factorises the
+    weighted design through `_wls`. Returns (beta, deviance, iterations)."""
+    kept = _householder(X)[0]
+    mu = np.clip((y + 0.5) / 2.0, _MU_EPS, 1.0 - _MU_EPS)
+    eta = np.log(mu / (1.0 - mu))
+    deviance = _binomial_deviance(y, mu)
+    for iterations in range(1, MAX_ITER + 1):
+        w = np.maximum(mu * (1.0 - mu), _MU_EPS)
+        beta, _ = _wls(X, eta + (y - mu) / w, w, kept)
+        eta = X[:, kept] @ beta
+        mu = np.clip(_expit(eta), _MU_EPS, 1.0 - _MU_EPS)
+        new_deviance = _binomial_deviance(y, mu)
+        if abs(new_deviance - deviance) <= DEVIANCE_RTOL * (abs(new_deviance) + 0.1):
+            return beta, new_deviance, iterations
+        deviance = new_deviance
+    return beta, deviance, MAX_ITER
+
+
+class TestFirstIrlsStepReusesRankCheckQr:
+    """On a 0/1 outcome the first IRLS step solves on the rank-check QR; the
+    fit must agree with the former weighted first step."""
+
+    def test_agrees_with_weighted_first_step(self):
+        rng = np.random.default_rng(197)
+        for X, eta in list(_designs_for_scoring()) * 4:
+            y = (rng.random(len(eta)) < _expit(2.0 * eta)).astype(float)
+            labels = tuple(f"c{j}" for j in range(X.shape[1]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                res = fit_design(X, y, Family.BINOMIAL, labels)
+            beta, deviance, iterations = _former_binomial_fit(X, y)
+            assert res.iterations == iterations
+            assert res.deviance == pytest.approx(deviance, rel=1e-12)
+            kept = [j for j, label in enumerate(labels) if label not in res.dropped_columns]
+            np.testing.assert_allclose(res.coefficients[kept], beta, rtol=1e-9)
+
+
+class TestDevianceFunctions:
+    """The FitResult tests are thin wrappers of the deviance forms."""
+
+    def test_wrappers_equal_deviance_forms(self):
+        rng = np.random.default_rng(199)
+        n = 90
+        x1, x2 = rng.standard_normal(n), rng.standard_normal(n)
+        eta = 0.4 * x1 + 0.1 * x2
+        for family, y in ((Family.GAUSSIAN, eta + rng.standard_normal(n)),
+                          (Family.BINOMIAL, (rng.random(n) < _expit(eta)).astype(float))):
+            ds = make_dataset({"x1": x1, "x2": x2, "y": y}, family=family)
+            full = fit(ds, ModelSpec((Term.linear("x1"), Term.linear("x2"))))
+            red = fit(ds, ModelSpec((Term.linear("x1"),)))
+            assert lr_statistic(red, full) == deviance_lr_statistic(
+                family, n, red.deviance, full.deviance)
+            for gaussian_f in (False, True):
+                assert deviance_test(red, full, 1, gaussian_f) == deviance_p_value(
+                    family, n, red.deviance, full.deviance, full.model_df, 1, gaussian_f)
+
+    def test_wrappers_check_nesting(self):
+        a = TestDevianceTest()._fake(10.0, n=100)
+        with pytest.raises(NotNestedError, match="numbers of observations"):
+            deviance_test(a, TestDevianceTest()._fake(9.0, n=99), 1)
+        with pytest.raises(NotNestedError, match="families"):
+            lr_statistic(a, TestDevianceTest()._fake(9.0, family=Family.GAUSSIAN))

@@ -1,15 +1,18 @@
 """Selection strategies: traces, thresholds, change-in-estimate, screening."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from fpselect import selection
 from fpselect import (Criterion, CycleDetectedError, Dataset, DomainError,
-                      ExposureMissingError, ModelSpec, Term,
+                      ExposureMissingError, Family, ModelSpec, RankDeficientError, Term,
                       augmented_backward_eliminate, backward_eliminate,
                       criterion_threshold, chi2_sf, deviance_test, fit,
                       forward_select, stepwise, univariable_screen)
+from fpselect.selection import SelectionStep, SelectionTrace, _max_exposure_change
 
 
 def make_dataset(cols, outcome="y"):
@@ -302,3 +305,266 @@ class TestUnivariableScreen:
         screen = univariable_screen(ds, [], 0.05)
         assert screen.selected == ()
         assert "misleading" in screen.note
+
+
+# ---------------------------------------------------------------------------
+# Reference selection: the former loops, which fit every candidate with fit()
+# ---------------------------------------------------------------------------
+
+def _ref_removal(dataset, current, spec, term):
+    reduced_fit = fit(dataset, spec.without_term(term))
+    df = max(current.model_df - reduced_fit.model_df, 1)
+    return deviance_test(reduced_fit, current, df), reduced_fit, df
+
+
+def _ref_addition(dataset, current, spec, term):
+    bigger_fit = fit(dataset, spec.with_term(term))
+    df = max(bigger_fit.model_df - current.model_df, 1)
+    return deviance_test(current, bigger_fit, df), bigger_fit, df
+
+
+def _ref_backward(dataset, start_spec, criterion, protected=()):
+    spec, current, steps = start_spec, fit(dataset, start_spec), []
+    while True:
+        worst = None
+        for term in spec.terms:
+            if term in protected:
+                continue
+            p, reduced_fit, df = _ref_removal(dataset, current, spec, term)
+            if worst is None or p > worst[0]:
+                worst = (p, term, reduced_fit, df)
+        if worst is None or worst[0] <= criterion_threshold(criterion, dataset.n, worst[3]):
+            break
+        p, term, current, _ = worst
+        spec = spec.without_term(term)
+        steps.append(SelectionStep("drop", term.variable, term, p, current.deviance))
+    return SelectionTrace(start_spec, tuple(steps), spec, current, criterion)
+
+
+def _ref_forward(dataset, terms, criterion):
+    spec = ModelSpec()
+    current, remaining, steps = fit(dataset, spec), list(terms), []
+    while remaining:
+        best = None
+        for term in remaining:
+            p, bigger_fit, df = _ref_addition(dataset, current, spec, term)
+            if best is None or p < best[0]:
+                best = (p, term, bigger_fit, df)
+        if best[0] > criterion_threshold(criterion, dataset.n, best[3]):
+            break
+        p, term, current, _ = best
+        spec = spec.with_term(term)
+        remaining.remove(term)
+        steps.append(SelectionStep("add", term.variable, term, p, current.deviance))
+    return SelectionTrace(ModelSpec(), tuple(steps), spec, current, criterion)
+
+
+def _ref_stepwise(dataset, terms, criterion):
+    spec = ModelSpec()
+    current, steps = fit(dataset, spec), []
+    while True:
+        changed = False
+        best = None
+        for term in terms:
+            if term not in spec.terms:
+                p, bigger_fit, df = _ref_addition(dataset, current, spec, term)
+                if best is None or p < best[0]:
+                    best = (p, term, bigger_fit, df)
+        if best is not None and best[0] <= criterion_threshold(criterion, dataset.n, best[3]):
+            p, term, current, _ = best
+            spec = spec.with_term(term)
+            steps.append(SelectionStep("add", term.variable, term, p, current.deviance))
+            changed = True
+        while True:
+            worst = None
+            for term in spec.terms:
+                p, reduced_fit, df = _ref_removal(dataset, current, spec, term)
+                if worst is None or p > worst[0]:
+                    worst = (p, term, reduced_fit, df)
+            if worst is None or worst[0] <= criterion_threshold(criterion, dataset.n, worst[3]):
+                break
+            p, term, current, _ = worst
+            spec = spec.without_term(term)
+            steps.append(SelectionStep("drop", term.variable, term, p, current.deviance))
+            changed = True
+        if not changed:
+            return SelectionTrace(ModelSpec(), tuple(steps), spec, current, criterion)
+
+
+def _ref_abe(dataset, start_spec, alpha, exposure_term, cie_threshold, mode):
+    labels = exposure_term.labels()
+    spec, current, steps, confounders = start_spec, fit(dataset, start_spec), [], set()
+    while True:
+        ranked = []
+        for term in spec.terms:
+            if term != exposure_term and term not in confounders:
+                p, reduced_fit, _ = _ref_removal(dataset, current, spec, term)
+                if p > alpha:
+                    ranked.append((p, term, reduced_fit))
+        ranked.sort(key=lambda item: -item[0])
+        dropped = False
+        for p, term, reduced_fit in ranked:
+            if _max_exposure_change(current, reduced_fit, labels, mode) > cie_threshold:
+                confounders.add(term)
+                steps.append(SelectionStep("keep-confounder", term.variable, term, p,
+                                           current.deviance))
+                continue
+            spec, current = spec.without_term(term), reduced_fit
+            steps.append(SelectionStep("drop", term.variable, term, p, current.deviance))
+            confounders.clear()
+            dropped = True
+            break
+        if not dropped:
+            return SelectionTrace(start_spec, tuple(steps), spec, current,
+                                  Criterion.p_value(alpha))
+
+
+def _quiet(function, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return function(*args, **kwargs)
+
+
+def _assert_same_trace(trace, ref):
+    assert trace.start_spec == ref.start_spec
+    assert trace.criterion == ref.criterion
+    assert trace.final_spec == ref.final_spec
+    assert len(trace.steps) == len(ref.steps)
+    for step, ref_step in zip(trace.steps, ref.steps):
+        assert step == ref_step  # p-values and deviances bit for bit
+    a, b = trace.final_fit, ref.final_fit
+    np.testing.assert_array_equal(a.coefficients, b.coefficients)
+    np.testing.assert_array_equal(a.covariance, b.covariance)
+    for field in ("deviance", "log_likelihood", "model_df", "n", "converged", "iterations",
+                  "family", "column_labels", "spec", "separation", "dropped_columns"):
+        assert getattr(a, field) == getattr(b, field), field
+
+
+def _mixed_dataset(seed, family, n=240, aliased=False):
+    """Linear covariates of graded strength (x2 correlated with x1), a positive z entering as an FP2
+    term and g entering as a 3-group dummy block; optionally a column `a`
+    that is an exact linear combination of x0 and x1."""
+    rng = np.random.default_rng(seed)
+    cols = {f"x{j}": rng.standard_normal(n) for j in range(4)}
+    cols["x2"] = 0.7 * cols["x1"] + 0.7 * cols["x2"]  # a confounder of x1
+    cols["z"] = rng.lognormal(size=n)
+    cols["g"] = rng.uniform(0.0, 3.0, n)
+    eta = (0.5 * cols["x0"] + 0.2 * cols["x1"] + 0.12 * cols["x2"]
+           + 0.4 * np.log(cols["z"]) + 0.35 * (cols["g"] > 2.0))
+    if aliased:
+        cols["a"] = 2.0 * cols["x0"] - cols["x1"]
+    if family is Family.GAUSSIAN:
+        cols["y"] = eta + rng.standard_normal(n)
+    else:
+        cols["y"] = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    terms = [Term.linear(f"x{j}") for j in range(4)]
+    terms += [Term.fp("z", (-0.5, 1.0)), Term.categorical("g", (1.0, 2.0))]
+    if aliased:
+        terms.insert(2, Term.linear("a"))
+    return Dataset.from_columns(cols, outcome="y", family=family), tuple(terms)
+
+
+CRITERIA = [Criterion.p_value(0.05), Criterion.aic(), Criterion.bic()]
+FAMILIES = [Family.GAUSSIAN, Family.BINOMIAL]
+
+
+class TestScoreThenFit:
+    """Selection scores every candidate from column subsets of one design and
+    fits only the models it moves to; its traces must equal those of the
+    former loops, which fit every candidate with `fit()`, bit for bit.
+
+    The reference calls today's `fit()`. For the binomial family that fit
+    solves the first IRLS step on the rank-check QR, so binomial traces are
+    bit-identical to the current `fit()` and agree with the former fit, which
+    factorised the design again for that step, only to about 1e-11."""
+
+    @pytest.mark.parametrize("aliased", [False, True])
+    @pytest.mark.parametrize("criterion", CRITERIA, ids=str)
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_backward_forward_stepwise(self, family, criterion, aliased):
+        for seed in (304, 306):
+            ds, terms = _mixed_dataset(seed, family, aliased=aliased)
+            start = ModelSpec(terms)
+            _assert_same_trace(_quiet(backward_eliminate, ds, start, criterion),
+                               _quiet(_ref_backward, ds, start, criterion))
+            _assert_same_trace(_quiet(forward_select, ds, terms, criterion),
+                               _quiet(_ref_forward, ds, terms, criterion))
+            _assert_same_trace(_quiet(stepwise, ds, terms, criterion),
+                               _quiet(_ref_stepwise, ds, terms, criterion))
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_univariable_screen(self, family):
+        ds, terms = _mixed_dataset(304, family, aliased=True)
+        result = univariable_screen(ds, terms, 0.05)
+        null = fit(ds, ModelSpec())
+        for term in terms:
+            single = fit(ds, ModelSpec((term,)))
+            df = max(single.model_df - null.model_df, 1)
+            assert result.p_values[term.variable] == deviance_test(null, single, df)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_protected_terms(self, family):
+        ds, terms = _mixed_dataset(303, family)
+        protected = (terms[3], terms[5])
+        trace = backward_eliminate(ds, ModelSpec(terms), Criterion.p_value(0.01), protected)
+        _assert_same_trace(trace, _ref_backward(ds, ModelSpec(terms),
+                                                Criterion.p_value(0.01), protected))
+        assert set(protected) <= set(trace.final_spec.terms)
+        assert trace.steps
+
+    @pytest.mark.parametrize("mode, threshold", [("standardized", 0.05),
+                                                 ("standardized", 0.3),
+                                                 ("relative", 0.1)])
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_augmented_backward_elimination(self, family, mode, threshold):
+        for seed in (304, 305, 306):
+            ds, terms = _mixed_dataset(seed, family)
+            start = ModelSpec(terms)
+            trace = augmented_backward_eliminate(ds, start, 0.2, "x1", threshold, mode)
+            _assert_same_trace(trace, _ref_abe(ds, start, 0.2, terms[1], threshold, mode))
+
+    def test_cases_cover_multi_column_drops_and_confounders(self):
+        actions, dropped = set(), set()
+        for family in FAMILIES:
+            for seed in (304, 305, 306):
+                ds, terms = _mixed_dataset(seed, family)
+                trace = augmented_backward_eliminate(ds, ModelSpec(terms), 0.2, "x1", 0.05)
+                actions |= {step.action for step in trace.steps}
+                trace = backward_eliminate(ds, ModelSpec(terms), Criterion.bic())
+                dropped |= {step.term for step in trace.steps}
+        assert actions == {"drop", "keep-confounder"}
+        assert {terms[4], terms[5]} <= dropped  # the FP2 term and the dummy block
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_one_fit_per_accepted_step_plus_the_start(self, family, monkeypatch):
+        fits = []
+
+        def counting(*args, **kwargs):
+            fits.append(args[3])
+            return fit_design(*args, **kwargs)
+
+        fit_design = selection.fit_design
+        monkeypatch.setattr(selection, "fit_design", counting)
+        ds, terms = _mixed_dataset(307, family)
+        for run in (lambda: backward_eliminate(ds, ModelSpec(terms), Criterion.aic()),
+                    lambda: forward_select(ds, terms, Criterion.aic()),
+                    lambda: stepwise(ds, terms, Criterion.aic())):
+            fits.clear()
+            trace = run()
+            assert trace.steps
+            assert len(fits) == 1 + len(trace.steps)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_rank_failure_raises_the_same_error(self, family):
+        # Three observations: the second addition needs three coefficients.
+        ds = Dataset.from_columns({"x0": [0.1, 0.7, 1.9], "x1": [1.0, -1.0, 0.5],
+                                   "y": [0.0, 1.0, 1.0]}, outcome="y", family=family)
+        terms = (Term.linear("x0"), Term.linear("x1"))
+        for run in (forward_select, _ref_forward, stepwise, _ref_stepwise):
+            with pytest.raises(RankDeficientError, match="3 observations"):
+                run(ds, terms, Criterion.p_value(1.0))
+        # Dropping the only term of an intercept-free model leaves no column.
+        start = ModelSpec((Term.linear("x0"),), intercept=False)
+        for run in (backward_eliminate, _ref_backward):
+            with pytest.raises(DomainError, match="no design columns"):
+                run(ds, start, Criterion.p_value(0.05))

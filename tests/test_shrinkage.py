@@ -1,13 +1,17 @@
 """Shrinkage factors: calibration identities, overfitting detection, grouping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from fpselect import (Criterion, Dataset, DomainError, KFold, LeaveOneOut,
-                      ModelSpec, Term, backward_eliminate, default_cv_scheme,
-                      fit, global_shrinkage, joint_shrinkage,
+from fpselect import (Criterion, Dataset, DomainError, Family, FoldFitFailureError, KFold,
+                      LeaveOneOut, ModelSpec, OrdinalScores, PreTransform,
+                      RankDeficientError, Term, backward_eliminate, default_cv_scheme,
+                      design_matrix, fit, global_shrinkage, joint_shrinkage,
                       parameterwise_shrinkage)
 from fpselect.errors import CollinearComponentsError
+from fpselect.shrinkage import _out_of_fold_components
 
 
 def make_dataset(cols):
@@ -215,3 +219,72 @@ class TestReselection:
             deltas.append(naive.factors["global"] - honest.factors["global"])
         assert len(deltas) > 5
         assert np.mean(deltas) > 0.0
+
+
+class TestRowSubsetRefits:
+    """Each fold refits the training rows of the full design. Every transform
+    acts row by row, so these rows equal the design of the training rows, and
+    the out-of-fold components equal those of the former per-fold
+    `fit(dataset.take_rows(train), spec)`."""
+
+    @staticmethod
+    def _problem(family, n=60, seed=241):
+        rng = np.random.default_rng(seed)
+        x = rng.lognormal(size=n)
+        s = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.5, 3.0, n))
+        g = rng.uniform(0.0, 3.0, n)
+        eta = 0.5 * np.log(x) + 0.4 * (s > 0) + 0.2 * g - 0.5
+        if family is Family.GAUSSIAN:
+            y = eta + rng.standard_normal(n)
+        else:
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        ds = Dataset.from_columns({"x": x, "s": s, "g": g, "y": y}, outcome="y",
+                                  family=family)
+        spec = ModelSpec((
+            Term.linear("g"),
+            Term.fp("x", (-0.5, 1.0), PreTransform(0.0, 2.0)),
+            Term.fp("s", (0.0,), PreTransform(1.0, 1.0), center_at=1.0),
+            Term.indicator("s", 0.0),
+            Term.categorical("g", (1.0, 2.0)),
+            Term.categorical("x", (1.0,), OrdinalScores((0.0, 2.5))),
+        ))
+        return ds, spec
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL])
+    def test_design_rows_equal_design_of_the_rows(self, family):
+        ds, spec = self._problem(family)
+        X_full, labels, _ = design_matrix(ds, spec)
+        for train, _ in KFold(5, seed=3).folds(ds.n):
+            X_train, train_labels, _ = design_matrix(ds.take_rows(train), spec)
+            assert train_labels == labels
+            np.testing.assert_array_equal(X_full[train], X_train)
+
+    @pytest.mark.parametrize("cv", [LeaveOneOut(), KFold(5, seed=3)], ids=str)
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL])
+    def test_components_equal_former_per_fold_fits(self, family, cv):
+        ds, spec = self._problem(family)
+        X_full, labels, _ = design_matrix(ds, spec)
+        keep = [j for j, label in enumerate(labels) if label != "(intercept)"]
+        expected = np.zeros((ds.n, len(keep)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for train, test in cv.folds(ds.n):
+                fold_fit = fit(ds.take_rows(train), spec)
+                expected[test, :] = X_full[np.ix_(test, keep)] * fold_fit.coefficients[keep]
+            C, component_labels = _out_of_fold_components(ds, spec, cv)
+        np.testing.assert_array_equal(C, expected)
+        assert component_labels == tuple(labels[j] for j in keep)
+
+    def test_fold_failure_is_wrapped(self):
+        # Four rows, three coefficients: a leave-one-out fold has three rows.
+        ds = make_dataset({"a": [0.1, 0.9, 2.0, 3.1], "b": [1.0, -1.0, 0.5, 0.0],
+                           "y": [0.3, 1.2, 0.4, 2.0]})
+        with pytest.raises(FoldFitFailureError) as info:
+            parameterwise_shrinkage(ds, ModelSpec((Term.linear("a"), Term.linear("b"))),
+                                    LeaveOneOut())
+        assert info.value.fold == 0
+        assert isinstance(info.value.__cause__, RankDeficientError)
+        # One row: the leave-one-out fold has no training rows at all.
+        single = make_dataset({"a": [0.5], "y": [1.0]})
+        with pytest.raises(FoldFitFailureError):
+            parameterwise_shrinkage(single, ModelSpec((Term.linear("a"),)), LeaveOneOut())

@@ -1,5 +1,8 @@
 """Simulation lab: scoring of fitted procedures against known truth."""
 
+import math
+
+import numpy as np
 import pytest
 
 from fpselect import Criterion, pretransform
@@ -30,3 +33,26 @@ class TestCoefficientRmse:
                                     scenario, 10)
         assert mfp_report.coefficient_rmse == pytest.approx(be_report.coefficient_rmse,
                                                             rel=1e-6)
+
+
+class TestShapeDistance:
+    @pytest.mark.parametrize("effect", [simlab.Effect("x", "log", 1.0),
+                                        simlab.Effect("x", "power", 1.0, param=-1.0),
+                                        simlab.Effect("x", "power", 1.0, param=0.5)])
+    def test_spike_covariate_scored_on_its_positive_values(self, effect):
+        # 50 zeros (the spike) and 150 lognormal values: the 1% quantile is 0,
+        # where a log or power curve is undefined or off its support.
+        rng = np.random.default_rng(5)
+        x = np.concatenate([np.zeros(50), rng.lognormal(size=150)])
+        positive = x[x > 0.0]
+        distance = simlab._shape_distance(x, effect, None)
+        assert math.isfinite(distance) and distance > 0.0
+        assert distance == simlab._shape_distance(positive, effect, None)
+        assert simlab._shape_distance(x, effect, effect.evaluate) == 0.0
+
+    def test_linear_effect_keeps_the_spike_on_the_grid(self):
+        rng = np.random.default_rng(5)
+        x = np.concatenate([np.zeros(50), rng.lognormal(size=150)])
+        effect = simlab.Effect("x", "linear", 1.0)
+        assert (simlab._shape_distance(x, effect, None)
+                != simlab._shape_distance(x[x > 0.0], effect, None))
