@@ -374,11 +374,15 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_paths(out_dir: str, subcommand: str) -> tuple[str, str]:
+    stem = os.path.join(out_dir, f"{subcommand.replace('-', '_')}_report")
+    return stem + ".json", stem + ".txt"
+
+
 def write_reports(report: dict, out_dir: str, subcommand: str) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     json_text = json.dumps(report, sort_keys=True, indent=2)
-    json_path = os.path.join(out_dir, f"{subcommand.replace('-', '_')}_report.json")
-    text_path = os.path.join(out_dir, f"{subcommand.replace('-', '_')}_report.txt")
+    json_path, text_path = _report_paths(out_dir, subcommand)
     with open(json_path, "w", encoding="utf-8") as handle:
         handle.write(json_text + "\n")
     text = render_text(json.loads(json_text))
@@ -836,7 +840,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.criterion is not None:
             config.values["criterion"] = args.criterion
         out_dir = args.out or config.get("out", ".")
-        report = run(args.subcommand, config, out_dir=out_dir, workers=args.workers)
+        run(args.subcommand, config, out_dir=out_dir, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -846,7 +850,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ModelBuildError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    print(render_text(report), end="")
+    # Print the text report as written, which is rendered from the sorted JSON.
+    with open(_report_paths(out_dir, args.subcommand)[1], encoding="utf-8") as handle:
+        sys.stdout.write(handle.read())
     return 0
 
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from .data import Dataset, Family
 from .errors import DomainError, ModelBuildError
-from .fp import FpPowers, PreTransform, enumerate_fp, fp_basis_labels, pretransform
+from .fp import (FpPowers, PreTransform, _power_column, enumerate_fp, fp_basis,
+                 fp_basis_labels, pretransform)
 from .glm import FitResult, fit_design, score_design
 from .model import Fp, Linear, ModelSpec, Term, design_matrix
 
@@ -53,15 +54,12 @@ class PowerColumnCache:
         if np.any(z <= 0.0):
             raise DomainError("power columns require strictly positive values")
         self.z = z
-        self.log_z = np.log(z)
         self._cols: dict[float, np.ndarray] = {}
 
     def column(self, p: float) -> np.ndarray:
         col = self._cols.get(p)
         if col is None:
-            with np.errstate(over="ignore"):
-                col = self.log_z if p == 0.0 else self.z ** p
-            self._cols[p] = col
+            col = self._cols[p] = _power_column(self.z, p)
         return col
 
     def basis(self, powers: FpPowers, center_at: float | None = None) -> np.ndarray:
@@ -70,11 +68,9 @@ class PowerColumnCache:
         else:
             p1, p2 = powers.values
             first = self.column(p1)
-            second = first * self.log_z if powers.repeated else self.column(p2)
+            second = first * self.column(0.0) if powers.repeated else self.column(p2)
             cols = np.column_stack([first, second])
         if center_at is not None:
-            from .fp import fp_basis
-
             cols = cols - fp_basis(np.array([center_at]), powers)
         return cols
 

@@ -22,7 +22,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DomainError, TooFewDistinctValuesError
 from .fp import FpPowers, PreTransform, pretransform
-from .fpsearch import FpSearchResult, best_fp, check_adjustment
+from .fpsearch import best_fp, check_adjustment
 from .glm import FitResult, deviance_test, fit
 from .model import ModelSpec, Term
 
@@ -92,12 +92,12 @@ def _linear_only_decision(dataset: Dataset, variable: str, alpha: float,
                           term: Term | None = None,
                           degraded: bool = False) -> FunctionDecision:
     term = term or Term.linear(variable)
-    fit_null = fit(dataset, adjustment)
     fit_lin = fit(dataset, adjustment.with_term(term))
-    df = len(fit_lin.column_labels) - len(fit_null.column_labels)
     pvalues: tuple[float, ...] = ()
     include = True
     if not forced:
+        fit_null = fit(dataset, adjustment)
+        df = len(fit_lin.column_labels) - len(fit_null.column_labels)
         p1 = deviance_test(fit_null, fit_lin, max(df, 1))
         pvalues = (p1,)
         include = _significant(p1, alpha)
@@ -144,19 +144,16 @@ def fsp_select(dataset: Dataset, variable: str, alpha: float,
 
     if pre is None:
         pre = pretransform(x)
-    fit_null = fit(dataset, adjustment)
     linear_term = Term.fp(variable, (1.0,), pre, center_at)
     fit_linear = fit(dataset, adjustment.with_term(linear_term))
     search1 = best_fp(dataset, variable, 1, adjustment, pre, center_at)
-    search2: FpSearchResult | None = None
-    best = search1
-    if max_degree == 2:
-        search2 = best_fp(dataset, variable, 2, adjustment, pre, center_at)
-        best = search2
+    search2 = (best_fp(dataset, variable, 2, adjustment, pre, center_at)
+               if max_degree == 2 else None)
+    best = search1 if search2 is None else search2
 
     pvalues: list[float] = []
     if not force_in:
-        p1 = deviance_test(fit_null, best.fit, dfs[0])
+        p1 = deviance_test(fit(dataset, adjustment), best.fit, dfs[0])
         pvalues.append(p1)
         if not _significant(p1, alpha):
             return FunctionDecision(variable, FunctionForm.EXCLUDED, None,
@@ -170,21 +167,13 @@ def fsp_select(dataset: Dataset, variable: str, alpha: float,
                                 tuple(pvalues), alpha, alpha_nl, max_degree,
                                 pre, linear_term, fit_linear, forced_in=force_in)
 
-    if max_degree == 1:
-        return FunctionDecision(variable, FunctionForm.FP1, search1.best_powers,
-                                tuple(pvalues), alpha, alpha_nl, max_degree,
-                                pre, search1.fit.spec.terms[-1], search1.fit,
-                                forced_in=force_in)
-
-    assert search2 is not None
-    p3 = deviance_test(search1.fit, search2.fit, dfs[2])
-    pvalues.append(p3)
-    if not _significant(p3, alpha_nl):
-        return FunctionDecision(variable, FunctionForm.FP1, search1.best_powers,
-                                tuple(pvalues), alpha, alpha_nl, max_degree,
-                                pre, search1.fit.spec.terms[-1], search1.fit,
-                                forced_in=force_in)
-    return FunctionDecision(variable, FunctionForm.FP2, search2.best_powers,
+    chosen, verdict = search1, FunctionForm.FP1
+    if search2 is not None:
+        p3 = deviance_test(search1.fit, search2.fit, dfs[2])
+        pvalues.append(p3)
+        if _significant(p3, alpha_nl):
+            chosen, verdict = search2, FunctionForm.FP2
+    return FunctionDecision(variable, verdict, chosen.best_powers,
                             tuple(pvalues), alpha, alpha_nl, max_degree,
-                            pre, search2.fit.spec.terms[-1], search2.fit,
+                            pre, chosen.fit.spec.terms[-1], chosen.fit,
                             forced_in=force_in)

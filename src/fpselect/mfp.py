@@ -21,8 +21,9 @@ import numpy as np
 from .data import Dataset
 from .errors import DomainError
 from .fsp import FunctionDecision, FunctionForm, fsp_select, _linear_only_decision
-from .glm import FitResult, deviance_test, fit
+from .glm import FitResult, fit
 from .model import Dummy, ModelSpec, Term
+from .selection import _Design
 
 
 @dataclass(frozen=True)
@@ -95,17 +96,13 @@ def removal_order(dataset: Dataset, candidates: Sequence[str],
     if not candidates:
         return ()
     config = config or MfpConfig()
-    terms = {v: _base_term(dataset, v, config) for v in candidates}
-    full_spec = ModelSpec(tuple(terms[v] for v in candidates))
-    full_fit = fit(dataset, full_spec)
-    pvalues = []
-    for position, v in enumerate(candidates):
-        reduced = full_spec.without_term(terms[v])
-        reduced_fit = fit(dataset, reduced)
-        df = max(full_fit.model_df - reduced_fit.model_df, 1)
-        pvalues.append((deviance_test(reduced_fit, full_fit, df), position, v))
-    pvalues.sort(key=lambda item: (item[0], item[1]))
-    return tuple(v for _, _, v in pvalues)
+    full_spec = ModelSpec(tuple(_base_term(dataset, v, config) for v in candidates))
+    design = _Design(dataset, full_spec)
+    full = design.score(full_spec.terms)
+    pvalues = [design.p_value(design.score(full_spec.without_term(term).terms), full)[0]
+               for term in full_spec.terms]
+    order = sorted(range(len(candidates)), key=pvalues.__getitem__)  # stable: ties keep order
+    return tuple(candidates[i] for i in order)
 
 
 def _decide(dataset: Dataset, variable: str, adjustment: ModelSpec,

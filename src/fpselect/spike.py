@@ -5,7 +5,10 @@ x > 0) and a fractional polynomial on the positive part. The FP basis is
 centered at the transformed origin, so fitted values for unexposed rows do
 not depend on the curve and the Z coefficient is exactly the jump at zero;
 this separates the qualitative exposed/unexposed contrast from the
-quantitative dose-response within the exposed.
+quantitative dose-response within the exposed. The curve is chosen by steps
+2-3 of the closed function selection test (`fsp_select` with the variable
+forced in and Z in the adjustment), so spike-at-zero and plain FP analyses
+share one implementation of that test.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import numpy as np
 from .data import Dataset
 from .errors import AllZeroError, DomainError, NoSpikeError
 from .fp import FpPowers, PreTransform, pretransform
-from .fpsearch import best_fp
-from .fsp import FunctionForm
+from .fsp import FunctionForm, _linear_only_decision, fsp_degrees_of_freedom, fsp_select
 from .glm import FitResult, deviance_test, fit
 from .model import ModelSpec, Term
 
@@ -78,9 +80,6 @@ class SpikeVerdict(enum.Enum):
     Z_AND_FP = "z-and-fp"
 
 
-_FP_DF = {FunctionForm.LINEAR: 1, FunctionForm.FP1: 2, FunctionForm.FP2: 4}
-
-
 @dataclass(frozen=True)
 class SpikeDecision:
     """Outcome of the component selection for one spike-at-zero variable.
@@ -102,70 +101,52 @@ class SpikeDecision:
     fit: FitResult | None
 
 
-def _select_fp_form(dataset: Dataset, variable: str, alpha: float, max_degree: int,
-                    base: ModelSpec, pre: PreTransform, origin: float):
-    """Choose the curve complexity for the positive part, holding the rest of
-    `base` fixed: straight line unless the best FP beats it, then FP1 unless
-    the best FP2 beats that."""
-    linear_term = Term.fp(variable, (1.0,), pre, origin)
-    fit_linear = fit(dataset, base.with_term(linear_term))
-    search1 = best_fp(dataset, variable, 1, base, pre, origin)
-    if max_degree == 1:
-        p_nonlin = deviance_test(fit_linear, search1.fit, 1)
-        if p_nonlin > alpha:
-            return FunctionForm.LINEAR, None, linear_term, fit_linear
-        return FunctionForm.FP1, search1.best_powers, search1.fit.spec.terms[-1], search1.fit
-    search2 = best_fp(dataset, variable, 2, base, pre, origin)
-    p_nonlin = deviance_test(fit_linear, search2.fit, 3)
-    if p_nonlin > alpha:
-        return FunctionForm.LINEAR, None, linear_term, fit_linear
-    p_fp2 = deviance_test(search1.fit, search2.fit, 2)
-    if p_fp2 > alpha:
-        return FunctionForm.FP1, search1.best_powers, search1.fit.spec.terms[-1], search1.fit
-    return FunctionForm.FP2, search2.best_powers, search2.fit.spec.terms[-1], search2.fit
-
-
 def spike_fsp(dataset: Dataset, variable: str, alpha: float,
               max_degree: int = 2,
               adjustment: ModelSpec | None = None) -> SpikeDecision:
     """Select among no effect, indicator only, curve only, or both.
 
-    Step 1 tests the joint model {Z, curve} against the null at `alpha`
-    (1 + curve d.f.); failure means no effect. Step 2 tests removal of each
-    component from the joint model (1 d.f. for Z, the curve's d.f. for the
-    curve) and keeps the components whose removal is rejected; if neither
-    removal is rejected, the single component with the smaller removal
-    p-value is kept. Curve d.f. follow the function-selection convention
-    (linear 1, FP1 2, FP2 4). A degenerate positive part (fewer than 5
-    distinct values) falls back to the indicator-only path.
+    The curve for the positive part is chosen by steps 2-3 of the closed
+    function selection test, run through `fsp_select(force_in=True)` with Z
+    in the adjustment and the basis centred at the transformed origin:
+    straight line unless the best FP beats it, then FP1 unless the best FP2
+    beats that. Its d.f. follow the function-selection convention (linear 1,
+    FP1 2, FP2 4). The joint model {Z, curve} is then tested against the
+    null at `alpha` (1 + curve d.f.); failure means no effect. Otherwise the
+    removal of each component from the joint model is tested (1 d.f. for Z,
+    the curve's d.f. for the curve), and the components whose removal is
+    rejected are kept; if neither removal is rejected, the single component
+    with the smaller removal p-value is kept. A degenerate positive part
+    (fewer than 5 distinct values) falls back to an indicator-vs-null test.
+    `max_degree` must be 1 or 2, as for `fsp_select`.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+    fsp_degrees_of_freedom(max_degree)
     adjustment = adjustment or ModelSpec()
     if adjustment.has_variable(variable):
         raise DomainError(f"adjustment spec already contains {variable!r}")
     decomp = spike_decompose(dataset.column(variable), variable)
     z_term = Term.indicator(variable, 0.0)
-    fit_null = fit(dataset, adjustment)
 
     if decomp.n_distinct_positive < 5:
-        fit_z = fit(dataset, adjustment.with_term(z_term))
-        p_joint = deviance_test(fit_null, fit_z, 1)
-        if p_joint > alpha:
-            return SpikeDecision(variable, SpikeVerdict.NONE, None, None, p_joint,
-                                 None, None, alpha, decomp, (), None)
-        return SpikeDecision(variable, SpikeVerdict.Z_ONLY, None, None, p_joint,
-                             None, None, alpha, decomp, (z_term,), fit_z)
+        z_only = _linear_only_decision(dataset, variable, alpha, adjustment, False,
+                                       term=z_term)
+        verdict = SpikeVerdict.Z_ONLY if z_only.included else SpikeVerdict.NONE
+        terms = (z_term,) if z_only.included else ()
+        return SpikeDecision(variable, verdict, None, None, z_only.step_pvalues[0],
+                             None, None, alpha, decomp, terms, z_only.fit)
 
-    base_with_z = adjustment.with_term(z_term)
-    fp_form, powers, fp_term, _ = _select_fp_form(
-        dataset, variable, alpha, max_degree, base_with_z, decomp.pre, decomp.origin)
-    fp_df = _FP_DF[fp_form]
+    curve = fsp_select(dataset, variable, alpha, max_degree, adjustment.with_term(z_term),
+                       force_in=True, pre=decomp.pre, center_at=decomp.origin)
+    fp_term, powers = curve.term, curve.powers
+    fp_df = 2 * powers.degree if powers else 1
 
-    fit_joint = fit(dataset, adjustment.with_term(z_term).with_term(fp_term))
+    fit_null = fit(dataset, adjustment)
+    fit_joint = curve.fit  # adjustment, Z and the curve
     p_joint = deviance_test(fit_null, fit_joint, 1 + fp_df)
     if p_joint > alpha:
-        return SpikeDecision(variable, SpikeVerdict.NONE, fp_form, powers, p_joint,
+        return SpikeDecision(variable, SpikeVerdict.NONE, curve.verdict, powers, p_joint,
                              None, None, alpha, decomp, (), None)
 
     fit_fp_only = fit(dataset, adjustment.with_term(fp_term))
@@ -177,18 +158,11 @@ def spike_fsp(dataset: Dataset, variable: str, alpha: float,
     keep_fp = p_drop_fp <= alpha
     if keep_z and keep_fp:
         verdict, terms, final = SpikeVerdict.Z_AND_FP, (z_term, fp_term), fit_joint
-    elif keep_z:
-        verdict, terms, final = SpikeVerdict.Z_ONLY, (z_term,), fit_z_only
-    elif keep_fp:
-        verdict, terms, final = SpikeVerdict.FP_ONLY, (fp_term,), fit_fp_only
-    elif p_drop_z < p_drop_fp:
+    elif keep_z or (not keep_fp and p_drop_z < p_drop_fp):
         verdict, terms, final = SpikeVerdict.Z_ONLY, (z_term,), fit_z_only
     else:
         verdict, terms, final = SpikeVerdict.FP_ONLY, (fp_term,), fit_fp_only
-    if verdict is not SpikeVerdict.Z_AND_FP:
-        fp_kept = verdict is SpikeVerdict.FP_ONLY
-        return SpikeDecision(variable, verdict, fp_form if fp_kept else None,
-                             powers if fp_kept else None, p_joint,
-                             p_drop_z, p_drop_fp, alpha, decomp, terms, final)
-    return SpikeDecision(variable, verdict, fp_form, powers, p_joint,
+    fp_kept = verdict is not SpikeVerdict.Z_ONLY
+    return SpikeDecision(variable, verdict, curve.verdict if fp_kept else None,
+                         powers if fp_kept else None, p_joint,
                          p_drop_z, p_drop_fp, alpha, decomp, terms, final)

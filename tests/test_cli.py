@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpselect.cli import EXIT_CONFIG_ERROR, build_parser, main
+from fpselect import Family, MfpConfig, mfp, spike_fsp
+from fpselect.cli import EXIT_CONFIG_ERROR, build_parser, load_dataset, main, render_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -78,3 +79,56 @@ class TestSelectionMethod:
         assert code == 0
         capsys.readouterr()
         assert report["method"] == "backward"
+
+
+class TestPrintedReport:
+    @pytest.mark.parametrize("subcommand", ["fit", "select", "mfp"])
+    def test_stdout_is_the_text_report_rendered_from_the_json(self, tmp_path, subcommand,
+                                                              capsys):
+        code, report = run_cli(tmp_path, subcommand, [])
+        assert code == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / subcommand
+        assert printed == (out / f"{subcommand}_report.txt").read_text(encoding="utf-8")
+        assert printed == render_text(report)
+
+
+def write_spike_data(path, seed=11, n=300):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 4.0, n)
+    b = rng.standard_normal(n)
+    s = np.where(rng.random(n) < 0.35, 0.0, rng.uniform(0.2, 6.0, n))
+    exposed = s > 0
+    y = (np.log(a) + 0.4 * b + 0.9 * exposed
+         + np.where(exposed, 1.2 * np.log(np.where(exposed, s, 1.0)), 0.0)
+         + rng.normal(scale=0.5, size=n))
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["y", "a", "b", "s"])
+        writer.writerows([repr(float(v)) for v in row] for row in zip(y, a, b, s))
+
+
+def test_mfp_spike_decision_adjusts_for_the_final_mfp_model(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_spike_data(data)
+    config = tmp_path / "analysis.cfg"
+    config.write_text("\n".join([
+        f"data = {data}", "outcome = y", "family = gaussian", "[variables]",
+        "a 2 no no", "b 1 no no", "s 2 no yes"]) + "\n", encoding="utf-8")
+    assert main(["mfp", "--config", str(config), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "mfp_report.json").read_text(encoding="utf-8"))
+
+    dataset, _ = load_dataset(str(data), "y", Family.GAUSSIAN, ["y", "a", "b", "s"])
+    result = mfp(dataset, ["a", "b"], MfpConfig(max_degree={"a": 2, "b": 1}))
+    assert report["visit_order"] == list(result.visit_order)
+    decision = spike_fsp(dataset, "s", 0.05, max_degree=2, adjustment=result.final_spec)
+    assert decision.verdict.value == "z-and-fp" and decision.powers is not None
+    assert report["spike_decisions"] == {"s": {
+        "verdict": decision.verdict.value,
+        "powers": list(decision.powers.values),
+        "joint_pvalue": decision.joint_pvalue,
+        "drop_indicator_pvalue": decision.drop_z_pvalue,
+        "drop_curve_pvalue": decision.drop_fp_pvalue,
+        "zero_fraction": decision.decomposition.zero_fraction,
+    }}

@@ -1,11 +1,15 @@
 """Function selection procedure: verdicts, closed-test hierarchy, error control."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from fpselect import (Dataset, DomainError, FpPowers, FunctionForm, ModelSpec,
                       Term, TooFewDistinctValuesError, fsp_degrees_of_freedom,
                       fsp_select)
+
+fsp_module = importlib.import_module("fpselect.fsp")
 
 
 def gaussian_dataset(x, y, extra=None):
@@ -166,3 +170,53 @@ class TestEdgeCases:
             fsp_select(ds, "x", 0.0)
         with pytest.raises(DomainError):
             fsp_select(ds, "x", 1.5)
+
+
+class TestForceInSkipsTheNullFit:
+    """The adjustment-only model is fitted only for the inclusion test, so a
+    forced-in variable costs one `fit` fewer; the tests it runs are the same."""
+
+    @staticmethod
+    def _count_fits(monkeypatch, *args, **kwargs):
+        calls = []
+        real_fit = fsp_module.fit
+
+        def counting_fit(dataset, spec, *a, **kw):
+            calls.append(spec)
+            return real_fit(dataset, spec, *a, **kw)
+
+        monkeypatch.setattr(fsp_module, "fit", counting_fit)
+        decision = fsp_select(*args, **kwargs)
+        monkeypatch.setattr(fsp_module, "fit", real_fit)
+        return decision, calls
+
+    def test_curve_search(self, monkeypatch):
+        rng = np.random.default_rng(157)
+        x = rng.uniform(0.3, 5.0, 300)
+        z = rng.normal(size=300)
+        y = np.log(x) + 0.5 * z + rng.normal(scale=0.5, size=300)
+        ds = Dataset.from_columns({"x": x, "z": z, "y": y}, outcome="y")
+        adjustment = ModelSpec((Term.linear("z"),))
+        for max_degree in (1, 2):
+            tested, tested_fits = self._count_fits(
+                monkeypatch, ds, "x", 0.05, max_degree, adjustment)
+            forced, forced_fits = self._count_fits(
+                monkeypatch, ds, "x", 0.05, max_degree, adjustment, force_in=True)
+            assert adjustment in tested_fits
+            assert adjustment not in forced_fits
+            assert len(forced_fits) == len(tested_fits) - 1
+            assert tested.verdict is forced.verdict is not FunctionForm.EXCLUDED
+            assert forced.step_pvalues == tested.step_pvalues[1:]
+            assert forced.powers == tested.powers
+            assert forced.fit.deviance == tested.fit.deviance
+
+    def test_degraded_linear_test(self, monkeypatch):
+        rng = np.random.default_rng(163)
+        x = rng.choice([1.0, 2.0, 3.0], size=200)
+        ds = gaussian_dataset(x, 0.8 * x + rng.normal(size=200))
+        tested, tested_fits = self._count_fits(monkeypatch, ds, "x", 0.05)
+        forced, forced_fits = self._count_fits(monkeypatch, ds, "x", 0.05, force_in=True)
+        assert len(tested_fits) == 2 and len(forced_fits) == 1
+        assert tested.verdict is forced.verdict is FunctionForm.LINEAR
+        assert forced.step_pvalues == ()
+        assert forced.fit.deviance == tested.fit.deviance

@@ -6,8 +6,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fpselect import (Criterion, Dataset, DomainError, FunctionForm, MfpConfig,
-                      ModelSpec, Term, backward_eliminate, fit, mfp,
+from fpselect import (Criterion, Dataset, DomainError, Family, FunctionForm, MfpConfig,
+                      ModelSpec, Term, backward_eliminate, deviance_test, fit, mfp,
                       removal_order)
 
 # The package exports the `mfp` function under the submodule's name.
@@ -52,6 +52,69 @@ class TestRemovalOrder:
     def test_empty_candidates(self):
         ds = scenario_dataset()
         assert removal_order(ds, []) == ()
+
+
+def _former_removal_order(dataset, candidates, config):
+    """removal_order as it was: one fit of the full model and one fit per
+    removal. Returns the order and the removal p-values in candidate order."""
+    terms = {v: mfp_module._base_term(dataset, v, config) for v in candidates}
+    full_spec = ModelSpec(tuple(terms[v] for v in candidates))
+    full_fit = fit(dataset, full_spec)
+    pvalues = []
+    for position, v in enumerate(candidates):
+        reduced_fit = fit(dataset, full_spec.without_term(terms[v]))
+        df = max(full_fit.model_df - reduced_fit.model_df, 1)
+        pvalues.append((deviance_test(reduced_fit, full_fit, df), position, v))
+    order = tuple(v for _, _, v in sorted(pvalues, key=lambda item: (item[0], item[1])))
+    return order, [p for p, _, _ in pvalues]
+
+
+class TestRemovalOrderMatchesFitLoop:
+    """removal_order scores removals from one design; its order and p-values
+    equal those of the former fit-per-removal loop bit for bit."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(359)
+        for family in (Family.GAUSSIAN, Family.BINOMIAL):
+            for n in (120, 400):
+                g = rng.choice([0.0, 1.0, 2.0, 3.0], size=n)
+                x = rng.standard_normal((n, 4))
+                eta = 0.6 * x[:, 0] - 0.3 * x[:, 1] + np.where(g == 2.0, 0.7, 0.0)
+                if family is Family.GAUSSIAN:
+                    y = eta + rng.standard_normal(n)
+                else:
+                    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+                ds = Dataset.from_columns(
+                    {"a": x[:, 0], "b": x[:, 1], "c": x[:, 2], "g": g,
+                     "d": np.exp(x[:, 3]), "y": y}, outcome="y", family=family)
+                for categorical in (frozenset(), frozenset({"g"})):
+                    yield ds, ("d", "a", "g", "c", "b"), MfpConfig(categorical=categorical)
+        yield scenario_dataset(), ("x1", "x2", "x3", "x4"), MfpConfig()
+
+    def test_same_order_and_pvalues(self, monkeypatch):
+        recorded = []
+
+        class RecordingDesign(mfp_module._Design):
+            def p_value(self, reduced, full):
+                result = super().p_value(reduced, full)
+                recorded.append(result[0])
+                return result
+
+        monkeypatch.setattr(mfp_module, "_Design", RecordingDesign)
+        for ds, candidates, config in self._cases():
+            recorded.clear()
+            order = removal_order(ds, candidates, config)
+            former_order, former_pvalues = _former_removal_order(ds, candidates, config)
+            assert order == former_order
+            assert recorded == former_pvalues
+
+    def test_fits_nothing(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("removal_order must not fit a model")
+
+        monkeypatch.setattr(mfp_module, "fit", no_fit)
+        assert removal_order(scenario_dataset(), ["x1", "x2", "x3", "x4"])[0] == "x1"
 
 
 class TestMfp:
