@@ -39,13 +39,32 @@ Config keys (defaults in parentheses):
   correlation      none | exchangeable:<rho> (none)            [simulate]
   procedure        be | mfp (be)                               [simulate]
 
-The ``[variables]`` table has whitespace-separated columns. For data-driven
-subcommands: ``name degree force_in spike categorical`` (degree 1|2, flags
-yes|no). For simulate: ``name marginal spike_prob effect`` with marginals
-``normal[:mu:sigma] | uniform:lo:hi | lognormal[:mu:sigma] | exponential[:rate]``
-and effects ``null | linear:coef | log:coef | power:p:coef | step:threshold:coef``.
+The ``[variables]`` table has one row of whitespace-separated columns per
+variable; trailing columns may be left out and take their defaults, and a row
+whose first column is ``name`` is a header. Each subcommand reads its own
+schema:
+
+  fit, select, mfp, stability, shrink:
+    name [degree [force_in [spike [categorical]]]]
+    degree 1 | 2 (2); force_in, spike, categorical yes | no (no)
+  simulate:
+    name [marginal [spike_prob [effect]]]
+    marginal   normal[:mu:sigma] | uniform:lo:hi | lognormal[:mu:sigma]
+               | exponential[:rate] (normal)
+    spike_prob probability of an exact zero, in [0, 1) (0)
+    effect     null | linear:coef | log:coef | power:p:coef
+               | step:threshold:coef (null)
+
+A row with another token or more columns is a config error naming its line.
 Lines starting with ``#`` are comments. When the table is omitted, every
 non-outcome column is a degree-2 continuous candidate.
+
+Exit codes:
+  0  success; the text report is printed
+  2  config error: unreadable config, malformed line or value, a setting out
+     of its range, a missing seed; raised before any analysis runs
+  3  data error: unreadable or malformed CSV, missing column
+  4  numerical error: a model cannot be built or fitted on the data
 """
 
 from __future__ import annotations
@@ -64,7 +83,8 @@ import numpy as np
 from . import simlab
 from .categorize import type1_simulation
 from .data import Dataset, Family
-from .errors import ConfigError, DataError, ModelBuildError
+from .errors import (ConfigError, DataError, DomainError, InvalidCorrelationError,
+                     ModelBuildError)
 from .fsp import FunctionDecision
 from .glm import FitResult, fit
 from .mfp import MfpConfig, mfp
@@ -92,6 +112,52 @@ CUTPOINT_WARNING = (
 # Configuration
 # ---------------------------------------------------------------------------
 
+# Values written kind[:number...]: config key -> kind -> (fewest, most) numbers.
+_KINDS = {
+    "criterion": {"pvalue": (1, 1), "aic": (0, 0), "bic": (0, 0)},
+    "scheme": {"subsample": (0, 1), "bootstrap": (0, 0)},
+    "cv": {"auto": (0, 0), "loo": (0, 0), "kfold": (0, 1)},
+    "correlation": {"none": (0, 0), "exchangeable": (1, 1)},
+    "marginal": {"normal": (0, 2), "uniform": (2, 2), "lognormal": (0, 2),
+                 "exponential": (0, 1)},
+    "effect": {"null": (0, 0), "linear": (1, 1), "log": (1, 1), "power": (2, 2),
+               "step": (2, 2)},
+}
+_MARGINALS = {"normal": simlab.Normal, "uniform": simlab.Uniform,
+              "lognormal": simlab.LogNormal, "exponential": simlab.Exponential}
+
+
+def _number(raw: str, what: str, convert=float):
+    """`raw` converted by `convert` (float or int); a malformed value is a config error."""
+    try:
+        return convert(raw)
+    except ValueError:
+        expected = "an integer" if convert is int else "a number"
+        raise ConfigError(f"{what} must be {expected}, got {raw!r}") from None
+
+
+def _parse_kind(key: str, raw: str) -> tuple[str, list[float]]:
+    """Split a ``kind[:number...]`` value of `key` into its kind and numbers."""
+    kind, *parts = raw.lower().split(":")
+    if kind not in _KINDS[key]:
+        raise ConfigError(f"unknown {key} {raw!r}")
+    lo, hi = _KINDS[key][kind]
+    if not lo <= len(parts) <= hi:
+        count = lo if lo == hi else f"{lo} to {hi}"
+        raise ConfigError(f"bad {key} {raw!r}: {kind} takes {count} numbers")
+    return kind, [_number(part, f"an argument of {key} {raw!r}") for part in parts]
+
+
+def _configured(build, *args, **kwargs):
+    """Call `build` on values read from the config. The argument checks of a
+    library object raise DomainError (InvalidCorrelationError for a simulated
+    correlation); here they mean the config is wrong."""
+    try:
+        return build(*args, **kwargs)
+    except (DomainError, InvalidCorrelationError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 @dataclass
 class VariableConfig:
     name: str
@@ -99,16 +165,13 @@ class VariableConfig:
     force_in: bool = False
     spike: bool = False
     categorical: bool = False
-    # simulate-only attributes
-    marginal: str = "normal"
-    spike_prob: float = 0.0
-    effect: str = "null"
 
 
 @dataclass
 class AnalysisConfig:
     values: dict[str, str] = field(default_factory=dict)
-    variables: list[VariableConfig] = field(default_factory=list)
+    # [variables] rows as (line number, tokens); each subcommand reads its schema
+    rows: list[tuple[int, list[str]]] = field(default_factory=list)
 
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
@@ -120,21 +183,11 @@ class AnalysisConfig:
 
     def get_float(self, key: str, default: float) -> float:
         raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be a number, got {raw!r}") from None
+        return default if raw is None else _number(raw, f"config key {key!r}")
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
         raw = self.values.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r} must be an integer, got {raw!r}") from None
+        return default if raw is None else _number(raw, f"config key {key!r}", int)
 
     @property
     def family(self) -> Family:
@@ -145,68 +198,79 @@ class AnalysisConfig:
             raise ConfigError(f"unknown family {raw!r}") from None
 
     def criterion(self) -> Criterion:
-        raw = self.get("criterion", "pvalue:0.05").lower()
-        if raw == "aic":
-            return Criterion.aic()
-        if raw == "bic":
-            return Criterion.bic()
-        if raw.startswith("pvalue:"):
-            try:
-                return Criterion.p_value(float(raw.split(":", 1)[1]))
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"bad criterion {raw!r}: {exc}") from None
-        raise ConfigError(f"unknown criterion {raw!r}")
+        kind, args = _parse_kind("criterion", self.get("criterion", "pvalue:0.05"))
+        return _configured(Criterion, kind, *args)
 
     def resample_plan(self) -> ResamplePlan:
-        seed = self.get_int("seed")
-        if seed is None:
-            raise ConfigError("stochastic subcommand needs an explicit seed "
-                              "(config key 'seed' or flag --seed)")
-        raw = self.get("scheme", "subsample:0.632").lower()
-        reps = self.get_int("replications", 200)
-        if raw == "bootstrap":
-            return ResamplePlan(replications=reps, master_seed=seed, scheme="bootstrap")
-        if raw.startswith("subsample"):
-            rate = 0.632
-            if ":" in raw:
-                try:
-                    rate = float(raw.split(":", 1)[1])
-                except ValueError:
-                    raise ConfigError(f"bad subsample rate in {raw!r}") from None
-            return ResamplePlan(replications=reps, master_seed=seed,
-                                scheme="subsample", rate=rate)
-        raise ConfigError(f"unknown scheme {raw!r}")
+        kind, args = _parse_kind("scheme", self.get("scheme", "subsample:0.632"))
+        return _configured(ResamplePlan, self.get_int("replications", 200),
+                           _required_seed(self, "resampling"), kind, *args)
 
     def cv_scheme(self, n: int):
-        raw = self.get("cv", "auto").lower()
-        seed = self.get_int("seed", 0)
-        if raw == "auto":
-            scheme = default_cv_scheme(n, seed or 0)
-        elif raw == "loo":
-            scheme = LeaveOneOut()
-        elif raw.startswith("kfold"):
-            k = 10
-            if ":" in raw:
-                try:
-                    k = int(raw.split(":", 1)[1])
-                except ValueError:
-                    raise ConfigError(f"bad fold count in {raw!r}") from None
-            scheme = KFold(k, seed or 0)
-        else:
-            raise ConfigError(f"unknown cv scheme {raw!r}")
-        if isinstance(scheme, KFold) and self.get_int("seed") is None:
-            raise ConfigError("k-fold shrinkage needs an explicit seed")
-        return scheme
+        raw = self.get("cv", "auto")
+        kind, args = _parse_kind("cv", raw)
+        if kind == "loo" or (kind == "auto" and isinstance(default_cv_scheme(n), LeaveOneOut)):
+            return LeaveOneOut()
+        # kfold without a count, and auto above the leave-one-out cutoff, are ten-fold
+        if not all(k.is_integer() for k in args):
+            raise ConfigError(f"bad cv {raw!r}: the fold count must be a whole number")
+        return _configured(KFold, *map(int, args), seed=_required_seed(self, "k-fold shrinkage"))
+
+
+def _required_seed(config: AnalysisConfig, what: str) -> int:
+    seed = config.get_int("seed")
+    if seed is None:
+        raise ConfigError(f"{what} needs an explicit seed (config key 'seed' or flag --seed)")
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
 
 
 _FLAG_VALUES = {"yes": True, "no": False, "true": True, "false": False, "y": True, "n": False}
 
 
-def _parse_flag(token: str, line_no: int) -> bool:
+def _parse_flag(token: str) -> bool:
     try:
         return _FLAG_VALUES[token.lower()]
     except KeyError:
-        raise ConfigError(f"line {line_no}: expected yes/no, got {token!r}") from None
+        raise ConfigError(f"expected yes/no, got {token!r}") from None
+
+
+_DATA_ROW = "name [degree [force_in [spike [categorical]]]]"
+_SIMULATED_ROW = "name [marginal [spike_prob [effect]]]"
+
+
+def _data_variable(name: str, degree: str = "2", force_in: str = "no", spike: str = "no",
+                   categorical: str = "no") -> VariableConfig:
+    if degree not in ("1", "2"):
+        raise ConfigError(f"degree must be 1 or 2, got {degree!r}")
+    return VariableConfig(name, int(degree),
+                          *(_parse_flag(t) for t in (force_in, spike, categorical)))
+
+
+def _simulated_variable(name: str, marginal: str = "normal", spike_prob: str = "0",
+                        effect: str = "null") -> tuple[simlab.Covariate, simlab.Effect]:
+    kind, args = _parse_kind("marginal", marginal)
+    prob = _number(spike_prob, "spike probability")
+    covariate = _configured(simlab.Covariate, name, _MARGINALS[kind](*args), prob)
+    kind, args = _parse_kind("effect", effect)
+    # power and step are written kind:p:coef; Effect takes (coefficient, param)
+    return covariate, simlab.Effect(name, kind, *reversed(args))
+
+
+def _read_rows(config: AnalysisConfig, schema: str, read_row) -> list:
+    """Read each [variables] row with `read_row`, whose parameters are the
+    columns of `schema`; a row that does not fit is a config error naming
+    its line."""
+    out = []
+    for line_no, tokens in config.rows:
+        try:
+            if len(tokens) > len(schema.split()):
+                raise ConfigError(f"expected '{schema}', got {' '.join(tokens)!r}")
+            out.append(read_row(*tokens))
+        except ConfigError as exc:
+            raise ConfigError(f"line {line_no}: {exc}") from None
+    return out
 
 
 def parse_config(path: str) -> AnalysisConfig:
@@ -233,34 +297,8 @@ def parse_config(path: str) -> AnalysisConfig:
             if not value:
                 raise ConfigError(f"line {line_no}: empty value for key {key!r}")
             config.values[key] = value
-        else:
-            tokens = line.split()
-            if tokens[0].lower() == "name":
-                continue  # optional header row
-            var = VariableConfig(name=tokens[0])
-            if len(tokens) > 1 and tokens[1] not in ("-",):
-                if tokens[1] in ("1", "2"):
-                    var.max_degree = int(tokens[1])
-                else:
-                    var.marginal = tokens[1]
-            if len(tokens) > 2:
-                if tokens[2].lower() in _FLAG_VALUES:
-                    var.force_in = _parse_flag(tokens[2], line_no)
-                else:
-                    try:
-                        var.spike_prob = float(tokens[2])
-                    except ValueError:
-                        raise ConfigError(
-                            f"line {line_no}: expected yes/no or a spike probability, "
-                            f"got {tokens[2]!r}") from None
-            if len(tokens) > 3:
-                if tokens[3].lower() in _FLAG_VALUES:
-                    var.spike = _parse_flag(tokens[3], line_no)
-                else:
-                    var.effect = tokens[3]
-            if len(tokens) > 4:
-                var.categorical = _parse_flag(tokens[4], line_no)
-            config.variables.append(var)
+        elif line.split()[0].lower() != "name":  # skip the optional header row
+            config.rows.append((line_no, line.split()))
     return config
 
 
@@ -438,44 +476,29 @@ def _trace_block(trace: SelectionTrace) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _data_and_variables(config: AnalysisConfig):
+    """Load the configured CSV; returns the dataset, the candidate variables
+    and the report's data block."""
     path = config.require("data")
     outcome = config.require("outcome")
-    family = config.family
-    if config.variables:
-        names = [v.name for v in config.variables]
-    else:
-        names = None
-    used = None if names is None else [outcome] + names
-    dataset, n_dropped = load_dataset(path, outcome, family, used)
-    if names is None:
+    variables = _read_rows(config, _DATA_ROW, _data_variable)
+    used = [outcome] + [v.name for v in variables] if variables else None
+    dataset, n_dropped = load_dataset(path, outcome, config.family, used)
+    if not variables:
         variables = [VariableConfig(name=v) for v in dataset.candidate_names]
-    else:
-        variables = config.variables
-        for v in variables:
-            dataset.index(v.name)
-    return dataset, variables, n_dropped
-
-
-def _data_block(config: AnalysisConfig, dataset: Dataset, n_dropped: int) -> dict:
-    return {
-        "path": config.require("data"),
+    data = {
+        "path": path,
         "outcome": dataset.outcome_name,
         "family": dataset.family.value,
         "n": dataset.n,
         "n_dropped_rows": n_dropped,
     }
+    return dataset, variables, data
 
 
 def run_fit(config: AnalysisConfig) -> dict:
-    dataset, variables, n_dropped = _data_and_variables(config)
+    dataset, variables, data = _data_and_variables(config)
     spec = ModelSpec(tuple(Term.linear(v.name) for v in variables))
-    result = fit(dataset, spec)
-    return {
-        "subcommand": "fit",
-        "schema_version": SCHEMA_VERSION,
-        "data": _data_block(config, dataset, n_dropped),
-        "fit": _fit_block(result),
-    }
+    return {"data": data, "fit": _fit_block(fit(dataset, spec))}
 
 
 def _select_linear(config: AnalysisConfig, dataset: Dataset, names: list[str],
@@ -496,13 +519,11 @@ def _select_linear(config: AnalysisConfig, dataset: Dataset, names: list[str],
 
 
 def run_select(config: AnalysisConfig) -> dict:
-    dataset, variables, n_dropped = _data_and_variables(config)
+    dataset, variables, data = _data_and_variables(config)
     criterion = config.criterion()
     method, trace = _select_linear(config, dataset, [v.name for v in variables], criterion)
     return {
-        "subcommand": "select",
-        "schema_version": SCHEMA_VERSION,
-        "data": _data_block(config, dataset, n_dropped),
+        "data": data,
         "method": method,
         "criterion": str(criterion),
         "steps": _trace_block(trace),
@@ -512,7 +533,8 @@ def run_select(config: AnalysisConfig) -> dict:
 
 
 def _mfp_config(config: AnalysisConfig, variables: list[VariableConfig]) -> MfpConfig:
-    return MfpConfig(
+    return _configured(
+        MfpConfig,
         alpha_select=config.get_float("alpha_select", 0.05),
         alpha_fp=config.get_float("alpha_fp", 0.05),
         max_degree={v.name: v.max_degree for v in variables},
@@ -522,8 +544,21 @@ def _mfp_config(config: AnalysisConfig, variables: list[VariableConfig]) -> MfpC
     )
 
 
+def _procedure(config: AnalysisConfig, key: str,
+               variables: list[VariableConfig]) -> tuple[str, simlab.Procedure]:
+    """The selection procedure (be | mfp) named by config key `key`, over
+    `variables`; returns (kind, procedure)."""
+    kind = config.get(key, "be").lower()
+    names = [v.name for v in variables]
+    if kind == "be":
+        return kind, simlab.be_procedure(config.criterion(), names)
+    if kind == "mfp":
+        return kind, simlab.mfp_procedure(_mfp_config(config, variables), names)
+    raise ConfigError(f"unknown {key} {kind!r}")
+
+
 def run_mfp(config: AnalysisConfig) -> dict:
-    dataset, variables, n_dropped = _data_and_variables(config)
+    dataset, variables, data = _data_and_variables(config)
     spike_vars = [v for v in variables if v.spike]
     plain_vars = [v for v in variables if not v.spike]
     if not plain_vars:
@@ -553,9 +588,7 @@ def run_mfp(config: AnalysisConfig) -> dict:
     final_fit = fit(dataset, final_spec) if spike_vars else result.fit
 
     report = {
-        "subcommand": "mfp",
-        "schema_version": SCHEMA_VERSION,
-        "data": _data_block(config, dataset, n_dropped),
+        "data": data,
         "alpha_select": mfp_config.alpha_select,
         "alpha_fp": mfp_config.alpha_fp,
         "visit_order": list(result.visit_order),
@@ -573,25 +606,18 @@ def run_mfp(config: AnalysisConfig) -> dict:
     return report
 
 
-def run_stability(config: AnalysisConfig, workers: int = 1) -> dict:
-    dataset, variables, n_dropped = _data_and_variables(config)
+def run_stability(config: AnalysisConfig) -> dict:
+    dataset, variables, data = _data_and_variables(config)
     plan = config.resample_plan()
-    names = [v.name for v in variables]
-    selector_kind = config.get("selector", "be").lower()
-    if selector_kind == "be":
-        procedure = simlab.be_procedure(config.criterion(), names)
-    elif selector_kind == "mfp":
-        procedure = simlab.mfp_procedure(_mfp_config(config, variables), names)
-    else:
-        raise ConfigError(f"unknown selector {selector_kind!r}")
-    report_obj = stability(dataset, lambda d: procedure(d).selected, plan,
-                           candidates=names, workers=workers)
+    selector_kind, procedure = _procedure(config, "selector", variables)
     threshold = config.get_float("bif_threshold", 0.5)
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"bif_threshold must be in [0, 1], got {threshold}")
+    names = [v.name for v in variables]
+    report_obj = stability(dataset, lambda d: procedure(d).selected, plan, candidates=names)
     picked = bif_select(report_obj, threshold)
     return {
-        "subcommand": "stability",
-        "schema_version": SCHEMA_VERSION,
-        "data": _data_block(config, dataset, n_dropped),
+        "data": data,
         "selector": selector_kind,
         "plan": {"scheme": report_obj.scheme, "replications": plan.replications,
                  "master_seed": plan.master_seed},
@@ -607,27 +633,22 @@ def run_stability(config: AnalysisConfig, workers: int = 1) -> dict:
 
 
 def run_shrink(config: AnalysisConfig) -> dict:
-    dataset, variables, n_dropped = _data_and_variables(config)
+    dataset, variables, data = _data_and_variables(config)
     criterion = config.criterion()
+    cv = config.cv_scheme(dataset.n)
+    mode = config.get("shrinkage", "global").lower()
+    shrink = {"global": global_shrinkage, "parameterwise": parameterwise_shrinkage,
+              "joint": joint_shrinkage}.get(mode)
+    if shrink is None:
+        raise ConfigError(f"unknown shrinkage mode {mode!r}")
     method, trace = _select_linear(config, dataset, [v.name for v in variables], criterion)
     spec = trace.final_spec
     if not spec.terms:
         raise ModelBuildError("selection removed every candidate; nothing to shrink")
-    cv = config.cv_scheme(dataset.n)
-    mode = config.get("shrinkage", "global").lower()
-    if mode == "global":
-        factors = global_shrinkage(dataset, spec, cv)
-    elif mode == "parameterwise":
-        factors = parameterwise_shrinkage(dataset, spec, cv)
-    elif mode == "joint":
-        factors = joint_shrinkage(dataset, spec, cv=cv)
-    else:
-        raise ConfigError(f"unknown shrinkage mode {mode!r}")
+    factors = shrink(dataset, spec, cv=cv)
     shrunken = factors.apply(trace.final_fit, dataset)
     return {
-        "subcommand": "shrink",
-        "schema_version": SCHEMA_VERSION,
-        "data": _data_block(config, dataset, n_dropped),
+        "data": data,
         "method": method,
         "criterion": str(criterion),
         "selection_steps": _trace_block(trace),
@@ -646,19 +667,18 @@ def run_shrink(config: AnalysisConfig) -> dict:
 
 
 def run_cutpoint_demo(config: AnalysisConfig) -> dict:
-    seed = config.get_int("seed")
-    if seed is None:
-        raise ConfigError("cutpoint-demo needs an explicit seed")
+    seed = _required_seed(config, "cutpoint-demo")
     n = config.get_int("n", 100)
     reps = config.get_int("replications", 1000)
     alpha = config.get_float("alpha", 0.05)
     lo = config.get_float("range_lo", 0.10)
     hi = config.get_float("range_hi", 0.90)
-    result = type1_simulation(n, reps, alpha, (lo, hi), seed, config.family)
-    control = type1_simulation(n, reps, alpha, (0.5, 0.5), seed + 1, config.family)
+    # The demo reads no data, so each DomainError it raises comes from the
+    # config; the replication count and range are checked before any search.
+    result = _configured(type1_simulation, n, reps, alpha, (lo, hi), seed, config.family)
+    control = _configured(type1_simulation, n, reps, alpha, (0.5, 0.5), seed + 1,
+                          config.family)
     return {
-        "subcommand": "cutpoint-demo",
-        "schema_version": SCHEMA_VERSION,
         "n": n,
         "replications": reps,
         "nominal_alpha": alpha,
@@ -675,67 +695,22 @@ def run_cutpoint_demo(config: AnalysisConfig) -> dict:
     }
 
 
-def _parse_marginal(text: str) -> simlab.Uniform | simlab.Normal | simlab.LogNormal | simlab.Exponential:
-    parts = text.lower().split(":")
-    kind, args = parts[0], [float(x) for x in parts[1:]]
-    if kind == "normal":
-        return simlab.Normal(*args) if args else simlab.Normal()
-    if kind == "uniform":
-        if len(args) != 2:
-            raise ConfigError(f"uniform marginal needs lo:hi, got {text!r}")
-        return simlab.Uniform(*args)
-    if kind == "lognormal":
-        return simlab.LogNormal(*args) if args else simlab.LogNormal()
-    if kind == "exponential":
-        return simlab.Exponential(*args) if args else simlab.Exponential()
-    raise ConfigError(f"unknown marginal {text!r}")
-
-
-def _parse_effect(name: str, text: str) -> simlab.Effect:
-    parts = text.lower().split(":")
-    kind = parts[0]
-    try:
-        if kind == "null":
-            return simlab.Effect(name, "null")
-        if kind in ("linear", "log"):
-            return simlab.Effect(name, kind, float(parts[1]))
-        if kind in ("power", "step"):
-            return simlab.Effect(name, kind, float(parts[2]), param=float(parts[1]))
-    except (IndexError, ValueError):
-        raise ConfigError(f"bad effect spec {text!r} for variable {name!r}") from None
-    raise ConfigError(f"unknown effect {text!r}")
-
-
 def build_scenario(config: AnalysisConfig) -> simlab.Scenario:
-    seed = config.get_int("seed")
-    if seed is None:
-        raise ConfigError("simulate needs an explicit seed")
-    if not config.variables:
+    seed = _required_seed(config, "simulate")
+    variables = _read_rows(config, _SIMULATED_ROW, _simulated_variable)
+    if not variables:
         raise ConfigError("simulate needs a [variables] table")
-    covariates = []
-    effects = []
-    for v in config.variables:
-        covariates.append(simlab.Covariate(v.name, _parse_marginal(v.marginal),
-                                           spike_prob=v.spike_prob))
-        effect = _parse_effect(v.name, v.effect)
-        if effect.form != "null":
-            effects.append(effect)
+    covariates, effects = zip(*variables)
+    kind, args = _parse_kind("correlation", config.get("correlation", "none"))
     correlation = None
-    raw_corr = config.get("correlation", "none").lower()
-    if raw_corr.startswith("exchangeable"):
-        try:
-            rho = float(raw_corr.split(":", 1)[1])
-        except (IndexError, ValueError):
-            raise ConfigError(f"bad correlation spec {raw_corr!r}") from None
-        p = len(covariates)
-        correlation = np.full((p, p), rho)
+    if kind == "exchangeable":
+        correlation = np.full((len(covariates), len(covariates)), args[0])
         np.fill_diagonal(correlation, 1.0)
-    elif raw_corr != "none":
-        raise ConfigError(f"unknown correlation spec {raw_corr!r}")
-    return simlab.Scenario(
+    return _configured(
+        simlab.Scenario,
         n=config.get_int("n", 250),
-        covariates=tuple(covariates),
-        effects=tuple(effects),
+        covariates=covariates,
+        effects=effects,
         correlation=correlation,
         family=config.family,
         noise_sd=config.get_float("noise_sd", 1.0),
@@ -746,18 +721,12 @@ def build_scenario(config: AnalysisConfig) -> simlab.Scenario:
 def run_simulate(config: AnalysisConfig) -> dict:
     scenario = build_scenario(config)
     reps = config.get_int("replications", 200)
-    kind = config.get("procedure", "be").lower()
-    names = scenario.covariate_names
-    if kind == "be":
-        procedure = simlab.be_procedure(config.criterion(), names)
-    elif kind == "mfp":
-        procedure = simlab.mfp_procedure(_mfp_config(config, config.variables), names)
-    else:
-        raise ConfigError(f"unknown procedure {kind!r}")
-    report = simlab.evaluate(procedure, scenario, reps)
+    kind, procedure = _procedure(config, "procedure",
+                                 [VariableConfig(name) for name in scenario.covariate_names])
+    # simulate reads no data, so a DomainError of the scenario (such as a log
+    # effect on a covariate with nonpositive values) comes from the config.
+    report = _configured(simlab.evaluate, procedure, scenario, reps)
     return {
-        "subcommand": "simulate",
-        "schema_version": SCHEMA_VERSION,
         "procedure": kind,
         "n": scenario.n,
         "replications": reps,
@@ -797,15 +766,12 @@ EXIT_DATA_ERROR = 3
 EXIT_NUMERICAL_ERROR = 4
 
 
-def run(subcommand: str, config: AnalysisConfig, out_dir: str = ".",
-        workers: int = 1) -> dict:
+def run(subcommand: str, config: AnalysisConfig, out_dir: str = ".") -> dict:
     """Execute one subcommand and write its reports; returns the report dict."""
     if subcommand not in RUNNERS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    if subcommand == "stability":
-        report = run_stability(config, workers=workers)
-    else:
-        report = RUNNERS[subcommand](config)
+    report = {"subcommand": subcommand, "schema_version": SCHEMA_VERSION,
+              **RUNNERS[subcommand](config)}
     write_reports(report, out_dir, subcommand)
     return report
 
@@ -818,8 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=sorted(RUNNERS))
     parser.add_argument("--config", required=True, help="path to the analysis config file")
     parser.add_argument("--seed", type=int, help="master seed (overrides config)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="max concurrent replications (stability)")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--alpha-select", type=float, help="override alpha_select")
     parser.add_argument("--alpha-fp", type=float, help="override alpha_fp")
@@ -840,7 +804,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.criterion is not None:
             config.values["criterion"] = args.criterion
         out_dir = args.out or config.get("out", ".")
-        run(args.subcommand, config, out_dir=out_dir, workers=args.workers)
+        run(args.subcommand, config, out_dir=out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

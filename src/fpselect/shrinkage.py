@@ -202,10 +202,6 @@ def joint_shrinkage(dataset: Dataset, spec: ModelSpec,
         if sorted(flat, key=spec.terms.index) != list(spec.terms) or len(set(flat)) != len(flat):
             raise DomainError("groups must partition the spec's terms")
     C, labels = _out_of_fold_components(dataset, spec, cv)
-    label_of = {}
-    for term in spec.terms:
-        for lab in term.labels():
-            label_of[lab] = term
     group_names: list[str] = []
     group_cols: dict[str, tuple[str, ...]] = {}
     R = np.zeros((dataset.n, len(term_groups)))

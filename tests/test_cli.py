@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from fpselect import Family, MfpConfig, mfp, spike_fsp
-from fpselect.cli import EXIT_CONFIG_ERROR, build_parser, load_dataset, main, render_text
+from fpselect import cli
+from fpselect.cli import EXIT_CONFIG_ERROR, load_dataset, main, render_text
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -21,12 +22,6 @@ def test_import_does_not_load_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
     assert out.stdout.strip() == "False"
-
-
-def test_workers_default_to_one():
-    # The stability thread pool is slower than the sequential path.
-    args = build_parser().parse_args(["stability", "--config", "analysis.cfg"])
-    assert args.workers == 1
 
 
 def write_binary_data(path, seed=5, n=200):
@@ -50,7 +45,7 @@ def run_cli(tmp_path, subcommand, settings):
     config.write_text("\n".join(lines + list(settings)) + "\n", encoding="utf-8")
     out = tmp_path / subcommand
     code = main([subcommand, "--config", str(config), "--out", str(out)])
-    report_path = out / f"{subcommand}_report.json"
+    report_path = out / f"{subcommand.replace('-', '_')}_report.json"
     report = json.loads(report_path.read_text()) if code == 0 else None
     return code, report
 
@@ -82,14 +77,25 @@ class TestSelectionMethod:
 
 
 class TestPrintedReport:
-    @pytest.mark.parametrize("subcommand", ["fit", "select", "mfp"])
+    @pytest.mark.parametrize("subcommand, settings", [
+        pytest.param("fit", [], id="fit"),
+        pytest.param("select", [], id="select"),
+        pytest.param("mfp", [], id="mfp"),
+        pytest.param("stability", ["seed = 1", "replications = 5"], id="stability"),
+        pytest.param("shrink", [], id="shrink"),
+        pytest.param("cutpoint-demo", ["seed = 1", "n = 40", "replications = 100"],
+                     id="cutpoint-demo"),
+        pytest.param("simulate", ["seed = 1", "n = 60", "replications = 2", "[variables]",
+                                  "a normal 0 linear:1", "b"], id="simulate"),
+    ])
     def test_stdout_is_the_text_report_rendered_from_the_json(self, tmp_path, subcommand,
-                                                              capsys):
-        code, report = run_cli(tmp_path, subcommand, [])
+                                                              settings, capsys):
+        code, report = run_cli(tmp_path, subcommand, settings)
         assert code == 0
         printed = capsys.readouterr().out
         out = tmp_path / subcommand
-        assert printed == (out / f"{subcommand}_report.txt").read_text(encoding="utf-8")
+        stem = subcommand.replace("-", "_")
+        assert printed == (out / f"{stem}_report.txt").read_text(encoding="utf-8")
         assert printed == render_text(report)
 
 
@@ -132,3 +138,54 @@ def test_mfp_spike_decision_adjusts_for_the_final_mfp_model(tmp_path, capsys):
         "drop_curve_pvalue": decision.drop_fp_pvalue,
         "zero_fraction": decision.decomposition.zero_fraction,
     }}
+
+
+def _analysis_must_not_run(*args, **kwargs):
+    raise AssertionError("the analysis ran before the config was checked")
+
+
+# run_cli writes four config lines, so the first setting is on line 5.
+BAD_CONFIGS = {
+    "criterion_alpha_above_one": ("select", ["criterion = pvalue:1.5"], "config error:"),
+    "subsample_rate_above_one": ("stability", ["seed = 1", "scheme = subsample:1.5"],
+                                 "config error:"),
+    "negative_seed": ("stability", ["seed = -1", "replications = 5"], "config error:"),
+    "zero_replications": ("stability", ["seed = 1", "replications = 0"], "config error:"),
+    "bif_threshold_above_one": ("stability", ["seed = 1", "replications = 5",
+                                              "bif_threshold = 2"], "config error:"),
+    "zero_alpha_select": ("mfp", ["alpha_select = 0"], "config error:"),
+    "zero_max_cycles": ("mfp", ["max_cycles = 0"], "config error:"),
+    "one_fold": ("shrink", ["seed = 1", "cv = kfold:1"], "config error:"),
+    "spike_probability_above_one": ("simulate", ["seed = 1", "[variables]",
+                                                 "a lognormal 1.5"], "config error: line 7:"),
+    "too_few_cutpoint_replications": ("cutpoint-demo", ["seed = 1", "replications = 10"],
+                                      "config error:"),
+    "reversed_cutpoint_range": ("cutpoint-demo", ["seed = 1", "range_lo = 0.8",
+                                                  "range_hi = 0.2"], "config error:"),
+    "marginal_argument_not_a_number": ("simulate", ["seed = 1", "[variables]", "a normal:abc"],
+                                       "config error: line 7:"),
+    "too_many_marginal_arguments": ("simulate", ["seed = 1", "[variables]", "a normal:1:2:3"],
+                                    "config error: line 7:"),
+    "zero_simulate_replications": ("simulate", ["seed = 1", "replications = 0", "[variables]",
+                                                "a"], "config error:"),
+    "log_effect_on_a_normal_covariate": ("simulate", ["seed = 1", "replications = 2",
+                                                      "[variables]", "a normal 0 log:1"],
+                                         "config error:"),
+    "degree_three": ("mfp", ["[variables]", "a 3 no no"], "config error: line 6:"),
+    "spike_column_not_a_flag": ("mfp", ["[variables]", "a 2 no 0.5"], "config error: line 6:"),
+    "data_row_too_long": ("mfp", ["[variables]", "a", "b 2 no no no no"],
+                          "config error: line 7:"),
+    "simulate_row_too_long": ("simulate", ["seed = 1", "[variables]",
+                                           "x1 normal 0 linear:1 yes"], "config error: line 7:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_config_mistake_exits_2_before_any_analysis(tmp_path, case, capsys, monkeypatch):
+    subcommand, settings, message = BAD_CONFIGS[case]
+    for name in ("stability", "mfp", "backward_eliminate", "forward_select", "stepwise"):
+        monkeypatch.setattr(cli, name, _analysis_must_not_run)
+    code, _ = run_cli(tmp_path, subcommand, settings)
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / subcommand).exists()
