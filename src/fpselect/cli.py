@@ -214,7 +214,11 @@ class AnalysisConfig:
         # kfold without a count, and auto above the leave-one-out cutoff, are ten-fold
         if not all(k.is_integer() for k in args):
             raise ConfigError(f"bad cv {raw!r}: the fold count must be a whole number")
-        return _configured(KFold, *map(int, args), seed=_required_seed(self, "k-fold shrinkage"))
+        seed = _required_seed(self, "k-fold shrinkage")
+        scheme = _configured(KFold, *map(int, args), seed=seed)
+        if scheme.k > n:
+            raise ConfigError(f"bad cv {raw!r}: cannot split {n} rows into {scheme.k} folds")
+        return scheme
 
 
 def _required_seed(config: AnalysisConfig, what: str) -> int:
@@ -252,7 +256,7 @@ def _simulated_variable(name: str, marginal: str = "normal", spike_prob: str = "
                         effect: str = "null") -> tuple[simlab.Covariate, simlab.Effect]:
     kind, args = _parse_kind("marginal", marginal)
     prob = _number(spike_prob, "spike probability")
-    covariate = _configured(simlab.Covariate, name, _MARGINALS[kind](*args), prob)
+    covariate = _configured(simlab.Covariate, name, _configured(_MARGINALS[kind], *args), prob)
     kind, args = _parse_kind("effect", effect)
     # power and step are written kind:p:coef; Effect takes (coefficient, param)
     return covariate, simlab.Effect(name, kind, *reversed(args))
@@ -481,6 +485,12 @@ def _data_and_variables(config: AnalysisConfig):
     path = config.require("data")
     outcome = config.require("outcome")
     variables = _read_rows(config, _DATA_ROW, _data_variable)
+    seen = {outcome}
+    for (line_no, _), variable in zip(config.rows, variables):
+        if variable.name in seen:
+            what = "is the outcome" if variable.name == outcome else "is listed twice"
+            raise ConfigError(f"line {line_no}: variable {variable.name!r} {what}")
+        seen.add(variable.name)
     used = [outcome] + [v.name for v in variables] if variables else None
     dataset, n_dropped = load_dataset(path, outcome, config.family, used)
     if not variables:

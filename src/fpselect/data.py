@@ -17,13 +17,6 @@ class Family(enum.Enum):
     GAUSSIAN = "gaussian"
     BINOMIAL = "binomial"
 
-    @classmethod
-    def parse(cls, text: str) -> "Family":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise DataError(f"unknown family {text!r}; expected 'gaussian' or 'binomial'") from None
-
 
 def _as_readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float)

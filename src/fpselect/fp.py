@@ -134,10 +134,6 @@ class PreTransform:
     def apply(self, x) -> np.ndarray:
         return (np.asarray(x, dtype=float) + self.shift) / self.scale
 
-    @property
-    def is_identity(self) -> bool:
-        return self.shift == 0.0 and self.scale == 1.0
-
 
 def pretransform(x) -> PreTransform:
     """Deterministic, data-driven pre-transformation for a covariate.

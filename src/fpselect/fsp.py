@@ -10,20 +10,25 @@ otherwise). With degree 1 the analogous two steps use 2 and 1 d.f. Because
 the tests are closed, the familywise type-I error stays near the nominal
 level, and a linear function is the default unless nonlinearity is strongly
 supported.
+
+One `fpsearch.FpSearch` builds the adjustment's design once and scores the
+null model, the straight line (FP1's power 1) and every FP1 and FP2
+candidate from it; only the model of the verdict is fitted.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, TooFewDistinctValuesError
-from .fp import FpPowers, PreTransform, pretransform
-from .fpsearch import best_fp, check_adjustment
-from .glm import FitResult, deviance_test, fit
+from .fp import FpPowers, PreTransform
+from .fpsearch import FpSearch, check_adjustment
+from .glm import Design, FitResult
 from .model import ModelSpec, Term
 
 
@@ -83,30 +88,25 @@ class FunctionDecision:
         return _COMPLEXITY[self.verdict]
 
 
-def _significant(p: float, alpha: float) -> bool:
-    return p <= alpha
-
-
 def _linear_only_decision(dataset: Dataset, variable: str, alpha: float,
                           adjustment: ModelSpec, forced: bool,
                           term: Term | None = None,
                           degraded: bool = False) -> FunctionDecision:
     term = term or Term.linear(variable)
-    fit_lin = fit(dataset, adjustment.with_term(term))
+    spec = adjustment.with_term(term)
+    design = Design(dataset, spec)
     pvalues: tuple[float, ...] = ()
-    include = True
     if not forced:
-        fit_null = fit(dataset, adjustment)
-        df = len(fit_lin.column_labels) - len(fit_null.column_labels)
-        p1 = deviance_test(fit_null, fit_lin, max(df, 1))
+        full = design.score(spec.terms)  # first: its errors come before the null's
+        p1, _ = design.p_value(design.score(adjustment.terms), full,
+                               len(design.term_columns[term]))
         pvalues = (p1,)
-        include = _significant(p1, alpha)
-    if include:
-        return FunctionDecision(variable, FunctionForm.LINEAR, None, pvalues,
-                                alpha, alpha, 1, None, term, fit_lin,
-                                degraded_to_linear=degraded, forced_in=forced)
-    return FunctionDecision(variable, FunctionForm.EXCLUDED, None, pvalues,
-                            alpha, alpha, 1, None, None, None,
+        if p1 > alpha:
+            return FunctionDecision(variable, FunctionForm.EXCLUDED, None, pvalues,
+                                    alpha, alpha, 1, None, None, None,
+                                    degraded_to_linear=degraded, forced_in=forced)
+    return FunctionDecision(variable, FunctionForm.LINEAR, None, pvalues,
+                            alpha, alpha, 1, None, term, design.fit(spec),
                             degraded_to_linear=degraded, forced_in=forced)
 
 
@@ -142,38 +142,42 @@ def fsp_select(dataset: Dataset, variable: str, alpha: float,
         return _linear_only_decision(dataset, variable, alpha, adjustment, force_in,
                                      degraded=True)
 
-    if pre is None:
-        pre = pretransform(x)
-    linear_term = Term.fp(variable, (1.0,), pre, center_at)
-    fit_linear = fit(dataset, adjustment.with_term(linear_term))
-    search1 = best_fp(dataset, variable, 1, adjustment, pre, center_at)
-    search2 = (best_fp(dataset, variable, 2, adjustment, pre, center_at)
-               if max_degree == 2 else None)
-    best = search1 if search2 is None else search2
+    search = FpSearch(dataset, variable, adjustment, pre, center_at)
+    design, linear = search.design, FpPowers((1.0,))
+    # The straight line is fitted only for a Linear verdict, or first when it
+    # cannot be scored, so that its fit error is raised before the FP1 search's.
+    fit_linear = search.fit(linear) if math.isinf(search.scores(1)[linear][0]) else None
+    linear_score = (search.scores(1)[linear] if fit_linear is None
+                    else (fit_linear.deviance, fit_linear.model_df))
+    fp1 = search.best(1)
+    best = search.best(2) if max_degree == 2 else fp1
+    best_score = search.scores(best.degree)[best]
 
     pvalues: list[float] = []
     if not force_in:
-        p1 = deviance_test(fit(dataset, adjustment), best.fit, dfs[0])
+        p1, _ = design.p_value(design.score(adjustment.terms), best_score, dfs[0])
         pvalues.append(p1)
-        if not _significant(p1, alpha):
+        if p1 > alpha:
             return FunctionDecision(variable, FunctionForm.EXCLUDED, None,
                                     tuple(pvalues), alpha, alpha_nl, max_degree,
-                                    pre, None, None)
+                                    search.pre, None, None)
 
-    p2 = deviance_test(fit_linear, best.fit, dfs[1])
+    p2, _ = design.p_value(linear_score, best_score, dfs[1])
     pvalues.append(p2)
-    if not _significant(p2, alpha_nl):
+    if p2 > alpha_nl:
+        fit_linear = fit_linear or search.fit(linear)
         return FunctionDecision(variable, FunctionForm.LINEAR, None,
                                 tuple(pvalues), alpha, alpha_nl, max_degree,
-                                pre, linear_term, fit_linear, forced_in=force_in)
+                                search.pre, fit_linear.spec.terms[-1], fit_linear,
+                                forced_in=force_in)
 
-    chosen, verdict = search1, FunctionForm.FP1
-    if search2 is not None:
-        p3 = deviance_test(search1.fit, search2.fit, dfs[2])
+    chosen, verdict = fp1, FunctionForm.FP1
+    if max_degree == 2:
+        p3, _ = design.p_value(search.scores(1)[fp1], best_score, dfs[2])
         pvalues.append(p3)
-        if _significant(p3, alpha_nl):
-            chosen, verdict = search2, FunctionForm.FP2
-    return FunctionDecision(variable, verdict, chosen.best_powers,
-                            tuple(pvalues), alpha, alpha_nl, max_degree,
-                            pre, chosen.fit.spec.terms[-1], chosen.fit,
+        if p3 <= alpha_nl:
+            chosen, verdict = best, FunctionForm.FP2
+    chosen_fit = search.fit(chosen)
+    return FunctionDecision(variable, verdict, chosen, tuple(pvalues), alpha, alpha_nl,
+                            max_degree, search.pre, chosen_fit.spec.terms[-1], chosen_fit,
                             forced_in=force_in)

@@ -5,6 +5,11 @@ solve (a Gaussian fit, an IRLS step) is one LAPACK Householder QR of the
 design; exactly collinear design columns are dropped left-to-right with a
 warning instead of aborting, which keeps exhaustive transformation searches
 alive when a candidate basis degenerates.
+
+Every search compares nested models through `Design`: it builds a design
+once, scores column subsets (`score_design`, whose deviance is that of the
+fit bit for bit), tests the scores (`Design.p_value`) and fits only the
+model the search returns.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri, dtrtrs
@@ -20,7 +26,7 @@ from scipy.special import fdtrc
 from .chi2 import chi2_sf
 from .data import Dataset, Family
 from .errors import DomainError, NotNestedError, RankDeficientError
-from .model import ModelSpec, design_matrix
+from .model import ModelSpec, Term, design_matrix
 
 MAX_ITER = 50
 DEVIANCE_RTOL = 1e-8
@@ -306,6 +312,46 @@ def fit(dataset: Dataset, spec: ModelSpec, max_iter: int = MAX_ITER,
     X, labels, _ = design_matrix(dataset, spec)
     result = fit_design(X, dataset.outcome, dataset.family, labels, max_iter, tol)
     return replace(result, spec=spec)
+
+
+class Design:
+    """The design of every term a search can use, built once. The design of
+    terms from it (with the spec's intercept) is a column subset equal to
+    `design_matrix` of the spec with those terms, in the given order."""
+
+    def __init__(self, dataset: Dataset, spec: ModelSpec, extra: Sequence[Term] = ()):
+        union = ModelSpec(tuple(dict.fromkeys(spec.terms + tuple(extra))), spec.intercept)
+        self.dataset = dataset
+        self.intercept = spec.intercept
+        self.X, self.labels, self.term_columns = design_matrix(dataset, union)
+
+    def _columns(self, terms: Sequence[Term]) -> list[int]:
+        cols = [0] if self.intercept else []
+        for term in terms:
+            cols.extend(self.term_columns[term])
+        if not cols:
+            raise DomainError("model spec generates no design columns")
+        return cols
+
+    def score(self, terms: Sequence[Term]) -> tuple[float, int]:
+        """(deviance, model df) of the fit of the terms, without fitting it."""
+        return score_design(self.X[:, self._columns(terms)], self.dataset.outcome,
+                            self.dataset.family)
+
+    def fit(self, spec: ModelSpec) -> FitResult:
+        cols = self._columns(spec.terms)
+        result = fit_design(self.X[:, cols], self.dataset.outcome, self.dataset.family,
+                            tuple(self.labels[c] for c in cols))
+        return replace(result, spec=spec)
+
+    def p_value(self, reduced: tuple[float, int], full: tuple[float, int],
+                df: int | None = None) -> tuple[float, int]:
+        """Likelihood-ratio p-value and df of nested (deviance, model df)
+        scores; df defaults to the difference of the model dfs, at least 1."""
+        if df is None:
+            df = max(full[1] - reduced[1], 1)
+        return deviance_p_value(self.dataset.family, self.dataset.n, reduced[0], full[0],
+                                full[1], df), df
 
 
 def deviance_lr_statistic(family: Family, n: int, deviance_reduced: float,

@@ -21,9 +21,8 @@ import numpy as np
 from .data import Dataset
 from .errors import DomainError
 from .fsp import FunctionDecision, FunctionForm, fsp_select, _linear_only_decision
-from .glm import FitResult, fit
+from .glm import Design, FitResult, fit
 from .model import Dummy, ModelSpec, Term
-from .selection import _Design
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ def removal_order(dataset: Dataset, candidates: Sequence[str],
         return ()
     config = config or MfpConfig()
     full_spec = ModelSpec(tuple(_base_term(dataset, v, config) for v in candidates))
-    design = _Design(dataset, full_spec)
+    design = Design(dataset, full_spec)
     full = design.score(full_spec.terms)
     pvalues = [design.p_value(design.score(full_spec.without_term(term).terms), full)[0]
                for term in full_spec.terms]

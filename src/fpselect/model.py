@@ -196,9 +196,6 @@ class ModelSpec:
     def without_term(self, term: Term) -> "ModelSpec":
         return ModelSpec(tuple(t for t in self.terms if t != term), self.intercept)
 
-    def without_variable(self, variable: str) -> "ModelSpec":
-        return ModelSpec(tuple(t for t in self.terms if t.variable != variable), self.intercept)
-
 
 def intercept_only() -> ModelSpec:
     return ModelSpec()

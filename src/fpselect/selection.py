@@ -8,25 +8,25 @@ AIC comparison iff its likelihood-ratio statistic exceeds 2k, i.e. iff its
 p-value is below chi2_sf(2k, k), and analogously with penalty log(n) for BIC),
 so selection under AIC/BIC is implemented through that equivalence.
 
-Each run builds the design of every term it can use once. A candidate model
-(a removal or an addition) is scored from a column subset of that design by
-`glm.score_design`, which returns its deviance and kept columns without a
-covariance or a `FitResult`; p-values come from those deviances. Only the
-start model and the models a run moves to are fitted (`fit_design`), so the
-trace equals fitting every candidate.
+Each run builds the design of every term it can use once (`glm.Design`) and
+scores each candidate model, a removal or an addition, from a column subset
+of it: deviance and kept columns, without a covariance or a `FitResult`. Only
+the start model and the models a run moves to are fitted, so the trace equals
+fitting every candidate. One elimination loop and one addition scan serve
+every procedure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .chi2 import chi2_sf
 from .data import Dataset
 from .errors import CycleDetectedError, DomainError, ExposureMissingError
-from .glm import FitResult, deviance_p_value, fit_design, score_design
-from .model import ModelSpec, Term, design_matrix
+from .glm import Design, FitResult
+from .model import ModelSpec, Term
 
 
 @dataclass(frozen=True)
@@ -103,55 +103,42 @@ class SelectionTrace:
         return tuple(dict.fromkeys(t.variable for t in self.final_spec.terms))
 
 
-class _Design:
-    """The design of every term a selection run can use, built once.
-
-    The design of terms from it (with the start spec's intercept) is the
-    intercept column and each term's block in the given order, a column
-    subset equal to `design_matrix` of the spec with those terms."""
-
-    def __init__(self, dataset: Dataset, spec: ModelSpec, extra: Sequence[Term] = ()):
-        union = ModelSpec(tuple(dict.fromkeys(spec.terms + tuple(extra))), spec.intercept)
-        self.dataset = dataset
-        self.intercept = spec.intercept
-        self.X, self.labels, self.term_columns = design_matrix(dataset, union)
-
-    def _columns(self, terms: Sequence[Term]) -> list[int]:
-        cols = [0] if self.intercept else []
-        for term in terms:
-            cols.extend(self.term_columns[term])
-        if not cols:
-            raise DomainError("model spec generates no design columns")
-        return cols
-
-    def score(self, terms: Sequence[Term]) -> tuple[float, int]:
-        """(deviance, model df) of the fit of the terms, without fitting it."""
-        return score_design(self.X[:, self._columns(terms)], self.dataset.outcome,
-                            self.dataset.family)
-
-    def fit(self, spec: ModelSpec) -> FitResult:
-        cols = self._columns(spec.terms)
-        result = fit_design(self.X[:, cols], self.dataset.outcome, self.dataset.family,
-                            tuple(self.labels[c] for c in cols))
-        return replace(result, spec=spec)
-
-    def p_value(self, reduced: tuple[float, int], full: tuple[float, int]) -> tuple[float, int]:
-        """Likelihood-ratio p-value and df of nested (deviance, model df) scores."""
-        df = max(full[1] - reduced[1], 1)
-        return deviance_p_value(self.dataset.family, self.dataset.n, reduced[0], full[0],
-                                full[1], df), df
+def _removals(design: Design, current: FitResult, spec: ModelSpec,
+              skip: Sequence[Term] = ()) -> list[tuple[float, int, Term]]:
+    """(p-value, df, term) of dropping each term of the current model not in `skip`."""
+    full = (current.deviance, current.model_df)
+    return [(*design.p_value(design.score([t for t in spec.terms if t is not term]), full), term)
+            for term in spec.terms if term not in skip]
 
 
-def _removal_pvalue(design: _Design, current: FitResult, spec: ModelSpec,
-                    term: Term) -> tuple[float, int]:
-    reduced = design.score([t for t in spec.terms if t is not term])
-    return design.p_value(reduced, (current.deviance, current.model_df))
+def _eliminate(design: Design, spec: ModelSpec, current: FitResult, criterion: Criterion,
+               steps: list[SelectionStep], protected: Sequence[Term] = ()):
+    """Drop the least significant unprotected term while it fails the
+    criterion; returns the final (spec, fit) and appends each drop to `steps`."""
+    while True:
+        worst = max(_removals(design, current, spec, protected), key=lambda r: r[0], default=None)
+        if worst is None or worst[0] <= criterion_threshold(criterion, design.dataset.n, worst[1]):
+            return spec, current
+        p, _, term = worst
+        spec = spec.without_term(term)
+        current = design.fit(spec)
+        steps.append(SelectionStep("drop", term.variable, term, p, current.deviance))
 
 
-def _addition_pvalue(design: _Design, current: FitResult, spec: ModelSpec,
-                     term: Term) -> tuple[float, int]:
-    bigger = design.score(spec.with_term(term).terms)
-    return design.p_value((current.deviance, current.model_df), bigger)
+def _add(design: Design, spec: ModelSpec, current: FitResult, candidates: Sequence[Term],
+         criterion: Criterion, steps: list[SelectionStep]):
+    """Add the most significant candidate if it passes the criterion; returns
+    the (spec, fit) after the step and appends an addition to `steps`."""
+    now = (current.deviance, current.model_df)
+    best = min([(*design.p_value(now, design.score(spec.with_term(term).terms)), term)
+                for term in candidates], key=lambda r: r[0], default=None)
+    if best is None or best[0] > criterion_threshold(criterion, design.dataset.n, best[1]):
+        return spec, current
+    p, _, term = best
+    spec = spec.with_term(term)
+    current = design.fit(spec)
+    steps.append(SelectionStep("add", term.variable, term, p, current.deviance))
+    return spec, current
 
 
 def backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
@@ -163,27 +150,10 @@ def backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
     pairs) are tested and dropped jointly. `protected` terms are never
     candidates for removal.
     """
-    design = _Design(dataset, start_spec)
-    spec = start_spec
-    current = design.fit(spec)
-    protected = tuple(protected)
+    design = Design(dataset, start_spec)
     steps: list[SelectionStep] = []
-    while True:
-        worst = None
-        for term in spec.terms:
-            if term in protected:
-                continue
-            p, df = _removal_pvalue(design, current, spec, term)
-            if worst is None or p > worst[0]:
-                worst = (p, term, df)
-        if worst is None:
-            break
-        p, term, df = worst
-        if p <= criterion_threshold(criterion, dataset.n, df):
-            break
-        spec = spec.without_term(term)
-        current = design.fit(spec)
-        steps.append(SelectionStep("drop", term.variable, term, p, current.deviance))
+    spec, current = _eliminate(design, start_spec, design.fit(start_spec), criterion, steps,
+                               tuple(protected))
     return SelectionTrace(start_spec, tuple(steps), spec, current, criterion)
 
 
@@ -197,25 +167,17 @@ def forward_select(dataset: Dataset, candidates: Sequence[Union[str, Term]],
     """Starting from the intercept-only model, repeatedly add the most
     significant remaining candidate while it passes the criterion."""
     initial = start_spec or ModelSpec()
-    spec = initial
     terms = _as_terms(candidates)
-    design = _Design(dataset, spec, terms)
-    current = design.fit(spec)
+    design = Design(dataset, initial, terms)
+    spec, current = initial, design.fit(initial)
     remaining = [t for t in terms if t not in spec.terms]
     steps: list[SelectionStep] = []
     while remaining:
-        best = None
-        for term in remaining:
-            p, df = _addition_pvalue(design, current, spec, term)
-            if best is None or p < best[0]:
-                best = (p, term, df)
-        p, term, df = best
-        if p > criterion_threshold(criterion, dataset.n, df):
+        taken = len(steps)
+        spec, current = _add(design, spec, current, remaining, criterion, steps)
+        if len(steps) == taken:
             break
-        spec = spec.with_term(term)
-        current = design.fit(spec)
-        remaining.remove(term)
-        steps.append(SelectionStep("add", term.variable, term, p, current.deviance))
+        remaining.remove(steps[-1].term)
     return SelectionTrace(initial, tuple(steps), spec, current, criterion)
 
 
@@ -236,40 +198,16 @@ def stepwise(dataset: Dataset, candidates: Sequence[Union[str, Term]],
         )
     all_terms = _as_terms(candidates)
     spec = ModelSpec()
-    design = _Design(dataset, spec, all_terms)
+    design = Design(dataset, spec, all_terms)
     current = design.fit(spec)
     steps: list[SelectionStep] = []
     for _ in range(max_iterations):
-        changed = False
-        # Forward step: best addition among candidates not in the model.
-        best = None
-        for term in all_terms:
-            if term in spec.terms:
-                continue
-            p, df = _addition_pvalue(design, current, spec, term)
-            if best is None or p < best[0]:
-                best = (p, term, df)
-        if best is not None and best[0] <= criterion_threshold(criterion_in, dataset.n, best[2]):
-            p, term, _ = best
-            spec = spec.with_term(term)
-            current = design.fit(spec)
-            steps.append(SelectionStep("add", term.variable, term, p, current.deviance))
-            changed = True
+        taken = len(steps)
+        absent = [t for t in all_terms if t not in spec.terms]
+        spec, current = _add(design, spec, current, absent, criterion_in, steps)
         # Backward re-checks until every retained term passes.
-        while True:
-            worst = None
-            for term in spec.terms:
-                p, df = _removal_pvalue(design, current, spec, term)
-                if worst is None or p > worst[0]:
-                    worst = (p, term, df)
-            if worst is None or worst[0] <= criterion_threshold(criterion_out, dataset.n, worst[2]):
-                break
-            p, term, _ = worst
-            spec = spec.without_term(term)
-            current = design.fit(spec)
-            steps.append(SelectionStep("drop", term.variable, term, p, current.deviance))
-            changed = True
-        if not changed:
+        spec, current = _eliminate(design, spec, current, criterion_out, steps)
+        if len(steps) == taken:
             return SelectionTrace(ModelSpec(), tuple(steps), spec, current, criterion_in)
     raise CycleDetectedError(f"stepwise did not settle within {max_iterations} iterations")
 
@@ -314,19 +252,15 @@ def augmented_backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
         raise ExposureMissingError(f"exposure term for {exposure_term.variable!r} not in the starting model")
     exposure_labels = exposure_term.labels()
 
-    design = _Design(dataset, start_spec)
+    design = Design(dataset, start_spec)
     spec = start_spec
     current = design.fit(spec)
     steps: list[SelectionStep] = []
     kept_as_confounder: set[Term] = set()
     while True:
-        ranked = []
-        for term in spec.terms:
-            if term == exposure_term or term in kept_as_confounder:
-                continue
-            p, _ = _removal_pvalue(design, current, spec, term)
-            if p > alpha:
-                ranked.append((p, term))
+        ranked = [(p, term) for p, _, term in
+                  _removals(design, current, spec, kept_as_confounder | {exposure_term})
+                  if p > alpha]
         ranked.sort(key=lambda item: -item[0])
         dropped = False
         # Only the change-in-estimate check needs a reduced fit: fit lazily.
@@ -368,7 +302,7 @@ def univariable_screen(dataset: Dataset, candidates: Sequence[Union[str, Term]],
     Provided for comparison purposes only; the result carries a warning note.
     """
     terms = _as_terms(candidates)
-    design = _Design(dataset, ModelSpec(), terms)
+    design = Design(dataset, ModelSpec(), terms)
     null = design.score(())
     pvals: dict[str, float] = {}
     selected: list[str] = []

@@ -30,10 +30,19 @@ from .mfp import MfpConfig, MfpResult, mfp
 # Marginal distributions (inverse-CDF interface for the copula)
 # ---------------------------------------------------------------------------
 
+def _check_marginal(name: str, values: tuple[float, ...], ok: bool, needs: str) -> None:
+    if not (ok and all(math.isfinite(v) for v in values)):
+        got = ", ".join(map(str, values))
+        raise DomainError(f"{name} marginal needs finite {needs}, got {got}")
+
+
 @dataclass(frozen=True)
 class Uniform:
     lo: float = 0.0
     hi: float = 1.0
+
+    def __post_init__(self):
+        _check_marginal("uniform", (self.lo, self.hi), self.lo < self.hi, "lo < hi")
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         return self.lo + (self.hi - self.lo) * u
@@ -48,6 +57,9 @@ class Normal:
     mu: float = 0.0
     sigma: float = 1.0
 
+    def __post_init__(self):
+        _check_marginal("normal", (self.mu, self.sigma), self.sigma > 0.0, "mu and sigma > 0")
+
     def ppf(self, u: np.ndarray) -> np.ndarray:
         return self.mu + self.sigma * ndtri(u)
 
@@ -61,6 +73,9 @@ class LogNormal:
     mu: float = 0.0
     sigma: float = 1.0
 
+    def __post_init__(self):
+        _check_marginal("lognormal", (self.mu, self.sigma), self.sigma > 0.0, "mu and sigma > 0")
+
     def ppf(self, u: np.ndarray) -> np.ndarray:
         return np.exp(self.mu + self.sigma * ndtri(u))
 
@@ -72,6 +87,9 @@ class LogNormal:
 @dataclass(frozen=True)
 class Exponential:
     rate: float = 1.0
+
+    def __post_init__(self):
+        _check_marginal("exponential", (self.rate,), self.rate > 0.0, "rate > 0")
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         return -np.log1p(-u) / self.rate

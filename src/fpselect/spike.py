@@ -8,7 +8,9 @@ this separates the qualitative exposed/unexposed contrast from the
 quantitative dose-response within the exposed. The curve is chosen by steps
 2-3 of the closed function selection test (`fsp_select` with the variable
 forced in and Z in the adjustment), so spike-at-zero and plain FP analyses
-share one implementation of that test.
+share one implementation of that test. The null, indicator-only and
+curve-only models are scored from one `glm.Design`; only the model returned
+is fitted.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .data import Dataset
 from .errors import AllZeroError, DomainError, NoSpikeError
 from .fp import FpPowers, PreTransform, pretransform
 from .fsp import FunctionForm, _linear_only_decision, fsp_degrees_of_freedom, fsp_select
-from .glm import FitResult, deviance_test, fit
+from .glm import Design, FitResult
 from .model import ModelSpec, Term
 
 
@@ -142,26 +144,25 @@ def spike_fsp(dataset: Dataset, variable: str, alpha: float,
     fp_term, powers = curve.term, curve.powers
     fp_df = 2 * powers.degree if powers else 1
 
-    fit_null = fit(dataset, adjustment)
-    fit_joint = curve.fit  # adjustment, Z and the curve
-    p_joint = deviance_test(fit_null, fit_joint, 1 + fp_df)
+    design = Design(dataset, adjustment, (z_term, fp_term))
+    joint = (curve.fit.deviance, curve.fit.model_df)
+    p_joint, _ = design.p_value(design.score(adjustment.terms), joint, 1 + fp_df)
     if p_joint > alpha:
         return SpikeDecision(variable, SpikeVerdict.NONE, curve.verdict, powers, p_joint,
                              None, None, alpha, decomp, (), None)
 
-    fit_fp_only = fit(dataset, adjustment.with_term(fp_term))
-    fit_z_only = fit(dataset, adjustment.with_term(z_term))
-    p_drop_z = deviance_test(fit_fp_only, fit_joint, 1)
-    p_drop_fp = deviance_test(fit_z_only, fit_joint, fp_df)
+    fp_only, z_only = adjustment.with_term(fp_term), adjustment.with_term(z_term)
+    p_drop_z, _ = design.p_value(design.score(fp_only.terms), joint, 1)
+    p_drop_fp, _ = design.p_value(design.score(z_only.terms), joint, fp_df)
 
     keep_z = p_drop_z <= alpha
     keep_fp = p_drop_fp <= alpha
     if keep_z and keep_fp:
-        verdict, terms, final = SpikeVerdict.Z_AND_FP, (z_term, fp_term), fit_joint
+        verdict, terms, final = SpikeVerdict.Z_AND_FP, (z_term, fp_term), curve.fit
     elif keep_z or (not keep_fp and p_drop_z < p_drop_fp):
-        verdict, terms, final = SpikeVerdict.Z_ONLY, (z_term,), fit_z_only
+        verdict, terms, final = SpikeVerdict.Z_ONLY, (z_term,), design.fit(z_only)
     else:
-        verdict, terms, final = SpikeVerdict.FP_ONLY, (fp_term,), fit_fp_only
+        verdict, terms, final = SpikeVerdict.FP_ONLY, (fp_term,), design.fit(fp_only)
     fp_kept = verdict is not SpikeVerdict.Z_ONLY
     return SpikeDecision(variable, verdict, curve.verdict if fp_kept else None,
                          powers if fp_kept else None, p_joint,

@@ -177,6 +177,18 @@ BAD_CONFIGS = {
                           "config error: line 7:"),
     "simulate_row_too_long": ("simulate", ["seed = 1", "[variables]",
                                            "x1 normal 0 linear:1 yes"], "config error: line 7:"),
+    "variable_listed_twice": ("select", ["[variables]", "a", "a"], "config error: line 7:"),
+    "outcome_listed_as_a_variable": ("mfp", ["[variables]", "a", "y"],
+                                     "config error: line 7:"),
+    "more_folds_than_rows": ("shrink", ["seed = 1", "cv = kfold:500"], "config error:"),
+    "uniform_lo_above_hi": ("simulate", ["seed = 1", "[variables]", "a uniform:3:1"],
+                            "config error: line 7:"),
+    "normal_negative_sigma": ("simulate", ["seed = 1", "[variables]", "a normal:0:-1"],
+                              "config error: line 7:"),
+    "lognormal_infinite_sigma": ("simulate", ["seed = 1", "[variables]", "a lognormal:0:inf"],
+                                 "config error: line 7:"),
+    "exponential_zero_rate": ("simulate", ["seed = 1", "[variables]", "a exponential:0"],
+                              "config error: line 7:"),
 }
 
 

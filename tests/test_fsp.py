@@ -1,13 +1,17 @@
 """Function selection procedure: verdicts, closed-test hierarchy, error control."""
 
+import dataclasses
 import importlib
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from fpselect import (Dataset, DomainError, FpPowers, FunctionForm, ModelSpec,
-                      Term, TooFewDistinctValuesError, fsp_degrees_of_freedom,
-                      fsp_select)
+from fpselect import (Dataset, DomainError, Family, FpPowers, FunctionDecision,
+                      FunctionForm, ModelSpec, PreTransform, RankDeficientError, Term,
+                      TooFewDistinctValuesError, best_fp, design_matrix, deviance_test, fit,
+                      fsp_degrees_of_freedom, fsp_select, pretransform)
 
 fsp_module = importlib.import_module("fpselect.fsp")
 
@@ -173,22 +177,23 @@ class TestEdgeCases:
 
 
 class TestForceInSkipsTheNullFit:
-    """The adjustment-only model is fitted only for the inclusion test, so a
-    forced-in variable costs one `fit` fewer; the tests it runs are the same."""
+    """The adjustment-only model is scored only for the inclusion test, so a
+    forced-in variable never scores it; the tests it runs are the same."""
 
     @staticmethod
-    def _count_fits(monkeypatch, *args, **kwargs):
-        calls = []
-        real_fit = fsp_module.fit
+    def _count_scores(monkeypatch, *args, **kwargs):
+        """The decision and the terms of every model that a `Design` scored."""
+        scored = []
+        real_score = fsp_module.Design.score
 
-        def counting_fit(dataset, spec, *a, **kw):
-            calls.append(spec)
-            return real_fit(dataset, spec, *a, **kw)
+        def counting_score(self, terms):
+            scored.append(tuple(terms))
+            return real_score(self, terms)
 
-        monkeypatch.setattr(fsp_module, "fit", counting_fit)
+        monkeypatch.setattr(fsp_module.Design, "score", counting_score)
         decision = fsp_select(*args, **kwargs)
-        monkeypatch.setattr(fsp_module, "fit", real_fit)
-        return decision, calls
+        monkeypatch.setattr(fsp_module.Design, "score", real_score)
+        return decision, scored
 
     def test_curve_search(self, monkeypatch):
         rng = np.random.default_rng(157)
@@ -198,13 +203,13 @@ class TestForceInSkipsTheNullFit:
         ds = Dataset.from_columns({"x": x, "z": z, "y": y}, outcome="y")
         adjustment = ModelSpec((Term.linear("z"),))
         for max_degree in (1, 2):
-            tested, tested_fits = self._count_fits(
+            tested, tested_scores = self._count_scores(
                 monkeypatch, ds, "x", 0.05, max_degree, adjustment)
-            forced, forced_fits = self._count_fits(
+            forced, forced_scores = self._count_scores(
                 monkeypatch, ds, "x", 0.05, max_degree, adjustment, force_in=True)
-            assert adjustment in tested_fits
-            assert adjustment not in forced_fits
-            assert len(forced_fits) == len(tested_fits) - 1
+            assert tested_scores.count(adjustment.terms) == 1
+            assert adjustment.terms not in forced_scores
+            assert len(forced_scores) == len(tested_scores) - 1
             assert tested.verdict is forced.verdict is not FunctionForm.EXCLUDED
             assert forced.step_pvalues == tested.step_pvalues[1:]
             assert forced.powers == tested.powers
@@ -214,9 +219,172 @@ class TestForceInSkipsTheNullFit:
         rng = np.random.default_rng(163)
         x = rng.choice([1.0, 2.0, 3.0], size=200)
         ds = gaussian_dataset(x, 0.8 * x + rng.normal(size=200))
-        tested, tested_fits = self._count_fits(monkeypatch, ds, "x", 0.05)
-        forced, forced_fits = self._count_fits(monkeypatch, ds, "x", 0.05, force_in=True)
-        assert len(tested_fits) == 2 and len(forced_fits) == 1
+        tested, tested_scores = self._count_scores(monkeypatch, ds, "x", 0.05)
+        forced, forced_scores = self._count_scores(monkeypatch, ds, "x", 0.05, force_in=True)
+        # The test scores the linear and the adjustment-only model; forced in,
+        # the linear model is only fitted.
+        assert tested_scores == [(Term.linear("x"),), ()] and forced_scores == []
         assert tested.verdict is forced.verdict is FunctionForm.LINEAR
         assert forced.step_pvalues == ()
         assert forced.fit.deviance == tested.fit.deviance
+
+
+def _former_fsp_select(dataset, variable, alpha, max_degree=2, adjustment=None,
+                       alpha_nonlinear=None, force_in=False, pre=None, center_at=None):
+    """fsp_select as it was: every model of the closed test fitted with `fit`
+    or `best_fp`, and the fits compared with `deviance_test`."""
+    alpha_nl = alpha if alpha_nonlinear is None else alpha_nonlinear
+    dfs = fsp_degrees_of_freedom(max_degree)
+    adjustment = adjustment or ModelSpec()
+    x = dataset.column(variable)
+    if np.unique(x).size < 5:
+        term = Term.linear(variable)
+        fit_lin = fit(dataset, adjustment.with_term(term))
+        pvalues, include = (), True
+        if not force_in:
+            fit_null = fit(dataset, adjustment)
+            df = len(fit_lin.column_labels) - len(fit_null.column_labels)
+            pvalues = (deviance_test(fit_null, fit_lin, max(df, 1)),)
+            include = pvalues[0] <= alpha
+        if include:
+            return FunctionDecision(variable, FunctionForm.LINEAR, None, pvalues, alpha, alpha,
+                                    1, None, term, fit_lin, degraded_to_linear=True,
+                                    forced_in=force_in)
+        return FunctionDecision(variable, FunctionForm.EXCLUDED, None, pvalues, alpha, alpha,
+                                1, None, None, None, degraded_to_linear=True,
+                                forced_in=force_in)
+    if pre is None:
+        pre = pretransform(x)
+    linear_term = Term.fp(variable, (1.0,), pre, center_at)
+    fit_linear = fit(dataset, adjustment.with_term(linear_term))
+    search1 = best_fp(dataset, variable, 1, adjustment, pre, center_at)
+    search2 = (best_fp(dataset, variable, 2, adjustment, pre, center_at)
+               if max_degree == 2 else None)
+    best = search1 if search2 is None else search2
+    pvalues = []
+    if not force_in:
+        pvalues.append(deviance_test(fit(dataset, adjustment), best.fit, dfs[0]))
+        if pvalues[-1] > alpha:
+            return FunctionDecision(variable, FunctionForm.EXCLUDED, None, tuple(pvalues),
+                                    alpha, alpha_nl, max_degree, pre, None, None)
+    pvalues.append(deviance_test(fit_linear, best.fit, dfs[1]))
+    if pvalues[-1] > alpha_nl:
+        return FunctionDecision(variable, FunctionForm.LINEAR, None, tuple(pvalues), alpha,
+                                alpha_nl, max_degree, pre, linear_term, fit_linear,
+                                forced_in=force_in)
+    chosen, verdict = search1, FunctionForm.FP1
+    if search2 is not None:
+        pvalues.append(deviance_test(search1.fit, search2.fit, dfs[2]))
+        if pvalues[-1] <= alpha_nl:
+            chosen, verdict = search2, FunctionForm.FP2
+    return FunctionDecision(variable, verdict, chosen.best_powers, tuple(pvalues), alpha,
+                            alpha_nl, max_degree, pre, chosen.fit.spec.terms[-1], chosen.fit,
+                            forced_in=force_in)
+
+
+def _assert_same_decision(new, old, label):
+    """Every field equal; floats and arrays bit for bit."""
+    for field in dataclasses.fields(FunctionDecision):
+        a, b = getattr(new, field.name), getattr(old, field.name)
+        if field.name != "fit" or a is None or b is None:
+            assert a == b, (label, field.name)
+            continue
+        for fit_field in dataclasses.fields(a):
+            u, v = getattr(a, fit_field.name), getattr(b, fit_field.name)
+            if isinstance(u, np.ndarray):
+                assert u.shape == v.shape and u.tobytes() == v.tobytes(), (label, fit_field.name)
+            else:
+                assert u == v, (label, fit_field.name)
+
+
+def _reference_cases():
+    """Datasets of both families with no, linear, logarithmic and wavy
+    effects; closed tests with and without an adjustment and forced in or not,
+    at both maximum degrees, a user pre-transformation with centring, and
+    variables with too few distinct values."""
+    rng = np.random.default_rng(509)
+    n = 200
+    effects = {"none": lambda x: 0.0 * x, "linear": lambda x: 0.8 * x,
+               "log": lambda x: 1.2 * np.log(x), "wavy": lambda x: 2.0 / x + 0.9 * x}
+    for family in (Family.GAUSSIAN, Family.BINOMIAL):
+        for name, effect in effects.items():
+            x = rng.uniform(0.2, 4.0, n)
+            w = rng.standard_normal(n)
+            d = rng.choice([1.0, 2.0, 3.0], n)
+            eta = effect(x) + 0.5 * w + 0.3 * d
+            if family is Family.GAUSSIAN:
+                y = eta + rng.normal(scale=0.5, size=n)
+            else:
+                y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(eta - eta.mean())))).astype(float)
+            ds = Dataset.from_columns({"x": x, "w": w, "d": d, "y": y}, outcome="y",
+                                      family=family)
+            for adjustment in (None, ModelSpec((Term.linear("w"),))):
+                for max_degree in (1, 2):
+                    for force_in in (False, True):
+                        label = f"{family.value} {name} {adjustment} {max_degree} {force_in}"
+                        yield label, ds, "x", dict(max_degree=max_degree, adjustment=adjustment,
+                                                   force_in=force_in)
+                        yield label + " pre", ds, "x", dict(
+                            max_degree=max_degree, adjustment=adjustment, force_in=force_in,
+                            alpha_nonlinear=0.2, pre=PreTransform(1.0, 2.0), center_at=1.1)
+                forced = dict(adjustment=adjustment, force_in=True)
+                yield f"{family.value} {name} {adjustment} degraded", ds, "d", forced
+                yield f"{family.value} {name} {adjustment} degraded tested", ds, "d", dict(
+                    forced, force_in=False)
+
+
+class TestMatchesFittingEveryModel:
+    """fsp_select scores the null, linear, FP1 and FP2 models and fits only
+    the verdict's; every field of its decision equals that of the former
+    closed test, which fitted each model, bit for bit."""
+
+    def test_every_field_identical(self):
+        verdicts = set()
+        for label, ds, variable, kwargs in _reference_cases():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                new = fsp_select(ds, variable, 0.05, **kwargs)
+                old = _former_fsp_select(ds, variable, 0.05, **kwargs)
+            _assert_same_decision(new, old, label)
+            verdicts.add((new.verdict, new.degraded_to_linear))
+        assert {v for v, degraded in verdicts if not degraded} == set(FunctionForm)
+        assert {v for v, degraded in verdicts if degraded} == {FunctionForm.EXCLUDED,
+                                                              FunctionForm.LINEAR}
+
+    def test_one_adjustment_design_per_call(self, monkeypatch):
+        built = []
+        real = design_matrix
+
+        def counting(dataset, spec):
+            built.append(spec)
+            return real(dataset, spec)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fpselect.") and getattr(module, "design_matrix", None) is real:
+                monkeypatch.setattr(module, "design_matrix", counting)
+        calls = 0
+        for label, ds, variable, kwargs in _reference_cases():
+            if variable == "d":
+                continue
+            built.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                fsp_select(ds, variable, 0.05, **kwargs)
+            assert built == [kwargs["adjustment"] or ModelSpec()], label
+            calls += 1
+        assert calls > 0
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=lambda f: f.value)
+    @pytest.mark.parametrize("force_in", [False, True])
+    def test_unfittable_line_raises_its_own_error_first(self, family, force_in):
+        # Five observations and five coefficients: the straight line cannot
+        # be fitted and neither can any FP1; the line's error comes first.
+        y = [0.3, -1.0, 2.0, 0.5, 1.1] if family is Family.GAUSSIAN else [0, 1, 0, 1, 1]
+        ds = Dataset.from_columns({"x": [1.0, 2.0, 3.0, 4.0, 5.0], "a": [1.0, 0.5, 2.0, 3.0, 0.1],
+                                   "b": [0.3, 0.2, 0.9, 0.4, 0.5], "c": [2.0, 1.0, 0.0, 1.0, 5.0],
+                                   "y": y}, outcome="y", family=family)
+        adjustment = ModelSpec((Term.linear("a"), Term.linear("b"), Term.linear("c")))
+        for select in (fsp_select, _former_fsp_select):
+            with pytest.raises(RankDeficientError) as raised:
+                select(ds, "x", 0.05, 2, adjustment, force_in=force_in)
+            assert str(raised.value) == "5 observations cannot identify 5 coefficients"

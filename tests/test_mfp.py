@@ -95,13 +95,13 @@ class TestRemovalOrderMatchesFitLoop:
     def test_same_order_and_pvalues(self, monkeypatch):
         recorded = []
 
-        class RecordingDesign(mfp_module._Design):
-            def p_value(self, reduced, full):
-                result = super().p_value(reduced, full)
+        class RecordingDesign(mfp_module.Design):
+            def p_value(self, reduced, full, df=None):
+                result = super().p_value(reduced, full, df)
                 recorded.append(result[0])
                 return result
 
-        monkeypatch.setattr(mfp_module, "_Design", RecordingDesign)
+        monkeypatch.setattr(mfp_module, "Design", RecordingDesign)
         for ds, candidates, config in self._cases():
             recorded.clear()
             order = removal_order(ds, candidates, config)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fpselect import selection
+from fpselect import glm
 from fpselect import (Criterion, CycleDetectedError, Dataset, DomainError,
                       ExposureMissingError, Family, ModelSpec, RankDeficientError, Term,
                       augmented_backward_eliminate, backward_eliminate,
@@ -543,8 +543,8 @@ class TestScoreThenFit:
             fits.append(args[3])
             return fit_design(*args, **kwargs)
 
-        fit_design = selection.fit_design
-        monkeypatch.setattr(selection, "fit_design", counting)
+        fit_design = glm.fit_design
+        monkeypatch.setattr(glm, "fit_design", counting)
         ds, terms = _mixed_dataset(307, family)
         for run in (lambda: backward_eliminate(ds, ModelSpec(terms), Criterion.aic()),
                     lambda: forward_select(ds, terms, Criterion.aic()),

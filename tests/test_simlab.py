@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fpselect import Criterion, pretransform
+from fpselect import Criterion, DomainError, pretransform
 from fpselect import simlab
 
 
@@ -56,3 +56,25 @@ class TestShapeDistance:
         effect = simlab.Effect("x", "linear", 1.0)
         assert (simlab._shape_distance(x, effect, None)
                 != simlab._shape_distance(x[x > 0.0], effect, None))
+
+
+class TestMarginalParameters:
+    @pytest.mark.parametrize("marginal, args", [
+        (simlab.Uniform, (3.0, 1.0)), (simlab.Uniform, (1.0, 1.0)),
+        (simlab.Uniform, (0.0, math.inf)), (simlab.Uniform, (math.nan, 1.0)),
+        (simlab.Normal, (0.0, -1.0)), (simlab.Normal, (0.0, 0.0)),
+        (simlab.Normal, (math.nan, 1.0)), (simlab.Normal, (0.0, math.inf)),
+        (simlab.LogNormal, (0.0, -1.0)), (simlab.LogNormal, (-math.inf, 1.0)),
+        (simlab.Exponential, (0.0,)), (simlab.Exponential, (-2.0,)),
+        (simlab.Exponential, (math.inf,)),
+    ], ids=lambda v: str(v) if isinstance(v, tuple) else v.__name__)
+    def test_bad_parameters_rejected(self, marginal, args):
+        with pytest.raises(DomainError, match="marginal needs finite"):
+            marginal(*args)
+
+    @pytest.mark.parametrize("marginal", [simlab.Uniform(-1.0, 2.0), simlab.Normal(3.0, 0.5),
+                                          simlab.LogNormal(-1.0, 2.0), simlab.Exponential(4.0)],
+                             ids=lambda m: type(m).__name__)
+    def test_valid_parameters_accepted(self, marginal):
+        u = np.array([0.1, 0.5, 0.9])
+        assert np.all(np.diff(marginal.ppf(u)) > 0.0)
