@@ -22,8 +22,7 @@ from .fsp import FunctionDecision, FunctionForm, fsp_degrees_of_freedom, fsp_sel
 from .glm import FitResult, deviance_test, fit, lr_statistic
 from .mfp import MfpConfig, MfpResult, mfp, removal_order
 from .model import (Categorical, Dummy, Fp, Indicator, Linear, ModelSpec,
-                    OrdinalScores, Term, design_matrix, intercept_only,
-                    linear_spec)
+                    OrdinalScores, Term, design_matrix)
 from .resample import (BifSelection, ResamplePlan, StabilityReport, bif_select,
                        stability)
 from .selection import (Criterion, ScreenResult, SelectionStep, SelectionTrace,
@@ -33,10 +32,9 @@ from .selection import (Criterion, ScreenResult, SelectionStep, SelectionTrace,
 from .shrinkage import (KFold, LeaveOneOut, ShrinkageFactors, default_cv_scheme,
                         global_shrinkage, joint_shrinkage,
                         parameterwise_shrinkage)
-from .simlab import (Covariate, Effect, EvaluationReport, Exponential,
-                     FitSummary, LogNormal, Normal, Scenario, Uniform,
-                     be_procedure, best_subset, evaluate, generate,
-                     mfp_procedure, oracle_procedure)
+from .simlab import (Covariate, Effect, EvaluationReport, Exponential, LogNormal,
+                     Normal, Scenario, Uniform, be_procedure, evaluate, generate,
+                     mfp_procedure)
 from .spike import (SpikeDecision, SpikeDecomposition, SpikeVerdict,
                     spike_decompose, spike_fsp)
 

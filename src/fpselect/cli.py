@@ -47,6 +47,9 @@ schema:
   fit, select, mfp, stability, shrink:
     name [degree [force_in [spike [categorical]]]]
     degree 1 | 2 (2); force_in, spike, categorical yes | no (no)
+    mfp reads every column, stability with selector = mfp all but spike,
+    and the others only name; a column a subcommand does not read must
+    keep its default
   simulate:
     name [marginal [spike_prob [effect]]]
     marginal   normal[:mu:sigma] | uniform:lo:hi | lognormal[:mu:sigma]
@@ -75,7 +78,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -479,18 +482,25 @@ def _trace_block(trace: SelectionTrace) -> list[dict]:
 # Pipelines
 # ---------------------------------------------------------------------------
 
-def _data_and_variables(config: AnalysisConfig):
+def _data_and_variables(config: AnalysisConfig, honoured: Sequence[str] = ()):
     """Load the configured CSV; returns the dataset, the candidate variables
-    and the report's data block."""
+    and the report's data block. A [variables] column after `name` that is
+    not `honoured` must keep its default."""
     path = config.require("data")
     outcome = config.require("outcome")
     variables = _read_rows(config, _DATA_ROW, _data_variable)
+    columns = zip((c.strip("[]") for c in _DATA_ROW.split()[1:]), fields(VariableConfig)[1:])
+    ignored = [(column, f) for column, f in columns if column not in honoured]
     seen = {outcome}
     for (line_no, _), variable in zip(config.rows, variables):
         if variable.name in seen:
             what = "is the outcome" if variable.name == outcome else "is listed twice"
             raise ConfigError(f"line {line_no}: variable {variable.name!r} {what}")
         seen.add(variable.name)
+        for column, f in ignored:
+            if getattr(variable, f.name) != f.default:
+                raise ConfigError(f"line {line_no}: this analysis does not use column "
+                                  f"{column!r}; leave it at its default")
     used = [outcome] + [v.name for v in variables] if variables else None
     dataset, n_dropped = load_dataset(path, outcome, config.family, used)
     if not variables:
@@ -568,7 +578,8 @@ def _procedure(config: AnalysisConfig, key: str,
 
 
 def run_mfp(config: AnalysisConfig) -> dict:
-    dataset, variables, data = _data_and_variables(config)
+    dataset, variables, data = _data_and_variables(
+        config, ("degree", "force_in", "spike", "categorical"))
     spike_vars = [v for v in variables if v.spike]
     plain_vars = [v for v in variables if not v.spike]
     if not plain_vars:
@@ -617,14 +628,16 @@ def run_mfp(config: AnalysisConfig) -> dict:
 
 
 def run_stability(config: AnalysisConfig) -> dict:
-    dataset, variables, data = _data_and_variables(config)
+    mfp_selector = config.get("selector", "be").lower() == "mfp"
+    dataset, variables, data = _data_and_variables(
+        config, ("degree", "force_in", "categorical") if mfp_selector else ())
     plan = config.resample_plan()
     selector_kind, procedure = _procedure(config, "selector", variables)
     threshold = config.get_float("bif_threshold", 0.5)
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"bif_threshold must be in [0, 1], got {threshold}")
     names = [v.name for v in variables]
-    report_obj = stability(dataset, lambda d: procedure(d).selected, plan, candidates=names)
+    report_obj = stability(dataset, lambda d: procedure(d).spec.variables, plan, candidates=names)
     picked = bif_select(report_obj, threshold)
     return {
         "data": data,

@@ -30,8 +30,8 @@ class MfpConfig:
     """Tuning knobs for a multivariable run.
 
     `max_degree` may be a single int or a per-variable mapping. Variables in
-    `binary` get a plain 1-d.f. inclusion test; variables in `categorical`
-    enter as a jointly tested dummy block over their distinct values.
+    `categorical` enter as a jointly tested dummy block over their distinct
+    values.
     `force_in` variables skip the inclusion test entirely and so are always
     retained.
     """
@@ -40,7 +40,6 @@ class MfpConfig:
     alpha_fp: float = 0.05
     max_degree: int | Mapping[str, int] = 2
     force_in: frozenset[str] = frozenset()
-    binary: frozenset[str] = frozenset()
     categorical: frozenset[str] = frozenset()
     max_cycles: int = 5
 
@@ -51,7 +50,6 @@ class MfpConfig:
         if self.max_cycles < 1:
             raise DomainError("max_cycles must be >= 1")
         object.__setattr__(self, "force_in", frozenset(self.force_in))
-        object.__setattr__(self, "binary", frozenset(self.binary))
         object.__setattr__(self, "categorical", frozenset(self.categorical))
 
     def degree_for(self, variable: str) -> int:
@@ -107,7 +105,7 @@ def removal_order(dataset: Dataset, candidates: Sequence[str],
 def _decide(dataset: Dataset, variable: str, adjustment: ModelSpec,
             config: MfpConfig) -> FunctionDecision:
     forced = variable in config.force_in
-    if variable in config.categorical or variable in config.binary:
+    if variable in config.categorical:
         return _linear_only_decision(dataset, variable, config.alpha_select,
                                      adjustment, forced,
                                      term=_base_term(dataset, variable, config))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -195,14 +195,6 @@ class ModelSpec:
 
     def without_term(self, term: Term) -> "ModelSpec":
         return ModelSpec(tuple(t for t in self.terms if t != term), self.intercept)
-
-
-def intercept_only() -> ModelSpec:
-    return ModelSpec()
-
-
-def linear_spec(variables: Sequence[str], intercept: bool = True) -> ModelSpec:
-    return ModelSpec(tuple(Term.linear(v) for v in variables), intercept)
 
 
 def design_matrix(dataset: Dataset, spec: ModelSpec):

@@ -158,7 +158,8 @@ def backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
 
 
 def _as_terms(candidates: Sequence[Union[str, Term]]) -> tuple[Term, ...]:
-    return tuple(c if isinstance(c, Term) else Term.linear(c) for c in candidates)
+    return tuple(dict.fromkeys(c if isinstance(c, Term) else Term.linear(c)
+                               for c in candidates))
 
 
 def forward_select(dataset: Dataset, candidates: Sequence[Union[str, Term]],

@@ -1,23 +1,24 @@
 """Post-selection shrinkage factors via cross-validated calibration.
 
-Out-of-fold contributions of the model terms are pooled and the outcome is
-regressed on them (in the model family, with a free intercept); the fitted
-slopes are the shrinkage factors. One slope on the whole linear predictor
-gives the global factor, one per design column the parameterwise factors, and
-one per column group the joint factors, so the three modes coincide exactly
-when their groupings coincide. Components are mean-centered before
-calibration so the intercept absorbs location.
+Each mode names groups of design columns: one group of every column (global),
+one group per column (parameterwise), one group per term or per given set of
+terms (joint). One calibration then sums each group's out-of-fold
+contributions into a regressor and regresses the outcome on them (in the model
+family, with a free intercept); the fitted slopes are the shrinkage factors,
+so the three modes coincide exactly when their groupings coincide. Components
+are mean-centered before calibration so the intercept absorbs location.
+Global shrinkage with `reselect` re-selects the model inside every training
+fold and calibrates on the folds' own out-of-fold predictors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, Family
+from .data import Dataset
 from .errors import (CollinearComponentsError, DomainError, FoldFitFailureError,
                      ModelBuildError)
 from .glm import FitResult, fit, fit_design
@@ -138,6 +139,17 @@ def _calibrate(dataset: Dataset, regressors: np.ndarray, group_labels: Sequence[
     )
 
 
+def _grouped(dataset: Dataset, spec: ModelSpec, cv: CvScheme, mode: str,
+             groups: dict[str, tuple[str, ...]]) -> ShrinkageFactors:
+    """One calibration slope per group of design columns; a group's regressor
+    is the sum of its columns' out-of-fold contributions."""
+    C, labels = _out_of_fold_components(dataset, spec, cv)
+    # `take` keeps each row contiguous, so a group of every column sums as C.sum(axis=1)
+    R = np.column_stack([C.take([labels.index(lab) for lab in columns], axis=1).sum(axis=1)
+                         for columns in groups.values()])
+    return _calibrate(dataset, R, tuple(groups), mode, groups, cv)
+
+
 def global_shrinkage(dataset: Dataset, spec: ModelSpec,
                      cv: CvScheme | None = None,
                      reselect: Callable[[Dataset], ModelSpec] | None = None) -> ShrinkageFactors:
@@ -148,40 +160,30 @@ def global_shrinkage(dataset: Dataset, spec: ModelSpec,
     selection uncertainty and is the honest (and costly) variant.
     """
     cv = cv or default_cv_scheme(dataset.n)
+    groups = {"global": tuple(lab for t in spec.terms for lab in t.labels())}
     if reselect is None:
-        C, labels = _out_of_fold_components(dataset, spec, cv)
-        eta = C.sum(axis=1)
-        groups = {"global": labels}
-    else:
-        eta = np.zeros(dataset.n)
-        for fold_id, (train, test) in enumerate(cv.folds(dataset.n)):
-            train_data = dataset.take_rows(train)
-            try:
-                fold_spec = reselect(train_data)
-                fold_fit = fit(train_data, fold_spec)
-            except ModelBuildError as exc:
-                raise FoldFitFailureError(fold_id, exc) from exc
-            X_test, fold_labels, _ = design_matrix(dataset.take_rows(test), fold_spec)
-            keep = [j for j, lab in enumerate(fold_labels) if lab != "(intercept)"]
-            if keep:
-                eta[test] = X_test[:, keep] @ fold_fit.coefficients[keep]
-        groups = {"global": tuple(
-            lab for lab in _non_intercept_labels(dataset, spec))}
+        return _grouped(dataset, spec, cv, "global", groups)
+    eta = np.zeros(dataset.n)
+    for fold_id, (train, test) in enumerate(cv.folds(dataset.n)):
+        train_data = dataset.take_rows(train)
+        try:
+            fold_spec = reselect(train_data)
+            fold_fit = fit(train_data, fold_spec)
+        except ModelBuildError as exc:
+            raise FoldFitFailureError(fold_id, exc) from exc
+        X_test, fold_labels, _ = design_matrix(dataset.take_rows(test), fold_spec)
+        keep = [j for j, lab in enumerate(fold_labels) if lab != "(intercept)"]
+        if keep:
+            eta[test] = X_test[:, keep] @ fold_fit.coefficients[keep]
     return _calibrate(dataset, eta[:, None], ("global",), "global", groups, cv)
-
-
-def _non_intercept_labels(dataset: Dataset, spec: ModelSpec) -> tuple[str, ...]:
-    _, labels, _ = design_matrix(dataset, spec)
-    return tuple(lab for lab in labels if lab != "(intercept)")
 
 
 def parameterwise_shrinkage(dataset: Dataset, spec: ModelSpec,
                             cv: CvScheme | None = None) -> ShrinkageFactors:
     """One calibration slope per design column."""
     cv = cv or default_cv_scheme(dataset.n)
-    C, labels = _out_of_fold_components(dataset, spec, cv)
-    groups = {lab: (lab,) for lab in labels}
-    return _calibrate(dataset, C, labels, "parameterwise", groups, cv)
+    groups = {lab: (lab,) for t in spec.terms for lab in t.labels()}
+    return _grouped(dataset, spec, cv, "parameterwise", groups)
 
 
 def joint_shrinkage(dataset: Dataset, spec: ModelSpec,
@@ -201,14 +203,5 @@ def joint_shrinkage(dataset: Dataset, spec: ModelSpec,
         flat = [t for g in term_groups for t in g]
         if sorted(flat, key=spec.terms.index) != list(spec.terms) or len(set(flat)) != len(flat):
             raise DomainError("groups must partition the spec's terms")
-    C, labels = _out_of_fold_components(dataset, spec, cv)
-    group_names: list[str] = []
-    group_cols: dict[str, tuple[str, ...]] = {}
-    R = np.zeros((dataset.n, len(term_groups)))
-    for gi, terms in enumerate(term_groups):
-        cols = [labels.index(lab) for t in terms for lab in t.labels()]
-        name = "+".join(lab for t in terms for lab in t.labels())
-        group_names.append(name)
-        group_cols[name] = tuple(labels[c] for c in cols)
-        R[:, gi] = C[:, cols].sum(axis=1)
-    return _calibrate(dataset, R, tuple(group_names), "joint", group_cols, cv)
+    columns = [tuple(lab for t in terms for lab in t.labels()) for terms in term_groups]
+    return _grouped(dataset, spec, cv, "joint", {"+".join(cols): cols for cols in columns})

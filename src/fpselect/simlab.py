@@ -1,8 +1,10 @@
 """Scenario generator and scoring harness for selection procedures.
 
 Datasets with known truth are generated from a Gaussian copula over arbitrary
-marginals, optionally with spike-at-zero mass, and procedures are scored on
-correct inclusion/exclusion, the shape distance between fitted and true
+marginals, optionally with spike-at-zero mass. A procedure maps a dataset to
+the fit of the model it selected (`be_procedure` and `mfp_procedure` wrap
+backward elimination and MFP), and that fit's spec and coefficients are scored
+on correct inclusion/exclusion, the shape distance between fitted and true
 per-variable curves, and coefficient error, all with Monte-Carlo standard
 errors. Every number is a deterministic function of (scenario, replications,
 procedure configuration).
@@ -10,20 +12,19 @@ procedure configuration).
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .data import Dataset, Family
 from .errors import DomainError, InvalidCorrelationError, ModelBuildError
-from .glm import FitResult, fit
+from .glm import FitResult
 from .model import Fp, Linear, ModelSpec, Term
-from .selection import Criterion, SelectionTrace, backward_eliminate
-from .mfp import MfpConfig, MfpResult, mfp
+from .selection import Criterion, backward_eliminate
+from .mfp import MfpConfig, mfp
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +136,6 @@ class Effect:
         else:
             base = (x > self.param).astype(float)
         return self.coefficient * base
-
-    def model_term(self) -> Term | None:
-        """The correctly specified model term, for oracle fitting."""
-        if self.form == "null":
-            return None
-        if self.form == "linear":
-            return Term.linear(self.variable)
-        if self.form == "log":
-            return Term.fp(self.variable, (0.0,))
-        if self.form == "power":
-            return Term.fp(self.variable, (self.param,))
-        return Term.indicator(self.variable, self.param)
 
 
 @dataclass(frozen=True)
@@ -268,61 +257,17 @@ def generate(scenario: Scenario, replication: int = 0) -> Dataset:
 # Procedure protocol and adapters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FitSummary:
-    """What a procedure must report to be scored."""
-
-    selected: frozenset[str]
-    curves: Mapping[str, Callable[[np.ndarray], np.ndarray]] | None = None
-    linear_coefficients: Mapping[str, float] | None = None
-
-
-Procedure = Callable[[Dataset], FitSummary]
-
-
-def component_curve(fitted: FitResult, term: Term) -> Callable[[np.ndarray], np.ndarray]:
-    coefs = [fitted.coefficient(lab) for lab in term.labels()]
-
-    def curve(x: np.ndarray) -> np.ndarray:
-        cols = term.transform.columns(np.asarray(x, dtype=float))
-        return sum(c * col for c, col in zip(coefs, cols))
-
-    return curve
-
-
-def _summary_from_fit(fitted: FitResult) -> FitSummary:
-    curves = {}
-    linear = {}
-    for term in fitted.spec.terms:
-        prior = curves.get(term.variable)
-        extra = component_curve(fitted, term)
-        if prior is None:
-            curves[term.variable] = extra
-        else:  # several terms of one variable add up (spike models)
-            curves[term.variable] = lambda x, a=prior, b=extra: a(x) + b(x)
-        transform = term.transform
-        if isinstance(transform, Linear):
-            linear[term.variable] = fitted.coefficient(term.labels()[0])
-        elif isinstance(transform, Fp) and transform.powers.values == (1.0,):
-            # FP1 with power 1 is a straight line on the pre-transformed
-            # scale z = (x + shift) / scale; its slope in x is beta / scale.
-            linear[term.variable] = fitted.coefficient(term.labels()[0]) / transform.scale
-    return FitSummary(
-        selected=frozenset(t.variable for t in fitted.spec.terms),
-        curves=curves,
-        linear_coefficients=linear,
-    )
+Procedure = Callable[[Dataset], FitResult]
 
 
 def be_procedure(criterion: Criterion,
                  candidates: Sequence[str] | None = None) -> Procedure:
     """Backward elimination from the all-linear full model."""
 
-    def run(dataset: Dataset) -> FitSummary:
+    def run(dataset: Dataset) -> FitResult:
         names = tuple(candidates) if candidates is not None else dataset.candidate_names
         start = ModelSpec(tuple(Term.linear(v) for v in names))
-        trace = backward_eliminate(dataset, start, criterion)
-        return _summary_from_fit(trace.final_fit)
+        return backward_eliminate(dataset, start, criterion).final_fit
 
     return run
 
@@ -331,21 +276,9 @@ def mfp_procedure(config: MfpConfig | None = None,
                   candidates: Sequence[str] | None = None) -> Procedure:
     """Combined variable and function selection."""
 
-    def run(dataset: Dataset) -> FitSummary:
+    def run(dataset: Dataset) -> FitResult:
         names = tuple(candidates) if candidates is not None else dataset.candidate_names
-        result = mfp(dataset, names, config)
-        return _summary_from_fit(result.fit)
-
-    return run
-
-
-def oracle_procedure(scenario: Scenario) -> Procedure:
-    """Fits the correctly specified model; benchmark upper bound."""
-
-    def run(dataset: Dataset) -> FitSummary:
-        terms = tuple(t for t in (e.model_term() for e in scenario.effects) if t is not None)
-        fitted = fit(dataset, ModelSpec(terms))
-        return _summary_from_fit(fitted)
+        return mfp(dataset, names, config).fit
 
     return run
 
@@ -381,6 +314,38 @@ def _shape_distance(x: np.ndarray, true_effect: Effect,
     else:
         fhat = fitted_curve(grid) - fitted_curve(anchor)
     return float(np.mean((fhat - truth) ** 2))
+
+
+def _fitted_curve(fitted: FitResult, variable: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The variable's fitted contribution to the linear predictor: each term's
+    columns times their coefficients, added term by term (a spike variable
+    has two terms)."""
+    terms = [(t, [fitted.coefficient(lab) for lab in t.labels()])
+             for t in fitted.spec.terms if t.variable == variable]
+
+    def curve(x: np.ndarray) -> np.ndarray:
+        first, *rest = [sum(c * col for c, col in zip(coefs, term.transform.columns(x)))
+                        for term, coefs in terms]
+        return sum(rest, first)
+
+    return curve
+
+
+def _linear_slope(fitted: FitResult, variable: str) -> float:
+    """The variable's fitted slope on its original scale when it enters as a
+    straight line, else 0."""
+    slope = 0.0
+    for term in fitted.spec.terms:
+        if term.variable != variable:
+            continue
+        transform = term.transform
+        if isinstance(transform, Linear):
+            slope = fitted.coefficient(term.labels()[0])
+        elif isinstance(transform, Fp) and transform.powers.values == (1.0,):
+            # FP1 with power 1 is a straight line on the pre-transformed
+            # scale z = (x + shift) / scale; its slope in x is beta / scale.
+            slope = fitted.coefficient(term.labels()[0]) / transform.scale
+    return slope
 
 
 @dataclass(frozen=True)
@@ -427,21 +392,20 @@ def evaluate(procedure: Procedure, scenario: Scenario,
     for r in range(replications):
         dataset = generate(scenario, replication=r)
         try:
-            summary = procedure(dataset)
+            fitted = procedure(dataset)
         except ModelBuildError:
             n_failed += 1
             continue
         for v in names:
             effect = scenario.true_effect(v)
             truly_in = effect.form != "null" and effect.coefficient != 0.0
-            is_in = v in summary.selected
+            is_in = fitted.spec.has_variable(v)
             included[v].append(1.0 if is_in else 0.0)
             correct[v].append(1.0 if is_in == truly_in else 0.0)
-            curve = (summary.curves or {}).get(v) if is_in else None
+            curve = _fitted_curve(fitted, v) if is_in else None
             shape[v].append(_shape_distance(dataset.column(v), effect, curve))
-            if effect.form == "linear" and summary.linear_coefficients is not None:
-                fitted_coef = summary.linear_coefficients.get(v, 0.0) if is_in else 0.0
-                sq_errors.append((fitted_coef - effect.coefficient) ** 2)
+            if effect.form == "linear":
+                sq_errors.append((_linear_slope(fitted, v) - effect.coefficient) ** 2)
     n_ok = replications - n_failed
     if n_ok == 0:
         raise ModelBuildError("every replication failed")
@@ -467,31 +431,3 @@ def evaluate(procedure: Procedure, scenario: Scenario,
         coefficient_rmse=rmse,
     )
 
-
-# ---------------------------------------------------------------------------
-# Exhaustive best-subset search (internal oracle for small problems)
-# ---------------------------------------------------------------------------
-
-def best_subset(dataset: Dataset, candidates: Sequence[str],
-                criterion: Criterion, max_candidates: int = 12) -> tuple[str, ...]:
-    """Minimum-information-criterion subset by full enumeration.
-
-    Test oracle only: exponential cost, capped at `max_candidates` variables.
-    AIC and BIC are supported; ties go to the smaller model, then to
-    enumeration order.
-    """
-    names = tuple(candidates)
-    if len(names) > max_candidates:
-        raise DomainError(f"best-subset enumeration capped at {max_candidates} candidates")
-    if criterion.kind == "pvalue":
-        raise DomainError("best-subset search needs an information criterion")
-    penalty = 2.0 if criterion.kind == "aic" else math.log(dataset.n)
-    best: tuple[float, int, tuple[str, ...]] | None = None
-    for size in range(len(names) + 1):
-        for subset in itertools.combinations(names, size):
-            fitted = fit(dataset, ModelSpec(tuple(Term.linear(v) for v in subset)))
-            ic = -2.0 * fitted.log_likelihood + penalty * fitted.model_df
-            key = (ic, size, subset)
-            if best is None or key < best:
-                best = key
-    return best[2]

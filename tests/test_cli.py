@@ -201,3 +201,42 @@ def test_config_mistake_exits_2_before_any_analysis(tmp_path, case, capsys, monk
     assert code == EXIT_CONFIG_ERROR
     assert capsys.readouterr().err.startswith(message)
     assert not (tmp_path / subcommand).exists()
+
+
+# A [variables] column the subcommand does not read must keep its default:
+# before, `b 2 yes` was dropped by selection although force_in was asked for.
+UNUSED_COLUMNS = [
+    pytest.param("fit", [], "b 1", "degree", id="fit-degree"),
+    pytest.param("select", [], "b 2 yes", "force_in", id="select-force_in"),
+    pytest.param("select", [], "b 2 no no yes", "categorical", id="select-categorical"),
+    pytest.param("shrink", [], "b 2 yes", "force_in", id="shrink-force_in"),
+    pytest.param("stability", ["seed = 1", "selector = be"], "b 2 yes", "force_in",
+                 id="stability_be-force_in"),
+    pytest.param("stability", ["seed = 1", "selector = be"], "b 1", "degree",
+                 id="stability_be-degree"),
+    pytest.param("stability", ["seed = 1", "selector = mfp"], "b 2 no yes", "spike",
+                 id="stability_mfp-spike"),
+]
+
+
+@pytest.mark.parametrize("subcommand, settings, row, column", UNUSED_COLUMNS)
+def test_unused_variable_column_is_a_config_error(tmp_path, subcommand, settings, row, column,
+                                                  capsys, monkeypatch):
+    for name in ("fit", "stability", "mfp", "backward_eliminate", "forward_select", "stepwise"):
+        monkeypatch.setattr(cli, name, _analysis_must_not_run)
+    code, _ = run_cli(tmp_path, subcommand, settings + ["[variables]", "a", row])
+    assert code == EXIT_CONFIG_ERROR
+    line = 7 + len(settings)
+    assert capsys.readouterr().err.startswith(
+        f"config error: line {line}: this analysis does not use column {column!r}")
+    assert not (tmp_path / subcommand).exists()
+
+
+@pytest.mark.parametrize("subcommand", ["fit", "select"])
+def test_unused_variable_column_at_its_default_is_accepted(tmp_path, subcommand, capsys):
+    code, bare = run_cli(tmp_path, subcommand, ["[variables]", "a", "b"])
+    assert code == 0
+    code, spelled = run_cli(tmp_path, subcommand, ["[variables]", "a 2 no n false", "b 2"])
+    assert code == 0
+    capsys.readouterr()
+    assert spelled == bare

@@ -194,7 +194,7 @@ class TestMfp:
         x = rng.uniform(0.5, 3.0, n)
         y = 1.2 * b + rng.normal(scale=0.8, size=n)
         ds = Dataset.from_columns({"b": b, "x": x, "y": y}, outcome="y")
-        result = mfp(ds, ["b", "x"], MfpConfig(0.05, 0.05, binary=frozenset({"b"})))
+        result = mfp(ds, ["b", "x"], MfpConfig(0.05, 0.05))
         db = result.decisions["b"]
         assert db.verdict is FunctionForm.LINEAR
         assert len(db.step_pvalues) == 1

@@ -9,7 +9,7 @@ from fpselect import (Criterion, Dataset, DomainError, ModelSpec, ResamplePlan,
 
 def make_selector(criterion=None):
     procedure = be_procedure(criterion or Criterion.p_value(0.05))
-    return lambda ds: procedure(ds).selected
+    return lambda ds: procedure(ds).spec.variables
 
 
 def strong_predictor_dataset(seed=601, n=300):

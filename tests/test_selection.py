@@ -181,6 +181,20 @@ class TestForwardAndStepwise:
         sw = stepwise(ds, ["x0", "x1", "x2"], Criterion.p_value(0.05))
         assert set(fwd.selected_variables) == set(sw.selected_variables)
 
+    def test_repeated_candidate_counts_once(self):
+        # Forward selection used to add `a` and then rebuild `a` as a candidate
+        # from the second copy, raising a duplicate-term DomainError.
+        rng = np.random.default_rng(199)
+        a, b = rng.standard_normal(100), rng.standard_normal(100)
+        ds = make_dataset({"a": a, "b": b, "y": 2.0 * a + rng.standard_normal(100)})
+        criterion = Criterion.p_value(0.05)
+        fwd = forward_select(ds, ["a", "a", "b", "a"], criterion)
+        sw = stepwise(ds, ["a", "a", "b", "a"], criterion)
+        assert fwd.selected_variables == sw.selected_variables == ("a",)
+        once = forward_select(ds, ["a", "b"], criterion)
+        assert fwd.steps == once.steps
+        assert univariable_screen(ds, ["a", "a"], 0.05).selected == ("a",)
+
     def test_stepwise_rejects_oscillating_thresholds(self):
         rng = np.random.default_rng(199)
         ds = noise_dataset(rng, n=100, p=2)

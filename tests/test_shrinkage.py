@@ -11,7 +11,7 @@ from fpselect import (Criterion, Dataset, DomainError, Family, FoldFitFailureErr
                       design_matrix, fit, global_shrinkage, joint_shrinkage,
                       parameterwise_shrinkage)
 from fpselect.errors import CollinearComponentsError
-from fpselect.shrinkage import _out_of_fold_components
+from fpselect.shrinkage import _calibrate, _out_of_fold_components
 
 
 def make_dataset(cols):
@@ -288,3 +288,118 @@ class TestRowSubsetRefits:
         single = make_dataset({"a": [0.5], "y": [1.0]})
         with pytest.raises(FoldFitFailureError):
             parameterwise_shrinkage(single, ModelSpec((Term.linear("a"),)), LeaveOneOut())
+
+
+# ---------------------------------------------------------------------------
+# The three modes as one grouped calibration equal their former bodies
+# ---------------------------------------------------------------------------
+
+def former_global(dataset, spec, cv, reselect=None):
+    if reselect is None:
+        C, labels = _out_of_fold_components(dataset, spec, cv)
+        eta = C.sum(axis=1)
+        groups = {"global": labels}
+    else:
+        eta = np.zeros(dataset.n)
+        for train, test in cv.folds(dataset.n):
+            train_data = dataset.take_rows(train)
+            fold_spec = reselect(train_data)
+            fold_fit = fit(train_data, fold_spec)
+            X_test, fold_labels, _ = design_matrix(dataset.take_rows(test), fold_spec)
+            keep = [j for j, lab in enumerate(fold_labels) if lab != "(intercept)"]
+            if keep:
+                eta[test] = X_test[:, keep] @ fold_fit.coefficients[keep]
+        _, labels, _ = design_matrix(dataset, spec)
+        groups = {"global": tuple(lab for lab in labels if lab != "(intercept)")}
+    return _calibrate(dataset, eta[:, None], ("global",), "global", groups, cv)
+
+
+def former_parameterwise(dataset, spec, cv):
+    C, labels = _out_of_fold_components(dataset, spec, cv)
+    return _calibrate(dataset, C, labels, "parameterwise", {lab: (lab,) for lab in labels}, cv)
+
+
+def former_joint(dataset, spec, cv, groups=None):
+    term_groups = [[t] for t in spec.terms] if groups is None else [list(g) for g in groups]
+    C, labels = _out_of_fold_components(dataset, spec, cv)
+    group_names, group_cols = [], {}
+    R = np.zeros((dataset.n, len(term_groups)))
+    for gi, terms in enumerate(term_groups):
+        cols = [labels.index(lab) for t in terms for lab in t.labels()]
+        name = "+".join(lab for t in terms for lab in t.labels())
+        group_names.append(name)
+        group_cols[name] = tuple(labels[c] for c in cols)
+        R[:, gi] = C[:, cols].sum(axis=1)
+    return _calibrate(dataset, R, tuple(group_names), "joint", group_cols, cv)
+
+
+def fp2_dummy_problem(family, n=120, seed=557):
+    """An FP2 term, a straight line and a three-column dummy block."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.5, 4.0, n)
+    z = rng.standard_normal(n)
+    g = rng.uniform(0.0, 4.0, n)
+    eta = 0.8 / x + 0.5 * x + 0.6 * z + 0.4 * np.floor(g) - 1.5
+    if family is Family.GAUSSIAN:
+        y = eta + rng.standard_normal(n)
+    else:
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    ds = Dataset.from_columns({"x": x, "z": z, "g": g, "y": y}, outcome="y", family=family)
+    spec = ModelSpec((Term.fp("x", (-1.0, 1.0)), Term.linear("z"),
+                      Term.categorical("g", (1.0, 2.0, 3.0))))
+    return ds, spec
+
+
+PROBLEMS = {
+    "fp2_dummy": fp2_dummy_problem,
+    "every_transform": lambda family: TestRowSubsetRefits._problem(family),
+}
+
+
+class TestModesMatchFormerBodies:
+    @pytest.mark.parametrize("cv", [LeaveOneOut(), KFold(10, seed=1), KFold(5, seed=3)], ids=str)
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=str)
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_factors_and_shrunken_coefficients_bit_identical(self, problem, family, cv):
+        ds, spec = PROBLEMS[problem](family)
+        fitted = fit(ds, spec)
+        pairs = [
+            (global_shrinkage(ds, spec, cv), former_global(ds, spec, cv)),
+            (parameterwise_shrinkage(ds, spec, cv), former_parameterwise(ds, spec, cv)),
+            (joint_shrinkage(ds, spec, cv=cv), former_joint(ds, spec, cv)),
+        ]
+        for split in (1, 2):  # custom groups of fewer than eight columns
+            groups = [list(spec.terms[:split]), list(spec.terms[split:])]
+            pairs.append((joint_shrinkage(ds, spec, groups, cv),
+                          former_joint(ds, spec, cv, groups)))
+        for new, old in pairs:
+            assert repr(new) == repr(old)
+            np.testing.assert_array_equal(new.apply(fitted, ds), old.apply(fitted, ds))
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=str)
+    def test_group_of_eight_columns_sums_as_global(self, family):
+        """numpy sums eight or more contiguous values pairwise. The global mode
+        always did; the former joint body summed a group left to right, so a
+        joint group of every column now equals the global factor exactly and
+        the former joint factor to the last bits."""
+        ds, spec = TestRowSubsetRefits._problem(family)
+        assert len(design_matrix(ds, spec)[1]) == 9  # the intercept and eight columns
+        cv = KFold(5, seed=3)
+        joint = joint_shrinkage(ds, spec, [list(spec.terms)], cv)
+        whole = global_shrinkage(ds, spec, cv)
+        (factor,) = joint.factors.values()
+        assert factor == whole.factors["global"]
+        assert joint.calibration_intercept == whole.calibration_intercept
+        (former,) = former_joint(ds, spec, cv, [list(spec.terms)]).factors.values()
+        assert factor == pytest.approx(former, rel=1e-12)
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=str)
+    def test_reselection_bit_identical(self, family):
+        ds, spec = fp2_dummy_problem(family)
+
+        def reselect(train):
+            return backward_eliminate(train, spec, Criterion.p_value(0.2)).final_spec
+
+        cv = KFold(5, seed=3)
+        new = global_shrinkage(ds, spec, cv, reselect=reselect)
+        assert repr(new) == repr(former_global(ds, spec, cv, reselect))

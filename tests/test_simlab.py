@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fpselect import Criterion, DomainError, pretransform
+from fpselect import (Criterion, DomainError, Family, Fp, Linear, ModelBuildError, ModelSpec,
+                      Term, fit, pretransform, spike_fsp)
 from fpselect import simlab
 
 
@@ -78,3 +79,136 @@ class TestMarginalParameters:
     def test_valid_parameters_accepted(self, marginal):
         u = np.array([0.1, 0.5, 0.9])
         assert np.all(np.diff(marginal.ppf(u)) > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Scoring straight from the fit equals the former per-term summary
+# ---------------------------------------------------------------------------
+
+def former_summary(fitted):
+    """The former summary of a fit: selected set, per-variable curve
+    closures (added term by term) and straight-line slopes on the x scale."""
+    def term_curve(term):
+        coefs = [fitted.coefficient(lab) for lab in term.labels()]
+
+        def curve(x):
+            cols = term.transform.columns(np.asarray(x, dtype=float))
+            return sum(c * col for c, col in zip(coefs, cols))
+
+        return curve
+
+    curves, linear = {}, {}
+    for term in fitted.spec.terms:
+        prior = curves.get(term.variable)
+        extra = term_curve(term)
+        if prior is None:
+            curves[term.variable] = extra
+        else:
+            curves[term.variable] = lambda x, a=prior, b=extra: a(x) + b(x)
+        transform = term.transform
+        if isinstance(transform, Linear):
+            linear[term.variable] = fitted.coefficient(term.labels()[0])
+        elif isinstance(transform, Fp) and transform.powers.values == (1.0,):
+            linear[term.variable] = fitted.coefficient(term.labels()[0]) / transform.scale
+    return frozenset(t.variable for t in fitted.spec.terms), curves, linear
+
+
+def former_evaluate(procedure, scenario, replications):
+    """The former `simlab.evaluate`, scoring each fit through its summary."""
+    names = scenario.covariate_names
+    included = {v: [] for v in names}
+    correct = {v: [] for v in names}
+    shape = {v: [] for v in names}
+    sq_errors = []
+    n_failed = 0
+    for r in range(replications):
+        dataset = simlab.generate(scenario, replication=r)
+        try:
+            selected, curves, linear = former_summary(procedure(dataset))
+        except ModelBuildError:
+            n_failed += 1
+            continue
+        for v in names:
+            effect = scenario.true_effect(v)
+            truly_in = effect.form != "null" and effect.coefficient != 0.0
+            is_in = v in selected
+            included[v].append(1.0 if is_in else 0.0)
+            correct[v].append(1.0 if is_in == truly_in else 0.0)
+            curve = curves.get(v) if is_in else None
+            shape[v].append(simlab._shape_distance(dataset.column(v), effect, curve))
+            if effect.form == "linear":
+                fitted_coef = linear.get(v, 0.0) if is_in else 0.0
+                sq_errors.append((fitted_coef - effect.coefficient) ** 2)
+    n_ok = replications - n_failed
+    scores = []
+    for v in names:
+        inc = np.asarray(included[v])
+        dist = np.asarray(shape[v])
+        rate = float(inc.mean())
+        scores.append(simlab.VariableScore(
+            variable=v,
+            true_form=scenario.true_effect(v).form,
+            inclusion_rate=rate,
+            inclusion_mc_error=math.sqrt(rate * (1.0 - rate) / n_ok),
+            correct_rate=float(np.asarray(correct[v]).mean()),
+            shape_distance_mean=float(dist.mean()),
+            shape_distance_mc_error=float(dist.std(ddof=1) / math.sqrt(n_ok)) if n_ok > 1 else 0.0,
+        ))
+    rmse = math.sqrt(sum(sq_errors) / len(sq_errors)) if sq_errors else None
+    return simlab.EvaluationReport(replications, n_failed, tuple(scores), rmse)
+
+
+def spike_scenario(family):
+    """A spike covariate s with a log effect next to a linear x1 whose
+    pre-transform has a nonzero shift, a linear x2 and a null x3."""
+    covariates = (simlab.Covariate("x1", simlab.Normal(0.0, 2.0)),
+                  simlab.Covariate("s", simlab.LogNormal(0.0, 0.7), spike_prob=0.3),
+                  simlab.Covariate("x2", simlab.Uniform(0.5, 3.0)),
+                  simlab.Covariate("x3", simlab.Normal()))
+    effects = (simlab.Effect("x1", "linear", 0.5), simlab.Effect("s", "log", 0.8),
+               simlab.Effect("x2", "linear", 0.6))
+    return simlab.Scenario(n=200, covariates=covariates, effects=effects, family=family,
+                           noise_sd=0.7, seed=29)
+
+
+def spike_procedure(dataset):
+    """Linear terms for x1, x2 and x3 plus spike-at-zero's components of s,
+    indicator first: a fit in which one variable has two terms."""
+    spec = ModelSpec(tuple(Term.linear(v) for v in ("x1", "x2", "x3")))
+    for term in spike_fsp(dataset, "s", 0.05, adjustment=spec).terms:
+        spec = spec.with_term(term)
+    return fit(dataset, spec)
+
+
+PROCEDURES = {
+    "be": simlab.be_procedure(Criterion.p_value(0.05)),
+    "be_aic": simlab.be_procedure(Criterion.aic()),
+    "mfp": simlab.mfp_procedure(),
+    "spike": spike_procedure,
+}
+
+
+class TestScoringMatchesFormerSummary:
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=str)
+    @pytest.mark.parametrize("procedure", sorted(PROCEDURES))
+    def test_reports_bit_identical(self, procedure, family):
+        scenario = spike_scenario(family)
+        report = simlab.evaluate(PROCEDURES[procedure], scenario, 6)
+        assert repr(report) == repr(former_evaluate(PROCEDURES[procedure], scenario, 6))
+
+    def test_cases_cover_two_term_variables_and_shifted_straight_lines(self):
+        two_terms = shifted = 0
+        for family in (Family.GAUSSIAN, Family.BINOMIAL):
+            scenario = spike_scenario(family)
+            for r in range(6):
+                dataset = simlab.generate(scenario, r)
+                spike_terms = spike_procedure(dataset).spec.terms[3:]
+                two_terms += len(spike_terms) == 2 and isinstance(spike_terms[1].transform, Fp)
+                if family is Family.BINOMIAL:
+                    continue
+                for term in simlab.mfp_procedure()(dataset).spec.terms:
+                    transform = term.transform
+                    shifted += (term.variable == "x1" and isinstance(transform, Fp)
+                                and transform.powers.values == (1.0,)
+                                and transform.shift not in (0.0, transform.scale))
+        assert two_terms >= 6 and shifted == 6
