@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -162,8 +163,25 @@ class Term:
     def categorical(variable: str, cutpoints, coding=None) -> "Term":
         return Term(variable, Categorical(tuple(cutpoints), coding or Dummy()))
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuilt without the cached hash and labels: string hashes are per process.
+        return Term, (self.variable, self.transform)
+
+    @cached_property
+    def _hash(self) -> int:
+        # Hashed once per term: searches look terms up on every candidate.
+        return hash((self.variable, self.transform))
+
+    @cached_property
+    def _labels(self) -> tuple[str, ...]:
+        # Built once per term: every ModelSpec checks its labels.
+        return tuple(self.transform.labels(self.variable))
+
     def labels(self) -> list[str]:
-        return self.transform.labels(self.variable)
+        return list(self._labels)
 
 
 @dataclass(frozen=True)
@@ -172,12 +190,19 @@ class ModelSpec:
 
     terms: tuple[Term, ...] = ()
     intercept: bool = True
+    # False only for the pool of alternatives a search chooses among, which
+    # is never fitted as one model.
+    check_labels: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check_labels: bool):
         terms = tuple(self.terms)
         object.__setattr__(self, "terms", terms)
-        if len(set(terms)) != len(terms):
-            raise DomainError("duplicate (variable, transformation) pairs in model spec")
+        # Fits and shrinkage find coefficients by label, so labels are unique;
+        # this also rejects a repeated (variable, transformation) pair.
+        labels = self.column_labels
+        if check_labels and len(set(labels)) != len(labels):
+            repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
+            raise DomainError(f"duplicate design-column labels in model spec: {', '.join(repeated)}")
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -186,6 +211,14 @@ class ModelSpec:
             if t.variable not in seen:
                 seen.append(t.variable)
         return tuple(seen)
+
+    @property
+    def column_labels(self) -> tuple[str, ...]:
+        return ("(intercept)",) * self.intercept + tuple(lab for t in self.terms for lab in t._labels)
+
+    def admits(self, term: Term) -> bool:
+        """Whether adding `term` keeps the design-column labels distinct."""
+        return set(self.column_labels).isdisjoint(term._labels)
 
     def has_variable(self, variable: str) -> bool:
         return any(t.variable == variable for t in self.terms)

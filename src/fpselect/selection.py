@@ -14,6 +14,21 @@ of it: deviance and kept columns, without a covariance or a `FitResult`. Only
 the start model and the models a run moves to are fitted, so the trace equals
 fitting every candidate. One elimination loop and one addition scan serve
 every procedure.
+
+The elimination loop (backward elimination and stepwise's re-checks) screens
+before it scores. `glm.Design.removal_bounds` bounds the deviance of every
+removal from the current Gaussian fit by the Wald update, within a relative
+`glm.SCREEN_RTOL` = 1e-6, when the fit's residual condition estimate is at
+most `glm.SCREEN_MAX_CONDITION` = 1e6, and turns them into bounds on its
+p-value. Only the removals whose largest possible p-value reaches the
+largest of the smallest possible ones are scored, and the loop
+picks among them as if it had scored all. The removal with the largest exact
+p-value always passes the screen, so the trace is that of scoring every
+removal, bit for bit. Binomial fits, fits with dropped columns and
+ill-conditioned fits get no bounds, and every removal is scored. Additions
+and augmented backward elimination, which needs every removal's p-value,
+score every candidate. An addition whose design-column labels the model
+already has (another form of a variable it holds) is skipped.
 """
 
 from __future__ import annotations
@@ -104,19 +119,34 @@ class SelectionTrace:
 
 
 def _removals(design: Design, current: FitResult, spec: ModelSpec,
-              skip: Sequence[Term] = ()) -> list[tuple[float, int, Term]]:
-    """(p-value, df, term) of dropping each term of the current model not in `skip`."""
+              terms: Sequence[Term]) -> list[tuple[float, int, Term]]:
+    """(p-value, df, term) of dropping each of `terms` from the current model."""
     full = (current.deviance, current.model_df)
     return [(*design.p_value(design.score([t for t in spec.terms if t is not term]), full), term)
-            for term in spec.terms if term not in skip]
+            for term in terms]
+
+
+def _screen(design: Design, current: FitResult, spec: ModelSpec,
+            protected: Sequence[Term]) -> list[Term]:
+    """The unprotected terms, in spec order, whose removal may have the
+    largest p-value, judged by `Design.removal_bounds`; every unprotected
+    term when it gives no bounds."""
+    bounds = design.removal_bounds(spec, current)
+    if bounds is None:
+        return [t for t in spec.terms if t not in protected]
+    candidates = [(t, b) for t, b in zip(spec.terms, bounds) if t not in protected]
+    cut = max((low for _, (low, _) in candidates), default=0.0)
+    return [t for t, (_, high) in candidates if high >= cut]
 
 
 def _eliminate(design: Design, spec: ModelSpec, current: FitResult, criterion: Criterion,
                steps: list[SelectionStep], protected: Sequence[Term] = ()):
     """Drop the least significant unprotected term while it fails the
-    criterion; returns the final (spec, fit) and appends each drop to `steps`."""
+    criterion; returns the final (spec, fit) and appends each drop to `steps`.
+    Only removals that pass `_screen` are scored."""
     while True:
-        worst = max(_removals(design, current, spec, protected), key=lambda r: r[0], default=None)
+        terms = _screen(design, current, spec, protected)
+        worst = max(_removals(design, current, spec, terms), key=lambda r: r[0], default=None)
         if worst is None or worst[0] <= criterion_threshold(criterion, design.dataset.n, worst[1]):
             return spec, current
         p, _, term = worst
@@ -128,10 +158,11 @@ def _eliminate(design: Design, spec: ModelSpec, current: FitResult, criterion: C
 def _add(design: Design, spec: ModelSpec, current: FitResult, candidates: Sequence[Term],
          criterion: Criterion, steps: list[SelectionStep]):
     """Add the most significant candidate if it passes the criterion; returns
-    the (spec, fit) after the step and appends an addition to `steps`."""
+    the (spec, fit) after the step and appends an addition to `steps`.
+    Candidates whose column labels the model already has are skipped."""
     now = (current.deviance, current.model_df)
     best = min([(*design.p_value(now, design.score(spec.with_term(term).terms)), term)
-                for term in candidates], key=lambda r: r[0], default=None)
+                for term in candidates if spec.admits(term)], key=lambda r: r[0], default=None)
     if best is None or best[0] > criterion_threshold(criterion, design.dataset.n, best[1]):
         return spec, current
     p, _, term = best
@@ -259,8 +290,9 @@ def augmented_backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
     steps: list[SelectionStep] = []
     kept_as_confounder: set[Term] = set()
     while True:
+        skip = kept_as_confounder | {exposure_term}
         ranked = [(p, term) for p, _, term in
-                  _removals(design, current, spec, kept_as_confounder | {exposure_term})
+                  _removals(design, current, spec, [t for t in spec.terms if t not in skip])
                   if p > alpha]
         ranked.sort(key=lambda item: -item[0])
         dropped = False

@@ -11,7 +11,8 @@ from scipy.linalg import solve_triangular
 from fpselect import (Dataset, DomainError, Family, FitResult, ModelSpec,
                       NotNestedError, RankDeficientError, Term, deviance_test, fit,
                       lr_statistic)
-from fpselect.glm import (DEVIANCE_RTOL, MAX_ITER, PIVOT_TOL, _MU_EPS, _binomial_deviance,
+from fpselect import glm
+from fpselect.glm import (DEVIANCE_RTOL, Design, MAX_ITER, PIVOT_TOL, _MU_EPS, _binomial_deviance,
                           _cov_from_r, _embed, _embed_cov, _expit, _householder, _wls,
                           deviance_lr_statistic, deviance_p_value, fit_design,
                           gaussian_log_likelihood, score_design)
@@ -562,3 +563,122 @@ class TestDevianceFunctions:
             deviance_test(a, TestDevianceTest()._fake(9.0, n=99), 1)
         with pytest.raises(NotNestedError, match="families"):
             lr_statistic(a, TestDevianceTest()._fake(9.0, family=Family.GAUSSIAN))
+
+
+def _blocks_dataset(seed, n=200, family=Family.GAUSSIAN):
+    rng = np.random.default_rng(seed)
+    x, z, g = rng.standard_normal(n), rng.lognormal(size=n), rng.uniform(0.0, 3.0, n)
+    eta = 0.4 * x + 0.3 * np.log(z) + 0.3 * (g > 2.0)
+    y = (eta + rng.standard_normal(n) if family is Family.GAUSSIAN
+         else (rng.random(n) < _expit(eta)).astype(float))
+    ds = make_dataset({"x": x, "w": rng.standard_normal(n), "z": z, "g": g, "y": y},
+                      family=family)
+    terms = (Term.linear("x"), Term.fp("z", (-0.5, 1.0)), Term.linear("w"),
+             Term.categorical("g", (1.0, 2.0)))
+    return ds, ModelSpec(terms)
+
+
+class TestDesign:
+    """`Design.fit` reuses the factorisation of the subset scored last, and
+    `Design.removal_bounds` brackets the exact deviance of every removal."""
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL])
+    def test_fit_of_the_last_scored_model_factorises_once(self, family, monkeypatch):
+        ds, spec = _blocks_dataset(601, family=family)
+        expected = fit(ds, spec)
+        calls = []
+        factorise = glm._factorise
+        monkeypatch.setattr(glm, "_factorise", lambda *a: calls.append(1) or factorise(*a))
+        design = Design(ds, spec)
+        design.score(spec.terms)
+        result = design.fit(spec)
+        assert len(calls) == 1
+        for field in ("deviance", "log_likelihood", "model_df", "converged", "iterations",
+                      "column_labels", "spec", "dropped_columns"):
+            assert getattr(result, field) == getattr(expected, field), field
+        np.testing.assert_array_equal(result.coefficients, expected.coefficients)
+        np.testing.assert_array_equal(result.covariance, expected.covariance)
+        design.score(spec.terms[1:])
+        design.fit(spec)  # another subset was scored last: factorise again
+        assert len(calls) == 3
+
+    def test_removal_bounds_contain_the_exact_p_values(self):
+        for seed in (603, 604, 605):
+            ds, spec = _blocks_dataset(seed)
+            design = Design(ds, spec)
+            current = design.fit(spec)
+            bounds = design.removal_bounds(spec, current)
+            assert bounds is not None and len(bounds) == len(spec.terms)
+            full = (current.deviance, current.model_df)
+            for term, (low, high) in zip(spec.terms, bounds):
+                exact, _ = design.p_value(
+                    design.score([t for t in spec.terms if t is not term]), full)
+                assert low <= exact <= high
+                assert low < high <= low + 0.01
+
+    def test_no_bounds_where_they_are_not_guaranteed(self):
+        rng = np.random.default_rng(607)
+        n = 100
+        x, w = rng.standard_normal(n), rng.standard_normal(n)
+        noisy = x + rng.standard_normal(n)
+        cases = [
+            (_blocks_dataset(608, family=Family.BINOMIAL)[0], ("x", "w")),  # binomial
+            (make_dataset({"x": x, "w": 2.0 * x, "y": noisy}), ("x", "w")),  # aliased
+            (make_dataset({"x": x, "w": x + 1e-7 * w, "y": noisy}), ("x", "w")),  # ill-conditioned
+            (make_dataset({"x": x, "w": w, "y": 1e7 + noisy}), ("x", "w")),  # tiny residual
+            (make_dataset({"x": x, "w": w, "y": 1.0 + 2.0 * x}), ("x", "w")),  # exact fit
+        ]
+        for ds, names in cases:
+            spec = ModelSpec(tuple(Term.linear(v) for v in names))
+            design = Design(ds, spec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                current = design.fit(spec)
+            assert design.removal_bounds(spec, current) is None
+        # Dropping the only term of an intercept-free model leaves no column.
+        ds = make_dataset({"x": x, "y": noisy})
+        spec = ModelSpec((Term.linear("x"),), intercept=False)
+        design = Design(ds, spec)
+        assert design.removal_bounds(spec, design.fit(spec)) is None
+
+
+class TestModelSpecLabels:
+    def test_duplicate_column_labels_are_rejected(self):
+        # Two dummy blocks of one variable used to share the label g[g1], and
+        # `FitResult.coefficient` and shrinkage read only the first column.
+        with pytest.raises(DomainError, match=r"g\[g1\]"):
+            ModelSpec((Term.categorical("g", (1.0,)), Term.categorical("g", (2.0,))))
+        with pytest.raises(DomainError, match="duplicate"):
+            ModelSpec((Term.linear("a"), Term.linear("a")))
+        with pytest.raises(DomainError, match=r"\(intercept\)"):
+            ModelSpec((Term.linear("(intercept)"),))
+        ModelSpec((Term.linear("(intercept)"),), intercept=False)
+        ModelSpec((Term.categorical("g", (1.0,)), Term.linear("g")))
+
+    def test_a_design_pools_forms_whose_labels_repeat(self):
+        # A search's candidates may be alternative forms of one variable; its
+        # design holds them all, and a model of any one of them fits as usual.
+        rng = np.random.default_rng(611)
+        n = 120
+        x, g = rng.uniform(0.5, 3.0, n), rng.uniform(0.0, 3.0, n)
+        ds = make_dataset({"x": x, "g": g, "y": np.log(x) + (g > 2.0) + rng.standard_normal(n)})
+        forms = (Term.fp("x", 1), Term.fp("x", (1, 2)),
+                 Term.categorical("g", (1.0,)), Term.categorical("g", (2.0,)))
+        design = Design(ds, ModelSpec(), forms)
+        assert design.labels.count("x^(1)") == 2 and design.labels.count("g[g1]") == 2
+        for term in forms:
+            spec = ModelSpec((term,))
+            result, expected = design.fit(spec), fit(ds, spec)
+            assert result.column_labels == expected.column_labels
+            np.testing.assert_array_equal(result.coefficients, expected.coefficients)
+
+
+class TestTermHash:
+    def test_hash_is_cached_and_not_pickled(self):
+        import pickle
+
+        term = Term.fp("x", (1, 2))
+        assert hash(term) == hash(("x", term.transform)) == hash(Term.fp("x", (1, 2)))
+        assert "_hash" in vars(term)
+        copy = pickle.loads(pickle.dumps(term))
+        assert copy == term and "_hash" not in vars(copy) and hash(copy) == hash(term)

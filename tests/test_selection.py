@@ -1,10 +1,13 @@
 """Selection strategies: traces, thresholds, change-in-estimate, screening."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpselect import glm
 from fpselect import (Criterion, CycleDetectedError, Dataset, DomainError,
@@ -12,6 +15,7 @@ from fpselect import (Criterion, CycleDetectedError, Dataset, DomainError,
                       augmented_backward_eliminate, backward_eliminate,
                       criterion_threshold, chi2_sf, deviance_test, fit,
                       forward_select, stepwise, univariable_screen)
+from fpselect.fp import PreTransform
 from fpselect.selection import SelectionStep, SelectionTrace, _max_exposure_change
 
 
@@ -582,3 +586,168 @@ class TestScoreThenFit:
         for run in (backward_eliminate, _ref_backward):
             with pytest.raises(DomainError, match="no design columns"):
                 run(ds, start, Criterion.p_value(0.05))
+
+
+def _exact_scores_per_step(monkeypatch, run):
+    """Run a selection and return how many removals or additions it scored
+    exactly between consecutive fits, one count per step after the start."""
+    events = []
+    score, fit_ = glm.Design.score, glm.Design.fit
+
+    def counting_score(self, terms):
+        events.append("score")
+        return score(self, terms)
+
+    def counting_fit(self, spec):
+        events.append("fit")
+        return fit_(self, spec)
+
+    monkeypatch.setattr(glm.Design, "score", counting_score)
+    monkeypatch.setattr(glm.Design, "fit", counting_fit)
+    trace = run()
+    counts, current = [], None
+    for event in events:
+        if event == "fit":
+            if current is not None:
+                counts.append(current)
+            current = 0
+        else:
+            current += 1
+    counts.append(current)
+    return trace, counts
+
+
+def _exchangeable_dataset(seed, m=150):
+    """Rows come in pairs that swap x1 and x2, so dropping x1 and dropping x2
+    leave residual sums of squares that are equal in exact arithmetic; x0
+    carries the signal."""
+    rng = np.random.default_rng(seed)
+    a, b, c = rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal(m)
+    y = 1.5 * c + rng.standard_normal(m)
+    return make_dataset({"x0": np.concatenate([c, c]), "x1": np.concatenate([a, b]),
+                         "x2": np.concatenate([b, a]), "y": np.concatenate([y, y])})
+
+
+class TestRemovalScreen:
+    """Gaussian elimination scores only the removals whose Wald-update bounds
+    admit the largest p-value; its traces equal scoring every removal."""
+
+    LINEAR = ModelSpec(tuple(Term.linear(v) for v in ("x0", "x1", "x2")))
+
+    def test_near_tie_takes_the_confirm_path(self, monkeypatch):
+        ds = _exchangeable_dataset(401)
+        criterion = Criterion.p_value(0.05)
+        trace, counts = _exact_scores_per_step(
+            monkeypatch, lambda: backward_eliminate(ds, self.LINEAR, criterion))
+        assert trace.steps and trace.steps[0].variable in ("x1", "x2")
+        assert counts[0] >= 2
+        monkeypatch.undo()
+        _assert_same_trace(trace, _ref_backward(ds, self.LINEAR, criterion))
+
+    @pytest.mark.parametrize("case", ["binomial", "aliased", "ill-conditioned"])
+    def test_fallback_scores_every_removal(self, case, monkeypatch):
+        if case == "ill-conditioned":
+            rng = np.random.default_rng(419)
+            x0 = rng.standard_normal(300)
+            ds = make_dataset({"x0": x0, "x1": x0 + 1e-7 * rng.standard_normal(300),
+                               "x2": rng.standard_normal(300),
+                               "y": x0 + rng.standard_normal(300)})
+            start = self.LINEAR
+        else:
+            family = Family.BINOMIAL if case == "binomial" else Family.GAUSSIAN
+            ds, terms = _mixed_dataset(304, family, aliased=case == "aliased")
+            start = ModelSpec(terms)
+        criterion = Criterion.aic()
+        trace, counts = _exact_scores_per_step(
+            monkeypatch, lambda: _quiet(backward_eliminate, ds, start, criterion))
+        assert trace.steps
+        every = [len(start.terms) - k for k in range(len(counts))]
+        if case == "binomial":
+            assert counts == every
+        else:  # the first step's fit is aliased or ill-conditioned
+            assert counts[0] == every[0]
+        monkeypatch.undo()
+        _assert_same_trace(trace, _quiet(_ref_backward, ds, start, criterion))
+
+    def test_one_factorisation_per_step_plus_two(self, monkeypatch):
+        # The start fit, one exact score per step (whose factorisation the
+        # step's fit reuses) and the score that stops the run.
+        calls = []
+        householder = glm._householder
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return householder(*args, **kwargs)
+
+        monkeypatch.setattr(glm, "_householder", counting)
+        rng = np.random.default_rng(421)
+        n = 500
+        cols = {f"x{j}": rng.standard_normal(n) for j in range(8)}
+        cols["y"] = cols["x0"] + 0.5 * cols["x1"] + rng.standard_normal(n)
+        spec = ModelSpec(tuple(Term.linear(f"x{j}") for j in range(8)))
+        trace = backward_eliminate(make_dataset(cols), spec, Criterion.p_value(0.05))
+        assert len(trace.steps) >= 4
+        assert len(calls) <= len(trace.steps) + 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(10, 80),
+           criterion=st.sampled_from(CRITERIA), protect=st.sets(st.integers(0, 6)),
+           intercept=st.booleans())
+    def test_screened_backward_equals_reference(self, seed, n, criterion, protect, intercept):
+        rng = np.random.default_rng(seed)
+        cols = {f"x{j}": rng.standard_normal(n) for j in range(4)}
+        cols["x3"] = cols["x2"] + rng.uniform(0.0, 1.0) * cols["x3"]
+        cols["z"] = rng.lognormal(size=n)
+        cols["g"] = rng.uniform(0.0, 3.0, n)
+        effects = rng.uniform(-0.6, 0.6, 4) * (rng.random(4) < 0.5)
+        cols["y"] = (sum(e * cols[f"x{j}"] for j, e in enumerate(effects))
+                     + 0.3 * np.log(cols["z"]) + rng.standard_normal(n))
+        ds = make_dataset(cols)
+        terms = (*(Term.linear(f"x{j}") for j in range(4)), Term.fp("z", (-0.5, 1.0)),
+                 Term.categorical("g", (1.0, 2.0)), Term.fp("x0", 2.0, pre=PreTransform(1.0 - float(np.min(cols["x0"])))))
+        start = ModelSpec(terms, intercept)
+        protected = tuple(terms[i] for i in sorted(protect))
+        try:
+            ref = _quiet(_ref_backward, ds, start, criterion, protected)
+        except (DomainError, RankDeficientError) as error:
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                _quiet(backward_eliminate, ds, start, criterion, protected)
+            return
+        _assert_same_trace(_quiet(backward_eliminate, ds, start, criterion, protected), ref)
+
+
+class TestAlternativeForms:
+    """Candidates may be alternative forms of one variable whose design-column
+    labels repeat. Each runs on its own; a model never holds two forms whose
+    labels clash."""
+
+    FORMS = (Term.fp("x", 1), Term.fp("x", (1, 2)),
+             Term.categorical("g", (1.0,)), Term.categorical("g", (2.0,)))
+
+    @staticmethod
+    def _dataset():
+        rng = np.random.default_rng(431)
+        n = 200
+        x, g = rng.uniform(0.5, 3.0, n), rng.uniform(0.0, 3.0, n)
+        return make_dataset({"x": x, "g": g,
+                             "y": np.log(x) + 0.8 * (g > 2.0) + rng.standard_normal(n)})
+
+    def test_additions_whose_labels_clash_are_skipped(self):
+        ds = self._dataset()
+        for trace in (forward_select(ds, self.FORMS, Criterion.p_value(0.5)),
+                      stepwise(ds, self.FORMS, Criterion.p_value(0.5))):
+            labels = trace.final_fit.column_labels
+            assert len(set(labels)) == len(labels)
+            assert sorted(t.variable for t in trace.final_spec.terms) == ["g", "x"]
+            first = trace.steps[0]
+            # The first addition is the best form of all, scored alone.
+            p_alone = [deviance_test(fit(ds, ModelSpec()), fit(ds, ModelSpec((t,))),
+                                     len(t.labels()))
+                       for t in self.FORMS]
+            assert first.p_value == min(p_alone)
+
+    def test_univariable_screen_scores_each_form_alone(self):
+        ds = self._dataset()
+        result = univariable_screen(ds, self.FORMS[2:], 0.05)
+        expected = deviance_test(fit(ds, ModelSpec()), fit(ds, ModelSpec((self.FORMS[3],))), 1)
+        assert result.p_values["g"] == expected
