@@ -75,6 +75,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import warnings
@@ -363,7 +364,7 @@ def load_dataset(path: str, outcome: str, family: Family,
             except ValueError:
                 raise DataError(f"{path}: line {row_no}, column {name!r}: "
                                 f"non-numeric value {cell!r}") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 missing = True
                 break
             values[name] = value

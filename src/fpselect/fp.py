@@ -8,6 +8,7 @@ That gives 8 degree-1 and 36 degree-2 candidates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,13 +58,14 @@ class FpPowers:
         return "(" + ", ".join(format_power(p) for p in self.values) + ")"
 
 
+@functools.cache
 def enumerate_fp(degree: int) -> tuple[FpPowers, ...]:
     """All candidate power vectors of the given degree, in canonical order.
 
     Degree 1 yields the 8 single powers; degree 2 yields the 28 distinct pairs
     plus the 8 repeated pairs, 36 in total. Canonical order is lexicographic in
     the (nondecreasing) power values; ties in downstream searches are broken by
-    this order.
+    this order. Built once per degree: every call returns the same tuple.
     """
     if degree == 1:
         return tuple(FpPowers((p,)) for p in FP_POWER_SET)

@@ -1,26 +1,33 @@
 """Exhaustive best-fit search over the fractional polynomial family.
 
 `FpSearch` builds the adjustment's `glm.Design` once; a candidate's design is
-that design plus the candidate's FP basis. Every candidate is scored by the
-deviance from `glm.score_design`, the arithmetic of `fit_design` without the
-covariance or the `FitResult`: for the Gaussian family one Householder QR and
-the residual sum of squares, for the binomial family the IRLS loop. Only the
-model a caller returns is fitted: `best_fp` fits one degree's winner, and the
-closed test (`fsp.fsp_select`) reads several degrees from one search.
+that design plus the candidate's FP basis. A candidate is scored exactly by
+the deviance from `glm.score_design`, the arithmetic of `fit_design` without
+the covariance or the `FitResult`: for the Gaussian family one Householder QR
+and the residual sum of squares, for the binomial family the IRLS loop. Only
+the model a caller returns is fitted: `best_fp` fits one degree's winner, and
+the closed test (`fsp.fsp_select`) reads several degrees from one search.
+
+`FpSearch.best` bounds every Gaussian candidate from one update of the
+adjustment's QR (`glm.Design.addition_bounds`; the 44 bases use 16 distinct
+columns) and scores only those that can still win; `best_fp` then scores the
+rest for its table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, ModelBuildError
-from .fp import (FpPowers, PreTransform, _power_column, enumerate_fp, fp_basis,
-                 fp_basis_labels, pretransform)
-from .glm import Design, FitResult, fit_design, score_design
+from .fp import (FP_POWER_SET, FpPowers, PreTransform, _power_column, enumerate_fp,
+                 fp_basis, fp_basis_labels, pretransform)
+from .glm import Design, FitResult, contenders, fit_design, score_design
 from .model import Fp, Linear, ModelSpec, Term
 
 
@@ -50,11 +57,21 @@ class FpSearchResult:
     pre: PreTransform
 
 
+@functools.cache
+def _candidate_blocks() -> tuple[tuple[FpPowers, ...], tuple[tuple[int, ...], ...]]:
+    """Every candidate of both degrees and the indices of its basis among the
+    columns z^p (0-7) and z^p log z (8-15), p in `FP_POWER_SET` order."""
+    column = {p: i for i, p in enumerate(FP_POWER_SET)}
+    candidates = enumerate_fp(1) + enumerate_fp(2)
+    return candidates, tuple(tuple(column[p] + 8 * (j and powers.repeated)
+                                   for j, p in enumerate(powers)) for powers in candidates)
+
+
 class FpSearch:
     """FP candidates of one variable on a fixed adjustment, scored on demand.
 
     Holds the adjustment's `Design`, builds each power column once and
-    memoises each degree's scores."""
+    memoises each candidate's exact score and every candidate's bounds."""
 
     def __init__(self, dataset: Dataset, variable: str, adjustment: ModelSpec | None = None,
                  pre: PreTransform | None = None, center_at: float | None = None):
@@ -68,7 +85,7 @@ class FpSearch:
             raise DomainError("power columns require strictly positive values")
         self.dataset, self.variable, self.center_at = dataset, variable, center_at
         self._columns: dict[float, np.ndarray] = {}
-        self._scores: dict[int, dict[FpPowers, tuple[float, int]]] = {}
+        self._scores: dict[FpPowers, tuple[float, int]] = {}
 
     def _column(self, p: float) -> np.ndarray:
         col = self._columns.get(p)
@@ -88,26 +105,42 @@ class FpSearch:
             cols = cols - fp_basis(np.array([self.center_at]), powers)
         return np.hstack([self.design.X, cols])
 
-    def scores(self, degree: int) -> dict[FpPowers, tuple[float, int]]:
-        """(deviance, model df) of every candidate of the degree, in canonical
-        order; a candidate whose fit fails scores (+inf, 0)."""
-        scores = self._scores.get(degree)
-        if scores is None:
-            scores = self._scores[degree] = {}
-            for powers in enumerate_fp(degree):
-                X = self._design_of(powers)
-                try:
-                    deviance, df = score_design(X, self.dataset.outcome, self.dataset.family)
-                except ModelBuildError:
-                    deviance, df = math.inf, 0
-                scores[powers] = (deviance if math.isfinite(deviance) else math.inf, df)
-        return scores
+    @functools.cached_property
+    def _bounds(self) -> dict[FpPowers, tuple[float, float] | None]:
+        """`Design.addition_bounds` of every candidate of both degrees. Every
+        basis is built from the 16 distinct columns z^p and z^p log z."""
+        first = [self._column(p) for p in FP_POWER_SET]
+        with np.errstate(all="ignore"):  # an overflowed column gets no bounds
+            columns = np.column_stack(first + [col * self._column(0.0) for col in first])
+            if self.center_at is not None:
+                center = np.array([self.center_at])
+                columns = columns - np.concatenate(
+                    [fp_basis(center, FpPowers((p, p))) for p in FP_POWER_SET]).T.ravel()
+        candidates, blocks = _candidate_blocks()
+        return dict(zip(candidates, self.design.addition_bounds(self.adjustment.terms,
+                                                                columns, blocks)))
+
+    def score(self, powers: FpPowers) -> tuple[float, int]:
+        """(deviance, model df) of a candidate; a candidate whose fit fails
+        scores (+inf, 0)."""
+        score = self._scores.get(powers)
+        if score is None:
+            try:
+                deviance, df = score_design(self._design_of(powers), self.dataset.outcome,
+                                            self.dataset.family)
+            except ModelBuildError:
+                deviance, df = math.inf, 0
+            score = self._scores[powers] = (deviance if math.isfinite(deviance) else math.inf, df)
+        return score
 
     def best(self, degree: int) -> FpPowers:
-        """The candidate of least deviance; ties go to canonical order."""
-        scores = self.scores(degree)
-        best = min(scores, key=lambda powers: scores[powers][0])
-        if math.isinf(scores[best][0]):
+        """The candidate of least deviance, ties to canonical order. Only the
+        candidates with no bounds or whose bounds reach the degree's least
+        upper bound are scored: the winner and its ties are among them."""
+        candidates = enumerate_fp(degree)
+        keep = contenders([self._bounds[powers] for powers in candidates])
+        best = min(compress(candidates, keep), key=lambda powers: self.score(powers)[0])
+        if math.isinf(self.score(best)[0]):
             raise ModelBuildError(
                 f"every FP candidate fit failed for {self.variable!r} (degree {degree})")
         return best
@@ -115,14 +148,14 @@ class FpSearch:
     def fit(self, powers: FpPowers) -> FitResult:
         """Fit of the adjustment plus the FP term with the given powers."""
         labels = self.design.labels + fp_basis_labels(self.variable, powers)
-        result = fit_design(self._design_of(powers), self.dataset.outcome,
-                            self.dataset.family, labels)
         term = Term.fp(self.variable, powers, self.pre, self.center_at)
-        return replace(result, spec=self.adjustment.with_term(term))
+        return fit_design(self._design_of(powers), self.dataset.outcome, self.dataset.family,
+                          labels, spec=self.adjustment.with_term(term))
 
     def result(self, degree: int) -> FpSearchResult:
+        """Every candidate of the degree scored, and the best one fitted."""
         best = self.best(degree)
-        table = {powers: deviance for powers, (deviance, _) in self.scores(degree).items()}
+        table = {powers: self.score(powers)[0] for powers in enumerate_fp(degree)}
         return FpSearchResult(self.variable, degree, best, self.fit(best), table, self.pre)
 
 

@@ -12,8 +12,9 @@ level, and a linear function is the default unless nonlinearity is strongly
 supported.
 
 One `fpsearch.FpSearch` builds the adjustment's design once and scores the
-null model, the straight line (FP1's power 1) and every FP1 and FP2
-candidate from it; only the model of the verdict is fitted.
+null model, the straight line (FP1's power 1) and each degree's winner from
+it (`FpSearch.best`, which scores only Gaussian candidates that can still
+win); only the model of the verdict is fitted.
 """
 
 from __future__ import annotations
@@ -146,12 +147,12 @@ def fsp_select(dataset: Dataset, variable: str, alpha: float,
     design, linear = search.design, FpPowers((1.0,))
     # The straight line is fitted only for a Linear verdict, or first when it
     # cannot be scored, so that its fit error is raised before the FP1 search's.
-    fit_linear = search.fit(linear) if math.isinf(search.scores(1)[linear][0]) else None
-    linear_score = (search.scores(1)[linear] if fit_linear is None
+    fit_linear = search.fit(linear) if math.isinf(search.score(linear)[0]) else None
+    linear_score = (search.score(linear) if fit_linear is None
                     else (fit_linear.deviance, fit_linear.model_df))
     fp1 = search.best(1)
     best = search.best(2) if max_degree == 2 else fp1
-    best_score = search.scores(best.degree)[best]
+    best_score = search.score(best)
 
     pvalues: list[float] = []
     if not force_in:
@@ -173,7 +174,7 @@ def fsp_select(dataset: Dataset, variable: str, alpha: float,
 
     chosen, verdict = fp1, FunctionForm.FP1
     if max_degree == 2:
-        p3, _ = design.p_value(search.scores(1)[fp1], best_score, dfs[2])
+        p3, _ = design.p_value(search.score(fp1), best_score, dfs[2])
         pvalues.append(p3)
         if p3 <= alpha_nl:
             chosen, verdict = best, FunctionForm.FP2

@@ -25,9 +25,13 @@ largest of the smallest possible ones are scored, and the loop
 picks among them as if it had scored all. The removal with the largest exact
 p-value always passes the screen, so the trace is that of scoring every
 removal, bit for bit. Binomial fits, fits with dropped columns and
-ill-conditioned fits get no bounds, and every removal is scored. Additions
-and augmented backward elimination, which needs every removal's p-value,
-score every candidate. An addition whose design-column labels the model
+ill-conditioned fits get no bounds, and every removal is scored.
+
+The addition scan (forward selection and stepwise) screens alike, by
+`glm.Design.addition_bounds`: only additions whose smallest possible p-value
+reaches the least of the largest possible ones, or without bounds, are
+scored. Augmented backward elimination, which needs every removal's p-value,
+scores every candidate. An addition whose design-column labels the model
 already has (another form of a variable it holds) is skipped.
 """
 
@@ -35,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence, Union
 
 from .chi2 import chi2_sf
 from .data import Dataset
 from .errors import CycleDetectedError, DomainError, ExposureMissingError
-from .glm import Design, FitResult
+from .glm import Design, FitResult, contenders
 from .model import ModelSpec, Term
 
 
@@ -131,12 +136,11 @@ def _screen(design: Design, current: FitResult, spec: ModelSpec,
     """The unprotected terms, in spec order, whose removal may have the
     largest p-value, judged by `Design.removal_bounds`; every unprotected
     term when it gives no bounds."""
-    bounds = design.removal_bounds(spec, current)
-    if bounds is None:
-        return [t for t in spec.terms if t not in protected]
+    bounds = design.removal_bounds(spec, current) or [None] * len(spec.terms)
     candidates = [(t, b) for t, b in zip(spec.terms, bounds) if t not in protected]
-    cut = max((low for _, (low, _) in candidates), default=0.0)
-    return [t for t, (_, high) in candidates if high >= cut]
+    # The largest p-value is the least of the negated ones.
+    keep = contenders([b and (-b[1], -b[0]) for _, b in candidates])
+    return [t for (t, _), k in zip(candidates, keep) if k]
 
 
 def _eliminate(design: Design, spec: ModelSpec, current: FitResult, criterion: Criterion,
@@ -159,10 +163,18 @@ def _add(design: Design, spec: ModelSpec, current: FitResult, candidates: Sequen
          criterion: Criterion, steps: list[SelectionStep]):
     """Add the most significant candidate if it passes the criterion; returns
     the (spec, fit) after the step and appends an addition to `steps`.
-    Candidates whose column labels the model already has are skipped."""
+    Candidates whose column labels the model already has are skipped, and
+    only those whose `Design.addition_bounds` admit the least p-value, or
+    that have none, are scored."""
     now = (current.deviance, current.model_df)
+    admitted = [term for term in candidates if spec.admits(term)]
+    blocks = [design.term_columns[term] for term in admitted]
+    bounds = design.p_value_bounds([(now[0], now[0])] * len(blocks),
+                                   design.addition_bounds(spec.terms, design.X, blocks),
+                                   [len(block) for block in blocks])
     best = min([(*design.p_value(now, design.score(spec.with_term(term).terms)), term)
-                for term in candidates if spec.admits(term)], key=lambda r: r[0], default=None)
+                for term in compress(admitted, contenders(bounds))],
+               key=lambda r: r[0], default=None)
     if best is None or best[0] > criterion_threshold(criterion, design.dataset.n, best[1]):
         return spec, current
     p, _, term = best

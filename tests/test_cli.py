@@ -240,3 +240,35 @@ def test_unused_variable_column_at_its_default_is_accepted(tmp_path, subcommand,
     assert code == 0
     capsys.readouterr()
     assert spelled == bare
+
+
+class TestLoadDatasetFiniteCells:
+    """Rows with an infinite or NaN cell in a used column are dropped with
+    one warning; finite cells load as the floats they spell."""
+
+    def test_non_finite_cells_drop_their_rows(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y,a,b\n1.5,2,3\ninf,1,1\n2.5,-inf,0\n0.5,1,nan\n3,NaN,1\n"
+                        "-1,4,7\n2,1,Infinity\n", encoding="utf-8")
+        with pytest.warns(UserWarning) as record:
+            dataset, dropped = load_dataset(str(path), "y", Family.GAUSSIAN, ["y", "a"])
+        assert dropped == 3  # rows with inf, -inf and NaN in y or a; b is unused
+        assert [str(w.message) for w in record] == [
+            f"{path}: dropped 3 rows with missing or non-finite values in used columns"]
+        assert dataset.outcome.tolist() == [1.5, 0.5, -1.0, 2.0]
+        assert dataset.column("a").tolist() == [2.0, 1.0, 4.0, 1.0]
+
+    def test_finite_file_loads_byte_identically(self, tmp_path):
+        rng = np.random.default_rng(809)
+        values = rng.standard_normal((50, 3)) * 10.0 ** rng.integers(-300, 300, (50, 3))
+        path = tmp_path / "data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["y", "a", "b"])
+            writer.writerows([[repr(v) for v in row] for row in values.tolist()] + [["1e-320", "0", "-0.0"]])
+        expected = np.vstack([values, [1e-320, 0.0, -0.0]])
+        dataset, dropped = load_dataset(str(path), "y", Family.GAUSSIAN)
+        assert dropped == 0
+        for j, name in enumerate(("y", "a", "b")):
+            column = dataset.outcome if name == "y" else dataset.column(name)
+            assert column.tobytes() == np.ascontiguousarray(expected[:, j]).tobytes()

@@ -38,6 +38,18 @@ class TestEnumerate:
         with pytest.raises(DomainError):
             enumerate_fp(0)
 
+    def test_built_once_in_canonical_order(self):
+        singles = tuple(FpPowers((p,)) for p in FP_POWER_SET)
+        pairs = tuple(FpPowers((p, q)) for i, p in enumerate(FP_POWER_SET)
+                      for q in FP_POWER_SET[i:])
+        assert enumerate_fp(1) == singles and enumerate_fp(2) == pairs
+        for degree in (1, 2):
+            first = enumerate_fp(degree)
+            assert isinstance(first, tuple)
+            assert enumerate_fp(degree) is first
+        with pytest.raises(DomainError):  # an error is raised again, not cached
+            enumerate_fp(3)
+
     def test_powers_validate_membership(self):
         with pytest.raises(DomainError):
             FpPowers((0.7,))

@@ -7,13 +7,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpselect import (Dataset, DomainError, Family, FpPowers, FunctionDecision,
                       FunctionForm, ModelSpec, PreTransform, RankDeficientError, Term,
                       TooFewDistinctValuesError, best_fp, design_matrix, deviance_test, fit,
-                      fsp_degrees_of_freedom, fsp_select, pretransform)
+                      fp_basis, fsp_degrees_of_freedom, fsp_select, mfp, pretransform, simlab)
 
 fsp_module = importlib.import_module("fpselect.fsp")
+fpsearch_module = importlib.import_module("fpselect.fpsearch")
+glm_module = importlib.import_module("fpselect.glm")
 
 
 def gaussian_dataset(x, y, extra=None):
@@ -388,3 +392,149 @@ class TestMatchesFittingEveryModel:
             with pytest.raises(RankDeficientError) as raised:
                 select(ds, "x", 0.05, 2, adjustment, force_in=force_in)
             assert str(raised.value) == "5 observations cannot identify 5 coefficients"
+
+
+def _exact_scores(monkeypatch, run):
+    """Run a search and return the candidates it scored exactly, in order."""
+    scored = []
+    real_score = fpsearch_module.FpSearch.score
+
+    def recording(self, powers):
+        if powers not in self._scores:
+            scored.append(powers)
+        return real_score(self, powers)
+
+    monkeypatch.setattr(fpsearch_module.FpSearch, "score", recording)
+    result = run()
+    monkeypatch.setattr(fpsearch_module.FpSearch, "score", real_score)
+    return result, scored
+
+
+def _count_calls(monkeypatch, module, name, run):
+    """Run a function and count the calls to `module.name` that it made."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    result = run()
+    monkeypatch.setattr(module, name, real)
+    return result, len(calls)
+
+
+class TestScreenedSearch:
+    """A Gaussian closed test bounds every FP candidate's deviance from one
+    update of the adjustment's QR and scores exactly only the straight line
+    and the candidates that can still win; its decisions equal scoring every
+    candidate, field by field."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(12, 120),
+           family=st.sampled_from([Family.GAUSSIAN, Family.BINOMIAL]),
+           max_degree=st.sampled_from([1, 2]),
+           variant=st.sampled_from(["none", "adjusted", "pre", "aliased"]),
+           effect=st.sampled_from(["none", "log", "wavy"]))
+    def test_matches_fitting_every_model(self, seed, n, family, max_degree, variant, effect):
+        rng = np.random.default_rng(seed)
+        x = rng.lognormal(sigma=rng.uniform(0.2, 1.5), size=n)
+        w = rng.standard_normal(n)
+        eta = 0.5 * w + {"none": 0.0 * x, "log": np.log(x), "wavy": 1.0 / x + 0.5 * x}[effect]
+        if family is Family.GAUSSIAN:
+            y = eta + rng.normal(scale=rng.uniform(0.1, 2.0), size=n)
+        else:
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(eta - eta.mean())))).astype(float)
+        ds = Dataset.from_columns({"x": x, "w": w, "w2": 2.0 * w, "y": y}, outcome="y",
+                                  family=family)
+        kwargs = dict(max_degree=max_degree)
+        if variant != "none":
+            kwargs["adjustment"] = ModelSpec((Term.linear("w"),))
+        if variant == "pre":
+            kwargs.update(pre=PreTransform(1.0, 2.0), center_at=float(np.median(x)))
+        if variant == "aliased":
+            kwargs["adjustment"] = ModelSpec((Term.linear("w"), Term.linear("w2")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                old = _former_fsp_select(ds, "x", 0.05, **kwargs)
+            except (DomainError, RankDeficientError) as error:
+                with pytest.raises(type(error)) as raised:
+                    fsp_select(ds, "x", 0.05, **kwargs)
+                assert str(raised.value) == str(error)
+                return
+            new = fsp_select(ds, "x", 0.05, **kwargs)
+        _assert_same_decision(new, old, kwargs)
+
+    def test_near_tie_takes_the_confirm_path(self, monkeypatch):
+        # Rows come in pairs x and 1/x with equal outcomes, so the bases x^2
+        # and x^-2 give residual sums of squares that are equal in exact
+        # arithmetic; rounding decides, and both must be scored.
+        rng = np.random.default_rng(3)
+        v = rng.uniform(1.05, 20.0, 150)
+        w = np.sqrt(np.log(v)) + 0.1 * rng.standard_normal(150)
+        ds = gaussian_dataset(np.concatenate([v, 1.0 / v]), np.concatenate([w, w]))
+        kwargs = dict(max_degree=1, pre=PreTransform())
+        new, scored = _exact_scores(monkeypatch, lambda: fsp_select(ds, "x", 0.05, **kwargs))
+        assert {FpPowers((-2.0,)), FpPowers((2.0,))} <= set(scored)
+        assert len(scored) < 8
+        assert new.powers in (FpPowers((-2.0,)), FpPowers((2.0,)))
+        _assert_same_decision(new, _former_fsp_select(ds, "x", 0.05, **kwargs), "near tie")
+
+    def test_ill_conditioned_candidate_is_scored_exactly(self, monkeypatch):
+        # One tiny x makes x^-2 and x^-2 log x nearly proportional: the block
+        # of (-2, -2) is too ill-conditioned for a bound.
+        rng = np.random.default_rng(5)
+        n = 300
+        x = rng.uniform(0.5, 4.0, n)
+        x[0] = 1e-3
+        a = rng.standard_normal(n)
+        ds = gaussian_dataset(x, np.log(x) + 0.5 * a + rng.standard_normal(n), {"a": a})
+        kwargs = dict(adjustment=ModelSpec((Term.linear("a"),)), pre=PreTransform())
+        calls = []
+        real = fpsearch_module.score_design
+
+        def counting(X, y, family):
+            calls.append(X[:, -2:].copy())
+            return real(X, y, family)
+
+        monkeypatch.setattr(fpsearch_module, "score_design", counting)
+        new = fsp_select(ds, "x", 0.05, **kwargs)
+        monkeypatch.undo()
+        basis = fp_basis(x, FpPowers((-2.0, -2.0)))
+        assert sum(np.array_equal(cols, basis) for cols in calls) == 1
+        assert len(calls) < 44
+        _assert_same_decision(new, _former_fsp_select(ds, "x", 0.05, **kwargs), "(-2, -2)")
+
+    def test_well_conditioned_search_scores_at_most_eight(self, monkeypatch):
+        for seed in (701, 702, 703):
+            rng = np.random.default_rng(seed)
+            n = 300
+            x, a, b = rng.uniform(0.5, 3.0, n), rng.standard_normal(n), rng.standard_normal(n)
+            ds = gaussian_dataset(x, np.log(x) + 0.5 * a + rng.standard_normal(n),
+                                  {"a": a, "b": b})
+            adjustment = ModelSpec((Term.linear("a"), Term.linear("b")))
+            for max_degree in (1, 2):
+                _, calls = _count_calls(monkeypatch, fpsearch_module, "score_design",
+                                        lambda: fsp_select(ds, "x", 0.05, max_degree,
+                                                           adjustment))
+                assert 1 <= calls <= 8, (seed, max_degree)
+
+    def test_mfp_factorisations_per_analysis(self, monkeypatch):
+        # The benchmark's scenario: n = 500, eight covariates, four effects.
+        covariates = (simlab.Covariate("x1", simlab.LogNormal()),
+                      simlab.Covariate("x2", simlab.Uniform(0.5, 3.0)),
+                      simlab.Covariate("x3", simlab.Normal()),
+                      simlab.Covariate("x4", simlab.Exponential()),
+                      *(simlab.Covariate(f"x{j}", simlab.Normal()) for j in range(5, 9)))
+        effects = (simlab.Effect("x1", "log", 1.0), simlab.Effect("x2", "power", 1.0, param=-1.0),
+                   simlab.Effect("x3", "linear", 0.5), simlab.Effect("x4", "linear", 0.5))
+        correlation = np.full((8, 8), 0.3)
+        np.fill_diagonal(correlation, 1.0)
+        ds = simlab.generate(simlab.Scenario(n=500, covariates=covariates, effects=effects,
+                                             correlation=correlation, seed=709))
+        result, calls = _count_calls(monkeypatch, glm_module, "_householder",
+                                     lambda: mfp(ds, ds.candidate_names))
+        assert {"x1", "x2"} <= set(result.selected_variables)
+        assert calls <= 200

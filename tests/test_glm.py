@@ -642,6 +642,53 @@ class TestDesign:
         assert design.removal_bounds(spec, design.fit(spec)) is None
 
 
+class TestAdditionBounds:
+    """`Design.addition_bounds` brackets the exact deviance of every addition
+    it bounds, and bounds none where the bound is not guaranteed."""
+
+    @staticmethod
+    def _bounds(ds, base, candidates):
+        design = Design(ds, ModelSpec(base), candidates)
+        blocks = [design.term_columns[term] for term in candidates]
+        return design, design.addition_bounds(base, design.X, blocks)
+
+    def test_bounds_contain_the_exact_deviances(self):
+        for seed in (611, 612, 613):
+            ds, spec = _blocks_dataset(seed)
+            for split in (0, 1, 2):
+                base, candidates = spec.terms[:split], spec.terms[split:]
+                design, bounds = self._bounds(ds, base, candidates)
+                assert len(bounds) == len(candidates)
+                for term, bound in zip(candidates, bounds):
+                    exact, df = design.score(base + (term,))
+                    low, high = bound
+                    assert low <= exact <= high
+                    assert high <= low * (1.0 + 3.0 * glm.SCREEN_RTOL)
+                    assert df == 1 + sum(len(t.labels()) for t in base + (term,))
+
+    def test_no_bounds_where_they_are_not_guaranteed(self):
+        rng = np.random.default_rng(617)
+        n = 100
+        x, w = rng.standard_normal(n), rng.standard_normal(n)
+        cols = {"x": x, "w": w, "x2": 2.0 * x, "near": x + 1e-7 * w, "y": x + rng.standard_normal(n)}
+        ds = make_dataset(cols)
+        x_, w_, x2_, near_ = (Term.linear(v) for v in ("x", "w", "x2", "near"))
+        # Binomial, an aliased base and a base without columns: no block.
+        binomial = _blocks_dataset(619, family=Family.BINOMIAL)[0]
+        assert self._bounds(binomial, (Term.linear("x"),), (Term.linear("w"),))[1] == [None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            assert self._bounds(ds, (x_, x2_), (w_,))[1] == [None]
+        design = Design(ds, ModelSpec((), intercept=False), (w_,))
+        assert design.addition_bounds((), design.X, [design.term_columns[w_]]) == [None]
+        # An aliased or ill-conditioned candidate has none; the others keep theirs.
+        _, bounds = self._bounds(ds, (x_,), (x2_, near_, w_))
+        assert bounds[0] is None and bounds[1] is None and bounds[2] is not None
+        # A candidate that leaves no residual degree of freedom has none.
+        small = make_dataset({k: v[:3] for k, v in cols.items()})
+        assert self._bounds(small, (x_,), (w_,))[1] == [None]
+
+
 class TestModelSpecLabels:
     def test_duplicate_column_labels_are_rejected(self):
         # Two dummy blocks of one variable used to share the label g[g1], and

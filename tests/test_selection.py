@@ -716,6 +716,86 @@ class TestRemovalScreen:
         _assert_same_trace(_quiet(backward_eliminate, ds, start, criterion, protected), ref)
 
 
+class TestAdditionScreen:
+    """Gaussian forward selection and stepwise score only the additions whose
+    bounds from `Design.addition_bounds` admit the smallest p-value; their
+    traces equal scoring every addition."""
+
+    CANDIDATES = tuple(Term.linear(f"x{j}") for j in range(8))
+
+    @staticmethod
+    def _dataset(seed, n=500):
+        rng = np.random.default_rng(seed)
+        cols = {f"x{j}": rng.standard_normal(n) for j in range(8)}
+        cols["y"] = cols["x0"] + 0.5 * cols["x1"] + 0.3 * cols["x2"] + rng.standard_normal(n)
+        return make_dataset(cols)
+
+    def test_well_conditioned_steps_score_few_additions(self, monkeypatch):
+        ds = self._dataset(433)
+        criterion = Criterion.p_value(0.05)
+        trace, counts = _exact_scores_per_step(
+            monkeypatch, lambda: forward_select(ds, self.CANDIDATES, criterion))
+        assert len(trace.steps) >= 3
+        assert max(counts) <= 2 and sum(counts) < 2 * len(counts)
+        monkeypatch.undo()
+        _assert_same_trace(trace, _ref_forward(ds, self.CANDIDATES, criterion))
+
+    def test_near_tie_takes_the_confirm_path(self, monkeypatch):
+        # Rows come in pairs that swap x1 and x2, and the model after x0 is
+        # the same on both rows of a pair, so adding x1 and adding x2 leave
+        # residual sums of squares that are equal in exact arithmetic.
+        rng = np.random.default_rng(437)
+        m = 150
+        a, b, c = rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal(m)
+        y = 1.5 * c + 0.4 * (a + b) + rng.standard_normal(m)
+        cols = {"x0": np.concatenate([c, c]), "x1": np.concatenate([a, b]),
+                "x2": np.concatenate([b, a]), "y": np.concatenate([y, y])}
+        cols.update({f"x{j}": rng.standard_normal(2 * m) for j in range(3, 6)})
+        ds = make_dataset(cols)
+        terms = self.CANDIDATES[:6]
+        criterion = Criterion.p_value(0.05)
+        trace, counts = _exact_scores_per_step(
+            monkeypatch, lambda: forward_select(ds, terms, criterion))
+        assert [step.variable for step in trace.steps][:2] in (["x0", "x1"], ["x0", "x2"])
+        assert counts[1] == 2  # x1 and x2, not the three null columns
+        monkeypatch.undo()
+        _assert_same_trace(trace, _ref_forward(ds, terms, criterion))
+
+    def test_binomial_scores_every_addition(self, monkeypatch):
+        ds, terms = _mixed_dataset(311, Family.BINOMIAL)
+        trace, counts = _exact_scores_per_step(
+            monkeypatch, lambda: forward_select(ds, terms, Criterion.aic()))
+        assert counts == [len(terms) - k for k in range(len(counts))]
+        monkeypatch.undo()
+        _assert_same_trace(trace, _ref_forward(ds, terms, Criterion.aic()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(10, 80),
+           criterion=st.sampled_from(CRITERIA), procedure=st.sampled_from(["forward", "stepwise"]))
+    def test_screened_additions_equal_reference(self, seed, n, criterion, procedure):
+        rng = np.random.default_rng(seed)
+        cols = {f"x{j}": rng.standard_normal(n) for j in range(4)}
+        cols["x3"] = cols["x2"] + rng.uniform(0.0, 1.0) * cols["x3"]
+        cols["z"] = rng.lognormal(size=n)
+        cols["g"] = rng.uniform(0.0, 3.0, n)
+        effects = rng.uniform(-0.8, 0.8, 4) * (rng.random(4) < 0.6)
+        cols["y"] = (sum(e * cols[f"x{j}"] for j, e in enumerate(effects))
+                     + rng.uniform(0.0, 0.6) * np.log(cols["z"])
+                     + rng.uniform(0.0, 0.6) * (cols["g"] > 2.0) + rng.standard_normal(n))
+        ds = make_dataset(cols)
+        terms = (*(Term.linear(f"x{j}") for j in range(4)), Term.fp("z", (-0.5, 1.0)),
+                 Term.categorical("g", (1.0, 2.0)))
+        run, ref = ((forward_select, _ref_forward) if procedure == "forward"
+                    else (stepwise, _ref_stepwise))
+        try:
+            expected = _quiet(ref, ds, terms, criterion)
+        except (DomainError, RankDeficientError) as error:
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                _quiet(run, ds, terms, criterion)
+            return
+        _assert_same_trace(_quiet(run, ds, terms, criterion), expected)
+
+
 class TestAlternativeForms:
     """Candidates may be alternative forms of one variable whose design-column
     labels repeat. Each runs on its own; a model never holds two forms whose
