@@ -11,7 +11,9 @@ the closed test (`fsp.fsp_select`) reads several degrees from one search.
 `FpSearch.best` bounds every Gaussian candidate from one update of the
 adjustment's QR (`glm.Design.addition_bounds`; the 44 bases use 16 distinct
 columns) and scores only those that can still win; `best_fp` then scores the
-rest for its table.
+rest for its table. Binomial candidates of a degree are scored together, in
+lock step (`glm.score_designs`). The winner of each degree is fitted from the
+factorisation its score made.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from itertools import compress
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, Family
 from .errors import DomainError, ModelBuildError
 from .fp import (FP_POWER_SET, FpPowers, PreTransform, _power_column, enumerate_fp,
                  fp_basis, fp_basis_labels, pretransform)
-from .glm import Design, FitResult, contenders, fit_design, score_design
+from .glm import (Design, FitResult, _factorise, contenders, fit_design, score_design,
+                  score_designs)
 from .model import Fp, Linear, ModelSpec, Term
 
 
@@ -85,7 +88,7 @@ class FpSearch:
             raise DomainError("power columns require strictly positive values")
         self.dataset, self.variable, self.center_at = dataset, variable, center_at
         self._columns: dict[float, np.ndarray] = {}
-        self._scores: dict[FpPowers, tuple[float, int]] = {}
+        self._scores: dict[FpPowers, tuple[float, int, tuple | None]] = {}
 
     def _column(self, p: float) -> np.ndarray:
         col = self._columns.get(p)
@@ -120,18 +123,28 @@ class FpSearch:
         return dict(zip(candidates, self.design.addition_bounds(self.adjustment.terms,
                                                                 columns, blocks)))
 
+    def _store(self, powers: FpPowers, scored) -> None:
+        """Keep a candidate's deviance, model df and `_factorise` result (for
+        `fit`) from a `score_designs` item; a failed fit scores (+inf, 0)."""
+        if isinstance(scored, ModelBuildError):
+            self._scores[powers] = (math.inf, 0, None)
+        else:
+            deviance, _, factors = scored
+            self._scores[powers] = (deviance if math.isfinite(deviance) else math.inf,
+                                    len(factors[0]), factors)
+
     def score(self, powers: FpPowers) -> tuple[float, int]:
         """(deviance, model df) of a candidate; a candidate whose fit fails
         scores (+inf, 0)."""
-        score = self._scores.get(powers)
-        if score is None:
+        if powers not in self._scores:
+            X, y = self._design_of(powers), self.dataset.outcome
             try:
-                deviance, df = score_design(self._design_of(powers), self.dataset.outcome,
-                                            self.dataset.family)
-            except ModelBuildError:
-                deviance, df = math.inf, 0
-            score = self._scores[powers] = (deviance if math.isfinite(deviance) else math.inf, df)
-        return score
+                factors = _factorise(X, y)
+                scored = (score_design(X, y, self.dataset.family, factors)[0], None, factors)
+            except ModelBuildError as exc:
+                scored = exc
+            self._store(powers, scored)
+        return self._scores[powers][:2]
 
     def best(self, degree: int) -> FpPowers:
         """The candidate of least deviance, ties to canonical order. Only the
@@ -139,6 +152,11 @@ class FpSearch:
         upper bound are scored: the winner and its ties are among them."""
         candidates = enumerate_fp(degree)
         keep = contenders([self._bounds[powers] for powers in candidates])
+        if self.dataset.family is Family.BINOMIAL:
+            todo = [powers for powers in compress(candidates, keep) if powers not in self._scores]
+            designs = ((self._design_of(powers), self.dataset.outcome) for powers in todo)
+            for powers, scored in zip(todo, score_designs(designs, self.dataset.family)):
+                self._store(powers, scored)
         best = min(compress(candidates, keep), key=lambda powers: self.score(powers)[0])
         if math.isinf(self.score(best)[0]):
             raise ModelBuildError(
@@ -150,7 +168,8 @@ class FpSearch:
         labels = self.design.labels + fp_basis_labels(self.variable, powers)
         term = Term.fp(self.variable, powers, self.pre, self.center_at)
         return fit_design(self._design_of(powers), self.dataset.outcome, self.dataset.family,
-                          labels, spec=self.adjustment.with_term(term))
+                          labels, factors=self._scores.get(powers, (None,) * 3)[2],
+                          spec=self.adjustment.with_term(term))
 
     def result(self, degree: int) -> FpSearchResult:
         """Every candidate of the degree scored, and the best one fitted."""

@@ -8,7 +8,9 @@ family, with a free intercept); the fitted slopes are the shrinkage factors,
 so the three modes coincide exactly when their groupings coincide. Components
 are mean-centered before calibration so the intercept absorbs location.
 Global shrinkage with `reselect` re-selects the model inside every training
-fold and calibrates on the folds' own out-of-fold predictors.
+fold and calibrates on the folds' own out-of-fold predictors. Otherwise the
+folds refit one design through `glm.score_designs`, binomial folds of equal
+size in lock step, bit for bit as one at a time, and keep only coefficients.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .data import Dataset
 from .errors import (CollinearComponentsError, DomainError, FoldFitFailureError,
                      ModelBuildError)
-from .glm import FitResult, fit, fit_design
+from .glm import FitResult, fit, fit_design, score_designs
 from .model import ModelSpec, Term, design_matrix
 
 
@@ -108,13 +110,13 @@ def _out_of_fold_components(dataset: Dataset, spec: ModelSpec, cv: CvScheme):
     # Every transform acts row by row, so the rows of the full design are the
     # design of the training rows.
     C = np.zeros((dataset.n, len(keep)))
-    for fold_id, (train, test) in enumerate(cv.folds(dataset.n)):
-        try:
-            fold_fit = fit_design(X_full[train], dataset.outcome[train], dataset.family,
-                                  labels)
-        except ModelBuildError as exc:
-            raise FoldFitFailureError(fold_id, exc) from exc
-        C[test, :] = X_full[np.ix_(test, keep)] * fold_fit.coefficients[keep]
+    folds = cv.folds(dataset.n)
+    designs = ((X_full[train], dataset.outcome[train]) for train, _ in folds)
+    for fold_id, ((_, test), fitted) in enumerate(zip(folds, score_designs(
+            designs, dataset.family, labels))):
+        if isinstance(fitted, ModelBuildError):
+            raise FoldFitFailureError(fold_id, fitted) from fitted
+        C[test, :] = X_full[np.ix_(test, keep)] * fitted[1][keep]
     return C, tuple(labels[j] for j in keep)
 
 

@@ -495,9 +495,9 @@ class TestScreenedSearch:
         calls = []
         real = fpsearch_module.score_design
 
-        def counting(X, y, family):
+        def counting(X, y, family, factors=None):
             calls.append(X[:, -2:].copy())
-            return real(X, y, family)
+            return real(X, y, family, factors)
 
         monkeypatch.setattr(fpsearch_module, "score_design", counting)
         new = fsp_select(ds, "x", 0.05, **kwargs)

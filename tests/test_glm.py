@@ -6,14 +6,18 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgeqrf
 
-from fpselect import (Dataset, DomainError, Family, FitResult, ModelSpec,
+from fpselect import (Dataset, DomainError, Family, FitResult, ModelBuildError, ModelSpec,
                       NotNestedError, RankDeficientError, Term, deviance_test, fit,
                       lr_statistic)
 from fpselect import glm
 from fpselect.glm import (DEVIANCE_RTOL, Design, MAX_ITER, PIVOT_TOL, _MU_EPS, _binomial_deviance,
-                          _cov_from_r, _embed, _embed_cov, _expit, _householder, _wls,
+                          _cov_from_r, _embed, _embed_cov, _expit, _householder, _r_factor,
+                          _solve,
                           deviance_lr_statistic, deviance_p_value, fit_design,
                           gaussian_log_likelihood, score_design)
 
@@ -149,12 +153,60 @@ def _mgs_fit(X, y, family):
     return kept, beta, deviance, MAX_ITER
 
 
+def _former_wls(X, z, w, kept):
+    """The former weighted least squares step of IRLS, restricted to the kept
+    columns; returns (beta, R)."""
+    A = X[:, kept]
+    b = z
+    if w is not None:
+        sw = np.sqrt(w)
+        A = A * sw[:, None]
+        b = z * sw
+    kept2, qr, tau, scale = _householder(A)
+    if len(kept2) != len(kept):
+        raise RankDeficientError("design lost rank under the working weights")
+    return _solve(qr, tau, scale, b), _r_factor(qr, scale)
+
+
+def _former_deviance(y, mu):
+    return float(-2.0 * np.sum(y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)))
+
+
+def _former_irls(X, y, kept, factors, max_iter=MAX_ITER, tol=DEVIANCE_RTOL):
+    """The former one-fit IRLS loop: (beta, R, deviance, converged,
+    iterations)."""
+    mu = np.clip((y + 0.5) / 2.0, _MU_EPS, 1.0 - _MU_EPS)
+    eta = np.log(mu / (1.0 - mu))
+    deviance = _former_deviance(y, mu)
+    beta_k = np.zeros(len(kept))
+    R = np.eye(len(kept))
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        w = np.maximum(mu * (1.0 - mu), _MU_EPS)
+        z = eta + (y - mu) / w
+        if iterations == 1 and np.all(w == w[0]):
+            qr, tau, scale = factors
+            beta_k, R = _solve(qr, tau, scale, z), _r_factor(qr, scale) * math.sqrt(w[0])
+        else:
+            beta_k, R = _former_wls(X, z, w, kept)
+        eta = X[:, kept] @ beta_k
+        mu = np.clip(_expit(eta), _MU_EPS, 1.0 - _MU_EPS)
+        new_deviance = _former_deviance(y, mu)
+        if abs(new_deviance - deviance) <= tol * (abs(new_deviance) + 0.1):
+            deviance = new_deviance
+            converged = True
+            break
+        deviance = new_deviance
+    return beta_k, R, deviance, converged, iterations
+
+
 def _two_qr_gaussian_fit(X, y):
     """Reference: a rank-check QR over X (the former MGS) and then a second
-    QR over the kept columns through `_wls`."""
+    QR over the kept columns through the former `_wls`."""
     n, p = X.shape
     _, _, kept = _qr_keep(X)
-    beta_k, R = _wls(X, y, None, kept)
+    beta_k, R = _former_wls(X, y, None, kept)
     resid = y - X[:, kept] @ beta_k
     rss = float(resid @ resid)
     cov = _cov_from_r(R) * (rss / (n - len(kept)))
@@ -269,10 +321,18 @@ class TestHouseholderMatchesMgs:
         assert res.deviance == pytest.approx(5122.52, abs=0.01)
 
     def test_weights_that_lose_rank_raise(self):
-        X = np.column_stack([np.ones(6), np.arange(6.0)])
-        w = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        # Quasi-separation drives the working weights of the rows x < 0 to
+        # ~1e-10, and the last column differs from x only on those rows: the
+        # weighted design loses rank although the unweighted one has full rank.
+        x = np.linspace(-1.0, 1.0, 11)
+        X = np.column_stack([np.ones(11), x, x + 1e-8 * (x < 0)])
+        y = np.zeros(11)
+        y[[6, 10]] = 1.0
+        assert _householder(X)[0] == [0, 1, 2]
         with pytest.raises(RankDeficientError, match="lost rank"):
-            _wls(X, np.ones(6), w, [0, 1])
+            fit_design(X, y, Family.BINOMIAL, ("a", "b", "c"))
+        with pytest.raises(RankDeficientError, match="lost rank"):
+            _former_irls(X, y, [0, 1, 2], _householder(X)[1:])
 
 
 class TestBinomialFit:
@@ -502,14 +562,14 @@ class TestScoreDesign:
 
 def _former_binomial_fit(X, y):
     """The former IRLS: every step, the first included, factorises the
-    weighted design through `_wls`. Returns (beta, deviance, iterations)."""
+    weighted design through `_former_wls`. Returns (beta, deviance, iterations)."""
     kept = _householder(X)[0]
     mu = np.clip((y + 0.5) / 2.0, _MU_EPS, 1.0 - _MU_EPS)
     eta = np.log(mu / (1.0 - mu))
     deviance = _binomial_deviance(y, mu)
     for iterations in range(1, MAX_ITER + 1):
         w = np.maximum(mu * (1.0 - mu), _MU_EPS)
-        beta, _ = _wls(X, eta + (y - mu) / w, w, kept)
+        beta, _ = _former_wls(X, eta + (y - mu) / w, w, kept)
         eta = X[:, kept] @ beta
         mu = np.clip(_expit(eta), _MU_EPS, 1.0 - _MU_EPS)
         new_deviance = _binomial_deviance(y, mu)
@@ -536,6 +596,146 @@ class TestFirstIrlsStepReusesRankCheckQr:
             assert res.deviance == pytest.approx(deviance, rel=1e-12)
             kept = [j for j, label in enumerate(labels) if label not in res.dropped_columns]
             np.testing.assert_allclose(res.coefficients[kept], beta, rtol=1e-9)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def _former_householder(A, tol=PIVOT_TOL):
+    """The former `_householder`: it gathered the kept columns and their
+    scales by fancy indexing even when every column was kept."""
+    n = A.shape[0]
+    A = np.asfortranarray(A)
+    peak = np.abs(A).max(axis=0)
+    scale = np.ldexp(0.5, np.frexp(peak)[1])
+    candidates = peak.nonzero()[0]
+    while True:
+        kept = candidates[:n]
+        As = A[:, kept] / scale[kept]
+        norms = np.sqrt(np.einsum("ij,ij->j", As, As))
+        qr, tau, _, _ = dgeqrf(As, overwrite_a=True)
+        aliased = (np.abs(qr.diagonal()) <= tol * norms).nonzero()[0]
+        if not aliased.size:
+            return kept.tolist(), qr, tau, scale[kept]
+        candidates = np.delete(candidates, aliased[0])
+
+
+class TestHouseholderFullRankPath:
+    """A design that keeps every column is divided by its scales directly,
+    without the gathered copy; LAPACK receives the same values, so every
+    output equals the former gather bit for bit."""
+
+    def test_equals_former_gather(self):
+        rng = np.random.default_rng(211)
+        designs = [X for _, X in TestHouseholderMatchesMgs._designs()]
+        for n, p in ((12, 1), (60, 4), (300, 10)):
+            X = np.column_stack([np.ones(n), rng.standard_normal((n, p - 1)) * 1e3])
+            designs += [X, np.asfortranarray(X), X[::2], 1e-200 * X]
+        for X in designs:
+            new, old = _householder(X), _former_householder(X)
+            assert new[0] == old[0]
+            for a, b in zip(new[1:], old[1:]):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+_LOCKSTEP_KINDS = ("plain", "aliased", "separated", "lost")
+
+
+def _lockstep_fit(rng, n, k, kind):
+    """(X, y) of a binomial fit on n rows with an intercept and k - 1 more
+    columns. `aliased` appends a combination of two columns; `separated`
+    gives an outcome that x nearly separates; `lost` adds, to such an
+    outcome, a column that differs from x only in the rows x < 0, whose
+    working weights the separation drives to ~1e-10, so that the weighted
+    design may lose rank."""
+    x = rng.standard_normal(n)
+    cols = [np.ones(n), x][:k] + [rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+                                  for _ in range(k - 2)]
+    if kind == "plain" or kind == "aliased":
+        eta = sum(c * rng.uniform(-1.0, 1.0) for c in cols)
+        y = (rng.random(n) < _expit(eta)).astype(float)
+    else:
+        y = np.zeros(n)
+        positive = (x > 0).nonzero()[0]
+        y[rng.choice(positive, size=max(1, len(positive) // 3), replace=False)] = 1.0
+    if kind == "aliased":
+        cols.append(2.0 * cols[-1] - 0.5 * cols[0])
+    if kind == "lost":
+        cols += [x, x + 10.0 ** rng.uniform(-9.0, -7.0) * (x < 0)]
+    return np.column_stack(cols), y
+
+
+def _assert_equals_former(fits, results, max_iter=MAX_ITER):
+    """Each lock-step result equals the former one-fit loop bit for bit."""
+    for (X, y, factors), result in zip(fits, results):
+        try:
+            expected = _former_irls(X, y, factors[0], factors[1:], max_iter)
+        except ModelBuildError as exc:
+            assert type(result) is type(exc) and str(result) == str(exc)
+            continue
+        assert not isinstance(result, Exception), result
+        beta, R, deviance, converged, iterations = result
+        np.testing.assert_array_equal(_bits(beta), _bits(expected[0]))
+        np.testing.assert_array_equal(_bits(R), _bits(expected[1]))
+        assert deviance.hex() == expected[2].hex()
+        assert (converged, iterations) == expected[3:]
+
+
+class TestLockStepIrls:
+    """`_irls` advances a batch of independent binomial fits together; every
+    fit's coefficients, deviance, convergence, iterations and R, or the
+    error it raises, equal those of the former one-fit loop bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           groups=st.lists(st.tuples(st.integers(8, 60), st.integers(1, 5),
+                                     st.lists(st.sampled_from(_LOCKSTEP_KINDS), min_size=1,
+                                              max_size=20)),
+                           min_size=1, max_size=3),
+           max_iter=st.sampled_from([1, 2, 4, MAX_ITER]))
+    def test_every_fit_equals_the_former_loop(self, seed, groups, max_iter):
+        rng = np.random.default_rng(seed)
+        fits = []
+        for n, k, kinds in groups:
+            for kind in kinds:
+                X, y = _lockstep_fit(rng, n, k, kind)
+                factors = _householder(X)
+                if factors[0] and n > len(factors[0]):
+                    fits.append((X, y, factors))
+        _assert_equals_former(fits, glm._irls(fits, max_iter), max_iter)
+
+    def test_a_fit_that_loses_rank_leaves_the_batch(self):
+        x = np.linspace(-1.0, 1.0, 11)
+        X = np.column_stack([np.ones(11), x, x + 1e-8 * (x < 0)])
+        lost = np.zeros(11)
+        lost[[6, 10]] = 1.0
+        rng = np.random.default_rng(227)
+        fits = [(X, y, _householder(X)) for y in
+                [(rng.random(11) < 0.5).astype(float), lost, (rng.random(11) < 0.5).astype(float)]]
+        results = glm._irls(fits)
+        assert isinstance(results[1], RankDeficientError)
+        _assert_equals_former(fits, results)
+
+    def test_layout_rule(self):
+        # The leave-one-out fits of one design, as shrinkage runs them. Each
+        # fit's X @ beta must come from the F-ordered X[:, kept], as in the
+        # former loop: for these fits a C-ordered copy of X[:, kept] gives a
+        # product that differs in the last bit, so a batch stored C-ordered
+        # would change the coefficients.
+        rng = np.random.default_rng(229)
+        n = 120
+        X = np.column_stack([np.ones(n), rng.standard_normal((n, 4))])
+        y = (rng.random(n) < _expit(X @ [0.2, 1.0, -0.5, 0.3, 0.0])).astype(float)
+        fits = []
+        for i in range(n):
+            rows = np.delete(np.arange(n), i)
+            fits.append((X[rows], y[rows], _householder(X[rows])))
+        results = glm._irls(fits)
+        _assert_equals_former(fits, results)
+        differs = [not np.array_equal(np.ascontiguousarray(A) @ beta, A @ beta)
+                   for A, (beta, *_) in zip((Xf[:, f[0]] for Xf, _, f in fits), results)]
+        assert sum(differs) > n // 2
 
 
 class TestDevianceFunctions:

@@ -10,7 +10,9 @@ from fpselect import (Criterion, Dataset, DomainError, Family, FoldFitFailureErr
                       RankDeficientError, Term, backward_eliminate, default_cv_scheme,
                       design_matrix, fit, global_shrinkage, joint_shrinkage,
                       parameterwise_shrinkage)
-from fpselect.errors import CollinearComponentsError
+from fpselect import glm
+from fpselect.errors import CollinearComponentsError, ModelBuildError
+from fpselect.glm import _expit, fit_design
 from fpselect.shrinkage import _calibrate, _out_of_fold_components
 
 
@@ -403,3 +405,150 @@ class TestModesMatchFormerBodies:
         cv = KFold(5, seed=3)
         new = global_shrinkage(ds, spec, cv, reselect=reselect)
         assert repr(new) == repr(former_global(ds, spec, cv, reselect))
+
+
+# ---------------------------------------------------------------------------
+# Folds fitted in lock step equal folds fitted one at a time
+# ---------------------------------------------------------------------------
+
+def former_components(dataset, spec, cv):
+    """The former fold loop: one `fit_design` per training fold, in order."""
+    X_full, labels, _ = design_matrix(dataset, spec)
+    keep = [j for j, label in enumerate(labels) if label != "(intercept)"]
+    C = np.zeros((dataset.n, len(keep)))
+    for fold_id, (train, test) in enumerate(cv.folds(dataset.n)):
+        try:
+            fold_fit = fit_design(X_full[train], dataset.outcome[train], dataset.family, labels)
+        except ModelBuildError as exc:
+            raise FoldFitFailureError(fold_id, exc) from exc
+        C[test, :] = X_full[np.ix_(test, keep)] * fold_fit.coefficients[keep]
+    return C
+
+
+class GivenFolds:
+    """A cross-validation scheme with the given (train, test) folds."""
+
+    def __init__(self, folds):
+        self._folds = folds
+
+    def folds(self, n):
+        return self._folds
+
+    def describe(self):
+        return "given folds"
+
+
+def two_failing_folds(first_in_irls):
+    """A binomial design of x and a column c that differs from x by 1e-8 in
+    the rows x < 0 of an 11-row block, whose outcome x nearly separates, and
+    ten folds. Folds 3 and 7 fail: the one that trains on the block alone
+    loses rank under the working weights, the other has two training rows."""
+    rng = np.random.default_rng(269)
+    block = np.linspace(-1.0, 1.0, 11)
+    other = rng.standard_normal(40)
+    x = np.concatenate([block, other])
+    c = np.concatenate([block + 1e-8 * (block < 0), other + 0.3 * rng.standard_normal(40)])
+    y = np.concatenate([np.zeros(11), (rng.random(40) < 0.5).astype(float)])
+    y[[6, 10]] = 1.0
+    ds = Dataset.from_columns({"x": x, "c": c, "y": y}, outcome="y", family=Family.BINOMIAL)
+    rows = np.arange(51)
+    folds = [(np.setdiff1d(rows, test), test) for test in np.array_split(rows[11:], 10)]
+    irls_fold, rank_fold = (3, 7) if first_in_irls else (7, 3)
+    folds[irls_fold] = (rows[:11], folds[irls_fold][1])
+    folds[rank_fold] = (rows[11:13], folds[rank_fold][1])
+    return ds, ModelSpec((Term.linear("x"), Term.linear("c"))), GivenFolds(folds)
+
+
+class TestLockStepFolds:
+    """Binomial folds of equal training size are fitted together in lock
+    step. The components, the fold a failure is reported for, its cause and
+    the aliasing warnings are those of fitting the folds one at a time."""
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=str)
+    def test_kfold_with_two_fold_sizes_matches_fold_by_fold(self, family):
+        ds, spec = TestRowSubsetRefits._problem(family, n=203, seed=263)
+        cv = KFold(10, seed=5)
+        assert sorted({len(train) for train, _ in cv.folds(ds.n)}) == [182, 183]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            C, _ = _out_of_fold_components(ds, spec, cv)
+            expected = former_components(ds, spec, cv)
+        np.testing.assert_array_equal(C.view(np.uint64), expected.view(np.uint64))
+
+    @staticmethod
+    def _failure(components, ds, spec, cv):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(FoldFitFailureError) as info:
+                components(ds, spec, cv)
+        return info.value, [str(w.message) for w in record]
+
+    @pytest.mark.parametrize("first_in_irls", [True, False], ids=["irls-first", "rank-first"])
+    def test_the_first_failing_fold_is_reported(self, first_in_irls):
+        ds, spec, cv = two_failing_folds(first_in_irls)
+        (new, new_warnings), (old, old_warnings) = [
+            self._failure(components, ds, spec, cv)
+            for components in (_out_of_fold_components, former_components)]
+        assert new.fold == old.fold == 3
+        assert type(new.cause) is type(old.cause) is RankDeficientError
+        assert str(new.cause) == str(old.cause)
+        assert ("lost rank" in str(new.cause)) == first_in_irls
+        # The two-row fold drops c; only a fold up to the failing one warns.
+        expected = [] if first_in_irls else ["dropping aliased design columns: c"]
+        assert new_warnings == old_warnings == expected
+        # Without the two failing folds every fold fits.
+        folds = cv.folds(ds.n)
+        _out_of_fold_components(ds, spec, GivenFolds(folds[:3] + folds[4:7] + folds[8:]))
+
+    def test_an_aliased_fold_warns_as_fold_by_fold(self):
+        rng = np.random.default_rng(271)
+        n = 60
+        cv = KFold(5, seed=1)
+        x = rng.standard_normal(n)
+        s = x.copy()
+        test = cv.folds(n)[2][1]
+        s[test] += rng.uniform(1.0, 2.0, len(test))  # x itself in fold 2's training rows
+        y = (rng.random(n) < _expit(x)).astype(float)
+        ds = Dataset.from_columns({"x": x, "s": s, "y": y}, outcome="y", family=Family.BINOMIAL)
+        spec = ModelSpec((Term.linear("x"), Term.linear("s")))
+        caught = []
+        for components in (_out_of_fold_components, former_components):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                components(ds, spec, cv)
+            caught.append([(str(w.message), w.category, w.filename) for w in record])
+        assert caught[0] == caught[1] == [
+            ("dropping aliased design columns: s", UserWarning, __file__)]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            parameterwise_shrinkage(ds, spec, cv)
+        assert record[0].filename.endswith("shrinkage.py")
+
+    def test_work_equals_fold_by_fold(self, monkeypatch):
+        ds, spec = TestRowSubsetRefits._problem(Family.BINOMIAL)
+        counts = {"dgeqrf": 0, "irls_iterations": 0}
+        stacks = []
+        dgeqrf, irls = glm.dgeqrf, glm._irls
+
+        def counting_dgeqrf(a, *args, **kwargs):
+            counts["dgeqrf"] += 1
+            if a.base is not None and a.base.ndim == 3:
+                stacks.append(a.base.shape[0])
+            return dgeqrf(a, *args, **kwargs)
+
+        def counting_irls(fits, *args):
+            results = irls(fits, *args)
+            counts["irls_iterations"] += sum(r[4] for r in results)
+            return results
+
+        monkeypatch.setattr(glm, "dgeqrf", counting_dgeqrf)
+        monkeypatch.setattr(glm, "_irls", counting_irls)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            _out_of_fold_components(ds, spec, LeaveOneOut())
+            batched = dict(counts)
+            counts.update(dgeqrf=0, irls_iterations=0)
+            former_components(ds, spec, LeaveOneOut())
+        assert batched == counts
+        assert batched["irls_iterations"] > 3 * ds.n
+        assert max(stacks) == glm._LOCKSTEP_FITS  # fits are batched, within the budget

@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs of two revisions of this repository.
+
+    python3 tools/ab_pairs.py --base HEAD~1 --change HEAD --workload shrink_loo \\
+        --seed 1 --seconds 30 --pairs 10
+
+Both revisions are unpacked with `git archive` into a temporary directory, so
+the working tree and the index are left untouched; commit a change before
+measuring it. Each pair runs `perfbench/run.py --workload W --seed S
+--seconds T --trace 0` once in each tree, and the tree that runs first
+alternates from pair to pair, so that a drift of the host's speed falls on
+both sides alike. For every end-to-end metric of `BENCHMARK.json` the report
+gives each side's median [lower quartile, upper quartile], the ratio of the
+medians, and the number of pairs in which the change did better than the
+base. A run that fails its reference gate stops the comparison. Only the
+standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unpack(revision: str, dest: Path) -> Path:
+    """Extract the tree of `revision` into `dest`."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", revision],
+                             check=True, capture_output=True).stdout
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+    return dest
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
+    """End-to-end metrics of one benchmark run in `tree`."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if proc.returncode or not result.get("correct"):
+        sys.exit(f"{tree.name}: benchmark run failed (exit {proc.returncode})\n"
+                 f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def summary(values: list[float]) -> str:
+    median = statistics.median(values)
+    if len(values) < 2:
+        return f"{median:.4g}"
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="revision to compare against")
+    parser.add_argument("--change", required=True, help="revision under test")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    results: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
+        trees = {side: unpack(getattr(args, side), Path(tmp) / side)
+                 for side in ("base", "change")}
+        for pair in range(args.pairs):
+            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+            for side in order:
+                results[side].append(run(trees[side], args.workload, args.seed, args.seconds))
+            print(f"pair {pair + 1}/{args.pairs} done ({' first, '.join(order)} second)",
+                  file=sys.stderr, flush=True)
+
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s; "
+          f"base {args.base}, change {args.change}")
+    print(f"{'metric':<16} {'base median [q1, q3]':<30} {'change median [q1, q3]':<30} "
+          f"{'change/base':>11} {'won':>7}")
+    for name, direction in better.items():
+        base = [r[name] for r in results["base"]]
+        change = [r[name] for r in results["change"]]
+        sign = 1.0 if direction == "lower" else -1.0
+        won = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+        ratio = statistics.median(change) / statistics.median(base)
+        print(f"{name:<16} {summary(base):<30} {summary(change):<30} {ratio:>11.3f} "
+              f"{won:>3}/{len(base)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
