@@ -98,9 +98,8 @@ def _linear_only_decision(dataset: Dataset, variable: str, alpha: float,
     design = Design(dataset, spec)
     pvalues: tuple[float, ...] = ()
     if not forced:
-        full = design.score(spec.terms)  # first: its errors come before the null's
-        p1, _ = design.p_value(design.score(adjustment.terms), full,
-                               len(design.term_columns[term]))
+        full, null = design.scores([spec.terms, adjustment.terms])  # full's errors first
+        p1, _ = design.p_value(null, full, len(design.term_columns[term]))
         pvalues = (p1,)
         if p1 > alpha:
             return FunctionDecision(variable, FunctionForm.EXCLUDED, None, pvalues,
@@ -156,7 +155,7 @@ def fsp_select(dataset: Dataset, variable: str, alpha: float,
 
     pvalues: list[float] = []
     if not force_in:
-        p1, _ = design.p_value(design.score(adjustment.terms), best_score, dfs[0])
+        p1, _ = design.p_value(design.scores([adjustment.terms])[0], best_score, dfs[0])
         pvalues.append(p1)
         if p1 > alpha:
             return FunctionDecision(variable, FunctionForm.EXCLUDED, None,

@@ -6,23 +6,26 @@ design; exactly collinear design columns are dropped left-to-right with a
 warning instead of aborting, which keeps exhaustive transformation searches
 alive when a candidate basis degenerates.
 
-Every search compares nested models through `Design`: it builds a design
-once, scores column subsets (`score_design`, whose deviance is that of the
-fit bit for bit), tests the scores (`Design.p_value`) and fits only the
-model the search returns, from the factorisation its score already made
+Every search scores its candidate models with one scorer, `score_designs`,
+whose deviance is that of the fit bit for bit, and fits only the model it
+returns. Nested models are compared through `Design`: it builds a design
+once, scores lists of column subsets (`Design.scores`), tests the scores
+(`Design.p_value`) and fits a model from the factorisation its score made
 when that was the last score.
 
-Independent binomial fits (cross-validation folds, FP candidates) run in lock
-step (`_irls`, fed by `score_designs`): the clip, `_expit`, weights, working
-responses, sqrt(w) scaling, `_householder`'s column scaling and aliasing test
-and the deviances of a stack of fits take one numpy call per step, while each
-fit keeps its own QR, solve, X @ beta, first-step reuse and convergence test.
-Each fit equals its fit alone bit for bit by three rules: X @ beta multiplies
-an F-ordered (n, k) view, as X[:, kept] is (a C-ordered one takes another
-dgemv summation order); only fits of equal shape are stacked (padding would
-change numpy's pairwise row sums); and a stack holds at most `_LOCKSTEP_FITS`
-fits (200 folds in one stack raised the peak RSS of 20 `shrink_loo` analyses
-from 65.7 to 81.2 MB, 16 by 0.0 MB).
+The scorer fits its designs `_LOCKSTEP_FITS` at a time, and binomial ones
+(cross-validation folds, FP candidates, the removals of an elimination step)
+in lock step (`_irls`): the clip, `_expit`, weights, working responses,
+sqrt(w) scaling, column scaling and aliasing test (`_scaled_qrs`, shared with
+`_householder`) and deviances of a stack of fits take one numpy call per step,
+while each fit keeps its own QR, solve, X @ beta, first-step reuse and
+convergence test. Each fit equals its fit alone bit for bit by three rules:
+X @ beta multiplies an F-ordered (n, k) view, as X[:, kept] is (a C-ordered
+one takes another dgemv summation order); only fits of equal shape are
+stacked (padding would change numpy's pairwise row sums); and a stack holds
+at most `_LOCKSTEP_FITS` fits, as `score_designs` reads no more at a time
+(200 folds in one stack raised the peak RSS of 20 `shrink_loo` analyses from
+65.7 to 81.2 MB, 16 by 0.0 MB).
 
 Gaussian searches need not score every candidate. A QR update of the
 current fit gives each candidate's residual sum of squares, which `Design`
@@ -37,7 +40,7 @@ Regression*, ch. 2; Efroymson 1960). There one `dormqr` applies the design's
 reflectors to every candidate column and to y, the rows below the design's
 are reduced to their own R, and a batched Householder QR of each block then
 r gives its sum; no Gram matrix, which squares the condition, is formed.
-The bounds must contain the deviance that `score_design` computes. All come
+The bounds must contain the deviance that `score_designs` computes. All come
 from backward-stable Householder QRs, so their relative errors are of order
 u c, where u = 2^-53 and c = (1 + 2 kappa) ||y|| / ||r|| is the condition
 number of the larger model's residual r (Golub & Van Loan, *Matrix
@@ -154,33 +157,46 @@ def _check_info(routine: str, info: int) -> None:
         raise RankDeficientError(f"{routine}: triangular factor is singular at column {info}")
 
 
+def _scaled_qrs(At: np.ndarray, peak: np.ndarray, tol: float = PIVOT_TOL):
+    """Householder QRs (LAPACK dgeqrf) of the design At.T, or of each design
+    At[j].T of a stack, At being C-ordered (k, n) or (fits, k, n), k <= n,
+    with the column magnitudes `peak`. Each column is divided by a power of
+    two near its peak, which is exact and keeps squared norms from
+    overflowing, and is aliased when |R_ii| <= tol * ||a_i||. Returns the
+    scales, each design's (qr, tau) and the aliased mask."""
+    scales = np.ldexp(0.5, np.frexp(peak)[1])
+    As = At / scales[..., None]
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", As, As))
+    qrs = []
+    for A in (As,) if As.ndim == 2 else As:  # dgeqrf works in place on the F-ordered A.T
+        qr, tau, _, info = dgeqrf(A.T, overwrite_a=True)
+        _check_info("dgeqrf", info)
+        qrs.append((qr, tau))
+    return scales, qrs, np.abs(As.diagonal(axis1=-2, axis2=-1)) <= tol * norms
+
+
 def _householder(A: np.ndarray, tol: float = PIVOT_TOL):
-    """Householder QR (LAPACK dgeqrf) of the columns of A that the aliasing
+    """Householder QR (`_scaled_qrs`) of the columns of A that the aliasing
     rule keeps.
 
-    Column j is aliased when |R_jj| <= tol * ||a_j||, with R_jj taken from the
-    kept columns to its left. Zero columns are dropped up front; then the
-    first aliased column is dropped and the remaining columns are factorised
-    again, so a full-rank design takes one call. Columns beyond the n-th kept
-    one are aliased. Each column is divided by a power of two near its largest
-    magnitude, which is exact and keeps squared norms from overflowing.
-    Returns (kept, qr, tau, scale), the factorisation of A[:, kept] / scale."""
+    Zero columns are dropped up front; then the first aliased column is
+    dropped and the remaining columns are factorised again, so a full-rank
+    design takes one call, with no fancy-index copy. Columns beyond the n-th
+    kept one are aliased. Returns (kept, qr, tau, scale), the factorisation of
+    A[:, kept] / scale."""
     n, p = A.shape
-    A = np.asfortranarray(A)
-    peak = np.abs(A).max(axis=0)
-    scale = np.ldexp(0.5, np.frexp(peak)[1])
+    At = np.asfortranarray(A).T  # C-ordered; At[j] is column j
+    peak = np.abs(At).max(axis=1)
     candidates = peak.nonzero()[0]
     while True:
         kept = candidates[:n]
-        full = len(kept) == p  # no fancy-index copy or gather
-        As = A / scale if full else A[:, kept] / scale[kept]
-        norms = np.sqrt(np.einsum("ij,ij->j", As, As))
-        qr, tau, _, info = dgeqrf(As, overwrite_a=True)
-        _check_info("dgeqrf", info)
-        aliased = (np.abs(qr.diagonal()) <= tol * norms).nonzero()[0]
-        if not aliased.size:
-            return kept.tolist(), qr, tau, scale if full else scale[kept]
-        candidates = np.delete(candidates, aliased[0])
+        full = len(kept) == p
+        scale, ((qr, tau),), aliased = _scaled_qrs(At if full else At[kept],
+                                                   peak if full else peak[kept], tol)
+        first = aliased.nonzero()[0]
+        if not first.size:
+            return kept.tolist(), qr, tau, scale
+        candidates = np.delete(candidates, first[0])
 
 
 def _solve(qr: np.ndarray, tau: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -234,6 +250,8 @@ def _factorise(X: np.ndarray, y: np.ndarray):
     """Check the inputs of a fit and factorise its design (`_householder`)."""
     if not X.shape[0]:
         raise RankDeficientError("no observations to fit")
+    if not X.shape[1]:
+        raise DomainError("model spec generates no design columns")
     if not np.isfinite(X).all():
         raise DomainError("design matrix contains non-finite values")
     if not np.isfinite(y).all():
@@ -252,8 +270,8 @@ def _check_rank(kept: list[int], n: int) -> None:
 
 def _irls(fits, max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL) -> list:
     """Binomial-logit IRLS of independent fits in lock step (see the module
-    docstring). Fit i is (X, y, factors): a design, its 0/1 outcome and the
-    `_factorise` result (kept, qr, tau, scale) of X.
+    docstring), one stack per shape. Fit i is (X, y, factors): a design, its
+    0/1 outcome and the `_factorise` result (kept, qr, tau, scale) of X.
 
     Every starting weight is equal, so a fit's first step is the unweighted
     least squares problem and reuses `factors`; later steps factorise the
@@ -264,8 +282,7 @@ def _irls(fits, max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL) -> list:
     shapes: dict[tuple[int, int], list[int]] = {}
     for i, (X, _, (kept, *_)) in enumerate(fits):
         shapes.setdefault((len(X), len(kept)), []).append(i)
-    for ids in [same[s:s + _LOCKSTEP_FITS] for same in shapes.values()
-                for s in range(0, len(same), _LOCKSTEP_FITS)]:
+    for ids in shapes.values():
         Xt = np.stack([fits[i][0][:, fits[i][2][0]].T for i in ids])  # Xt[j].T is X[:, kept]
         y = np.stack([fits[i][1] for i in ids])
         mu = np.clip((y + 0.5) / 2.0, _MU_EPS, 1.0 - _MU_EPS)
@@ -277,18 +294,11 @@ def _irls(fits, max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL) -> list:
             w = np.maximum(mu * (1.0 - mu), _MU_EPS)
             z = eta + (y - mu) / w
             reuse = (w == w[:, :1]).all(axis=1) & (iterations == 1)
-            if not reuse.all():  # `_householder` for the stack; a dropped column is lost rank
+            if not reuse.all():  # a weighted design with an aliased column lost rank
                 sw = np.sqrt(w)
                 A = Xt * sw[:, None, :]
-                peak = np.abs(A).max(axis=2)
-                scales = np.ldexp(0.5, np.frexp(peak)[1])
-                A /= scales[:, :, None]
-                norms = np.sqrt(np.einsum("ijk,ijk->ij", A, A))
-                b = z * sw
-                # dgeqrf works in place on the F-ordered A[j].T, so A holds each R
-                qrs = {j: dgeqrf(A[j].T, overwrite_a=True) for j in (~reuse).nonzero()[0]}
-                lost = ~peak.all(axis=1) | (np.abs(A.diagonal(axis1=1, axis2=2))
-                                            <= PIVOT_TOL * norms).any(axis=1)
+                scales, qrs, aliased = _scaled_qrs(A, np.abs(A).max(axis=2))
+                lost, b = aliased.any(axis=1), z * sw
             for j, i in enumerate(ids):
                 if reuse[j]:
                     (_, qr, tau, scale), rhs, rw = fits[i][2], z[j], math.sqrt(w[j, 0])
@@ -296,8 +306,7 @@ def _irls(fits, max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL) -> list:
                     out[i] = RankDeficientError("design lost rank under the working weights")
                     continue
                 else:
-                    (qr, tau, _, info), scale, rhs, rw = qrs[j], scales[j], b[j], None
-                    _check_info("dgeqrf", info)
+                    (qr, tau), scale, rhs, rw = qrs[j], scales[j], b[j], None
                 out[i] = _solve(qr, tau, scale, rhs), qr, scale, rw
                 eta[j] = Xt[j].T @ out[i][0]
             mu = np.clip(_expit(eta), _MU_EPS, 1.0 - _MU_EPS)
@@ -321,60 +330,48 @@ def _irls(fits, max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL) -> list:
     return out
 
 
-def _fit_kept(X: np.ndarray, y: np.ndarray, family: Family, factors,
-              max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL):
+def _fit_chunk(fits, family: Family, max_iter: int = MAX_ITER,
+               tol: float = DEVIANCE_RTOL) -> list:
     """(beta, R, deviance, converged, iterations) of the fit of the kept
-    columns of X, given their `_factorise` result; raises as `fit_design`. A
-    Gaussian fit's R, that of `factors`, is None."""
-    kept, qr, tau, scale = factors
-    if family is Family.GAUSSIAN:
+    columns of each (X, y, factors) of `fits`, `factors` being the
+    `_factorise` result of X, or the ModelBuildError it raises. Binomial fits
+    run together (`_irls`); a Gaussian fit's R, that of `factors`, is None."""
+    if family is Family.BINOMIAL:
+        return _irls(fits, max_iter, tol)
+    out = []
+    for X, y, (kept, qr, tau, scale) in fits:
         beta = _solve(qr, tau, scale, y)
-        resid = y - X[:, kept] @ beta
-        return beta, None, float(resid @ resid), True, 1
-    (result,) = _irls([(X, y, factors)], max_iter, tol)
-    if isinstance(result, ModelBuildError):
-        raise result
-    return result
+        # X[:, kept] is an F-ordered copy; an F-ordered X that keeps every
+        # column is the same operand, so it gives the same product
+        Xk = X if len(kept) == X.shape[1] and X.flags.f_contiguous else X[:, kept]
+        resid = y - Xk @ beta
+        out.append((beta, None, float(resid @ resid), True, 1))
+    return out
 
 
-def score_design(X: np.ndarray, y: np.ndarray, family: Family,
-                 factors=None) -> tuple[float, int]:
-    """Deviance and number of kept columns of the fit of a prebuilt design.
+def score_designs(designs: Iterable[tuple[np.ndarray, np.ndarray, tuple | None]],
+                  family: Family, column_labels: tuple[str, ...] | None = None):
+    """Yield, for each (X, y, factors) of `designs`, the deviance of its fit
+    (that of `fit_design`, bit for bit), its coefficients and its `_factorise`
+    result, or the ModelBuildError that fitting it raises. `factors` is that
+    of X and y when the caller has it, else None.
 
-    The arithmetic and the errors are those of `fit_design`, so the deviance
-    equals that of the full fit bit for bit; the covariance, the `FitResult`
-    and the aliasing warning are skipped. Searches score their candidates
-    with it and fit only the one they choose. `factors` is as in
-    `fit_design`."""
-    factors = _factorise(X, y) if factors is None else factors
-    _check_rank(factors[0], X.shape[0])
-    return _fit_kept(X, y, family, factors)[2], len(factors[0])
-
-
-def score_designs(designs: Iterable[tuple[np.ndarray, np.ndarray]], family: Family,
-                  column_labels: tuple[str, ...] | None = None):
-    """Yield, for each (X, y) of `designs`, the deviance of its fit (that of
-    `score_design`), its coefficients (those of `fit_design`) and its
-    `_factorise` result, or the ModelBuildError that the fit raises.
-
-    Designs are read `_LOCKSTEP_FITS` at a time, and binomial ones are fitted
-    in lock step (`_irls`); with `column_labels`, dropped columns warn as in
+    Every search scores its candidate models here and fits only the one it
+    returns. Designs are read `_LOCKSTEP_FITS` at a time and fitted together
+    (`_fit_chunk`); with `column_labels`, dropped columns warn as in
     `fit_design`."""
     designs = iter(designs)
     while chunk := list(itertools.islice(designs, _LOCKSTEP_FITS)):
-        fits = []
-        for X, y in chunk:
-            factors = error = None
+        checked = []
+        for X, y, factors in chunk:
             try:
-                factors = _factorise(X, y)
+                factors = _factorise(X, y) if factors is None else factors
                 _check_rank(factors[0], len(y))
+                checked.append((X, y, factors, None))
             except ModelBuildError as exc:
-                error = exc
-            fits.append((X, y, factors, error))
-        ok = [fit[:3] for fit in fits if fit[3] is None]
-        results = iter(_irls(ok) if family is Family.BINOMIAL else
-                       [_fit_kept(X, y, family, factors) for X, y, factors in ok])
-        for X, _, factors, error in fits:
+                checked.append((X, y, factors, exc))
+        results = iter(_fit_chunk([fit[:3] for fit in checked if fit[3] is None], family))
+        for X, _, factors, error in checked:
             if factors is not None and column_labels is not None:
                 _dropped(column_labels, factors[0])  # in order, as a fit of each would
             result = error or next(results)
@@ -406,7 +403,10 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
     dropped = _dropped(column_labels, kept)
     _check_rank(kept, n)
 
-    beta_k, R, deviance, converged, iterations = _fit_kept(X, y, family, factors, max_iter, tol)
+    (result,) = _fit_chunk([(X, y, factors)], family, max_iter, tol)
+    if isinstance(result, ModelBuildError):
+        raise result
+    beta_k, R, deviance, converged, iterations = result
     if family is Family.GAUSSIAN:
         cov_kept = _cov_from_r(_r_factor(factors[1], factors[3])) * (deviance / (n - len(kept)))
         log_likelihood, separation = gaussian_log_likelihood(deviance, n), False
@@ -505,8 +505,6 @@ class Design:
         cols = [0] if self.intercept else []
         for term in terms:
             cols.extend(self.term_columns[term])
-        if not cols:
-            raise DomainError("model spec generates no design columns")
         return cols
 
     def _factors(self, cols: list[int]):
@@ -517,10 +515,24 @@ class Design:
             self._scored = cols, X, _factorise(X, self.dataset.outcome)
         return self._scored[1:]
 
-    def score(self, terms: Sequence[Term]) -> tuple[float, int]:
-        """(deviance, model df) of the fit of the terms, without fitting it."""
-        X, factors = self._factors(self._columns(terms))
-        return score_design(X, self.dataset.outcome, self.dataset.family, factors)
+    def scores(self, models: Sequence[Sequence[Term]]) -> list[tuple[float, int]]:
+        """(deviance, model df) of the fit of each model's terms, without
+        fitting it; the models are scored together (`score_designs`), and the
+        first failing model's error is raised, in input order. A model with
+        the columns of the last one scored or fitted reuses its
+        factorisation, and the last model's is kept."""
+        subsets = []
+        for cols in map(self._columns, models):
+            cached = self._scored is not None and self._scored[0] == cols
+            subsets.append(self._scored if cached else (cols, self.X[:, cols], None))
+        y, out = self.dataset.outcome, []
+        for (cols, X, _), scored in zip(subsets, score_designs(
+                ((X, y, factors) for _, X, factors in subsets), self.dataset.family)):
+            if isinstance(scored, ModelBuildError):
+                raise scored
+            self._scored = cols, X, scored[2]
+            out.append((scored[0], len(scored[2][0])))
+        return out
 
     def fit(self, spec: ModelSpec) -> FitResult:
         cols = self._columns(spec.terms)

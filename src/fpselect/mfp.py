@@ -95,9 +95,9 @@ def removal_order(dataset: Dataset, candidates: Sequence[str],
     config = config or MfpConfig()
     full_spec = ModelSpec(tuple(_base_term(dataset, v, config) for v in candidates))
     design = Design(dataset, full_spec)
-    full = design.score(full_spec.terms)
-    pvalues = [design.p_value(design.score(full_spec.without_term(term).terms), full)[0]
-               for term in full_spec.terms]
+    full, *reduced = design.scores([full_spec.terms] + [full_spec.without_term(term).terms
+                                                        for term in full_spec.terms])
+    pvalues = [design.p_value(score, full)[0] for score in reduced]
     order = sorted(range(len(candidates)), key=pvalues.__getitem__)  # stable: ties keep order
     return tuple(candidates[i] for i in order)
 

@@ -9,11 +9,12 @@ p-value is below chi2_sf(2k, k), and analogously with penalty log(n) for BIC),
 so selection under AIC/BIC is implemented through that equivalence.
 
 Each run builds the design of every term it can use once (`glm.Design`) and
-scores each candidate model, a removal or an addition, from a column subset
-of it: deviance and kept columns, without a covariance or a `FitResult`. Only
-the start model and the models a run moves to are fitted, so the trace equals
-fitting every candidate. One elimination loop and one addition scan serve
-every procedure.
+scores the candidate models of a step, its removals or its additions,
+together from column subsets of it (`glm.Design.scores`; binomial ones in
+lock step): deviance and kept columns, without a covariance or a
+`FitResult`. Only the start model and the models a run moves to are fitted,
+so the trace equals fitting every candidate. One elimination loop and one
+addition scan serve every procedure.
 
 The elimination loop (backward elimination and stepwise's re-checks) screens
 before it scores. `glm.Design.removal_bounds` bounds the deviance of every
@@ -127,8 +128,8 @@ def _removals(design: Design, current: FitResult, spec: ModelSpec,
               terms: Sequence[Term]) -> list[tuple[float, int, Term]]:
     """(p-value, df, term) of dropping each of `terms` from the current model."""
     full = (current.deviance, current.model_df)
-    return [(*design.p_value(design.score([t for t in spec.terms if t is not term]), full), term)
-            for term in terms]
+    scores = design.scores([[t for t in spec.terms if t is not term] for term in terms])
+    return [(*design.p_value(score, full), term) for score, term in zip(scores, terms)]
 
 
 def _screen(design: Design, current: FitResult, spec: ModelSpec,
@@ -172,8 +173,9 @@ def _add(design: Design, spec: ModelSpec, current: FitResult, candidates: Sequen
     bounds = design.p_value_bounds([(now[0], now[0])] * len(blocks),
                                    design.addition_bounds(spec.terms, design.X, blocks),
                                    [len(block) for block in blocks])
-    best = min([(*design.p_value(now, design.score(spec.with_term(term).terms)), term)
-                for term in compress(admitted, contenders(bounds))],
+    chosen = list(compress(admitted, contenders(bounds)))
+    scores = design.scores([spec.with_term(term).terms for term in chosen])
+    best = min([(*design.p_value(now, score), term) for score, term in zip(scores, chosen)],
                key=lambda r: r[0], default=None)
     if best is None or best[0] > criterion_threshold(criterion, design.dataset.n, best[1]):
         return spec, current
@@ -348,11 +350,11 @@ def univariable_screen(dataset: Dataset, candidates: Sequence[Union[str, Term]],
     """
     terms = _as_terms(candidates)
     design = Design(dataset, ModelSpec(), terms)
-    null = design.score(())
+    null, *scores = design.scores([()] + [(term,) for term in terms])
     pvals: dict[str, float] = {}
     selected: list[str] = []
-    for term in terms:
-        p, _ = design.p_value(null, design.score((term,)))
+    for term, score in zip(terms, scores):
+        p, _ = design.p_value(null, score)
         pvals[term.variable] = p
         if p < alpha:
             selected.append(term.variable)

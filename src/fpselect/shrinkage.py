@@ -9,8 +9,9 @@ so the three modes coincide exactly when their groupings coincide. Components
 are mean-centered before calibration so the intercept absorbs location.
 Global shrinkage with `reselect` re-selects the model inside every training
 fold and calibrates on the folds' own out-of-fold predictors. Otherwise the
-folds refit one design through `glm.score_designs`, binomial folds of equal
-size in lock step, bit for bit as one at a time, and keep only coefficients.
+folds refit one design through `glm.score_designs`, the scorer of every
+search, binomial folds of equal size in lock step, bit for bit as one at a
+time, and keep only coefficients.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def _out_of_fold_components(dataset: Dataset, spec: ModelSpec, cv: CvScheme):
     # design of the training rows.
     C = np.zeros((dataset.n, len(keep)))
     folds = cv.folds(dataset.n)
-    designs = ((X_full[train], dataset.outcome[train]) for train, _ in folds)
+    designs = ((X_full[train], dataset.outcome[train], None) for train, _ in folds)
     for fold_id, ((_, test), fitted) in enumerate(zip(folds, score_designs(
             designs, dataset.family, labels))):
         if isinstance(fitted, ModelBuildError):

@@ -146,14 +146,15 @@ def spike_fsp(dataset: Dataset, variable: str, alpha: float,
 
     design = Design(dataset, adjustment, (z_term, fp_term))
     joint = (curve.fit.deviance, curve.fit.model_df)
-    p_joint, _ = design.p_value(design.score(adjustment.terms), joint, 1 + fp_df)
+    p_joint, _ = design.p_value(design.scores([adjustment.terms])[0], joint, 1 + fp_df)
     if p_joint > alpha:
         return SpikeDecision(variable, SpikeVerdict.NONE, curve.verdict, powers, p_joint,
                              None, None, alpha, decomp, (), None)
 
     fp_only, z_only = adjustment.with_term(fp_term), adjustment.with_term(z_term)
-    p_drop_z, _ = design.p_value(design.score(fp_only.terms), joint, 1)
-    p_drop_fp, _ = design.p_value(design.score(z_only.terms), joint, fp_df)
+    without_z, without_fp = design.scores([fp_only.terms, z_only.terms])
+    p_drop_z, _ = design.p_value(without_z, joint, 1)
+    p_drop_fp, _ = design.p_value(without_fp, joint, fp_df)
 
     keep_z = p_drop_z <= alpha
     keep_fp = p_drop_fp <= alpha

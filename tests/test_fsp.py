@@ -188,15 +188,15 @@ class TestForceInSkipsTheNullFit:
     def _count_scores(monkeypatch, *args, **kwargs):
         """The decision and the terms of every model that a `Design` scored."""
         scored = []
-        real_score = fsp_module.Design.score
+        real_scores = fsp_module.Design.scores
 
-        def counting_score(self, terms):
-            scored.append(tuple(terms))
-            return real_score(self, terms)
+        def counting_scores(self, models):
+            scored.extend(tuple(terms) for terms in models)
+            return real_scores(self, models)
 
-        monkeypatch.setattr(fsp_module.Design, "score", counting_score)
+        monkeypatch.setattr(fsp_module.Design, "scores", counting_scores)
         decision = fsp_select(*args, **kwargs)
-        monkeypatch.setattr(fsp_module.Design, "score", real_score)
+        monkeypatch.setattr(fsp_module.Design, "scores", real_scores)
         return decision, scored
 
     def test_curve_search(self, monkeypatch):
@@ -397,17 +397,32 @@ class TestMatchesFittingEveryModel:
 def _exact_scores(monkeypatch, run):
     """Run a search and return the candidates it scored exactly, in order."""
     scored = []
-    real_score = fpsearch_module.FpSearch.score
+    real_score = fpsearch_module.FpSearch._score
 
-    def recording(self, powers):
-        if powers not in self._scores:
-            scored.append(powers)
-        return real_score(self, powers)
+    def recording(self, candidates):
+        scored.extend(powers for powers in candidates if powers not in self._scores)
+        return real_score(self, candidates)
 
-    monkeypatch.setattr(fpsearch_module.FpSearch, "score", recording)
+    monkeypatch.setattr(fpsearch_module.FpSearch, "_score", recording)
     result = run()
-    monkeypatch.setattr(fpsearch_module.FpSearch, "score", real_score)
+    monkeypatch.setattr(fpsearch_module.FpSearch, "_score", real_score)
     return result, scored
+
+
+def _scored_designs(monkeypatch, run):
+    """Run a search and return the candidate designs it scored exactly."""
+    designs = []
+    real = fpsearch_module.score_designs
+
+    def recording(items, *args, **kwargs):
+        items = list(items)
+        designs.extend(X for X, *_ in items)
+        return real(items, *args, **kwargs)
+
+    monkeypatch.setattr(fpsearch_module, "score_designs", recording)
+    result = run()
+    monkeypatch.setattr(fpsearch_module, "score_designs", real)
+    return result, designs
 
 
 def _count_calls(monkeypatch, module, name, run):
@@ -492,16 +507,8 @@ class TestScreenedSearch:
         a = rng.standard_normal(n)
         ds = gaussian_dataset(x, np.log(x) + 0.5 * a + rng.standard_normal(n), {"a": a})
         kwargs = dict(adjustment=ModelSpec((Term.linear("a"),)), pre=PreTransform())
-        calls = []
-        real = fpsearch_module.score_design
-
-        def counting(X, y, family, factors=None):
-            calls.append(X[:, -2:].copy())
-            return real(X, y, family, factors)
-
-        monkeypatch.setattr(fpsearch_module, "score_design", counting)
-        new = fsp_select(ds, "x", 0.05, **kwargs)
-        monkeypatch.undo()
+        new, designs = _scored_designs(monkeypatch, lambda: fsp_select(ds, "x", 0.05, **kwargs))
+        calls = [X[:, -2:] for X in designs]
         basis = fp_basis(x, FpPowers((-2.0, -2.0)))
         assert sum(np.array_equal(cols, basis) for cols in calls) == 1
         assert len(calls) < 44
@@ -516,9 +523,10 @@ class TestScreenedSearch:
                                   {"a": a, "b": b})
             adjustment = ModelSpec((Term.linear("a"), Term.linear("b")))
             for max_degree in (1, 2):
-                _, calls = _count_calls(monkeypatch, fpsearch_module, "score_design",
-                                        lambda: fsp_select(ds, "x", 0.05, max_degree,
-                                                           adjustment))
+                _, designs = _scored_designs(monkeypatch,
+                                             lambda: fsp_select(ds, "x", 0.05, max_degree,
+                                                                adjustment))
+                calls = len(designs)
                 assert 1 <= calls <= 8, (seed, max_degree)
 
     def test_mfp_factorisations_per_analysis(self, monkeypatch):

@@ -19,7 +19,7 @@ from fpselect.glm import (DEVIANCE_RTOL, Design, MAX_ITER, PIVOT_TOL, _MU_EPS, _
                           _cov_from_r, _embed, _embed_cov, _expit, _householder, _r_factor,
                           _solve,
                           deviance_lr_statistic, deviance_p_value, fit_design,
-                          gaussian_log_likelihood, score_design)
+                          gaussian_log_likelihood, score_designs)
 
 
 def make_dataset(columns, outcome="y", family=Family.GAUSSIAN):
@@ -520,22 +520,36 @@ def _designs_for_scoring():
     yield np.column_stack([one, a, b ** -2.0, b ** -2.0 * np.log(b)]), eta
 
 
+def _scores(designs, family):
+    """(deviance, kept columns) of each (X, y) from `score_designs`, which
+    scores them together; raises the first error it yields."""
+    out = []
+    for scored in score_designs([(X, y, None) for X, y in designs], family):
+        if isinstance(scored, ModelBuildError):
+            raise scored
+        out.append((scored[0], len(scored[2][0])))
+    return out
+
+
 class TestScoreDesign:
-    """`score_design` returns the deviance and kept columns of `fit_design`
-    bit for bit, raises its errors and does not warn."""
+    """`score_designs` returns the deviance and kept columns of `fit_design`
+    bit for bit, gives its errors and does not warn."""
 
     @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL])
     def test_equals_fit_design(self, family):
         rng = np.random.default_rng(193)
-        for X, eta in _designs_for_scoring():
+        designs = []
+        for X, eta in list(_designs_for_scoring()) * 6:  # more than one lock-step chunk
             if family is Family.GAUSSIAN:
                 y = eta + rng.standard_normal(len(eta))
             else:
                 y = (rng.random(len(eta)) < _expit(eta)).astype(float)
+            designs.append((X, y))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = _scores(designs, family)
+        for (X, y), (deviance, model_df) in zip(designs, scores):
             labels = tuple(f"c{j}" for j in range(X.shape[1]))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                deviance, model_df = score_design(X, y, family)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 res = fit_design(X, y, family, labels)
@@ -557,7 +571,7 @@ class TestScoreDesign:
                 warnings.simplefilter("ignore", UserWarning)
                 fit_design(X, y, family, labels)
             with pytest.raises(error):
-                score_design(X, y, family)
+                _scores([(X, y)], family)
 
 
 def _former_binomial_fit(X, y):
@@ -790,7 +804,7 @@ class TestDesign:
         factorise = glm._factorise
         monkeypatch.setattr(glm, "_factorise", lambda *a: calls.append(1) or factorise(*a))
         design = Design(ds, spec)
-        design.score(spec.terms)
+        design.scores([spec.terms])
         result = design.fit(spec)
         assert len(calls) == 1
         for field in ("deviance", "log_likelihood", "model_df", "converged", "iterations",
@@ -798,9 +812,21 @@ class TestDesign:
             assert getattr(result, field) == getattr(expected, field), field
         np.testing.assert_array_equal(result.coefficients, expected.coefficients)
         np.testing.assert_array_equal(result.covariance, expected.covariance)
-        design.score(spec.terms[1:])
+        design.scores([spec.terms[1:]])
         design.fit(spec)  # another subset was scored last: factorise again
         assert len(calls) == 3
+
+    def test_scores_raise_the_first_failing_models_error(self):
+        rng = np.random.default_rng(602)
+        ds = make_dataset({**{f"x{j}": rng.standard_normal(4) for j in range(4)},
+                           "y": rng.standard_normal(4)})
+        terms = tuple(Term.linear(f"x{j}") for j in range(4))
+        design = Design(ds, ModelSpec(terms, intercept=False))
+        assert design.scores([terms[:1]])[0][1] == 1
+        with pytest.raises(RankDeficientError, match="cannot identify"):
+            design.scores([terms[:1], terms, ()])
+        with pytest.raises(DomainError, match="no design columns"):
+            design.scores([terms[:1], (), terms])
 
     def test_removal_bounds_contain_the_exact_p_values(self):
         for seed in (603, 604, 605):
@@ -812,7 +838,7 @@ class TestDesign:
             full = (current.deviance, current.model_df)
             for term, (low, high) in zip(spec.terms, bounds):
                 exact, _ = design.p_value(
-                    design.score([t for t in spec.terms if t is not term]), full)
+                    design.scores([[t for t in spec.terms if t is not term]])[0], full)
                 assert low <= exact <= high
                 assert low < high <= low + 0.01
 
@@ -860,7 +886,7 @@ class TestAdditionBounds:
                 design, bounds = self._bounds(ds, base, candidates)
                 assert len(bounds) == len(candidates)
                 for term, bound in zip(candidates, bounds):
-                    exact, df = design.score(base + (term,))
+                    (exact, df), = design.scores([base + (term,)])
                     low, high = bound
                     assert low <= exact <= high
                     assert high <= low * (1.0 + 3.0 * glm.SCREEN_RTOL)

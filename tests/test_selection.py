@@ -592,17 +592,17 @@ def _exact_scores_per_step(monkeypatch, run):
     """Run a selection and return how many removals or additions it scored
     exactly between consecutive fits, one count per step after the start."""
     events = []
-    score, fit_ = glm.Design.score, glm.Design.fit
+    scores, fit_ = glm.Design.scores, glm.Design.fit
 
-    def counting_score(self, terms):
-        events.append("score")
-        return score(self, terms)
+    def counting_scores(self, models):
+        events.extend(["score"] * len(models))
+        return scores(self, models)
 
     def counting_fit(self, spec):
         events.append("fit")
         return fit_(self, spec)
 
-    monkeypatch.setattr(glm.Design, "score", counting_score)
+    monkeypatch.setattr(glm.Design, "scores", counting_scores)
     monkeypatch.setattr(glm.Design, "fit", counting_fit)
     trace = run()
     counts, current = [], None
@@ -714,6 +714,39 @@ class TestRemovalScreen:
                 _quiet(backward_eliminate, ds, start, criterion, protected)
             return
         _assert_same_trace(_quiet(backward_eliminate, ds, start, criterion, protected), ref)
+
+
+class TestLockStepRemovals:
+    """Binomial elimination scores each step's removals together: they reach
+    `glm._irls` in ceil(removals / `glm._LOCKSTEP_FITS`) calls, not one call
+    per removal, and take the IRLS iterations of fitting each model alone."""
+
+    def test_removals_share_irls_calls(self, monkeypatch):
+        ds, terms = _mixed_dataset(304, Family.BINOMIAL)
+        start = ModelSpec(terms)
+        calls = []
+        irls = glm._irls
+
+        def counting(fits, *args):
+            results = irls(fits, *args)
+            calls.append((len(fits), sum(r[4] for r in results)))
+            return results
+
+        monkeypatch.setattr(glm, "_irls", counting)
+        trace = _quiet(backward_eliminate, ds, start, Criterion.aic())
+        monkeypatch.undo()
+        assert trace.steps
+        specs = [start]
+        for step in trace.steps:
+            specs.append(specs[-1].without_term(step.term))
+        sizes, iterations = [], 0
+        for spec in specs:  # each model is fitted, then its removals are scored
+            removals = [spec.without_term(term) for term in spec.terms]
+            sizes += [1] + [min(glm._LOCKSTEP_FITS, len(removals) - s)
+                            for s in range(0, len(removals), glm._LOCKSTEP_FITS)]
+            iterations += sum(_quiet(fit, ds, model).iterations for model in [spec] + removals)
+        assert [size for size, _ in calls] == sizes
+        assert sum(used for _, used in calls) == iterations
 
 
 class TestAdditionScreen:

@@ -12,8 +12,9 @@ alternates from pair to pair, so that a drift of the host's speed falls on
 both sides alike. For every end-to-end metric of `BENCHMARK.json` the report
 gives each side's median [lower quartile, upper quartile], the ratio of the
 medians, and the number of pairs in which the change did better than the
-base. A run that fails its reference gate stops the comparison. Only the
-standard library is used.
+base, beside each tree's `src/fpselect/*.py` line count (that of
+`cat src/fpselect/*.py | wc -l`). A run that fails its reference gate stops
+the comparison. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+def source_lines(tree: Path) -> int:
+    """Newlines in the tree's `src/fpselect/*.py`, as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "fpselect").glob("*.py"))
+
+
 def summary(values: list[float]) -> str:
     median = statistics.median(values)
     if len(values) < 2:
@@ -81,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         trees = {side: unpack(getattr(args, side), Path(tmp) / side)
                  for side in ("base", "change")}
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for side in order:
@@ -90,6 +98,8 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s; "
           f"base {args.base}, change {args.change}")
+    print(f"src/fpselect/*.py lines: base {lines['base']}, change {lines['change']} "
+          f"({lines['change'] - lines['base']:+d})")
     print(f"{'metric':<16} {'base median [q1, q3]':<30} {'change median [q1, q3]':<30} "
           f"{'change/base':>11} {'won':>7}")
     for name, direction in better.items():
