@@ -1,13 +1,12 @@
 """Exhaustive best-fit search over the fractional polynomial family.
 
-`FpSearch` builds the adjustment's `glm.Design` and the 16 distinct basis
-columns of the 44 candidates (z^p and z^p log z) once; a candidate's design
-is the adjustment's plus its 1-2 basis columns. Candidates are scored by
-`glm.score_designs`, the scorer of every search, as many at a time as a
-request names, binomial ones in lock step. Only the model a caller returns is
-fitted, from the factorisation its score made: `best_fp` fits one degree's
-winner, and the closed test (`fsp.fsp_select`) reads several degrees from
-one search.
+`FpSearch` builds one `glm.Design` of the adjustment's columns and then the
+16 distinct basis columns of the 44 candidates (z^p and z^p log z), so each
+candidate is a column subset of it. The design scores candidates as many at
+a time as a request names, binomial ones in lock step, memoises their
+factorisations and fits only the model a caller returns: `best_fp` fits one
+degree's winner, and the closed test (`fsp.fsp_select`) reads several
+degrees from one search.
 
 `FpSearch.best` bounds every Gaussian candidate from one update of the
 adjustment's QR (`glm.Design.addition_bounds`) and scores only those that
@@ -27,7 +26,7 @@ from .data import Dataset
 from .errors import DomainError, ModelBuildError
 from .fp import (FP_POWER_SET, FpPowers, PreTransform, _power_column, enumerate_fp,
                  fp_basis, fp_basis_labels, pretransform)
-from .glm import Design, FitResult, contenders, fit_design, score_designs
+from .glm import Design, FitResult, contenders
 from .model import Fp, Linear, ModelSpec, Term
 
 
@@ -58,19 +57,36 @@ class FpSearchResult:
 
 
 @functools.cache
-def _candidate_blocks() -> dict[FpPowers, tuple[int, ...]]:
-    """Every candidate of both degrees and the indices of its basis among the
-    columns z^p (0-7) and z^p log z (8-15), p in `FP_POWER_SET` order."""
-    column = {p: i for i, p in enumerate(FP_POWER_SET)}
+def _candidate_blocks(first: int) -> dict[FpPowers, tuple[int, ...]]:
+    """Every candidate of both degrees and its basis columns in a design of
+    `first` other columns, then z^p and z^p log z, p in `FP_POWER_SET` order."""
+    column = {p: first + i for i, p in enumerate(FP_POWER_SET)}
     return {powers: tuple(column[p] + 8 * (j and powers.repeated) for j, p in enumerate(powers))
             for powers in enumerate_fp(1) + enumerate_fp(2)}
 
 
-class FpSearch:
-    """FP candidates of one variable on a fixed adjustment, scored on demand.
+@functools.cache
+def _basis_labels(variable: str) -> tuple[str, ...]:  # the labels of `_basis`
+    return sum(zip(*(fp_basis_labels(variable, FpPowers((p, p))) for p in FP_POWER_SET)), ())
 
-    Holds the adjustment's `Design` and the 16 distinct basis columns, and
-    memoises each candidate's exact score and every candidate's bounds."""
+
+def _basis(z: np.ndarray, center_at: float | None) -> np.ndarray:
+    """The columns z^p and z^p log z of `_candidate_blocks`, less their
+    values at `center_at`; an overflowed column is not finite."""
+    first = [_power_column(z, p) for p in FP_POWER_SET]
+    with np.errstate(all="ignore"):
+        columns = np.column_stack(first + [col * first[FP_POWER_SET.index(0.0)] for col in first])
+        if center_at is not None:
+            center = np.array([center_at])
+            columns = columns - np.concatenate(
+                [fp_basis(center, FpPowers((p, p))) for p in FP_POWER_SET]).T.ravel()
+    return columns
+
+
+class FpSearch:
+    """FP candidates of one variable on a fixed adjustment, column subsets of
+    its `design`, scored on demand; keeps each one's score, (+inf, 0) where
+    its fit failed, and every candidate's bounds."""
 
     def __init__(self, dataset: Dataset, variable: str, adjustment: ModelSpec | None = None,
                  pre: PreTransform | None = None, center_at: float | None = None):
@@ -78,55 +94,39 @@ class FpSearch:
         check_adjustment(self.adjustment, variable)
         x = dataset.column(variable)
         self.pre = pretransform(x) if pre is None else pre
-        self.design = Design(dataset, self.adjustment)
-        self.z = self.pre.apply(x)
-        if np.any(self.z <= 0.0):
+        z = self.pre.apply(x)
+        if np.any(z <= 0.0):
             raise DomainError("power columns require strictly positive values")
-        self.dataset, self.variable, self.center_at = dataset, variable, center_at
-        self._scores: dict[FpPowers, tuple[float, int, tuple | None]] = {}
+        self.design = Design(dataset, self.adjustment, columns=_basis(z, center_at),
+                             labels=_basis_labels(variable))
+        self.variable, self.center_at = variable, center_at
+        self._first = self.design.X.shape[1] - 2 * len(FP_POWER_SET)  # the adjustment's columns
+        self._scores: dict[FpPowers, tuple[float, int]] = {}
 
-    @functools.cached_property
-    def _basis(self) -> np.ndarray:
-        """The columns z^p and z^p log z of `_candidate_blocks`, less their
-        values at `center_at`; an overflowed column is not finite."""
-        first = [_power_column(self.z, p) for p in FP_POWER_SET]
-        with np.errstate(all="ignore"):
-            columns = np.column_stack(first + [col * first[FP_POWER_SET.index(0.0)]
-                                               for col in first])
-            if self.center_at is not None:
-                center = np.array([self.center_at])
-                columns = columns - np.concatenate(
-                    [fp_basis(center, FpPowers((p, p))) for p in FP_POWER_SET]).T.ravel()
-        return columns
-
-    def _design_of(self, powers: FpPowers) -> np.ndarray:
-        return np.hstack([self.design.X, self._basis[:, _candidate_blocks()[powers]]])
+    def _columns(self, powers: FpPowers) -> list[int]:
+        """The columns of a candidate's design: the adjustment's and its basis."""
+        return [*range(self._first), *_candidate_blocks(self._first)[powers]]
 
     @functools.cached_property
     def _bounds(self) -> dict[FpPowers, tuple[float, float] | None]:
         """`Design.addition_bounds` of every candidate of both degrees."""
-        blocks = _candidate_blocks()
-        return dict(zip(blocks, self.design.addition_bounds(self.adjustment.terms, self._basis,
-                                                            list(blocks.values()))))
+        blocks = _candidate_blocks(self._first)
+        return dict(zip(blocks, self.design.addition_bounds(self.adjustment.terms,
+                                                            [*blocks.values()])))
 
     def _score(self, candidates) -> None:
-        """Score the candidates not scored yet, together (`glm.score_designs`),
-        and keep each one's deviance, model df and `_factorise` result (for
-        `fit`); a candidate whose fit fails scores (+inf, 0)."""
+        """Score the candidates not scored yet, together (`Design.column_scores`);
+        a candidate whose fit fails scores (+inf, 0)."""
         todo = [powers for powers in candidates if powers not in self._scores]
-        designs = ((self._design_of(powers), self.dataset.outcome, None) for powers in todo)
-        for powers, scored in zip(todo, score_designs(designs, self.dataset.family)):
-            if isinstance(scored, ModelBuildError):
-                self._scores[powers] = (math.inf, 0, None)
-            else:
-                deviance, _, factors = scored
-                self._scores[powers] = (deviance if math.isfinite(deviance) else math.inf,
-                                        len(factors[0]), factors)
+        for powers, scored in zip(todo, self.design.column_scores(map(self._columns, todo))):
+            if isinstance(scored, ModelBuildError) or not math.isfinite(scored[0]):
+                scored = (math.inf, 0)
+            self._scores[powers] = scored
 
     def score(self, powers: FpPowers) -> tuple[float, int]:
         """(deviance, model df) of a candidate, as `_score` keeps it."""
         self._score([powers])
-        return self._scores[powers][:2]
+        return self._scores[powers]
 
     def best(self, degree: int) -> FpPowers:
         """The candidate of least deviance, ties to canonical order. Only the
@@ -144,11 +144,8 @@ class FpSearch:
 
     def fit(self, powers: FpPowers) -> FitResult:
         """Fit of the adjustment plus the FP term with the given powers."""
-        labels = self.design.labels + fp_basis_labels(self.variable, powers)
         term = Term.fp(self.variable, powers, self.pre, self.center_at)
-        return fit_design(self._design_of(powers), self.dataset.outcome, self.dataset.family,
-                          labels, factors=self._scores.get(powers, (None,) * 3)[2],
-                          spec=self.adjustment.with_term(term))
+        return self.design.fit(self.adjustment.with_term(term), self._columns(powers))
 
     def result(self, degree: int) -> FpSearchResult:
         """Every candidate of the degree scored, and the best one fitted."""

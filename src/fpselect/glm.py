@@ -8,24 +8,23 @@ alive when a candidate basis degenerates.
 
 Every search scores its candidate models with one scorer, `score_designs`,
 whose deviance is that of the fit bit for bit, and fits only the model it
-returns. Nested models are compared through `Design`: it builds a design
-once, scores lists of column subsets (`Design.scores`), tests the scores
-(`Design.p_value`) and fits a model from the factorisation its score made
-when that was the last score.
+returns. Nested models are compared through `Design`, built once: each is a
+column subset of it (an FP candidate too, its basis columns following the
+adjustment's), scored in lists (`Design.scores`), tested (`Design.p_value`)
+and fitted, and one memo keyed by the subset keeps every factorisation.
 
-The scorer fits its designs `_LOCKSTEP_FITS` at a time, and binomial ones
-(cross-validation folds, FP candidates, the removals of an elimination step)
-in lock step (`_irls`): the clip, `_expit`, weights, working responses,
-sqrt(w) scaling, column scaling and aliasing test (`_scaled_qrs`, shared with
-`_householder`) and deviances of a stack of fits take one numpy call per step,
-while each fit keeps its own QR, solve, X @ beta, first-step reuse and
-convergence test. Each fit equals its fit alone bit for bit by three rules:
-X @ beta multiplies an F-ordered (n, k) view, as X[:, kept] is (a C-ordered
-one takes another dgemv summation order); only fits of equal shape are
-stacked (padding would change numpy's pairwise row sums); and a stack holds
-at most `_LOCKSTEP_FITS` fits, as `score_designs` reads no more at a time
-(200 folds in one stack raised the peak RSS of 20 `shrink_loo` analyses from
-65.7 to 81.2 MB, 16 by 0.0 MB).
+The scorer fits its designs `_LOCKSTEP_FITS` at a time, binomial ones (folds,
+FP candidates, an elimination step's removals) in lock step (`_irls`): the
+clip, `_expit`, weights, working responses, sqrt(w) and column scaling,
+aliasing test (`_scaled_qrs`, shared with `_householder`) and deviances of a
+stack take one numpy call per step, while each fit keeps its own QR, solve,
+X @ beta, first-step reuse and convergence test. Each fit equals its fit
+alone bit for bit by three rules: X @ beta multiplies an F-ordered (n, k)
+view, as X[:, kept] is (a C-ordered one takes another dgemv summation
+order); only fits of equal shape are stacked (padding would change numpy's
+pairwise row sums); and a stack holds at most `_LOCKSTEP_FITS` fits, as
+`score_designs` reads no more at a time (200 folds in one stack raised the
+peak RSS of 20 `shrink_loo` analyses from 65.7 to 81.2 MB, 16 by 0.0 MB).
 
 Gaussian searches need not score every candidate. A QR update of the
 current fit gives each candidate's residual sum of squares, which `Design`
@@ -37,7 +36,7 @@ V = covariance / sigma^2 (`removal_bounds`); adding a block C lowers it by
 r' C+ (C+' C+)^-1 C+' r, C+ being C orthogonalised against the design and r
 the residual (`addition_bounds`; Miller 2002, *Subset Selection in
 Regression*, ch. 2; Efroymson 1960). There one `dormqr` applies the design's
-reflectors to every candidate column and to y, the rows below the design's
+reflectors to the blocks' columns and to y, the rows below the design's
 are reduced to their own R, and a batched Householder QR of each block then
 r gives its sum; no Gram matrix, which squares the condition, is formed.
 The bounds must contain the deviance that `score_designs` computes. All come
@@ -157,12 +156,12 @@ def _check_info(routine: str, info: int) -> None:
         raise RankDeficientError(f"{routine}: triangular factor is singular at column {info}")
 
 
-def _scaled_qrs(At: np.ndarray, peak: np.ndarray, tol: float = PIVOT_TOL):
+def _scaled_qrs(At: np.ndarray, peak: np.ndarray):
     """Householder QRs (LAPACK dgeqrf) of the design At.T, or of each design
     At[j].T of a stack, At being C-ordered (k, n) or (fits, k, n), k <= n,
     with the column magnitudes `peak`. Each column is divided by a power of
     two near its peak, which is exact and keeps squared norms from
-    overflowing, and is aliased when |R_ii| <= tol * ||a_i||. Returns the
+    overflowing, and is aliased when |R_ii| <= PIVOT_TOL * ||a_i||. Returns the
     scales, each design's (qr, tau) and the aliased mask."""
     scales = np.ldexp(0.5, np.frexp(peak)[1])
     As = At / scales[..., None]
@@ -172,10 +171,10 @@ def _scaled_qrs(At: np.ndarray, peak: np.ndarray, tol: float = PIVOT_TOL):
         qr, tau, _, info = dgeqrf(A.T, overwrite_a=True)
         _check_info("dgeqrf", info)
         qrs.append((qr, tau))
-    return scales, qrs, np.abs(As.diagonal(axis1=-2, axis2=-1)) <= tol * norms
+    return scales, qrs, np.abs(As.diagonal(axis1=-2, axis2=-1)) <= PIVOT_TOL * norms
 
 
-def _householder(A: np.ndarray, tol: float = PIVOT_TOL):
+def _householder(A: np.ndarray):
     """Householder QR (`_scaled_qrs`) of the columns of A that the aliasing
     rule keeps.
 
@@ -192,7 +191,7 @@ def _householder(A: np.ndarray, tol: float = PIVOT_TOL):
         kept = candidates[:n]
         full = len(kept) == p
         scale, ((qr, tau),), aliased = _scaled_qrs(At if full else At[kept],
-                                                   peak if full else peak[kept], tol)
+                                                   peak if full else peak[kept])
         first = aliased.nonzero()[0]
         if not first.size:
             return kept.tolist(), qr, tau, scale
@@ -268,7 +267,7 @@ def _check_rank(kept: list[int], n: int) -> None:
         )
 
 
-def _irls(fits, max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL) -> list:
+def _irls(fits, max_iter: int = MAX_ITER) -> list:
     """Binomial-logit IRLS of independent fits in lock step (see the module
     docstring), one stack per shape. Fit i is (X, y, factors): a design, its
     0/1 outcome and the `_factorise` result (kept, qr, tau, scale) of X.
@@ -311,7 +310,8 @@ def _irls(fits, max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL) -> list:
                 eta[j] = Xt[j].T @ out[i][0]
             mu = np.clip(_expit(eta), _MU_EPS, 1.0 - _MU_EPS)
             new_deviance = _binomial_deviance(y, mu)
-            done = (np.abs(new_deviance - deviance) <= tol * (np.abs(new_deviance) + 0.1)).tolist()
+            change = np.abs(new_deviance - deviance)
+            done = (change <= DEVIANCE_RTOL * (np.abs(new_deviance) + 0.1)).tolist()
             deviance, stay = new_deviance, []
             for j, (i, dev) in enumerate(zip(ids, deviance.tolist())):
                 if isinstance(out[i], ModelBuildError):
@@ -330,14 +330,13 @@ def _irls(fits, max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL) -> list:
     return out
 
 
-def _fit_chunk(fits, family: Family, max_iter: int = MAX_ITER,
-               tol: float = DEVIANCE_RTOL) -> list:
+def _fit_chunk(fits, family: Family, max_iter: int = MAX_ITER) -> list:
     """(beta, R, deviance, converged, iterations) of the fit of the kept
     columns of each (X, y, factors) of `fits`, `factors` being the
     `_factorise` result of X, or the ModelBuildError it raises. Binomial fits
     run together (`_irls`); a Gaussian fit's R, that of `factors`, is None."""
     if family is Family.BINOMIAL:
-        return _irls(fits, max_iter, tol)
+        return _irls(fits, max_iter)
     out = []
     for X, y, (kept, qr, tau, scale) in fits:
         beta = _solve(qr, tau, scale, y)
@@ -354,12 +353,9 @@ def score_designs(designs: Iterable[tuple[np.ndarray, np.ndarray, tuple | None]]
     """Yield, for each (X, y, factors) of `designs`, the deviance of its fit
     (that of `fit_design`, bit for bit), its coefficients and its `_factorise`
     result, or the ModelBuildError that fitting it raises. `factors` is that
-    of X and y when the caller has it, else None.
-
-    Every search scores its candidate models here and fits only the one it
-    returns. Designs are read `_LOCKSTEP_FITS` at a time and fitted together
-    (`_fit_chunk`); with `column_labels`, dropped columns warn as in
-    `fit_design`."""
+    of X and y when the caller has it, else None. Designs are read
+    `_LOCKSTEP_FITS` at a time and fitted together (`_fit_chunk`); with
+    `column_labels`, dropped columns warn as in `fit_design`."""
     designs = iter(designs)
     while chunk := list(itertools.islice(designs, _LOCKSTEP_FITS)):
         checked = []
@@ -388,10 +384,8 @@ def _dropped(column_labels: tuple[str, ...], kept: list[int]) -> tuple[str, ...]
     return dropped
 
 
-def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
-               column_labels: tuple[str, ...],
-               max_iter: int = MAX_ITER, tol: float = DEVIANCE_RTOL,
-               factors=None, spec: ModelSpec | None = None) -> FitResult:
+def fit_design(X: np.ndarray, y: np.ndarray, family: Family, column_labels: tuple[str, ...],
+               max_iter: int = MAX_ITER, factors=None, spec: ModelSpec | None = None) -> FitResult:
     """Fit a prebuilt design matrix. Core engine behind `fit` and the searches.
 
     `factors` is the `_factorise` result of this X and y when the caller
@@ -403,7 +397,7 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family,
     dropped = _dropped(column_labels, kept)
     _check_rank(kept, n)
 
-    (result,) = _fit_chunk([(X, y, factors)], family, max_iter, tol)
+    (result,) = _fit_chunk([(X, y, factors)], family, max_iter)
     if isinstance(result, ModelBuildError):
         raise result
     beta_k, R, deviance, converged, iterations = result
@@ -436,17 +430,16 @@ def _binomial_deviance(y: np.ndarray, mu: np.ndarray):
     return -2.0 * np.sum(y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu), axis=-1)
 
 
-def fit(dataset: Dataset, spec: ModelSpec, max_iter: int = MAX_ITER,
-        tol: float = DEVIANCE_RTOL) -> FitResult:
+def fit(dataset: Dataset, spec: ModelSpec, max_iter: int = MAX_ITER) -> FitResult:
     """Fit a model spec to a dataset by maximum likelihood.
 
     Gaussian fits solve the least squares problem in one step; binomial fits
     iterate reweighted least squares until the relative deviance change falls
-    below `tol`. Non-convergence is reported through the `converged` flag, and
+    below `DEVIANCE_RTOL`. Non-convergence is reported through the `converged` flag, and
     suspected separation (huge logit coefficients) through `separation`.
     """
     X, labels, _ = design_matrix(dataset, spec)
-    return fit_design(X, dataset.outcome, dataset.family, labels, max_iter, tol, spec=spec)
+    return fit_design(X, dataset.outcome, dataset.family, labels, max_iter, spec=spec)
 
 
 def _well_conditioned(p, vif_sum, yy, rss):
@@ -479,19 +472,22 @@ def contenders(bounds: Sequence[tuple[float, float] | None]) -> list[bool]:
 class Design:
     """The design of every term a search can use, built once. The design of
     terms from it (with the spec's intercept) is a column subset equal to
-    `design_matrix` of the spec with those terms, in the given order.
+    `design_matrix` of the spec with those terms, in the given order. Columns
+    of no term (`columns`, `labels`) follow: an FP search's 16 basis columns,
+    so that each of its candidates is a column subset too. One memo keeps the
+    factorisation of every subset scored, fitted or bounded, keyed by the
+    subset, so none is factorised twice; gathered designs are not kept."""
 
-    It keeps the factorisation of the last column subset it scored or fitted,
-    so that fitting the model just scored, or bounding additions to it,
-    factorises its design once."""
-
-    def __init__(self, dataset: Dataset, spec: ModelSpec, extra: Sequence[Term] = ()):
+    def __init__(self, dataset: Dataset, spec: ModelSpec, extra: Sequence[Term] = (),
+                 columns: np.ndarray | None = None, labels: Sequence[str] = ()):
         union = ModelSpec(tuple(dict.fromkeys(spec.terms + tuple(extra))), spec.intercept,
                           check_labels=False)
         self.dataset = dataset
         self.intercept = spec.intercept
         self.X, self.labels, self.term_columns = design_matrix(dataset, union)
-        self._scored = None
+        if columns is not None:
+            self.X, self.labels = np.hstack([self.X, columns]), self.labels + tuple(labels)
+        self._factorisations: dict[tuple[int, ...], tuple] = {}
 
     @cached_property
     def _sq_norms(self) -> list[float]:
@@ -507,38 +503,42 @@ class Design:
             cols.extend(self.term_columns[term])
         return cols
 
-    def _factors(self, cols: list[int]):
-        """The design of a column subset and its `_factorise` result, kept
-        for the next call."""
-        if self._scored is None or self._scored[0] != cols:
-            X = self.X[:, cols]
-            self._scored = cols, X, _factorise(X, self.dataset.outcome)
-        return self._scored[1:]
+    def _factors(self, cols: Sequence[int]):
+        """The `_factorise` result of a column subset's design, memoised."""
+        key = tuple(cols)
+        if key not in self._factorisations:
+            self._factorisations[key] = _factorise(self.X[:, key], self.dataset.outcome)
+        return self._factorisations[key]
+
+    def column_scores(self, subsets: Iterable[Sequence[int]]):
+        """Yield (deviance, model df) of the fit of each column subset, or the
+        ModelBuildError that fitting it raises, scoring them together
+        (`score_designs`) from designs gathered as the scorer reads them."""
+        subsets = [tuple(cols) for cols in subsets]
+        y, memo = self.dataset.outcome, self._factorisations
+        for cols, scored in zip(subsets, score_designs(
+                ((self.X[:, cols], y, memo.get(cols)) for cols in subsets), self.dataset.family)):
+            if not isinstance(scored, ModelBuildError):
+                memo[cols] = scored[2]
+                scored = scored[0], len(scored[2][0])
+            yield scored
 
     def scores(self, models: Sequence[Sequence[Term]]) -> list[tuple[float, int]]:
-        """(deviance, model df) of the fit of each model's terms, without
-        fitting it; the models are scored together (`score_designs`), and the
-        first failing model's error is raised, in input order. A model with
-        the columns of the last one scored or fitted reuses its
-        factorisation, and the last model's is kept."""
-        subsets = []
-        for cols in map(self._columns, models):
-            cached = self._scored is not None and self._scored[0] == cols
-            subsets.append(self._scored if cached else (cols, self.X[:, cols], None))
-        y, out = self.dataset.outcome, []
-        for (cols, X, _), scored in zip(subsets, score_designs(
-                ((X, y, factors) for _, X, factors in subsets), self.dataset.family)):
+        """`column_scores` of each model's terms; the first failing model's
+        error is raised, in input order."""
+        out = []
+        for scored in self.column_scores(map(self._columns, models)):
             if isinstance(scored, ModelBuildError):
                 raise scored
-            self._scored = cols, X, scored[2]
-            out.append((scored[0], len(scored[2][0])))
+            out.append(scored)
         return out
 
-    def fit(self, spec: ModelSpec) -> FitResult:
-        cols = self._columns(spec.terms)
-        X, factors = self._factors(cols)
-        return fit_design(X, self.dataset.outcome, self.dataset.family,
-                          tuple(self.labels[c] for c in cols), factors=factors, spec=spec)
+    def fit(self, spec: ModelSpec, cols: Sequence[int] | None = None) -> FitResult:
+        """Fit of `spec` from the column subset `cols`, by default its terms'."""
+        cols = self._columns(spec.terms) if cols is None else cols
+        return fit_design(self.X[:, cols], self.dataset.outcome, self.dataset.family,
+                          tuple(self.labels[c] for c in cols), factors=self._factors(cols),
+                          spec=spec)
 
     def removal_bounds(self, spec: ModelSpec,
                        current: FitResult) -> list[tuple[float, float]] | None:
@@ -578,23 +578,26 @@ class Design:
         return self.p_value_bounds(reduced, [(dev, dev)] * len(blocks),
                                    [len(block) for block in blocks])
 
-    def addition_bounds(self, terms: Sequence[Term], columns: np.ndarray,
+    def addition_bounds(self, terms: Sequence[Term],
                         blocks: Sequence[Sequence[int]]) -> list[tuple[float, float] | None]:
         """(low, high) bounds on the deviance of the Gaussian fit of `terms`
-        plus each block of `columns` (indices into that n-row array), by the
-        residual update (see the module docstring); None where they are not
-        guaranteed. A bounded block keeps all its columns in its fit."""
+        plus each block of the design's columns, by the residual update (see
+        the module docstring); None where they are not guaranteed. Only the
+        columns the blocks name are transformed. A bounded block keeps all
+        its columns in its fit."""
         bounds: list[tuple[float, float] | None] = [None] * len(blocks)
         if self.dataset.family is not Family.GAUSSIAN or not blocks:
             return bounds
         try:
             cols = self._columns(terms)
-            _, (kept, qr, tau, _) = self._factors(cols)
+            kept, qr, tau, _ = self._factors(cols)
         except ModelBuildError:
             return bounds
-        (n, k), q = qr.shape, columns.shape[1]
+        named = sorted({c for block in blocks for c in block})
+        (n, k), q = qr.shape, len(named)
         if len(kept) != len(cols) or n - k <= q:
             return bounds
+        columns = self.X.take(named, axis=1)
         sizes = np.array([len(block) for block in blocks])
         rss, vif_block = np.empty(len(blocks)), np.empty(len(blocks))
         with np.errstate(all="ignore"):
@@ -614,8 +617,8 @@ class Design:
             W = np.triu(tail[:q + 1]).T
             for m in np.unique(sizes).tolist():
                 group = (sizes == m).nonzero()[0]
-                rss[group], vif_block[group] = _residual_updates(
-                    W, np.array([blocks[i] for i in group]))
+                rss[group], vif_block[group] = _residual_updates(  # rows of W by position
+                    W, np.searchsorted(named, [blocks[i] for i in group]))
             vif_sum = vif_base + vif_block * (1.0 + sizes * vif_base)
         ok = (_well_conditioned(k + sizes, vif_sum, self._yy, rss) & (k + sizes < n)).tolist()
         return [(d * (1.0 - SCREEN_RTOL), d * (1.0 + SCREEN_RTOL)) if good else None

@@ -171,7 +171,7 @@ def _add(design: Design, spec: ModelSpec, current: FitResult, candidates: Sequen
     admitted = [term for term in candidates if spec.admits(term)]
     blocks = [design.term_columns[term] for term in admitted]
     bounds = design.p_value_bounds([(now[0], now[0])] * len(blocks),
-                                   design.addition_bounds(spec.terms, design.X, blocks),
+                                   design.addition_bounds(spec.terms, blocks),
                                    [len(block) for block in blocks])
     chosen = list(compress(admitted, contenders(bounds)))
     scores = design.scores([spec.with_term(term).terms for term in chosen])

@@ -4,16 +4,18 @@ import dataclasses
 import importlib
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fpselect import (Dataset, DomainError, Family, FpPowers, FunctionDecision,
+from fpselect import (Criterion, Dataset, DomainError, Family, FpPowers, FunctionDecision,
                       FunctionForm, ModelSpec, PreTransform, RankDeficientError, Term,
-                      TooFewDistinctValuesError, best_fp, design_matrix, deviance_test, fit,
-                      fp_basis, fsp_degrees_of_freedom, fsp_select, mfp, pretransform, simlab)
+                      TooFewDistinctValuesError, backward_eliminate, best_fp, design_matrix,
+                      deviance_test, fit, forward_select, fp_basis, fsp_degrees_of_freedom,
+                      fsp_select, mfp, pretransform, simlab)
 
 fsp_module = importlib.import_module("fpselect.fsp")
 fpsearch_module = importlib.import_module("fpselect.fpsearch")
@@ -412,16 +414,16 @@ def _exact_scores(monkeypatch, run):
 def _scored_designs(monkeypatch, run):
     """Run a search and return the candidate designs it scored exactly."""
     designs = []
-    real = fpsearch_module.score_designs
+    real = fpsearch_module.FpSearch._score
 
-    def recording(items, *args, **kwargs):
-        items = list(items)
-        designs.extend(X for X, *_ in items)
-        return real(items, *args, **kwargs)
+    def recording(self, candidates):
+        designs.extend(self.design.X[:, self._columns(powers)] for powers in candidates
+                       if powers not in self._scores)
+        return real(self, candidates)
 
-    monkeypatch.setattr(fpsearch_module, "score_designs", recording)
+    monkeypatch.setattr(fpsearch_module.FpSearch, "_score", recording)
     result = run()
-    monkeypatch.setattr(fpsearch_module, "score_designs", real)
+    monkeypatch.setattr(fpsearch_module.FpSearch, "_score", real)
     return result, designs
 
 
@@ -546,3 +548,88 @@ class TestScreenedSearch:
                                      lambda: mfp(ds, ds.candidate_names))
         assert {"x1", "x2"} <= set(result.selected_variables)
         assert calls <= 200
+
+
+class TestFactorisationMemo:
+    """A `Design` memoises the factorisation of every column subset it
+    scores, so the closed test fits its verdict's model without factorising
+    its design again."""
+
+    def test_degraded_linear_test_factorises_each_model_once(self, monkeypatch):
+        # The full model is scored before the adjustment, and then fitted.
+        rng = np.random.default_rng(811)
+        n = 300
+        x, a = rng.choice([1.0, 2.0, 3.0], size=n), rng.standard_normal(n)
+        ds = gaussian_dataset(x, 0.8 * x + 0.5 * a + rng.standard_normal(n), {"a": a})
+        shapes = []
+        real = glm_module._householder
+        monkeypatch.setattr(glm_module, "_householder",
+                            lambda A: shapes.append(A.shape) or real(A))
+        decision = fsp_select(ds, "x", 0.05, adjustment=ModelSpec((Term.linear("a"),)))
+        monkeypatch.undo()
+        assert decision.degraded_to_linear and decision.verdict is FunctionForm.LINEAR
+        assert shapes == [(n, 3), (n, 2)]
+
+
+def _rescaling_dataset(seed, n=150):
+    """A curved x, a linear z, a weak w and noise u, Gaussian."""
+    rng = np.random.default_rng(seed)
+    x = rng.lognormal(sigma=0.6, size=n)
+    z, w, u = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n)
+    y = np.log(x) + 0.5 * z + 0.15 * w + rng.normal(scale=rng.uniform(0.3, 2.0), size=n)
+    return {"x": x, "z": z, "w": w, "u": u, "y": y}
+
+
+def _decisions(ds):
+    """The verdict and powers of the closed test of x, the terms that
+    backward elimination and forward selection select, and every exact
+    p-value that the three compared with their level."""
+    seen = []
+    real = glm_module.Design.p_value
+
+    def recording(self, *args, **kwargs):
+        p = real(self, *args, **kwargs)
+        seen.append(p[0])
+        return p
+
+    terms = (Term.fp("x", (0.0,)), Term.linear("z"), Term.linear("w"), Term.linear("u"))
+    with mock.patch.object(glm_module.Design, "p_value", recording), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        decision = fsp_select(ds, "x", 0.05, adjustment=ModelSpec(terms[1:]))
+        eliminated = backward_eliminate(ds, ModelSpec(terms), Criterion.p_value(0.05))
+        forward = forward_select(ds, terms, Criterion.p_value(0.05))
+    return ((decision.verdict, decision.powers), eliminated.final_spec.terms,
+            forward.final_spec.terms), seen
+
+
+class TestAffineOutcomeRescaling:
+    """Gaussian likelihood-ratio statistics n log(rss_r / rss_f) of models
+    with an intercept do not change when y becomes a y + b, so neither do the
+    closed test's verdict and powers nor the terms that backward elimination
+    and forward selection select. A shifted y also moves the screen's
+    condition estimate (1 + 2 kappa) ||y|| / ||r||, so both the bounded and
+    the exact path are taken."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 3.0),
+           shift=st.floats(-1e3, 1e3))
+    def test_decisions_do_not_change(self, seed, log_scale, shift):
+        cols = _rescaling_dataset(seed)
+        y = cols["y"]
+        ds = Dataset.from_columns(cols, outcome="y")
+        rescaled = Dataset.from_columns(
+            {**cols, "y": 10.0 ** log_scale * y + shift * float(np.std(y))}, outcome="y")
+        (before, p_before), (after, p_after) = _decisions(ds), _decisions(rescaled)
+        # A p-value at its level may fall either side of it in the last bits.
+        assume(all(abs(p - 0.05) > 1e-8 * 0.05 for p in p_before + p_after))
+        assert after == before
+
+    def test_a_large_shift_leaves_no_bounds(self):
+        cols = _rescaling_dataset(823, n=200)
+        cols["y"] = cols["y"] + 1e9 * float(np.std(cols["y"]))
+        ds = Dataset.from_columns(cols, outcome="y")
+        kwargs = dict(adjustment=ModelSpec((Term.linear("z"), Term.linear("w"))))
+        search = fpsearch_module.FpSearch(ds, "x", **kwargs)
+        assert all(bound is None for bound in search._bounds.values())
+        _assert_same_decision(fsp_select(ds, "x", 0.05, **kwargs),
+                              _former_fsp_select(ds, "x", 0.05, **kwargs), "shifted")

@@ -793,7 +793,7 @@ def _blocks_dataset(seed, n=200, family=Family.GAUSSIAN):
 
 
 class TestDesign:
-    """`Design.fit` reuses the factorisation of the subset scored last, and
+    """`Design.fit` reuses the memoised factorisation of a scored subset, and
     `Design.removal_bounds` brackets the exact deviance of every removal."""
 
     @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL])
@@ -813,8 +813,8 @@ class TestDesign:
         np.testing.assert_array_equal(result.coefficients, expected.coefficients)
         np.testing.assert_array_equal(result.covariance, expected.covariance)
         design.scores([spec.terms[1:]])
-        design.fit(spec)  # another subset was scored last: factorise again
-        assert len(calls) == 3
+        design.fit(spec)  # another subset was scored last: its factorisation is memoised
+        assert len(calls) == 2
 
     def test_scores_raise_the_first_failing_models_error(self):
         rng = np.random.default_rng(602)
@@ -876,7 +876,7 @@ class TestAdditionBounds:
     def _bounds(ds, base, candidates):
         design = Design(ds, ModelSpec(base), candidates)
         blocks = [design.term_columns[term] for term in candidates]
-        return design, design.addition_bounds(base, design.X, blocks)
+        return design, design.addition_bounds(base, blocks)
 
     def test_bounds_contain_the_exact_deviances(self):
         for seed in (611, 612, 613):
@@ -906,7 +906,7 @@ class TestAdditionBounds:
             warnings.simplefilter("ignore", UserWarning)
             assert self._bounds(ds, (x_, x2_), (w_,))[1] == [None]
         design = Design(ds, ModelSpec((), intercept=False), (w_,))
-        assert design.addition_bounds((), design.X, [design.term_columns[w_]]) == [None]
+        assert design.addition_bounds((), [design.term_columns[w_]]) == [None]
         # An aliased or ill-conditioned candidate has none; the others keep theirs.
         _, bounds = self._bounds(ds, (x_,), (x2_, near_, w_))
         assert bounds[0] is None and bounds[1] is None and bounds[2] is not None

@@ -749,6 +749,53 @@ class TestLockStepRemovals:
         assert sum(used for _, used in calls) == iterations
 
 
+class TestStepFitReusesItsScore:
+    """A `Design` memoises the factorisation of every column subset it
+    scores, so an elimination step fits the removal it takes without a new
+    factorisation, whichever removal was scored last."""
+
+    def test_winner_scored_before_the_last_removal(self, monkeypatch):
+        ds, terms = _mixed_dataset(304, Family.BINOMIAL)
+        events = []
+        householder, scores, fit_ = glm._householder, glm.Design.scores, glm.Design.fit
+
+        def counting_householder(A):
+            events.append(("qr",))
+            return householder(A)
+
+        def recording_scores(self, models):
+            events.append(("scores", [tuple(terms) for terms in models]))
+            return scores(self, models)
+
+        def recording_fit(self, spec, *args):
+            events.append(("fit", spec.terms))
+            result = fit_(self, spec, *args)
+            events.append(("fitted",))
+            return result
+
+        monkeypatch.setattr(glm, "_householder", counting_householder)
+        monkeypatch.setattr(glm.Design, "scores", recording_scores)
+        monkeypatch.setattr(glm.Design, "fit", recording_fit)
+        trace = _quiet(backward_eliminate, ds, ModelSpec(terms), Criterion.aic())
+        monkeypatch.undo()
+        assert len(trace.steps) >= 2
+        last_scored, fitting, fits = None, False, []  # [terms, last model scored, factorisations]
+        for kind, *data in events:
+            if kind == "scores":
+                last_scored = data[0][-1]
+            elif kind == "fit":
+                fits.append([data[0], last_scored, 0])
+                fitting = True
+            elif kind == "fitted":
+                fitting = False
+            elif fitting:
+                fits[-1][2] += 1
+        start, *steps = fits
+        assert start[2] == 1 and len(steps) == len(trace.steps)
+        assert any(terms != last for terms, last, _ in steps)
+        assert [qrs for _, _, qrs in steps] == [0] * len(steps)
+
+
 class TestAdditionScreen:
     """Gaussian forward selection and stepwise score only the additions whose
     bounds from `Design.addition_bounds` admit the smallest p-value; their

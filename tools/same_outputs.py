@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""Whether two revisions of this repository give the same outputs, bit for bit.
+
+    python3 tools/same_outputs.py --base HEAD~1 --change HEAD --workload mfp_gauss \\
+        --seeds 1 8191 --datasets 40
+
+Each revision is unpacked with `git archive` (`ab_pairs.unpack`) into a
+temporary directory; a directory may be named instead of a revision, such as
+`.` for the working tree. In each tree a child process runs the first
+`--datasets` stored-reference datasets of the workload and each seed through
+that tree's `perfbench/workloads.py`, checks each output against its stored
+reference as the benchmark's gate does, and fingerprints it:
+
+- MFP workloads: the summary the gate compares, the bytes of the final
+  fit's coefficients and covariance, and every step p-value of every
+  function decision, as hex;
+- CLI workloads: the bytes of the report file.
+
+The report names every dataset whose fingerprints differ and every gate
+problem, and gives the calls to `glm._householder` and `glm._irls` per
+analysis on each side. The exit code is 1 when a fingerprint differs or a
+reference check fails. Only the standard library is imported here; the
+child processes run each tree's own code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+from ab_pairs import unpack
+
+COUNTED = ("_householder", "_irls")
+
+
+def _fingerprint(workload, result) -> str:
+    """SHA-1 of an analysis's output, as the module docstring defines it."""
+    digest = hashlib.sha1()
+    if hasattr(result, "decisions"):
+        digest.update(json.dumps(workload.summarize(result)[0], sort_keys=True).encode())
+        digest.update(result.fit.coefficients.tobytes())
+        digest.update(result.fit.covariance.tobytes())
+        for variable, decision in result.decisions.items():
+            digest.update(variable.encode())
+            digest.update(" ".join(float(p).hex() for p in decision.step_pvalues).encode())
+    else:
+        digest.update((workload.directory / "out" / f"{workload.subcommand}_report.json")
+                      .read_bytes())
+    return digest.hexdigest()
+
+
+def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
+    """Analyse the datasets in `tree` and print one JSON line per dataset."""
+    # The tree's own modules, imported here so that the parent process needs
+    # only the standard library; workloads puts the tree's src on the path.
+    sys.path.insert(0, str(tree / "perfbench"))
+    import workloads
+    from fpselect import glm
+
+    os.chdir(workloads.ROOT)
+    warnings.simplefilter("ignore")
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for function in COUNTED:
+        setattr(glm, function, counting(function, getattr(glm, function)))
+    workload = workloads.WORKLOADS[name]
+    references = workloads.load_references(name)
+    for seed in seeds:
+        stored = references.get(seed, [])
+        for index in range(min(datasets, len(stored))):
+            prepared = workload.prepare(seed, index)
+            calls.update(dict.fromkeys(COUNTED, 0))
+            try:
+                result = workload.analyse(prepared)
+            except Exception as error:  # any failure is this dataset's output
+                line = {"fingerprint": f"raised {type(error).__name__}: {error}",
+                        "problems": ["analysis raised; the reference has an output"]}
+            else:
+                output = workload.summarize(result)[0]
+                line = {"fingerprint": _fingerprint(workload, result),
+                        "problems": workload.check(output) + workload.compare(output,
+                                                                              stored[index])}
+            print(json.dumps({"seed": seed, "index": index, **line, **calls}), flush=True)
+    shutil.rmtree(workloads.WORK_DIR, ignore_errors=True)
+
+
+def analyse(tree: Path, name: str, seeds: list[int], datasets: int) -> list[dict]:
+    """The child's records for one tree."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--child", str(tree),
+           "--workload", name, "--seeds", *map(str, seeds), "--datasets", str(datasets)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"{tree}: analysis failed (exit {proc.returncode})\n{proc.stderr[-2000:]}")
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="revision or directory to compare against")
+    parser.add_argument("--change", help="revision or directory under test")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--datasets", type=int, default=10,
+                        help="stored-reference datasets per seed (at most those stored)")
+    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.child.resolve(), args.workload, args.seeds, args.datasets)
+        return 0
+    if not (args.base and args.change):
+        parser.error("--base and --change are required")
+
+    records = {}
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        for side in ("base", "change"):
+            where = getattr(args, side)
+            tree = (Path(where).resolve() if Path(where).is_dir()
+                    else unpack(where, Path(tmp) / side))
+            records[side] = analyse(tree, args.workload, args.seeds, args.datasets)
+
+    print(f"{args.workload}, seeds {' '.join(map(str, args.seeds))}, "
+          f"{len(records['base'])} datasets; base {args.base}, change {args.change}")
+    bad = 0
+    for base, change in zip(records["base"], records["change"]):
+        where = f"seed {base['seed']} dataset {base['index']}"
+        for side, record in (("base", base), ("change", change)):
+            for problem in record["problems"]:
+                print(f"{side} {where}: {problem}")
+                bad += 1
+        if base["fingerprint"] != change["fingerprint"]:
+            print(f"{where}: outputs differ")
+            bad += 1
+    if len(records["base"]) != len(records["change"]):
+        print("the trees analysed different numbers of datasets")
+        bad += 1
+    same = sum(b["fingerprint"] == c["fingerprint"]
+               for b, c in zip(records["base"], records["change"]))
+    print(f"{same} of {len(records['change'])} outputs identical")
+    print(f"{'calls per analysis':<20} {'base':>10} {'change':>10}")
+    for function in COUNTED:
+        means = [statistics.fmean(r[function] for r in records[side]) if records[side] else 0.0
+                 for side in ("base", "change")]
+        print(f"glm.{function:<16} {means[0]:>10.2f} {means[1]:>10.2f}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
