@@ -27,7 +27,7 @@ from .resample import (BifSelection, ResamplePlan, StabilityReport, bif_select,
                        stability)
 from .selection import (Criterion, ScreenResult, SelectionStep, SelectionTrace,
                         augmented_backward_eliminate, backward_eliminate,
-                        criterion_threshold, forward_select, stepwise,
+                        backward_eliminate_batch, criterion_threshold, forward_select, stepwise,
                         univariable_screen)
 from .shrinkage import (KFold, LeaveOneOut, ShrinkageFactors, default_cv_scheme,
                         global_shrinkage, joint_shrinkage,

@@ -10,8 +10,9 @@ Every search scores its candidate models with one scorer, `score_designs`,
 whose deviance is that of the fit bit for bit, and fits only the model it
 returns. Nested models are compared through `Design`, built once: each is a
 column subset of it (an FP candidate too, its basis columns following the
-adjustment's), scored in lists (`Design.scores`), tested (`Design.p_value`)
-and fitted, and one memo keyed by the subset keeps every factorisation.
+adjustment's), scored in lists (`Design.scores`; those of several designs
+by one scorer call, `Design.batch_scores`), tested (`Design.p_value`) and
+fitted, and one memo keyed by the subset keeps every factorisation.
 
 The scorer fits its designs `_LOCKSTEP_FITS` at a time, binomial ones (folds,
 FP candidates, an elimination step's removals) in lock step (`_irls`): the
@@ -469,6 +470,43 @@ def contenders(bounds: Sequence[tuple[float, float] | None]) -> list[bool]:
     return [b is None or b[0] <= cut for b in bounds]
 
 
+def p_value_bounds(rows: Sequence[tuple]) -> list[tuple[float, float] | None]:
+    """(low, high) bounds on the Gaussian `Design.p_value` of each row (n,
+    reduced, full, df), `reduced` and `full` being deviance bounds, on n
+    observations and df degrees of freedom, in one vectorised pass: the tails
+    at the bounds of n log(reduced / full), in whose last bit np.log and
+    math.log may differ; None where `full` is, or where the statistic may
+    fall below -`NESTED_TOL` and `p_value` raises."""
+    if not rows:
+        return []
+    n, reduced, full, df = zip(*rows)
+    k = len(df)
+    reduced = np.array(reduced)
+    full = np.array([b or (math.nan, math.nan) for b in full])
+    with np.errstate(all="ignore"):
+        stats = np.array(n * 2, dtype=float) * np.log(np.concatenate([reduced[:, 1] / full[:, 0],
+                                                                      reduced[:, 0] / full[:, 1]]))
+    tails = np.minimum(np.maximum(chdtrc(np.array(df * 2, dtype=float),
+                                         np.maximum(stats, 0.0)), 0.0), 1.0)
+    nested = (stats[k:] >= -NESTED_TOL).tolist()
+    return [(low, high) if ok else None
+            for low, high, ok in zip(tails[:k].tolist(), tails[k:].tolist(), nested)]
+
+
+def _subset_scores(subsets: list[tuple[Design, tuple[int, ...]]]):
+    """Yield (deviance, model df) of the fit of each (design, column subset),
+    or the ModelBuildError that fitting it raises, scored together by
+    `score_designs` as it gathers them, into each design's memo."""
+    family = subsets[0][0].dataset.family if subsets else None
+    for (design, cols), scored in zip(subsets, score_designs(
+            ((design.X[:, cols], design.dataset.outcome, design._factorisations.get(cols))
+             for design, cols in subsets), family)):
+        if not isinstance(scored, ModelBuildError):
+            design._factorisations[cols] = scored[2]
+            scored = scored[0], len(scored[2][0])
+        yield scored
+
+
 class Design:
     """The design of every term a search can use, built once. The design of
     terms from it (with the spec's intercept) is a column subset equal to
@@ -511,26 +549,28 @@ class Design:
         return self._factorisations[key]
 
     def column_scores(self, subsets: Iterable[Sequence[int]]):
-        """Yield (deviance, model df) of the fit of each column subset, or the
-        ModelBuildError that fitting it raises, scoring them together
-        (`score_designs`) from designs gathered as the scorer reads them."""
-        subsets = [tuple(cols) for cols in subsets]
-        y, memo = self.dataset.outcome, self._factorisations
-        for cols, scored in zip(subsets, score_designs(
-                ((self.X[:, cols], y, memo.get(cols)) for cols in subsets), self.dataset.family)):
-            if not isinstance(scored, ModelBuildError):
-                memo[cols] = scored[2]
-                scored = scored[0], len(scored[2][0])
-            yield scored
+        """`_subset_scores` of column subsets of this design."""
+        return _subset_scores([(self, tuple(cols)) for cols in subsets])
 
     def scores(self, models: Sequence[Sequence[Term]]) -> list[tuple[float, int]]:
         """`column_scores` of each model's terms; the first failing model's
         error is raised, in input order."""
+        (scored,) = Design.batch_scores([(self, models)])
+        if isinstance(scored, ModelBuildError):
+            raise scored
+        return scored
+
+    @staticmethod
+    def batch_scores(requests: Sequence[tuple[Design, Sequence[Sequence[Term]]]]) -> list:
+        """`scores` of each (design, models) request, of one family, all from
+        one `_subset_scores` call: a list of (deviance, model df), or the
+        request's first failing model's error in input order."""
+        scored = _subset_scores([(design, tuple(design._columns(model)))
+                                 for design, models in requests for model in models])
         out = []
-        for scored in self.column_scores(map(self._columns, models)):
-            if isinstance(scored, ModelBuildError):
-                raise scored
-            out.append(scored)
+        for _, models in requests:
+            scores = list(itertools.islice(scored, len(models)))
+            out.append(next((s for s in scores if isinstance(s, ModelBuildError)), scores))
         return out
 
     def fit(self, spec: ModelSpec, cols: Sequence[int] | None = None) -> FitResult:
@@ -545,8 +585,25 @@ class Design:
         """(low, high) bounds on the `p_value` of dropping each term of `spec`,
         in spec order, from the Gaussian fit `current` of `spec` by the Wald
         update (see the module docstring); None when the bounds are not
-        guaranteed. Scalars are Python floats, which overflow to inf without
-        a warning."""
+        guaranteed."""
+        (bounds,) = Design.batch_removal_bounds([(self, spec, current)])
+        return bounds
+
+    @staticmethod
+    def batch_removal_bounds(fits: Sequence[tuple[Design, ModelSpec, FitResult]]) -> list:
+        """`removal_bounds` of each (design, spec, current) of `fits`, with one
+        `p_value_bounds` pass."""
+        deviances = [design._removal_deviances(spec, current) for design, spec, current in fits]
+        tails = iter(p_value_bounds([
+            (design.dataset.n, bound, (current.deviance,) * 2, len(design.term_columns[term]))
+            for (design, spec, current), reduced in zip(fits, deviances)
+            for bound, term in zip(reduced or (), spec.terms)]))
+        return [reduced and list(itertools.islice(tails, len(reduced))) for reduced in deviances]
+
+    def _removal_deviances(self, spec: ModelSpec,
+                           current: FitResult) -> list[tuple[float, float]] | None:
+        """`removal_bounds` on the deviances, not the p-values. Scalars are
+        Python floats, which overflow to inf without a warning."""
         dev, p, n = current.deviance, current.model_df, self.dataset.n
         if (self.dataset.family is not Family.GAUSSIAN or current.dropped_columns
                 or not dev > 0.0 or not (self.intercept or len(spec.terms) > 1)):
@@ -575,8 +632,7 @@ class Design:
             if not math.isfinite(approx):
                 return None
             reduced.append((max(approx * (1.0 - SCREEN_RTOL), dev), approx * (1.0 + SCREEN_RTOL)))
-        return self.p_value_bounds(reduced, [(dev, dev)] * len(blocks),
-                                   [len(block) for block in blocks])
+        return reduced
 
     def addition_bounds(self, terms: Sequence[Term],
                         blocks: Sequence[Sequence[int]]) -> list[tuple[float, float] | None]:
@@ -623,26 +679,6 @@ class Design:
         ok = (_well_conditioned(k + sizes, vif_sum, self._yy, rss) & (k + sizes < n)).tolist()
         return [(d * (1.0 - SCREEN_RTOL), d * (1.0 + SCREEN_RTOL)) if good else None
                 for d, good in zip(rss.tolist(), ok)]
-
-    def p_value_bounds(self, reduced: Sequence[tuple[float, float]],
-                       full: Sequence[tuple[float, float] | None],
-                       df: Sequence[int]) -> list[tuple[float, float] | None]:
-        """(low, high) bounds on the Gaussian `p_value` of reduced[i] against
-        full[i], deviance bounds, on df[i] degrees of freedom: the tails at
-        the bounds of n log(reduced / full), in whose last bit np.log and
-        math.log may differ; None where full[i] is, or where the statistic
-        may fall below -`NESTED_TOL` and `p_value` raises."""
-        k = len(df)
-        reduced = np.reshape(reduced, (k, 2))
-        full = np.reshape([b or (math.nan, math.nan) for b in full], (k, 2))
-        with np.errstate(all="ignore"):
-            stats = self.dataset.n * np.log(np.concatenate([reduced[:, 1] / full[:, 0],
-                                                            reduced[:, 0] / full[:, 1]]))
-        tails = np.minimum(np.maximum(chdtrc(np.array(list(df) * 2, dtype=float),
-                                             np.maximum(stats, 0.0)), 0.0), 1.0)
-        nested = (stats[k:] >= -NESTED_TOL).tolist()
-        return [(low, high) if ok else None
-                for low, high, ok in zip(tails[:k].tolist(), tails[k:].tolist(), nested)]
 
     def p_value(self, reduced: tuple[float, int], full: tuple[float, int],
                 df: int | None = None) -> tuple[float, int]:

@@ -2,9 +2,14 @@
 co-inclusion, and selected-model frequencies around any selection procedure.
 
 Replication r draws its row indices from an RNG stream derived only from
-(master_seed, r), so reports are bit-identical regardless of execution order
-or worker count. The default scheme is subsampling without replacement at
-rate 0.632; the nonparametric bootstrap is available.
+(master_seed, r), so reports are bit-identical regardless of execution order,
+chunking or worker count. The default scheme is subsampling without
+replacement at rate 0.632; the nonparametric bootstrap is available.
+
+A selector maps a list of datasets to, for each, the names of the variables
+it selected or the ModelBuildError that selecting raised. `stability` hands
+it chunks of `glm._LOCKSTEP_FITS` replications, which
+`selection.backward_eliminate_batch` advances in lock step.
 """
 
 from __future__ import annotations
@@ -12,14 +17,16 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, ModelBuildError
+from .glm import _LOCKSTEP_FITS
 
-Selector = Callable[[Dataset], Iterable[str]]
+Selector = Callable[[list[Dataset]], Sequence[Union[Iterable[str], ModelBuildError]]]
+
 
 DEFAULT_SUBSAMPLE_RATE = 0.632
 
@@ -85,40 +92,45 @@ def stability(dataset: Dataset, selector: Selector, plan: ResamplePlan,
               workers: int = 1) -> StabilityReport:
     """Run the selector on every resampled dataset and aggregate inclusions.
 
-    `selector` takes a Dataset and returns the names of the selected
-    variables. Replications that raise a model-building error are counted as
-    failed and excluded from every denominator. Workers > 1 runs replications
-    in a thread pool; results are identical to the sequential run.
+    `selector` takes a list of datasets (see the module docstring): the
+    resampled datasets of up to `glm._LOCKSTEP_FITS` consecutive
+    replications, each drawn with its own seed, at a time. Replications
+    whose result is a model-building error are counted as failed and
+    excluded from every denominator. Workers > 1 runs the chunks in a thread
+    pool; results are identical to the sequential run.
     """
     variables = tuple(candidates) if candidates is not None else dataset.candidate_names
     if not variables:
         raise DomainError("no candidate variables to track")
     indices = {v: i for i, v in enumerate(variables)}
 
-    def run_one(r: int):
-        rows = plan.draw_indices(dataset.n, r)
-        try:
-            selected = frozenset(selector(dataset.take_rows(rows)))
-        except ModelBuildError:
-            return None
-        unknown = selected.difference(variables)
-        if unknown:
-            raise DomainError(f"selector returned untracked variables: {sorted(unknown)}")
-        return selected
+    def run_chunk(first: int) -> list:
+        replications = range(first, min(first + _LOCKSTEP_FITS, plan.replications))
+        results = list(selector([dataset.take_rows(plan.draw_indices(dataset.n, r))
+                                 for r in replications]))
+        if len(results) != len(replications):
+            raise DomainError(f"selector returned {len(results)} results for "
+                              f"{len(replications)} datasets")
+        return results
 
+    firsts = range(0, plan.replications, _LOCKSTEP_FITS)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_one, range(plan.replications)))
+            chunks = list(pool.map(run_chunk, firsts))
     else:
-        outcomes = [run_one(r) for r in range(plan.replications)]
+        chunks = [run_chunk(first) for first in firsts]
 
     p = len(variables)
     joint = np.zeros((p, p))
     model_counter: Counter[tuple[str, ...]] = Counter()
     n_ok = 0
-    for selected in outcomes:
-        if selected is None:
+    for result in (result for chunk in chunks for result in chunk):
+        if isinstance(result, ModelBuildError):
             continue
+        selected = frozenset(result)
+        unknown = selected.difference(variables)
+        if unknown:
+            raise DomainError(f"selector returned untracked variables: {sorted(unknown)}")
         n_ok += 1
         idx = sorted(indices[v] for v in selected)
         for a in idx:

@@ -16,17 +16,25 @@ lock step): deviance and kept columns, without a covariance or a
 so the trace equals fitting every candidate. One elimination loop and one
 addition scan serve every procedure.
 
-The elimination loop (backward elimination and stepwise's re-checks) screens
-before it scores. `glm.Design.removal_bounds` bounds the deviance of every
-removal from the current Gaussian fit by the Wald update, within a relative
-`glm.SCREEN_RTOL` = 1e-6, when the fit's residual condition estimate is at
-most `glm.SCREEN_MAX_CONDITION` = 1e6, and turns them into bounds on its
-p-value. Only the removals whose largest possible p-value reaches the
-largest of the smallest possible ones are scored, and the loop
-picks among them as if it had scored all. The removal with the largest exact
-p-value always passes the screen, so the trace is that of scoring every
-removal, bit for bit. Binomial fits, fits with dropped columns and
-ill-conditioned fits get no bounds, and every removal is scored.
+The one elimination loop (`_eliminate`) advances a batch of runs, one per
+dataset, in lock step: `backward_eliminate_batch` (a chunk of stability
+replications), and `backward_eliminate` and stepwise's re-checks as batches
+of one. A step bounds every run's removals (one `glm.p_value_bounds` pass),
+scores every run's screened removals together (`glm.Design.batch_scores`)
+and lets each run test, fit and fail on its own; a ModelBuildError ends only
+its run. Each run's removals meet the scorer, its memo and its first-error
+rule as when alone, so each trace is that of its run alone, bit for bit.
+
+The loop screens before it scores. `glm.Design.removal_bounds` bounds the
+deviance of every removal from the current Gaussian fit by the Wald update,
+within a relative `glm.SCREEN_RTOL` = 1e-6, when the fit's residual
+condition estimate is at most `glm.SCREEN_MAX_CONDITION` = 1e6, and turns
+them into bounds on its p-value. Only the removals whose largest possible
+p-value reaches the largest of the smallest possible ones are scored, and
+the loop picks among them as if it had scored all. The removal with the
+largest exact p-value always passes the screen, so the trace is that of
+scoring every removal, bit for bit. Binomial fits, fits with dropped
+columns and ill-conditioned fits get no bounds, and every removal is scored.
 
 The addition scan (forward selection and stepwise) screens alike, by
 `glm.Design.addition_bounds`: only additions whose smallest possible p-value
@@ -45,8 +53,8 @@ from typing import Sequence, Union
 
 from .chi2 import chi2_sf
 from .data import Dataset
-from .errors import CycleDetectedError, DomainError, ExposureMissingError
-from .glm import Design, FitResult, contenders
+from .errors import CycleDetectedError, DomainError, ExposureMissingError, ModelBuildError
+from .glm import Design, FitResult, contenders, p_value_bounds
 from .model import ModelSpec, Term
 
 
@@ -124,40 +132,69 @@ class SelectionTrace:
         return tuple(dict.fromkeys(t.variable for t in self.final_spec.terms))
 
 
-def _removals(design: Design, current: FitResult, spec: ModelSpec,
-              terms: Sequence[Term]) -> list[tuple[float, int, Term]]:
-    """(p-value, df, term) of dropping each of `terms` from the current model."""
+def _removals(design: Design, current: FitResult, terms: Sequence[Term],
+              scores: Sequence[tuple[float, int]]) -> list[tuple[float, int, Term]]:
+    """(p-value, df, term) of dropping each of `terms` from the current model,
+    the models without them having scored `scores`."""
     full = (current.deviance, current.model_df)
-    scores = design.scores([[t for t in spec.terms if t is not term] for term in terms])
     return [(*design.p_value(score, full), term) for score, term in zip(scores, terms)]
 
 
-def _screen(design: Design, current: FitResult, spec: ModelSpec,
+def _screen(spec: ModelSpec, bounds: list[tuple[float, float]] | None,
             protected: Sequence[Term]) -> list[Term]:
     """The unprotected terms, in spec order, whose removal may have the
-    largest p-value, judged by `Design.removal_bounds`; every unprotected
-    term when it gives no bounds."""
-    bounds = design.removal_bounds(spec, current) or [None] * len(spec.terms)
+    largest p-value, judged by the `Design.removal_bounds` `bounds`; every
+    unprotected term when there are none."""
+    bounds = bounds or [None] * len(spec.terms)
     candidates = [(t, b) for t, b in zip(spec.terms, bounds) if t not in protected]
     # The largest p-value is the least of the negated ones.
     keep = contenders([b and (-b[1], -b[0]) for _, b in candidates])
     return [t for (t, _), k in zip(candidates, keep) if k]
 
 
-def _eliminate(design: Design, spec: ModelSpec, current: FitResult, criterion: Criterion,
-               steps: list[SelectionStep], protected: Sequence[Term] = ()):
-    """Drop the least significant unprotected term while it fails the
-    criterion; returns the final (spec, fit) and appends each drop to `steps`.
-    Only removals that pass `_screen` are scored."""
-    while True:
-        terms = _screen(design, current, spec, protected)
-        worst = max(_removals(design, current, spec, terms), key=lambda r: r[0], default=None)
-        if worst is None or worst[0] <= criterion_threshold(criterion, design.dataset.n, worst[1]):
-            return spec, current
-        p, _, term = worst
-        spec = spec.without_term(term)
-        current = design.fit(spec)
-        steps.append(SelectionStep("drop", term.variable, term, p, current.deviance))
+@dataclass
+class _Elimination:
+    """One dataset's backward elimination, as `_eliminate` advances it;
+    `error` is the ModelBuildError that ended it, if one did."""
+
+    design: Design | None
+    spec: ModelSpec
+    current: FitResult | None
+    steps: list[SelectionStep]
+    error: ModelBuildError | None = None
+
+
+def _eliminate(runs: Sequence[_Elimination], criterion: Criterion,
+               protected: Sequence[Term] = ()) -> None:
+    """Advance the runs in lock step (see the module docstring), each
+    dropping its least significant unprotected term while that fails the
+    criterion. A run leaves when it stops or when its step raises."""
+    while runs:
+        bounds = Design.batch_removal_bounds([(run.design, run.spec, run.current)
+                                              for run in runs])
+        terms = [_screen(run.spec, b, protected) for run, b in zip(runs, bounds)]
+        scores = Design.batch_scores([
+            (run.design, [[t for t in run.spec.terms if t is not term] for term in ts])
+            for run, ts in zip(runs, terms)])
+        going = []
+        for run, ts, scored in zip(runs, terms, scores):
+            try:
+                if isinstance(scored, ModelBuildError):
+                    raise scored
+                worst = max(_removals(run.design, run.current, ts, scored),
+                            key=lambda r: r[0], default=None)
+                if worst is None or worst[0] <= criterion_threshold(
+                        criterion, run.design.dataset.n, worst[1]):
+                    continue
+                p, _, term = worst
+                run.spec = run.spec.without_term(term)
+                run.current = run.design.fit(run.spec)
+                run.steps.append(SelectionStep("drop", term.variable, term, p,
+                                               run.current.deviance))
+                going.append(run)
+            except ModelBuildError as error:
+                run.error = error
+        runs = going
 
 
 def _add(design: Design, spec: ModelSpec, current: FitResult, candidates: Sequence[Term],
@@ -170,9 +207,9 @@ def _add(design: Design, spec: ModelSpec, current: FitResult, candidates: Sequen
     now = (current.deviance, current.model_df)
     admitted = [term for term in candidates if spec.admits(term)]
     blocks = [design.term_columns[term] for term in admitted]
-    bounds = design.p_value_bounds([(now[0], now[0])] * len(blocks),
-                                   design.addition_bounds(spec.terms, blocks),
-                                   [len(block) for block in blocks])
+    added = design.addition_bounds(spec.terms, blocks)
+    bounds = p_value_bounds([(design.dataset.n, (now[0], now[0]), bound, len(block))
+                             for bound, block in zip(added, blocks)])
     chosen = list(compress(admitted, contenders(bounds)))
     scores = design.scores([spec.with_term(term).terms for term in chosen])
     best = min([(*design.p_value(now, score), term) for score, term in zip(scores, chosen)],
@@ -186,6 +223,23 @@ def _add(design: Design, spec: ModelSpec, current: FitResult, candidates: Sequen
     return spec, current
 
 
+def backward_eliminate_batch(datasets: Sequence[Dataset], start_spec: ModelSpec,
+                             criterion: Criterion, protected: Sequence[Term] = ()) -> list:
+    """`backward_eliminate` of each dataset, the eliminations advancing in
+    lock step (`_eliminate`): per dataset, its SelectionTrace, or the
+    ModelBuildError that `backward_eliminate` raises on it."""
+    runs = []
+    for dataset in datasets:
+        try:
+            design = Design(dataset, start_spec)
+            runs.append(_Elimination(design, start_spec, design.fit(start_spec), []))
+        except ModelBuildError as error:  # a run that cannot start
+            runs.append(_Elimination(None, start_spec, None, [], error))
+    _eliminate([run for run in runs if not run.error], criterion, tuple(protected))
+    return [run.error or SelectionTrace(start_spec, tuple(run.steps), run.spec, run.current,
+                                        criterion) for run in runs]
+
+
 def backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
                        criterion: Criterion,
                        protected: Sequence[Term] = ()) -> SelectionTrace:
@@ -193,13 +247,13 @@ def backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
 
     Terms generating several design columns (dummy blocks, second-degree FP
     pairs) are tested and dropped jointly. `protected` terms are never
-    candidates for removal.
+    candidates for removal. This is `backward_eliminate_batch` of one
+    dataset.
     """
-    design = Design(dataset, start_spec)
-    steps: list[SelectionStep] = []
-    spec, current = _eliminate(design, start_spec, design.fit(start_spec), criterion, steps,
-                               tuple(protected))
-    return SelectionTrace(start_spec, tuple(steps), spec, current, criterion)
+    (result,) = backward_eliminate_batch([dataset], start_spec, criterion, protected)
+    if isinstance(result, ModelBuildError):
+        raise result
+    return result
 
 
 def _as_terms(candidates: Sequence[Union[str, Term]]) -> tuple[Term, ...]:
@@ -252,7 +306,11 @@ def stepwise(dataset: Dataset, candidates: Sequence[Union[str, Term]],
         absent = [t for t in all_terms if t not in spec.terms]
         spec, current = _add(design, spec, current, absent, criterion_in, steps)
         # Backward re-checks until every retained term passes.
-        spec, current = _eliminate(design, spec, current, criterion_out, steps)
+        run = _Elimination(design, spec, current, steps)
+        _eliminate([run], criterion_out)
+        if run.error:
+            raise run.error
+        spec, current = run.spec, run.current
         if len(steps) == taken:
             return SelectionTrace(ModelSpec(), tuple(steps), spec, current, criterion_in)
     raise CycleDetectedError(f"stepwise did not settle within {max_iterations} iterations")
@@ -305,8 +363,9 @@ def augmented_backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
     kept_as_confounder: set[Term] = set()
     while True:
         skip = kept_as_confounder | {exposure_term}
-        ranked = [(p, term) for p, _, term in
-                  _removals(design, current, spec, [t for t in spec.terms if t not in skip])
+        terms = [t for t in spec.terms if t not in skip]
+        scores = design.scores([[t for t in spec.terms if t is not term] for term in terms])
+        ranked = [(p, term) for p, _, term in _removals(design, current, terms, scores)
                   if p > alpha]
         ranked.sort(key=lambda item: -item[0])
         dropped = False

@@ -633,3 +633,27 @@ class TestAffineOutcomeRescaling:
         assert all(bound is None for bound in search._bounds.values())
         _assert_same_decision(fsp_select(ds, "x", 0.05, **kwargs),
                               _former_fsp_select(ds, "x", 0.05, **kwargs), "shifted")
+
+
+class TestRowOrder:
+    """A model's likelihood does not depend on the order of the rows, so
+    permuting them leaves the closed test's verdict and powers and the terms
+    that backward elimination and forward selection select unchanged, for
+    both families; only the summation order, and so the last bits of each
+    p-value, move."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           family=st.sampled_from([Family.GAUSSIAN, Family.BINOMIAL]))
+    def test_decisions_do_not_change(self, seed, family):
+        cols = _rescaling_dataset(seed)
+        if family is Family.BINOMIAL:
+            rng = np.random.default_rng(seed)
+            eta = cols["y"] - np.mean(cols["y"])
+            cols["y"] = (rng.random(len(eta)) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        ds = Dataset.from_columns(cols, outcome="y", family=family)
+        permuted = ds.take_rows(np.random.default_rng(seed).permutation(ds.n))
+        (before, p_before), (after, p_after) = _decisions(ds), _decisions(permuted)
+        # A p-value at its level may fall either side of it in the last bits.
+        assume(all(abs(p - 0.05) > 1e-8 * 0.05 for p in p_before + p_after))
+        assert after == before

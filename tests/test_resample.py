@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
-from fpselect import (Criterion, Dataset, DomainError, ModelSpec, ResamplePlan,
-                      StabilityReport, Term, be_procedure, bif_select, stability)
+from fpselect import (Criterion, Dataset, DomainError, ModelBuildError, ModelSpec,
+                      ResamplePlan, StabilityReport, Term, backward_eliminate,
+                      backward_eliminate_batch, bif_select, stability)
 
 
 def make_selector(criterion=None):
-    procedure = be_procedure(criterion or Criterion.p_value(0.05))
-    return lambda ds: procedure(ds).spec.variables
+    """Batch backward elimination from the all-linear model, the selected
+    variables or the error of each dataset."""
+    criterion = criterion or Criterion.p_value(0.05)
+
+    def select(datasets):
+        start = ModelSpec(tuple(Term.linear(v) for v in datasets[0].candidate_names))
+        return [trace if isinstance(trace, ModelBuildError) else trace.final_spec.variables
+                for trace in backward_eliminate_batch(datasets, start, criterion)]
+
+    return select
 
 
 def strong_predictor_dataset(seed=601, n=300):
@@ -133,16 +142,76 @@ class TestStability:
         ds = strong_predictor_dataset(seed=641, n=60)
         calls = []
 
-        def flaky(d):
-            calls.append(1)
-            if len(calls) % 3 == 0:
-                raise DomainError("synthetic failure")
-            return ("x",)
+        def flaky(datasets):
+            results = []
+            for _ in datasets:
+                calls.append(1)
+                results.append(DomainError("synthetic failure") if len(calls) % 3 == 0
+                               else ("x",))
+            return results
 
         plan = ResamplePlan(replications=30, master_seed=43)
         report = stability(ds, flaky, plan)
         assert report.n_failed == 10
         assert report.bif["x"] == 1.0  # denominators exclude the failures
+
+
+class TestChunkedStability:
+    """`stability` hands its selector chunks of at most `glm._LOCKSTEP_FITS`
+    replications; the report equals one built from one `backward_eliminate`
+    per replication, however the chunks fall and whichever worker runs them."""
+
+    @staticmethod
+    def _fails(dataset):
+        return dataset.outcome[0] < -0.5  # a property of the drawn rows alone
+
+    def _selector(self, datasets):
+        traces = make_selector()(datasets)
+        return [DomainError("synthetic failure") if self._fails(d) else trace
+                for d, trace in zip(datasets, traces)]
+
+    def _expected(self, ds, plan):
+        start = ModelSpec(tuple(Term.linear(v) for v in ds.candidate_names))
+        selections = []
+        for r in range(plan.replications):
+            d = ds.take_rows(plan.draw_indices(ds.n, r))
+            if not self._fails(d):
+                selections.append(
+                    backward_eliminate(d, start, Criterion.p_value(0.05)).final_spec.variables)
+        names = ds.candidate_names
+        joint = np.array([[sum(a in s and b in s for s in selections) for b in names]
+                          for a in names], dtype=float) / len(selections)
+        models = {}
+        for s in selections:
+            key = tuple(sorted(s))
+            models[key] = models.get(key, 0) + 1
+        return joint, {k: c / len(selections) for k, c in models.items()}, \
+            plan.replications - len(selections)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_chunks_equal_one_selection_per_replication(self, workers):
+        ds = proxy_pair_dataset(seed=653, n=120)
+        plan = ResamplePlan(replications=37, master_seed=53)  # 16 + 16 + 5
+        chunks = []
+
+        def recording(datasets):
+            chunks.append(len(datasets))
+            return self._selector(datasets)
+
+        report = stability(ds, recording, plan, workers=workers)
+        joint, models, failed = self._expected(ds, plan)
+        assert sorted(chunks) == [5, 16, 16]
+        assert 0 < failed < plan.replications
+        assert report.n_failed == failed
+        np.testing.assert_array_equal(report.co_inclusion, joint)
+        assert report.bif == {v: float(joint[i, i]) for i, v in enumerate(report.variables)}
+        assert report.model_freq == models
+
+    def test_selector_must_answer_every_dataset(self):
+        ds = strong_predictor_dataset(seed=659, n=60)
+        plan = ResamplePlan(replications=5, master_seed=59)
+        with pytest.raises(DomainError, match="4 results for 5 datasets"):
+            stability(ds, lambda datasets: [("x",)] * (len(datasets) - 1), plan)
 
 
 class TestBifSelect:

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from fpselect import glm
 from fpselect import (Criterion, CycleDetectedError, Dataset, DomainError,
-                      ExposureMissingError, Family, ModelSpec, RankDeficientError, Term,
-                      augmented_backward_eliminate, backward_eliminate,
+                      ExposureMissingError, Family, ModelSpec, RankDeficientError,
+                      ResamplePlan, Term, augmented_backward_eliminate, backward_eliminate,
+                      backward_eliminate_batch,
                       criterion_threshold, chi2_sf, deviance_test, fit,
                       forward_select, stepwise, univariable_screen)
 from fpselect.fp import PreTransform
@@ -592,17 +593,17 @@ def _exact_scores_per_step(monkeypatch, run):
     """Run a selection and return how many removals or additions it scored
     exactly between consecutive fits, one count per step after the start."""
     events = []
-    scores, fit_ = glm.Design.scores, glm.Design.fit
+    batch_scores, fit_ = glm.Design.batch_scores, glm.Design.fit
 
-    def counting_scores(self, models):
-        events.extend(["score"] * len(models))
-        return scores(self, models)
+    def counting_scores(requests):  # every Design.scores call is a batch of one
+        events.extend(["score"] * sum(len(models) for _, models in requests))
+        return batch_scores(requests)
 
     def counting_fit(self, spec):
         events.append("fit")
         return fit_(self, spec)
 
-    monkeypatch.setattr(glm.Design, "scores", counting_scores)
+    monkeypatch.setattr(glm.Design, "batch_scores", staticmethod(counting_scores))
     monkeypatch.setattr(glm.Design, "fit", counting_fit)
     trace = run()
     counts, current = [], None
@@ -757,15 +758,15 @@ class TestStepFitReusesItsScore:
     def test_winner_scored_before_the_last_removal(self, monkeypatch):
         ds, terms = _mixed_dataset(304, Family.BINOMIAL)
         events = []
-        householder, scores, fit_ = glm._householder, glm.Design.scores, glm.Design.fit
+        householder, batch_scores, fit_ = glm._householder, glm.Design.batch_scores, glm.Design.fit
 
         def counting_householder(A):
             events.append(("qr",))
             return householder(A)
 
-        def recording_scores(self, models):
-            events.append(("scores", [tuple(terms) for terms in models]))
-            return scores(self, models)
+        def recording_scores(requests):
+            events.append(("scores", [tuple(terms) for _, models in requests for terms in models]))
+            return batch_scores(requests)
 
         def recording_fit(self, spec, *args):
             events.append(("fit", spec.terms))
@@ -774,7 +775,7 @@ class TestStepFitReusesItsScore:
             return result
 
         monkeypatch.setattr(glm, "_householder", counting_householder)
-        monkeypatch.setattr(glm.Design, "scores", recording_scores)
+        monkeypatch.setattr(glm.Design, "batch_scores", staticmethod(recording_scores))
         monkeypatch.setattr(glm.Design, "fit", recording_fit)
         trace = _quiet(backward_eliminate, ds, ModelSpec(terms), Criterion.aic())
         monkeypatch.undo()
@@ -794,6 +795,85 @@ class TestStepFitReusesItsScore:
         assert start[2] == 1 and len(steps) == len(trace.steps)
         assert any(terms != last for terms, last, _ in steps)
         assert [qrs for _, _, qrs in steps] == [0] * len(steps)
+
+
+def _resampled(seed, family, size, rows=None):
+    """`size` subsamples of one `_mixed_dataset`, as `stability` draws them,
+    with its terms; a subsample of `rows` rows replaces the third."""
+    ds, terms = _mixed_dataset(seed, family)
+    plan = ResamplePlan(replications=size, master_seed=seed)
+    datasets = [ds.take_rows(plan.draw_indices(ds.n, r)) for r in range(size)]
+    if rows is not None:
+        datasets[2] = ds.take_rows(np.arange(rows))
+    return datasets, terms
+
+
+class TestLockStepElimination:
+    """`backward_eliminate_batch` advances the eliminations of a chunk of
+    datasets in lock step; each result equals `backward_eliminate` of its
+    dataset alone, bit for bit, a failing dataset's error included."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), size=st.sampled_from([1, 5, 16]),
+           family=st.sampled_from(FAMILIES), criterion=st.sampled_from(CRITERIA))
+    def test_each_result_equals_its_solo_run(self, seed, size, family, criterion):
+        datasets, terms = _resampled(seed, family, size)
+        start, protected = ModelSpec(terms), (terms[3],)  # the FP2 term and dummy block may go
+        batch = _quiet(backward_eliminate_batch, datasets, start, criterion, protected)
+        assert len(batch) == size
+        for dataset, trace in zip(datasets, batch):
+            _assert_same_trace(trace, _quiet(backward_eliminate, dataset, start, criterion,
+                                             protected))
+            assert terms[3] in trace.final_spec.terms
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_a_failing_dataset_gets_its_solo_error(self, family):
+        datasets, terms = _resampled(311, family, 5, rows=4)  # 4 rows, 9 columns
+        start, criterion = ModelSpec(terms), Criterion.aic()
+        batch = _quiet(backward_eliminate_batch, datasets, start, criterion)
+        assert isinstance(batch[2], RankDeficientError)
+        with pytest.raises(type(batch[2]), match=f"^{re.escape(str(batch[2]))}$"):
+            _quiet(backward_eliminate, datasets[2], start, criterion)
+        for dataset, trace in zip(datasets[:2] + datasets[3:], batch[:2] + batch[3:]):
+            _assert_same_trace(trace, _quiet(backward_eliminate, dataset, start, criterion))
+
+    def test_a_step_error_ends_only_its_run(self):
+        # Dropping the only term of an intercept-free model leaves no column.
+        datasets, _ = _resampled(313, Family.GAUSSIAN, 3)
+        start = ModelSpec((Term.linear("x3"),), intercept=False)
+        batch = backward_eliminate_batch(datasets, start, Criterion.p_value(0.05))
+        for dataset, error in zip(datasets, batch):
+            assert isinstance(error, DomainError) and "no design columns" in str(error)
+            with pytest.raises(DomainError, match=re.escape(str(error))):
+                backward_eliminate(dataset, start, Criterion.p_value(0.05))
+
+    def test_one_scoring_call_per_lock_step_and_the_solo_factorisations(self, monkeypatch):
+        datasets, terms = _resampled(317, Family.GAUSSIAN, 16)
+        start, criterion = ModelSpec(terms), Criterion.bic()
+        scorings, factorisations = [], []
+        score_designs, householder = glm.score_designs, glm._householder
+
+        def counting_scores(*args, **kwargs):
+            scorings.append(1)
+            return score_designs(*args, **kwargs)
+
+        def counting_householder(A):
+            factorisations.append(1)
+            return householder(A)
+
+        monkeypatch.setattr(glm, "score_designs", counting_scores)
+        monkeypatch.setattr(glm, "_householder", counting_householder)
+        solo = [backward_eliminate(dataset, start, criterion) for dataset in datasets]
+        solo_scorings, solo_factorisations = len(scorings), len(factorisations)
+        scorings.clear()
+        factorisations.clear()
+        batch = backward_eliminate_batch(datasets, start, criterion)
+        monkeypatch.undo()
+        steps = [len(trace.steps) for trace in solo]
+        assert [len(trace.steps) for trace in batch] == steps and max(steps) >= 3
+        assert solo_scorings == sum(steps) + len(steps)  # one per step of each run
+        assert len(scorings) == max(steps) + 1  # one per lock step
+        assert len(factorisations) == solo_factorisations
 
 
 class TestAdditionScreen:

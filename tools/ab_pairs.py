@@ -5,8 +5,9 @@
         --seed 1 --seconds 30 --pairs 10
 
 Both revisions are unpacked with `git archive` into a temporary directory, so
-the working tree and the index are left untouched; commit a change before
-measuring it. Each pair runs `perfbench/run.py --workload W --seed S
+the working tree and the index are left untouched. A directory may be named
+instead of a revision, such as `.` for the working tree: it is run in place,
+so an uncommitted change can be timed. Each pair runs `perfbench/run.py --workload W --seed S
 --seconds T --trace 0` once in each tree, and the tree that runs first
 alternates from pair to pair, so that a drift of the host's speed falls on
 both sides alike. For every end-to-end metric of `BENCHMARK.json` the report
@@ -45,6 +46,12 @@ def unpack(revision: str, dest: Path) -> Path:
     return dest
 
 
+def tree_of(where: str, dest: Path) -> Path:
+    """The directory `where` names, or else the tree of revision `where`
+    unpacked into `dest`."""
+    return Path(where).resolve() if Path(where).is_dir() else unpack(where, dest)
+
+
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
     """End-to-end metrics of one benchmark run in `tree`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -74,8 +81,9 @@ def summary(values: list[float]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True, help="revision to compare against")
-    parser.add_argument("--change", required=True, help="revision under test")
+    parser.add_argument("--base", required=True,
+                        help="revision or directory to compare against")
+    parser.add_argument("--change", required=True, help="revision or directory under test")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -86,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     results: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
-        trees = {side: unpack(getattr(args, side), Path(tmp) / side)
+        trees = {side: tree_of(getattr(args, side), Path(tmp) / side)
                  for side in ("base", "change")}
         lines = {side: source_lines(tree) for side, tree in trees.items()}
         for pair in range(args.pairs):

@@ -4,9 +4,9 @@
     python3 tools/same_outputs.py --base HEAD~1 --change HEAD --workload mfp_gauss \\
         --seeds 1 8191 --datasets 40
 
-Each revision is unpacked with `git archive` (`ab_pairs.unpack`) into a
-temporary directory; a directory may be named instead of a revision, such as
-`.` for the working tree. In each tree a child process runs the first
+Each revision is unpacked with `git archive` into a temporary directory; a
+directory may be named instead of a revision, such as `.` for the working
+tree (`ab_pairs.tree_of`). In each tree a child process runs the first
 `--datasets` stored-reference datasets of the workload and each seed through
 that tree's `perfbench/workloads.py`, checks each output against its stored
 reference as the benchmark's gate does, and fingerprints it:
@@ -37,7 +37,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from ab_pairs import unpack
+from ab_pairs import tree_of
 
 COUNTED = ("_householder", "_irls")
 
@@ -128,9 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     records = {}
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         for side in ("base", "change"):
-            where = getattr(args, side)
-            tree = (Path(where).resolve() if Path(where).is_dir()
-                    else unpack(where, Path(tmp) / side))
+            tree = tree_of(getattr(args, side), Path(tmp) / side)
             records[side] = analyse(tree, args.workload, args.seeds, args.datasets)
 
     print(f"{args.workload}, seeds {' '.join(map(str, args.seeds))}, "
