@@ -19,7 +19,7 @@ from .fp import (FP_POWER_SET, FpPowers, PreTransform, enumerate_fp, fp_basis,
                  pretransform)
 from .fpsearch import FpSearchResult, best_fp
 from .fsp import FunctionDecision, FunctionForm, fsp_degrees_of_freedom, fsp_select
-from .glm import FitResult, deviance_test, fit, lr_statistic
+from .glm import FitResult, deviance_test, fit
 from .mfp import MfpConfig, MfpResult, mfp, removal_order
 from .model import (Categorical, Dummy, Fp, Indicator, Linear, ModelSpec,
                     OrdinalScores, Term, design_matrix)

@@ -29,9 +29,11 @@ peak RSS of 20 `shrink_loo` analyses from 65.7 to 81.2 MB, 16 by 0.0 MB).
 
 Gaussian searches need not score every candidate. A QR update of the
 current fit gives each candidate's residual sum of squares, which `Design`
-turns into bounds, times 1 -/+ `SCREEN_RTOL`, on its deviance and
-(`p_value_bounds`) its p-value; only candidates whose bounds admit the best
-value are scored, so a search picks what scoring every candidate would.
+turns into bounds, times 1 -/+ `SCREEN_RTOL`, on its deviance. An FP search
+compares those; a selection step turns them into bounds on its p-value
+(`p_value_bounds`, one pass for removals and additions alike). Only
+candidates whose bounds admit the best value are scored, so a search picks
+what scoring every candidate would.
 Dropping a block B of columns raises the sum by b_B' V_BB^-1 b_B,
 V = covariance / sigma^2 (`removal_bounds`); adding a block C lowers it by
 r' C+ (C+' C+)^-1 C+' r, C+ being C orthogonalised against the design and r
@@ -77,7 +79,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri, dtrtrs
-from scipy.special import chdtrc, fdtrc
+from scipy.special import chdtrc
 
 from .chi2 import chi2_sf
 from .data import Dataset, Family
@@ -582,28 +584,11 @@ class Design:
 
     def removal_bounds(self, spec: ModelSpec,
                        current: FitResult) -> list[tuple[float, float]] | None:
-        """(low, high) bounds on the `p_value` of dropping each term of `spec`,
+        """(low, high) bounds on the deviance of dropping each term of `spec`,
         in spec order, from the Gaussian fit `current` of `spec` by the Wald
         update (see the module docstring); None when the bounds are not
-        guaranteed."""
-        (bounds,) = Design.batch_removal_bounds([(self, spec, current)])
-        return bounds
-
-    @staticmethod
-    def batch_removal_bounds(fits: Sequence[tuple[Design, ModelSpec, FitResult]]) -> list:
-        """`removal_bounds` of each (design, spec, current) of `fits`, with one
-        `p_value_bounds` pass."""
-        deviances = [design._removal_deviances(spec, current) for design, spec, current in fits]
-        tails = iter(p_value_bounds([
-            (design.dataset.n, bound, (current.deviance,) * 2, len(design.term_columns[term]))
-            for (design, spec, current), reduced in zip(fits, deviances)
-            for bound, term in zip(reduced or (), spec.terms)]))
-        return [reduced and list(itertools.islice(tails, len(reduced))) for reduced in deviances]
-
-    def _removal_deviances(self, spec: ModelSpec,
-                           current: FitResult) -> list[tuple[float, float]] | None:
-        """`removal_bounds` on the deviances, not the p-values. Scalars are
-        Python floats, which overflow to inf without a warning."""
+        guaranteed. Scalars are Python floats, which overflow to inf without
+        a warning."""
         dev, p, n = current.deviance, current.model_df, self.dataset.n
         if (self.dataset.family is not Family.GAUSSIAN or current.dropped_columns
                 or not dev > 0.0 or not (self.intercept or len(spec.terms) > 1)):
@@ -686,74 +671,41 @@ class Design:
         scores; df defaults to the difference of the model dfs, at least 1."""
         if df is None:
             df = max(full[1] - reduced[1], 1)
-        return deviance_p_value(self.dataset.family, self.dataset.n, reduced[0], full[0],
-                                full[1], df), df
-
-
-def deviance_lr_statistic(family: Family, n: int, deviance_reduced: float,
-                          deviance_full: float) -> float:
-    """Likelihood-ratio statistic -2 (ll_reduced - ll_full) of two nested fits
-    on the same n observations, from their deviances.
-
-    For the binomial family this is exactly the deviance difference. For the
-    Gaussian family, where the deviance is the scale-dependent residual sum of
-    squares, the statistic is the profile-likelihood form n*log(rss_r/rss_f),
-    which is invariant to affine rescaling of the outcome.
-    """
-    if family is Family.GAUSSIAN:
-        if deviance_full <= 0.0:
-            return 0.0 if deviance_reduced <= 1e-12 else math.inf
-        return n * math.log(deviance_reduced / deviance_full)
-    return deviance_reduced - deviance_full
+        return deviance_p_value(self.dataset.family, self.dataset.n, reduced[0], full[0], df), df
 
 
 def deviance_p_value(family: Family, n: int, deviance_reduced: float,
-                     deviance_full: float, model_df_full: int, df: int,
-                     gaussian_f: bool = False) -> float:
-    """P-value of the likelihood-ratio test of a reduced against a full model,
-    from their deviances, the full model's kept columns and n.
+                     deviance_full: float, df: int) -> float:
+    """P-value of the likelihood-ratio test of a reduced against a full model
+    on the same n observations, from their deviances: the tail of chi-square
+    with `df` degrees of freedom at the statistic -2 (ll_reduced - ll_full).
 
-    The reduced model must be nested in the full one. The default reference
-    distribution is chi-square with `df` degrees of freedom for both families;
-    `gaussian_f=True` switches Gaussian comparisons to the exact F test.
+    The reduced model must be nested in the full one. For the binomial family
+    the statistic is the deviance difference. For the Gaussian family, where
+    the deviance is the scale-dependent residual sum of squares, it is the
+    profile-likelihood form n log(rss_r / rss_f), which is invariant to affine
+    rescaling of the outcome.
     """
     if df < 1:
         raise DomainError(f"df must be >= 1, got {df}")
-    stat = deviance_lr_statistic(family, n, deviance_reduced, deviance_full)
-    if stat < 0.0:
-        if stat < -NESTED_TOL:
-            raise NotNestedError(
-                f"reduced model fits better than full (statistic {stat:.3g}); models not nested"
-            )
-        stat = 0.0
-    if gaussian_f and family is Family.GAUSSIAN:
-        df2 = n - model_df_full
-        if df2 < 1:
-            raise DomainError("no residual degrees of freedom for the F test")
-        if deviance_full <= 0.0:
-            return 0.0 if deviance_reduced > deviance_full else 1.0
-        stat_f = ((deviance_reduced - deviance_full) / df) / (deviance_full / df2)
-        return float(min(1.0, max(0.0, fdtrc(df, df2, max(stat_f, 0.0)))))
-    return chi2_sf(stat, df)
+    if family is not Family.GAUSSIAN:
+        stat = deviance_reduced - deviance_full
+    elif deviance_full > 0.0:
+        stat = n * math.log(deviance_reduced / deviance_full)
+    else:
+        stat = 0.0 if deviance_reduced <= 1e-12 else math.inf
+    if stat < -NESTED_TOL:
+        raise NotNestedError(
+            f"reduced model fits better than full (statistic {stat:.3g}); models not nested"
+        )
+    return chi2_sf(max(stat, 0.0), df)
 
 
-def _check_nested(fit_reduced: FitResult, fit_full: FitResult) -> None:
+def deviance_test(fit_reduced: FitResult, fit_full: FitResult, df: int) -> float:
+    """`deviance_p_value` of two fits."""
     if fit_reduced.n != fit_full.n:
         raise NotNestedError("fits are on different numbers of observations")
     if fit_reduced.family is not fit_full.family:
         raise NotNestedError("fits are from different families")
-
-
-def lr_statistic(fit_reduced: FitResult, fit_full: FitResult) -> float:
-    """`deviance_lr_statistic` of two fits."""
-    _check_nested(fit_reduced, fit_full)
-    return deviance_lr_statistic(fit_full.family, fit_full.n,
-                                 fit_reduced.deviance, fit_full.deviance)
-
-
-def deviance_test(fit_reduced: FitResult, fit_full: FitResult, df: int,
-                  gaussian_f: bool = False) -> float:
-    """`deviance_p_value` of two fits."""
-    _check_nested(fit_reduced, fit_full)
     return deviance_p_value(fit_full.family, fit_full.n, fit_reduced.deviance,
-                            fit_full.deviance, fit_full.model_df, df, gaussian_f)
+                            fit_full.deviance, df)

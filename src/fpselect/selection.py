@@ -19,21 +19,22 @@ addition scan serve every procedure.
 The one elimination loop (`_eliminate`) advances a batch of runs, one per
 dataset, in lock step: `backward_eliminate_batch` (a chunk of stability
 replications), and `backward_eliminate` and stepwise's re-checks as batches
-of one. A step bounds every run's removals (one `glm.p_value_bounds` pass),
-scores every run's screened removals together (`glm.Design.batch_scores`)
-and lets each run test, fit and fail on its own; a ModelBuildError ends only
-its run. Each run's removals meet the scorer, its memo and its first-error
-rule as when alone, so each trace is that of its run alone, bit for bit.
+of one. A step bounds every run's removal deviances, turns them all into
+p-value bounds in one `glm.p_value_bounds` pass, scores every run's screened
+removals together (`glm.Design.batch_scores`) and lets each run test, fit
+and fail on its own; a ModelBuildError ends only its run. Each run's
+removals meet the scorer, its memo and its first-error rule as when alone,
+so each trace is that of its run alone, bit for bit.
 
 The loop screens before it scores. `glm.Design.removal_bounds` bounds the
 deviance of every removal from the current Gaussian fit by the Wald update,
 within a relative `glm.SCREEN_RTOL` = 1e-6, when the fit's residual
-condition estimate is at most `glm.SCREEN_MAX_CONDITION` = 1e6, and turns
-them into bounds on its p-value. Only the removals whose largest possible
-p-value reaches the largest of the smallest possible ones are scored, and
-the loop picks among them as if it had scored all. The removal with the
-largest exact p-value always passes the screen, so the trace is that of
-scoring every removal, bit for bit. Binomial fits, fits with dropped
+condition estimate is at most `glm.SCREEN_MAX_CONDITION` = 1e6, and the
+loop turns them into bounds on its p-value. Only the removals whose largest
+possible p-value reaches the largest of the smallest possible ones are
+scored, and the loop picks among them as if it had scored all. The removal
+with the largest exact p-value always passes the screen, so the trace is
+that of scoring every removal, bit for bit. Binomial fits, fits with dropped
 columns and ill-conditioned fits get no bounds, and every removal is scored.
 
 The addition scan (forward selection and stepwise) screens alike, by
@@ -48,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import Sequence, Union
 
 from .chi2 import chi2_sf
@@ -140,10 +141,11 @@ def _removals(design: Design, current: FitResult, terms: Sequence[Term],
     return [(*design.p_value(score, full), term) for score, term in zip(scores, terms)]
 
 
-def _screen(spec: ModelSpec, bounds: list[tuple[float, float]] | None,
+def _screen(spec: ModelSpec, bounds: list[tuple[float, float] | None] | None,
             protected: Sequence[Term]) -> list[Term]:
     """The unprotected terms, in spec order, whose removal may have the
-    largest p-value, judged by the `Design.removal_bounds` `bounds`; every
+    largest p-value, judged by its (low, high) p-value `bounds`, those of
+    the `Design.removal_bounds` deviances (`p_value_bounds`); every
     unprotected term when there are none."""
     bounds = bounds or [None] * len(spec.terms)
     candidates = [(t, b) for t, b in zip(spec.terms, bounds) if t not in protected]
@@ -170,9 +172,13 @@ def _eliminate(runs: Sequence[_Elimination], criterion: Criterion,
     dropping its least significant unprotected term while that fails the
     criterion. A run leaves when it stops or when its step raises."""
     while runs:
-        bounds = Design.batch_removal_bounds([(run.design, run.spec, run.current)
-                                              for run in runs])
-        terms = [_screen(run.spec, b, protected) for run, b in zip(runs, bounds)]
+        deviances = [run.design.removal_bounds(run.spec, run.current) for run in runs]
+        tails = iter(p_value_bounds([(run.design.dataset.n, bound, (run.current.deviance,) * 2,
+                                      len(run.design.term_columns[term]))
+                                     for run, reduced in zip(runs, deviances)
+                                     for bound, term in zip(reduced or (), run.spec.terms)]))
+        terms = [_screen(run.spec, reduced and list(islice(tails, len(reduced))), protected)
+                 for run, reduced in zip(runs, deviances)]
         scores = Design.batch_scores([
             (run.design, [[t for t in run.spec.terms if t is not term] for term in ts])
             for run, ts in zip(runs, terms)])

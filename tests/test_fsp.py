@@ -582,8 +582,8 @@ def _rescaling_dataset(seed, n=150):
 
 def _decisions(ds):
     """The verdict and powers of the closed test of x, the terms that
-    backward elimination and forward selection select, and every exact
-    p-value that the three compared with their level."""
+    backward elimination, forward selection and the MFP cycle select, and
+    every exact p-value that the four compared with their level."""
     seen = []
     real = glm_module.Design.p_value
 
@@ -598,17 +598,18 @@ def _decisions(ds):
         decision = fsp_select(ds, "x", 0.05, adjustment=ModelSpec(terms[1:]))
         eliminated = backward_eliminate(ds, ModelSpec(terms), Criterion.p_value(0.05))
         forward = forward_select(ds, terms, Criterion.p_value(0.05))
+        cycled = mfp(ds, ("x", "z", "w", "u"))
     return ((decision.verdict, decision.powers), eliminated.final_spec.terms,
-            forward.final_spec.terms), seen
+            forward.final_spec.terms, cycled.final_spec.terms), seen
 
 
 class TestAffineOutcomeRescaling:
     """Gaussian likelihood-ratio statistics n log(rss_r / rss_f) of models
     with an intercept do not change when y becomes a y + b, so neither do the
-    closed test's verdict and powers nor the terms that backward elimination
-    and forward selection select. A shifted y also moves the screen's
-    condition estimate (1 + 2 kappa) ||y|| / ||r||, so both the bounded and
-    the exact path are taken."""
+    closed test's verdict and powers nor the terms that backward elimination,
+    forward selection and the MFP cycle select. A shifted y also moves the
+    screen's condition estimate (1 + 2 kappa) ||y|| / ||r||, so both the
+    bounded and the exact path are taken."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), log_scale=st.floats(-3.0, 3.0),
@@ -638,9 +639,9 @@ class TestAffineOutcomeRescaling:
 class TestRowOrder:
     """A model's likelihood does not depend on the order of the rows, so
     permuting them leaves the closed test's verdict and powers and the terms
-    that backward elimination and forward selection select unchanged, for
-    both families; only the summation order, and so the last bits of each
-    p-value, move."""
+    that backward elimination, forward selection and the MFP cycle select
+    unchanged, for both families; only the summation order, and so the last
+    bits of each p-value, move."""
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),

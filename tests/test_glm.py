@@ -6,20 +6,18 @@ import warnings
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgeqrf
 
 from fpselect import (Dataset, DomainError, Family, FitResult, ModelBuildError, ModelSpec,
-                      NotNestedError, RankDeficientError, Term, deviance_test, fit,
-                      lr_statistic)
+                      NotNestedError, RankDeficientError, Term, deviance_test, fit)
 from fpselect import glm
 from fpselect.glm import (DEVIANCE_RTOL, Design, MAX_ITER, PIVOT_TOL, _MU_EPS, _binomial_deviance,
                           _cov_from_r, _embed, _embed_cov, _expit, _householder, _r_factor,
-                          _solve,
-                          deviance_lr_statistic, deviance_p_value, fit_design,
-                          gaussian_log_likelihood, score_designs)
+                          _solve, deviance_p_value, fit_design, gaussian_log_likelihood,
+                          p_value_bounds, score_designs)
 
 
 def make_dataset(columns, outcome="y", family=Family.GAUSSIAN):
@@ -422,9 +420,8 @@ class TestDevianceTest:
     def test_gaussian_statistic_is_profile_lrt(self):
         red = self._fake(30.0, family=Family.GAUSSIAN, n=50, ll=gaussian_log_likelihood(30.0, 50))
         full = self._fake(20.0, family=Family.GAUSSIAN, n=50, ll=gaussian_log_likelihood(20.0, 50))
-        stat = lr_statistic(red, full)
-        assert stat == pytest.approx(50 * math.log(30.0 / 20.0))
-        assert deviance_test(red, full, 2) == pytest.approx(scipy.stats.chi2.sf(stat, 2))
+        assert deviance_test(red, full, 2) == pytest.approx(
+            scipy.stats.chi2.sf(50 * math.log(30.0 / 20.0), 2))
 
     def test_not_nested_raises(self):
         with pytest.raises(NotNestedError):
@@ -433,18 +430,6 @@ class TestDevianceTest:
     def test_df_must_be_positive(self):
         with pytest.raises(DomainError):
             deviance_test(self._fake(9.0), self._fake(5.0), 0)
-
-    def test_gaussian_f_option_matches_f_distribution(self):
-        rng = np.random.default_rng(29)
-        n = 60
-        x1, x2 = rng.standard_normal(n), rng.standard_normal(n)
-        y = 0.5 * x1 + rng.standard_normal(n)
-        ds = make_dataset({"x1": x1, "x2": x2, "y": y})
-        full = fit(ds, ModelSpec((Term.linear("x1"), Term.linear("x2"))))
-        red = fit(ds, ModelSpec((Term.linear("x1"),)))
-        f_stat = ((red.deviance - full.deviance) / 1) / (full.deviance / (n - 3))
-        expected = scipy.stats.f.sf(f_stat, 1, n - 3)
-        assert deviance_test(red, full, 1, gaussian_f=True) == pytest.approx(expected, rel=1e-10)
 
 
 class TestInvariants:
@@ -662,7 +647,8 @@ def _lockstep_fit(rng, n, k, kind):
     gives an outcome that x nearly separates; `lost` adds, to such an
     outcome, a column that differs from x only in the rows x < 0, whose
     working weights the separation drives to ~1e-10, so that the weighted
-    design may lose rank."""
+    design may lose rank. The positive outcomes are drawn from the rows
+    x > 0, or are the row of the largest x when there is none."""
     x = rng.standard_normal(n)
     cols = [np.ones(n), x][:k] + [rng.standard_normal(n) * rng.uniform(0.1, 10.0)
                                   for _ in range(k - 2)]
@@ -671,7 +657,7 @@ def _lockstep_fit(rng, n, k, kind):
         y = (rng.random(n) < _expit(eta)).astype(float)
     else:
         y = np.zeros(n)
-        positive = (x > 0).nonzero()[0]
+        positive = (x > 0).nonzero()[0] if (x > 0).any() else [np.argmax(x)]
         y[rng.choice(positive, size=max(1, len(positive) // 3), replace=False)] = 1.0
     if kind == "aliased":
         cols.append(2.0 * cols[-1] - 0.5 * cols[0])
@@ -708,6 +694,9 @@ class TestLockStepIrls:
                                               max_size=20)),
                            min_size=1, max_size=3),
            max_iter=st.sampled_from([1, 2, 4, MAX_ITER]))
+    @example(seed=40145, groups=[(58, 3, ["plain"]),  # an 8-row draw with no x > 0
+                                 (8, 3, ["plain", "separated", "lost", "lost", "separated"])],
+             max_iter=1)
     def test_every_fit_equals_the_former_loop(self, seed, groups, max_iter):
         rng = np.random.default_rng(seed)
         fits = []
@@ -753,7 +742,7 @@ class TestLockStepIrls:
 
 
 class TestDevianceFunctions:
-    """The FitResult tests are thin wrappers of the deviance forms."""
+    """The FitResult test is a thin wrapper of the deviance form."""
 
     def test_wrappers_equal_deviance_forms(self):
         rng = np.random.default_rng(199)
@@ -765,18 +754,15 @@ class TestDevianceFunctions:
             ds = make_dataset({"x1": x1, "x2": x2, "y": y}, family=family)
             full = fit(ds, ModelSpec((Term.linear("x1"), Term.linear("x2"))))
             red = fit(ds, ModelSpec((Term.linear("x1"),)))
-            assert lr_statistic(red, full) == deviance_lr_statistic(
-                family, n, red.deviance, full.deviance)
-            for gaussian_f in (False, True):
-                assert deviance_test(red, full, 1, gaussian_f) == deviance_p_value(
-                    family, n, red.deviance, full.deviance, full.model_df, 1, gaussian_f)
+            assert deviance_test(red, full, 1) == deviance_p_value(
+                family, n, red.deviance, full.deviance, 1)
 
     def test_wrappers_check_nesting(self):
         a = TestDevianceTest()._fake(10.0, n=100)
         with pytest.raises(NotNestedError, match="numbers of observations"):
             deviance_test(a, TestDevianceTest()._fake(9.0, n=99), 1)
         with pytest.raises(NotNestedError, match="families"):
-            lr_statistic(a, TestDevianceTest()._fake(9.0, family=Family.GAUSSIAN))
+            deviance_test(a, TestDevianceTest()._fake(9.0, family=Family.GAUSSIAN), 1)
 
 
 def _blocks_dataset(seed, n=200, family=Family.GAUSSIAN):
@@ -836,11 +822,16 @@ class TestDesign:
             bounds = design.removal_bounds(spec, current)
             assert bounds is not None and len(bounds) == len(spec.terms)
             full = (current.deviance, current.model_df)
-            for term, (low, high) in zip(spec.terms, bounds):
-                exact, _ = design.p_value(
-                    design.scores([[t for t in spec.terms if t is not term]])[0], full)
-                assert low <= exact <= high
-                assert low < high <= low + 0.01
+            tails = p_value_bounds([(ds.n, bound, (current.deviance,) * 2,
+                                     len(design.term_columns[term]))
+                                    for bound, term in zip(bounds, spec.terms)])
+            for term, (low, high), (p_low, p_high) in zip(spec.terms, bounds, tails):
+                reduced = design.scores([[t for t in spec.terms if t is not term]])[0]
+                assert low <= reduced[0] <= high
+                assert current.deviance <= low < high <= low * (1.0 + 3.0 * glm.SCREEN_RTOL)
+                exact, _ = design.p_value(reduced, full)
+                assert p_low <= exact <= p_high
+                assert p_low < p_high <= p_low + 0.01
 
     def test_no_bounds_where_they_are_not_guaranteed(self):
         rng = np.random.default_rng(607)
@@ -866,6 +857,41 @@ class TestDesign:
         spec = ModelSpec((Term.linear("x"),), intercept=False)
         design = Design(ds, spec)
         assert design.removal_bounds(spec, design.fit(spec)) is None
+
+
+class TestPValueBounds:
+    """`p_value_bounds` turns deviance bounds into bounds on the exact
+    Gaussian `deviance_p_value`, for removal rows (n, bound, (dev, dev), df)
+    and addition rows (n, (dev, dev), bound, df) of different n in one pass,
+    and gives none where the full model has no bound or where the statistic
+    may fall below -NESTED_TOL."""
+
+    def test_bounds_contain_the_exact_p_values(self):
+        rng = np.random.default_rng(631)
+        rows, exact = [], []
+        for i in range(600):
+            n, df = int(rng.integers(10, 2000)), int(rng.integers(1, 5))
+            dev = float(10.0 ** rng.uniform(-3.0, 3.0))
+            other = dev * math.exp((1 if i % 2 else -1) * 10.0 ** rng.uniform(-10.0, 1.5) / n)
+            width = 10.0 ** rng.uniform(-9.0, -3.0)
+            bound = (other * (1.0 - width * rng.uniform(0.1, 1.0)),
+                     other * (1.0 + width * rng.uniform(0.1, 1.0)))
+            if i % 2:  # a removal: `other` is the reduced model's deviance
+                rows.append((n, bound, (dev, dev), df))
+                exact.append(deviance_p_value(Family.GAUSSIAN, n, other, dev, df))
+            else:  # an addition: `other` is the full model's deviance
+                rows.append((n, (dev, dev), None if i % 10 == 0 else bound, df))
+                exact.append(deviance_p_value(Family.GAUSSIAN, n, dev, other, df))
+        tails = p_value_bounds(rows)
+        assert len(tails) == len(rows)
+        for (n, reduced, full, _), p, tail in zip(rows, exact, tails):
+            if full is None or n * math.log(reduced[0] / full[1]) < -glm.NESTED_TOL:
+                assert tail is None
+            else:
+                assert tail is not None and tail[0] <= p <= tail[1]
+        bounded = [tail for tail in tails if tail is not None]
+        assert 100 < len(bounded) < 500 and sum(low < high for low, high in bounded) > 100
+        assert p_value_bounds([]) == []
 
 
 class TestAdditionBounds:

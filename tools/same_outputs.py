@@ -4,12 +4,14 @@
     python3 tools/same_outputs.py --base HEAD~1 --change HEAD --workload mfp_gauss \\
         --seeds 1 8191 --datasets 40
 
+`--workload` takes one or more names and defaults to all four workloads.
+
 Each revision is unpacked with `git archive` into a temporary directory; a
 directory may be named instead of a revision, such as `.` for the working
-tree (`ab_pairs.tree_of`). In each tree a child process runs the first
-`--datasets` stored-reference datasets of the workload and each seed through
-that tree's `perfbench/workloads.py`, checks each output against its stored
-reference as the benchmark's gate does, and fingerprints it:
+tree (`ab_pairs.tree_of`). In each tree a child process per workload runs the
+first `--datasets` stored-reference datasets of that workload and each seed
+through that tree's `perfbench/workloads.py`, checks each output against its
+stored reference as the benchmark's gate does, and fingerprints it:
 
 - MFP workloads: the summary the gate compares, the bytes of the final
   fit's coefficients and covariance, and every step p-value of every
@@ -40,6 +42,7 @@ from pathlib import Path
 from ab_pairs import tree_of
 
 COUNTED = ("_householder", "_irls")
+WORKLOADS = ("mfp_gauss", "stability_be", "shrink_loo", "mfp_binom")
 
 
 def _fingerprint(workload, result) -> str:
@@ -109,38 +112,19 @@ def analyse(tree: Path, name: str, seeds: list[int], datasets: int) -> list[dict
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", help="revision or directory to compare against")
-    parser.add_argument("--change", help="revision or directory under test")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--datasets", type=int, default=10,
-                        help="stored-reference datasets per seed (at most those stored)")
-    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.child:
-        child(args.child.resolve(), args.workload, args.seeds, args.datasets)
-        return 0
-    if not (args.base and args.change):
-        parser.error("--base and --change are required")
-
-    records = {}
-    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
-        for side in ("base", "change"):
-            tree = tree_of(getattr(args, side), Path(tmp) / side)
-            records[side] = analyse(tree, args.workload, args.seeds, args.datasets)
-
-    print(f"{args.workload}, seeds {' '.join(map(str, args.seeds))}, "
-          f"{len(records['base'])} datasets; base {args.base}, change {args.change}")
+def report(name: str, base: str, change: str, seeds: list[int],
+           records: dict[str, list[dict]]) -> int:
+    """Print one workload's comparison; returns the number of problems."""
+    print(f"{name}, seeds {' '.join(map(str, seeds))}, "
+          f"{len(records['base'])} datasets; base {base}, change {change}")
     bad = 0
-    for base, change in zip(records["base"], records["change"]):
-        where = f"seed {base['seed']} dataset {base['index']}"
-        for side, record in (("base", base), ("change", change)):
+    for base_record, change_record in zip(records["base"], records["change"]):
+        where = f"seed {base_record['seed']} dataset {base_record['index']}"
+        for side, record in (("base", base_record), ("change", change_record)):
             for problem in record["problems"]:
                 print(f"{side} {where}: {problem}")
                 bad += 1
-        if base["fingerprint"] != change["fingerprint"]:
+        if base_record["fingerprint"] != change_record["fingerprint"]:
             print(f"{where}: outputs differ")
             bad += 1
     if len(records["base"]) != len(records["change"]):
@@ -154,6 +138,35 @@ def main(argv: list[str] | None = None) -> int:
         means = [statistics.fmean(r[function] for r in records[side]) if records[side] else 0.0
                  for side in ("base", "change")]
         print(f"glm.{function:<16} {means[0]:>10.2f} {means[1]:>10.2f}")
+    return bad
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="revision or directory to compare against")
+    parser.add_argument("--change", help="revision or directory under test")
+    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
+                        help="workloads to compare (default: all four)")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1])
+    parser.add_argument("--datasets", type=int, default=10,
+                        help="stored-reference datasets per seed (at most those stored)")
+    parser.add_argument("--child", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        for name in args.workload:
+            child(args.child.resolve(), name, args.seeds, args.datasets)
+        return 0
+    if not (args.base and args.change):
+        parser.error("--base and --change are required")
+
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
+        trees = {side: tree_of(getattr(args, side), Path(tmp) / side)
+                 for side in ("base", "change")}
+        for name in args.workload:
+            records = {side: analyse(tree, name, args.seeds, args.datasets)
+                       for side, tree in trees.items()}
+            bad += report(name, args.base, args.change, args.seeds, records)
     return 1 if bad else 0
 
 
