@@ -93,9 +93,8 @@ from .fsp import FunctionDecision
 from .glm import FitResult, fit
 from .mfp import MfpConfig, mfp
 from .model import ModelSpec, Term
-from .resample import ResamplePlan, bif_select, stability
-from .selection import (Criterion, SelectionTrace, backward_eliminate,
-                        backward_eliminate_batch, forward_select, stepwise)
+from .resample import Procedure, ResamplePlan, bif_select, stability
+from .selection import Criterion, SelectionTrace, backward_eliminate, forward_select, stepwise
 from .shrinkage import (KFold, LeaveOneOut, default_cv_scheme, global_shrinkage,
                         joint_shrinkage, parameterwise_shrinkage)
 from .spike import spike_fsp
@@ -566,7 +565,7 @@ def _mfp_config(config: AnalysisConfig, variables: list[VariableConfig]) -> MfpC
 
 
 def _procedure(config: AnalysisConfig, key: str,
-               variables: list[VariableConfig]) -> tuple[str, simlab.Procedure]:
+               variables: list[VariableConfig]) -> tuple[str, Procedure]:
     """The selection procedure (be | mfp) named by config key `key`, over
     `variables`; returns (kind, procedure)."""
     kind = config.get(key, "be").lower()
@@ -638,20 +637,7 @@ def run_stability(config: AnalysisConfig) -> dict:
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"bif_threshold must be in [0, 1], got {threshold}")
     names = [v.name for v in variables]
-    start = ModelSpec(tuple(Term.linear(v) for v in names))
-
-    def selector(datasets):  # be: the procedure's elimination, the datasets in lock step
-        if not mfp_selector:
-            return [trace if isinstance(trace, ModelBuildError) else trace.final_spec.variables
-                    for trace in backward_eliminate_batch(datasets, start, config.criterion())]
-        selected = []
-        for d in datasets:
-            try:
-                selected.append(procedure(d).spec.variables)
-            except ModelBuildError as error:
-                selected.append(error)
-        return selected
-    report_obj = stability(dataset, selector, plan, candidates=names)
+    report_obj = stability(dataset, procedure, plan, candidates=names)
     picked = bif_select(report_obj, threshold)
     return {
         "data": data,

@@ -103,9 +103,9 @@ class FpSearch:
         self._first = self.design.X.shape[1] - 2 * len(FP_POWER_SET)  # the adjustment's columns
         self._scores: dict[FpPowers, tuple[float, int]] = {}
 
-    def _columns(self, powers: FpPowers) -> list[int]:
+    def _columns(self, powers: FpPowers) -> tuple[int, ...]:
         """The columns of a candidate's design: the adjustment's and its basis."""
-        return [*range(self._first), *_candidate_blocks(self._first)[powers]]
+        return (*range(self._first), *_candidate_blocks(self._first)[powers])
 
     @functools.cached_property
     def _bounds(self) -> dict[FpPowers, tuple[float, float] | None]:
@@ -115,10 +115,11 @@ class FpSearch:
                                                             [*blocks.values()])))
 
     def _score(self, candidates) -> None:
-        """Score the candidates not scored yet, together (`Design.column_scores`);
-        a candidate whose fit fails scores (+inf, 0)."""
+        """Score the candidates not scored yet, together (`Design.batch_scores`
+        of their column subsets); a candidate whose fit fails scores (+inf, 0)."""
         todo = [powers for powers in candidates if powers not in self._scores]
-        for powers, scored in zip(todo, self.design.column_scores(map(self._columns, todo))):
+        for powers, scored in zip(todo, Design.batch_scores(
+                [(self.design, self._columns(powers)) for powers in todo])):
             if isinstance(scored, ModelBuildError) or not math.isfinite(scored[0]):
                 scored = (math.inf, 0)
             self._scores[powers] = scored

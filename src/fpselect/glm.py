@@ -10,9 +10,10 @@ Every search scores its candidate models with one scorer, `score_designs`,
 whose deviance is that of the fit bit for bit, and fits only the model it
 returns. Nested models are compared through `Design`, built once: each is a
 column subset of it (an FP candidate too, its basis columns following the
-adjustment's), scored in lists (`Design.scores`; those of several designs
-by one scorer call, `Design.batch_scores`), tested (`Design.p_value`) and
-fitted, and one memo keyed by the subset keeps every factorisation.
+adjustment's), scored by one entry, `Design.batch_scores` of (design, column
+subset) pairs of one design or several, with a score or an error per pair
+(`Design.scores` raises the first, `first_error`), tested (`Design.p_value`)
+and fitted, and one memo keyed by the subset keeps every factorisation.
 
 The scorer fits its designs `_LOCKSTEP_FITS` at a time, binomial ones (folds,
 FP candidates, an elimination step's removals) in lock step (`_irls`): the
@@ -495,28 +496,23 @@ def p_value_bounds(rows: Sequence[tuple]) -> list[tuple[float, float] | None]:
             for low, high, ok in zip(tails[:k].tolist(), tails[k:].tolist(), nested)]
 
 
-def _subset_scores(subsets: list[tuple[Design, tuple[int, ...]]]):
-    """Yield (deviance, model df) of the fit of each (design, column subset),
-    or the ModelBuildError that fitting it raises, scored together by
-    `score_designs` as it gathers them, into each design's memo."""
-    family = subsets[0][0].dataset.family if subsets else None
-    for (design, cols), scored in zip(subsets, score_designs(
-            ((design.X[:, cols], design.dataset.outcome, design._factorisations.get(cols))
-             for design, cols in subsets), family)):
-        if not isinstance(scored, ModelBuildError):
-            design._factorisations[cols] = scored[2]
-            scored = scored[0], len(scored[2][0])
-        yield scored
+def first_error(results: list) -> list:
+    """A batch's `results`, one per item, unless one is a ModelBuildError:
+    then the first such is raised."""
+    for result in results:
+        if isinstance(result, ModelBuildError):
+            raise result
+    return results
 
 
 class Design:
     """The design of every term a search can use, built once. The design of
     terms from it (with the spec's intercept) is a column subset equal to
     `design_matrix` of the spec with those terms, in the given order. Columns
-    of no term (`columns`, `labels`) follow: an FP search's 16 basis columns,
-    so that each of its candidates is a column subset too. One memo keeps the
-    factorisation of every subset scored, fitted or bounded, keyed by the
-    subset, so none is factorised twice; gathered designs are not kept."""
+    of no term (arguments `columns`, `labels`) follow: an FP search's 16 basis
+    columns, so that each of its candidates is a column subset too. One memo
+    keeps the factorisation of every subset scored, fitted or bounded, keyed
+    by the subset, so none is factorised twice; gathered designs are not kept."""
 
     def __init__(self, dataset: Dataset, spec: ModelSpec, extra: Sequence[Term] = (),
                  columns: np.ndarray | None = None, labels: Sequence[str] = ()):
@@ -537,47 +533,43 @@ class Design:
     def _yy(self) -> float:
         return float(np.einsum("i,i", self.dataset.outcome, self.dataset.outcome))
 
-    def _columns(self, terms: Sequence[Term]) -> list[int]:
+    def columns(self, terms: Sequence[Term]) -> tuple[int, ...]:
+        """The column subset of the design of `terms`, with the intercept."""
         cols = [0] if self.intercept else []
         for term in terms:
             cols.extend(self.term_columns[term])
-        return cols
+        return tuple(cols)
 
-    def _factors(self, cols: Sequence[int]):
+    def _factors(self, cols: tuple[int, ...]):
         """The `_factorise` result of a column subset's design, memoised."""
-        key = tuple(cols)
-        if key not in self._factorisations:
-            self._factorisations[key] = _factorise(self.X[:, key], self.dataset.outcome)
-        return self._factorisations[key]
-
-    def column_scores(self, subsets: Iterable[Sequence[int]]):
-        """`_subset_scores` of column subsets of this design."""
-        return _subset_scores([(self, tuple(cols)) for cols in subsets])
+        if cols not in self._factorisations:
+            self._factorisations[cols] = _factorise(self.X[:, cols], self.dataset.outcome)
+        return self._factorisations[cols]
 
     def scores(self, models: Sequence[Sequence[Term]]) -> list[tuple[float, int]]:
-        """`column_scores` of each model's terms; the first failing model's
-        error is raised, in input order."""
-        (scored,) = Design.batch_scores([(self, models)])
-        if isinstance(scored, ModelBuildError):
-            raise scored
-        return scored
+        """`batch_scores` of each model's terms, raising the first failing model's error."""
+        return first_error(Design.batch_scores([(self, self.columns(model)) for model in models]))
 
     @staticmethod
-    def batch_scores(requests: Sequence[tuple[Design, Sequence[Sequence[Term]]]]) -> list:
-        """`scores` of each (design, models) request, of one family, all from
-        one `_subset_scores` call: a list of (deviance, model df), or the
-        request's first failing model's error in input order."""
-        scored = _subset_scores([(design, tuple(design._columns(model)))
-                                 for design, models in requests for model in models])
+    def batch_scores(subsets: Sequence[tuple[Design, tuple[int, ...]]]) -> list:
+        """(deviance, model df) of the fit of each (design, column subset), of
+        one family, or the ModelBuildError that fitting it raises, scored
+        together by `score_designs` as it gathers them; a subset is a tuple,
+        as `columns` gives, keying its design's memo."""
+        family = subsets[0][0].dataset.family if subsets else None
         out = []
-        for _, models in requests:
-            scores = list(itertools.islice(scored, len(models)))
-            out.append(next((s for s in scores if isinstance(s, ModelBuildError)), scores))
+        for (design, cols), scored in zip(subsets, score_designs(
+                ((design.X[:, cols], design.dataset.outcome, design._factorisations.get(cols))
+                 for design, cols in subsets), family)):
+            if not isinstance(scored, ModelBuildError):
+                design._factorisations[cols] = scored[2]
+                scored = scored[0], len(scored[2][0])
+            out.append(scored)
         return out
 
-    def fit(self, spec: ModelSpec, cols: Sequence[int] | None = None) -> FitResult:
+    def fit(self, spec: ModelSpec, cols: tuple[int, ...] | None = None) -> FitResult:
         """Fit of `spec` from the column subset `cols`, by default its terms'."""
-        cols = self._columns(spec.terms) if cols is None else cols
+        cols = self.columns(spec.terms) if cols is None else cols
         return fit_design(self.X[:, cols], self.dataset.outcome, self.dataset.family,
                           tuple(self.labels[c] for c in cols), factors=self._factors(cols),
                           spec=spec)
@@ -630,7 +622,7 @@ class Design:
         if self.dataset.family is not Family.GAUSSIAN or not blocks:
             return bounds
         try:
-            cols = self._columns(terms)
+            cols = self.columns(terms)
             kept, qr, tau, _ = self._factors(cols)
         except ModelBuildError:
             return bounds

@@ -6,10 +6,11 @@ Replication r draws its row indices from an RNG stream derived only from
 chunking or worker count. The default scheme is subsampling without
 replacement at rate 0.632; the nonparametric bootstrap is available.
 
-A selector maps a list of datasets to, for each, the names of the variables
-it selected or the ModelBuildError that selecting raised. `stability` hands
-it chunks of `glm._LOCKSTEP_FITS` replications, which
-`selection.backward_eliminate_batch` advances in lock step.
+A procedure, the one protocol of `stability` and `simlab.evaluate`, maps a
+list of datasets to the fit of the model it selected on each, or the
+ModelBuildError that selecting raised; `run_chunk` hands it chunks of
+`glm._LOCKSTEP_FITS` replications (`simlab.be_procedure` eliminates them in
+lock step). `stability` keeps the keyword `selector` that callers use.
 """
 
 from __future__ import annotations
@@ -17,15 +18,30 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, ModelBuildError
-from .glm import _LOCKSTEP_FITS
+from .glm import _LOCKSTEP_FITS, FitResult
 
-Selector = Callable[[list[Dataset]], Sequence[Union[Iterable[str], ModelBuildError]]]
+Procedure = Callable[[list[Dataset]], Sequence[Union[FitResult, ModelBuildError]]]
+
+
+def run_chunk(procedure: Procedure, make: Callable[[int], Dataset], first: int,
+              replications: int) -> list[tuple[Dataset, FitResult | ModelBuildError]]:
+    """The datasets `make` builds for `glm._LOCKSTEP_FITS` replications from
+    `first` (fewer at `replications`), each with the procedure's result, one
+    FitResult with a spec or ModelBuildError per dataset, else DomainError."""
+    datasets = [make(r) for r in range(first, min(first + _LOCKSTEP_FITS, replications))]
+    results = list(procedure(datasets))
+    if len(results) != len(datasets):
+        raise DomainError(f"procedure returned {len(results)} results for {len(datasets)} datasets")
+    for r in results:
+        if not (isinstance(r, ModelBuildError) or isinstance(r, FitResult) and r.spec is not None):
+            raise DomainError(f"procedure returned a {type(r).__name__}, not a fit with a spec")
+    return list(zip(datasets, results))
 
 
 DEFAULT_SUBSAMPLE_RATE = 0.632
@@ -87,47 +103,40 @@ class StabilityReport:
         return self.bif[a] + self.bif[b] - float(self.co_inclusion[i, j])
 
 
-def stability(dataset: Dataset, selector: Selector, plan: ResamplePlan,
+def stability(dataset: Dataset, selector: Procedure, plan: ResamplePlan,
               candidates: Sequence[str] | None = None,
               workers: int = 1) -> StabilityReport:
-    """Run the selector on every resampled dataset and aggregate inclusions.
+    """Run the selector procedure on every resampled dataset and aggregate inclusions.
 
-    `selector` takes a list of datasets (see the module docstring): the
-    resampled datasets of up to `glm._LOCKSTEP_FITS` consecutive
-    replications, each drawn with its own seed, at a time. Replications
-    whose result is a model-building error are counted as failed and
-    excluded from every denominator. Workers > 1 runs the chunks in a thread
-    pool; results are identical to the sequential run.
+    The selector gets the datasets, each drawn with its own seed, in chunks
+    (`run_chunk`), each reduced to its selected variables as it ends.
+    Replications whose result is a model-building error are counted as
+    failed and excluded from every denominator. Workers > 1 runs the chunks
+    in a thread pool; results are identical to the sequential run.
     """
     variables = tuple(candidates) if candidates is not None else dataset.candidate_names
     if not variables:
         raise DomainError("no candidate variables to track")
     indices = {v: i for i, v in enumerate(variables)}
 
-    def run_chunk(first: int) -> list:
-        replications = range(first, min(first + _LOCKSTEP_FITS, plan.replications))
-        results = list(selector([dataset.take_rows(plan.draw_indices(dataset.n, r))
-                                 for r in replications]))
-        if len(results) != len(replications):
-            raise DomainError(f"selector returned {len(results)} results for "
-                              f"{len(replications)} datasets")
-        return results
+    def chunk_variables(first: int) -> list:  # the selected variables of each success
+        chunk = run_chunk(selector, lambda r: dataset.take_rows(plan.draw_indices(dataset.n, r)),
+                          first, plan.replications)
+        return [fitted.spec.variables for _, fitted in chunk
+                if not isinstance(fitted, ModelBuildError)]
 
     firsts = range(0, plan.replications, _LOCKSTEP_FITS)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run_chunk, firsts))
+            chunks = list(pool.map(chunk_variables, firsts))
     else:
-        chunks = [run_chunk(first) for first in firsts]
+        chunks = [chunk_variables(first) for first in firsts]
 
     p = len(variables)
     joint = np.zeros((p, p))
     model_counter: Counter[tuple[str, ...]] = Counter()
     n_ok = 0
-    for result in (result for chunk in chunks for result in chunk):
-        if isinstance(result, ModelBuildError):
-            continue
-        selected = frozenset(result)
+    for selected in (frozenset(names) for chunk in chunks for names in chunk):
         unknown = selected.difference(variables)
         if unknown:
             raise DomainError(f"selector returned untracked variables: {sorted(unknown)}")

@@ -21,10 +21,11 @@ dataset, in lock step: `backward_eliminate_batch` (a chunk of stability
 replications), and `backward_eliminate` and stepwise's re-checks as batches
 of one. A step bounds every run's removal deviances, turns them all into
 p-value bounds in one `glm.p_value_bounds` pass, scores every run's screened
-removals together (`glm.Design.batch_scores`) and lets each run test, fit
-and fail on its own; a ModelBuildError ends only its run. Each run's
-removals meet the scorer, its memo and its first-error rule as when alone,
-so each trace is that of its run alone, bit for bit.
+removals, column subsets of its design, in one `glm.Design.batch_scores`
+call, and lets each run test, fit and fail on its own; a ModelBuildError
+ends only its run. Each run's removals meet the scorer, its memo and its
+first-error rule (`glm.first_error`) as when alone, so each trace is
+that of its run alone, bit for bit.
 
 The loop screens before it scores. `glm.Design.removal_bounds` bounds the
 deviance of every removal from the current Gaussian fit by the Wald update,
@@ -55,7 +56,7 @@ from typing import Sequence, Union
 from .chi2 import chi2_sf
 from .data import Dataset
 from .errors import CycleDetectedError, DomainError, ExposureMissingError, ModelBuildError
-from .glm import Design, FitResult, contenders, p_value_bounds
+from .glm import Design, FitResult, contenders, first_error, p_value_bounds
 from .model import ModelSpec, Term
 
 
@@ -179,14 +180,13 @@ def _eliminate(runs: Sequence[_Elimination], criterion: Criterion,
                                      for bound, term in zip(reduced or (), run.spec.terms)]))
         terms = [_screen(run.spec, reduced and list(islice(tails, len(reduced))), protected)
                  for run, reduced in zip(runs, deviances)]
-        scores = Design.batch_scores([
-            (run.design, [[t for t in run.spec.terms if t is not term] for term in ts])
-            for run, ts in zip(runs, terms)])
+        scores = iter(Design.batch_scores([
+            (run.design, run.design.columns([t for t in run.spec.terms if t is not term]))
+            for run, ts in zip(runs, terms) for term in ts]))
         going = []
-        for run, ts, scored in zip(runs, terms, scores):
+        for run, ts in zip(runs, terms):
             try:
-                if isinstance(scored, ModelBuildError):
-                    raise scored
+                scored = first_error(list(islice(scores, len(ts))))
                 worst = max(_removals(run.design, run.current, ts, scored),
                             key=lambda r: r[0], default=None)
                 if worst is None or worst[0] <= criterion_threshold(
@@ -256,10 +256,7 @@ def backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
     candidates for removal. This is `backward_eliminate_batch` of one
     dataset.
     """
-    (result,) = backward_eliminate_batch([dataset], start_spec, criterion, protected)
-    if isinstance(result, ModelBuildError):
-        raise result
-    return result
+    return first_error(backward_eliminate_batch([dataset], start_spec, criterion, protected))[0]
 
 
 def _as_terms(candidates: Sequence[Union[str, Term]]) -> tuple[Term, ...]:

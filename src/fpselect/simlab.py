@@ -1,9 +1,10 @@
 """Scenario generator and scoring harness for selection procedures.
 
 Datasets with known truth are generated from a Gaussian copula over arbitrary
-marginals, optionally with spike-at-zero mass. A procedure maps a dataset to
-the fit of the model it selected (`be_procedure` and `mfp_procedure` wrap
-backward elimination and MFP), and that fit's spec and coefficients are scored
+marginals, optionally with spike-at-zero mass. A procedure, `resample`'s one
+protocol (`be_procedure`, `mfp_procedure`), maps a chunk of replications'
+datasets (`resample.run_chunk`) to the fit of the model selected on each, or
+the error selecting raised, and each fit's spec and coefficients are scored
 on correct inclusion/exclusion, the shape distance between fitted and true
 per-variable curves, and coefficient error, all with Monte-Carlo standard
 errors. Every number is a deterministic function of (scenario, replications,
@@ -21,10 +22,11 @@ from scipy.special import ndtr, ndtri
 
 from .data import Dataset, Family
 from .errors import DomainError, InvalidCorrelationError, ModelBuildError
-from .glm import FitResult
+from .glm import _LOCKSTEP_FITS, FitResult
 from .model import Fp, Linear, ModelSpec, Term
-from .selection import Criterion, backward_eliminate
 from .mfp import MfpConfig, mfp
+from .resample import Procedure, run_chunk
+from .selection import Criterion, backward_eliminate_batch
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +185,8 @@ class Scenario:
                 raise DomainError("correlation matrix shape does not match covariates")
             if not np.allclose(R, R.T):
                 raise InvalidCorrelationError("correlation matrix is not symmetric")
+            if not np.allclose(np.diag(R), 1.0):
+                raise InvalidCorrelationError("correlation matrix diagonal is not all 1")
             object.__setattr__(self, "correlation", R)
 
     @property
@@ -254,33 +258,35 @@ def generate(scenario: Scenario, replication: int = 0) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# Procedure protocol and adapters
+# Procedures
 # ---------------------------------------------------------------------------
-
-Procedure = Callable[[Dataset], FitResult]
-
 
 def be_procedure(criterion: Criterion,
                  candidates: Sequence[str] | None = None) -> Procedure:
-    """Backward elimination from the all-linear full model."""
+    """Backward elimination from the all-linear full model, the datasets,
+    which share their columns, in lock step."""
 
-    def run(dataset: Dataset) -> FitResult:
-        names = tuple(candidates) if candidates is not None else dataset.candidate_names
+    def run(datasets: list[Dataset]) -> list:
+        names = candidates if candidates is not None else datasets and datasets[0].candidate_names
         start = ModelSpec(tuple(Term.linear(v) for v in names))
-        return backward_eliminate(dataset, start, criterion).final_fit
+        return [trace if isinstance(trace, ModelBuildError) else trace.final_fit
+                for trace in backward_eliminate_batch(datasets, start, criterion)]
 
     return run
 
 
 def mfp_procedure(config: MfpConfig | None = None,
                   candidates: Sequence[str] | None = None) -> Procedure:
-    """Combined variable and function selection."""
+    """Combined variable and function selection, one dataset at a time."""
 
-    def run(dataset: Dataset) -> FitResult:
+    def one(dataset: Dataset) -> FitResult | ModelBuildError:
         names = tuple(candidates) if candidates is not None else dataset.candidate_names
-        return mfp(dataset, names, config).fit
+        try:
+            return mfp(dataset, names, config).fit
+        except ModelBuildError as error:
+            return error
 
-    return run
+    return lambda datasets: [one(dataset) for dataset in datasets]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +381,7 @@ class EvaluationReport:
 
 def evaluate(procedure: Procedure, scenario: Scenario,
              replications: int) -> EvaluationReport:
-    """Run generate + procedure per replication and aggregate the scores.
+    """Run generate + procedure per replication (`resample.run_chunk`) and aggregate the scores.
 
     Failed replications (model-building errors) are counted and excluded from
     the denominators. Rates carry binomial Monte-Carlo errors; shape distances
@@ -389,11 +395,10 @@ def evaluate(procedure: Procedure, scenario: Scenario,
     shape = {v: [] for v in names}
     sq_errors: list[float] = []
     n_failed = 0
-    for r in range(replications):
-        dataset = generate(scenario, replication=r)
-        try:
-            fitted = procedure(dataset)
-        except ModelBuildError:
+    for dataset, fitted in (pair for first in range(0, replications, _LOCKSTEP_FITS)
+                            for pair in run_chunk(procedure, lambda r: generate(scenario, r),
+                                                  first, replications)):
+        if isinstance(fitted, ModelBuildError):
             n_failed += 1
             continue
         for v in names:

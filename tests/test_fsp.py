@@ -1,8 +1,11 @@
 """Function selection procedure: verdicts, closed-test hierarchy, error control."""
 
+import csv
 import dataclasses
 import importlib
+import os
 import sys
+import tempfile
 import warnings
 from unittest import mock
 
@@ -16,6 +19,7 @@ from fpselect import (Criterion, Dataset, DomainError, Family, FpPowers, Functio
                       TooFewDistinctValuesError, backward_eliminate, best_fp, design_matrix,
                       deviance_test, fit, forward_select, fp_basis, fsp_degrees_of_freedom,
                       fsp_select, mfp, pretransform, simlab)
+from fpselect import cli
 
 fsp_module = importlib.import_module("fpselect.fsp")
 fpsearch_module = importlib.import_module("fpselect.fpsearch")
@@ -580,10 +584,29 @@ def _rescaling_dataset(seed, n=150):
     return {"x": x, "z": z, "w": w, "u": u, "y": y}
 
 
+def _cli_mfp(ds):
+    """The `mfp` CLI report of the dataset, run in process on a CSV that
+    holds every float in full (`repr`): the coefficient labels of its
+    selected model and each decision's verdict and powers."""
+    with tempfile.TemporaryDirectory() as out:  # Hypothesis rejects function-scoped fixtures
+        data = os.path.join(out, "data.csv")
+        with open(data, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(ds.column_names)
+            writer.writerows(zip(*([repr(v) for v in ds.column(name).tolist()]
+                                   for name in ds.column_names)))
+        config = cli.AnalysisConfig({"data": data, "outcome": ds.outcome_name,
+                                     "family": ds.family.value})
+        report = cli.run("mfp", config, out)
+    return (list(report["fit"]["coefficients"]),
+            {v: (d["verdict"], d["powers"]) for v, d in report["decisions"].items()})
+
+
 def _decisions(ds):
     """The verdict and powers of the closed test of x, the terms that
-    backward elimination, forward selection and the MFP cycle select, and
-    every exact p-value that the four compared with their level."""
+    backward elimination, forward selection and the MFP cycle select, the
+    selected model and decisions of the `mfp` CLI report, and every exact
+    p-value that the five compared with their level."""
     seen = []
     real = glm_module.Design.p_value
 
@@ -599,15 +622,17 @@ def _decisions(ds):
         eliminated = backward_eliminate(ds, ModelSpec(terms), Criterion.p_value(0.05))
         forward = forward_select(ds, terms, Criterion.p_value(0.05))
         cycled = mfp(ds, ("x", "z", "w", "u"))
+        reported = _cli_mfp(ds)
     return ((decision.verdict, decision.powers), eliminated.final_spec.terms,
-            forward.final_spec.terms, cycled.final_spec.terms), seen
+            forward.final_spec.terms, cycled.final_spec.terms, reported), seen
 
 
 class TestAffineOutcomeRescaling:
     """Gaussian likelihood-ratio statistics n log(rss_r / rss_f) of models
     with an intercept do not change when y becomes a y + b, so neither do the
     closed test's verdict and powers nor the terms that backward elimination,
-    forward selection and the MFP cycle select. A shifted y also moves the
+    forward selection and the MFP cycle select, nor the `mfp` CLI report's
+    model and decisions. A shifted y also moves the
     screen's condition estimate (1 + 2 kappa) ||y|| / ||r||, so both the
     bounded and the exact path are taken."""
 
@@ -638,9 +663,10 @@ class TestAffineOutcomeRescaling:
 
 class TestRowOrder:
     """A model's likelihood does not depend on the order of the rows, so
-    permuting them leaves the closed test's verdict and powers and the terms
+    permuting them leaves the closed test's verdict and powers, the terms
     that backward elimination, forward selection and the MFP cycle select
-    unchanged, for both families; only the summation order, and so the last
+    and the `mfp` CLI report's model and decisions unchanged, for both
+    families; only the summation order, and so the last
     bits of each p-value, move."""
 
     @settings(max_examples=20, deadline=None)

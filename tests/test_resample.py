@@ -3,22 +3,16 @@
 import numpy as np
 import pytest
 
-from fpselect import (Criterion, Dataset, DomainError, ModelBuildError, ModelSpec,
-                      ResamplePlan, StabilityReport, Term, backward_eliminate,
-                      backward_eliminate_batch, bif_select, stability)
+from fpselect import (Criterion, Dataset, DomainError, ModelSpec, ResamplePlan,
+                      StabilityReport, Term, backward_eliminate, bif_select, fit, simlab,
+                      stability)
+from fpselect.glm import fit_design
 
 
 def make_selector(criterion=None):
-    """Batch backward elimination from the all-linear model, the selected
-    variables or the error of each dataset."""
-    criterion = criterion or Criterion.p_value(0.05)
-
-    def select(datasets):
-        start = ModelSpec(tuple(Term.linear(v) for v in datasets[0].candidate_names))
-        return [trace if isinstance(trace, ModelBuildError) else trace.final_spec.variables
-                for trace in backward_eliminate_batch(datasets, start, criterion)]
-
-    return select
+    """Batch backward elimination from the all-linear model, the final fit or
+    the error of each dataset."""
+    return simlab.be_procedure(criterion or Criterion.p_value(0.05))
 
 
 def strong_predictor_dataset(seed=601, n=300):
@@ -140,6 +134,7 @@ class TestStability:
 
     def test_failed_replications_counted(self):
         ds = strong_predictor_dataset(seed=641, n=60)
+        x_only = fit(ds, ModelSpec((Term.linear("x"),)))
         calls = []
 
         def flaky(datasets):
@@ -147,7 +142,7 @@ class TestStability:
             for _ in datasets:
                 calls.append(1)
                 results.append(DomainError("synthetic failure") if len(calls) % 3 == 0
-                               else ("x",))
+                               else x_only)
             return results
 
         plan = ResamplePlan(replications=30, master_seed=43)
@@ -212,6 +207,16 @@ class TestChunkedStability:
         plan = ResamplePlan(replications=5, master_seed=59)
         with pytest.raises(DomainError, match="4 results for 5 datasets"):
             stability(ds, lambda datasets: [("x",)] * (len(datasets) - 1), plan)
+
+    def test_selector_must_answer_with_fits_or_errors(self):
+        ds = strong_predictor_dataset(seed=659, n=60)
+        plan = ResamplePlan(replications=5, master_seed=59)
+        with pytest.raises(DomainError, match="returned a tuple, not a fit with a spec"):
+            stability(ds, lambda datasets: [("x",)] * len(datasets), plan)
+        X = np.column_stack([np.ones(ds.n), ds.column("x")])
+        specless = fit_design(X, ds.outcome, ds.family, ("(intercept)", "x"))
+        with pytest.raises(DomainError, match="returned a FitResult, not a fit with a spec"):
+            stability(ds, lambda datasets: [specless] * len(datasets), plan)
 
 
 class TestBifSelect:

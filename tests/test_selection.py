@@ -595,9 +595,9 @@ def _exact_scores_per_step(monkeypatch, run):
     events = []
     batch_scores, fit_ = glm.Design.batch_scores, glm.Design.fit
 
-    def counting_scores(requests):  # every Design.scores call is a batch of one
-        events.extend(["score"] * sum(len(models) for _, models in requests))
-        return batch_scores(requests)
+    def counting_scores(subsets):  # each (design, column subset) is one model scored
+        events.extend(["score"] * len(subsets))
+        return batch_scores(subsets)
 
     def counting_fit(self, spec):
         events.append("fit")
@@ -764,12 +764,12 @@ class TestStepFitReusesItsScore:
             events.append(("qr",))
             return householder(A)
 
-        def recording_scores(requests):
-            events.append(("scores", [tuple(terms) for _, models in requests for terms in models]))
-            return batch_scores(requests)
+        def recording_scores(subsets):
+            events.append(("scores", [cols for _, cols in subsets]))
+            return batch_scores(subsets)
 
         def recording_fit(self, spec, *args):
-            events.append(("fit", spec.terms))
+            events.append(("fit", self.columns(spec.terms)))
             result = fit_(self, spec, *args)
             events.append(("fitted",))
             return result
@@ -780,7 +780,7 @@ class TestStepFitReusesItsScore:
         trace = _quiet(backward_eliminate, ds, ModelSpec(terms), Criterion.aic())
         monkeypatch.undo()
         assert len(trace.steps) >= 2
-        last_scored, fitting, fits = None, False, []  # [terms, last model scored, factorisations]
+        last_scored, fitting, fits = None, False, []  # [columns, last scored, factorisations]
         for kind, *data in events:
             if kind == "scores":
                 last_scored = data[0][-1]
@@ -793,7 +793,7 @@ class TestStepFitReusesItsScore:
                 fits[-1][2] += 1
         start, *steps = fits
         assert start[2] == 1 and len(steps) == len(trace.steps)
-        assert any(terms != last for terms, last, _ in steps)
+        assert any(cols != last for cols, last, _ in steps)
         assert [qrs for _, _, qrs in steps] == [0] * len(steps)
 
 

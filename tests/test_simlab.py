@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fpselect import (Criterion, DomainError, Family, Fp, Linear, ModelBuildError, ModelSpec,
-                      Term, fit, pretransform, spike_fsp)
+from fpselect import (Criterion, DomainError, Family, Fp, InvalidCorrelationError, Linear,
+                      ModelBuildError, ModelSpec, Term, fit, pretransform, spike_fsp)
 from fpselect import simlab
 
 
@@ -114,7 +114,8 @@ def former_summary(fitted):
 
 
 def former_evaluate(procedure, scenario, replications):
-    """The former `simlab.evaluate`, scoring each fit through its summary."""
+    """The former `simlab.evaluate`, scoring each fit through its summary and
+    calling the procedure on one dataset at a time."""
     names = scenario.covariate_names
     included = {v: [] for v in names}
     correct = {v: [] for v in names}
@@ -123,11 +124,11 @@ def former_evaluate(procedure, scenario, replications):
     n_failed = 0
     for r in range(replications):
         dataset = simlab.generate(scenario, replication=r)
-        try:
-            selected, curves, linear = former_summary(procedure(dataset))
-        except ModelBuildError:
+        (fitted,) = procedure([dataset])
+        if isinstance(fitted, ModelBuildError):
             n_failed += 1
             continue
+        selected, curves, linear = former_summary(fitted)
         for v in names:
             effect = scenario.true_effect(v)
             truly_in = effect.form != "null" and effect.coefficient != 0.0
@@ -171,13 +172,20 @@ def spike_scenario(family):
                            noise_sd=0.7, seed=29)
 
 
-def spike_procedure(dataset):
+def spike_procedure(datasets):
     """Linear terms for x1, x2 and x3 plus spike-at-zero's components of s,
-    indicator first: a fit in which one variable has two terms."""
-    spec = ModelSpec(tuple(Term.linear(v) for v in ("x1", "x2", "x3")))
-    for term in spike_fsp(dataset, "s", 0.05, adjustment=spec).terms:
-        spec = spec.with_term(term)
-    return fit(dataset, spec)
+    indicator first: per dataset, a fit in which one variable has two terms,
+    or the error that building it raised."""
+    fits = []
+    for dataset in datasets:
+        spec = ModelSpec(tuple(Term.linear(v) for v in ("x1", "x2", "x3")))
+        try:
+            for term in spike_fsp(dataset, "s", 0.05, adjustment=spec).terms:
+                spec = spec.with_term(term)
+            fits.append(fit(dataset, spec))
+        except ModelBuildError as error:
+            fits.append(error)
+    return fits
 
 
 PROCEDURES = {
@@ -202,13 +210,73 @@ class TestScoringMatchesFormerSummary:
             scenario = spike_scenario(family)
             for r in range(6):
                 dataset = simlab.generate(scenario, r)
-                spike_terms = spike_procedure(dataset).spec.terms[3:]
+                spike_terms = spike_procedure([dataset])[0].spec.terms[3:]
                 two_terms += len(spike_terms) == 2 and isinstance(spike_terms[1].transform, Fp)
                 if family is Family.BINOMIAL:
                     continue
-                for term in simlab.mfp_procedure()(dataset).spec.terms:
+                for term in simlab.mfp_procedure()([dataset])[0].spec.terms:
                     transform = term.transform
                     shifted += (term.variable == "x1" and isinstance(transform, Fp)
                                 and transform.powers.values == (1.0,)
                                 and transform.shift not in (0.0, transform.scale))
         assert two_terms >= 6 and shifted == 6
+
+
+def failing_some(procedure):
+    """The procedure, but a DomainError for every dataset whose first outcome
+    is below its median: a property of the generated data alone."""
+    def run(datasets):
+        return [DomainError("synthetic failure")
+                if dataset.outcome[0] < np.median(dataset.outcome) else fitted
+                for dataset, fitted in zip(datasets, procedure(datasets))]
+
+    return run
+
+
+CHUNKED = {
+    "be": simlab.be_procedure(Criterion.p_value(0.05)),
+    "be_aic": simlab.be_procedure(Criterion.aic()),
+    "mfp": simlab.mfp_procedure(),
+    "failing": failing_some(simlab.be_procedure(Criterion.p_value(0.05))),
+}
+
+
+class TestChunkedEvaluate:
+    """`evaluate` hands its procedure chunks of `glm._LOCKSTEP_FITS`
+    replications; its report equals one built from one dataset at a time,
+    across chunk boundaries."""
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=str)
+    @pytest.mark.parametrize("procedure", sorted(CHUNKED))
+    def test_reports_bit_identical_across_chunks(self, procedure, family):
+        scenario = spike_scenario(family)
+        chunks = []
+
+        def recording(datasets):
+            chunks.append(len(datasets))
+            return CHUNKED[procedure](datasets)
+
+        report = simlab.evaluate(recording, scenario, 37)
+        assert chunks == [16, 16, 5]
+        assert repr(report) == repr(former_evaluate(CHUNKED[procedure], scenario, 37))
+        assert (0 < report.n_failed < 37) == (procedure == "failing")
+
+    def test_procedure_must_answer_every_dataset(self):
+        procedure = simlab.be_procedure(Criterion.p_value(0.05))
+        with pytest.raises(DomainError, match="15 results for 16 datasets"):
+            simlab.evaluate(lambda datasets: procedure(datasets)[1:],
+                            spike_scenario(Family.GAUSSIAN), 37)
+
+
+    def test_empty_batch_answers_nothing(self):
+        assert simlab.be_procedure(Criterion.aic())([]) == []
+        assert simlab.mfp_procedure()([]) == []
+
+
+class TestScenarioCorrelation:
+    def test_diagonal_must_be_one(self):
+        covariates = (simlab.Covariate("a", simlab.Uniform(0.0, 1.0)),
+                      simlab.Covariate("b", simlab.Uniform(0.0, 1.0)))
+        with pytest.raises(InvalidCorrelationError, match="diagonal"):
+            simlab.Scenario(n=20, covariates=covariates, correlation=4.0 * np.eye(2))
+        simlab.Scenario(n=20, covariates=covariates, correlation=np.eye(2))
