@@ -110,6 +110,34 @@ def fp_basis(x, powers) -> np.ndarray:
     return np.column_stack([first, second])
 
 
+@functools.cache
+def _candidate_blocks(first: int) -> dict[FpPowers, tuple[int, ...]]:
+    """Every candidate of both degrees and its columns in `_basis` placed
+    after `first` other columns: z^p, then z^p log z, p in `FP_POWER_SET` order."""
+    column = {p: first + i for i, p in enumerate(FP_POWER_SET)}
+    return {powers: tuple(column[p] + 8 * (j and powers.repeated) for j, p in enumerate(powers))
+            for powers in enumerate_fp(1) + enumerate_fp(2)}
+
+
+def _basis(z: np.ndarray, center_at: float | None) -> np.ndarray:
+    """The columns z^p and z^p log z of `_candidate_blocks`, less their
+    values at `center_at`, each candidate's equal to `fp_basis`'s bit for
+    bit; an overflowed column is not finite."""
+    first = [_power_column(z, p) for p in FP_POWER_SET]
+    with np.errstate(all="ignore"):
+        columns = np.column_stack(first + [col * first[FP_POWER_SET.index(0.0)] for col in first])
+        if center_at is not None:
+            center = np.array([center_at])
+            columns = columns - np.concatenate(
+                [fp_basis(center, FpPowers((p, p))) for p in FP_POWER_SET]).T.ravel()
+    return columns
+
+
+@functools.cache
+def _basis_labels(variable: str) -> tuple[str, ...]:  # the labels of `_basis`
+    return sum(zip(*(fp_basis_labels(variable, FpPowers((p, p))) for p in FP_POWER_SET)), ())
+
+
 def fp_basis_labels(variable: str, powers: FpPowers) -> tuple[str, ...]:
     def one(p: float) -> str:
         return f"log({variable})" if p == 0.0 else f"{variable}^({format_power(p)})"

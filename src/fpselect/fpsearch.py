@@ -1,12 +1,14 @@
 """Exhaustive best-fit search over the fractional polynomial family.
 
-`FpSearch` builds one `glm.Design` of the adjustment's columns and then the
-16 distinct basis columns of the 44 candidates (z^p and z^p log z), so each
-candidate is a column subset of it. The design scores candidates as many at
-a time as a request names, binomial ones in lock step, memoises their
-factorisations and fits only the model a caller returns: `best_fp` fits one
-degree's winner, and the closed test (`fsp.fsp_select`) reads several
-degrees from one search.
+An `FpSearch` runs on a `glm.Design` that holds the adjustment's columns and
+its variable's 16 basis columns (z^p and z^p log z, `Design.bases`), so each
+of the 44 candidates is a column subset of it; it builds nothing. `mfp`
+builds one design per analysis, so each variable's basis and screen
+preparation are built once; `best_fp` and `fsp.fsp_select` build one of a
+single basis. The design scores candidates as many at a time as a request
+names, binomial ones in lock step, memoises their factorisations (for one
+search) and fits only the model a caller returns: `best_fp` fits one
+degree's winner, and the closed test reads several degrees from one search.
 
 `FpSearch.best` bounds every Gaussian candidate from one update of the
 adjustment's QR (`glm.Design.addition_bounds`) and scores only those that
@@ -20,12 +22,9 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 
-import numpy as np
-
 from .data import Dataset
 from .errors import DomainError, ModelBuildError
-from .fp import (FP_POWER_SET, FpPowers, PreTransform, _power_column, enumerate_fp,
-                 fp_basis, fp_basis_labels, pretransform)
+from .fp import FpPowers, PreTransform, enumerate_fp
 from .glm import Design, FitResult, contenders
 from .model import Fp, Linear, ModelSpec, Term
 
@@ -56,63 +55,26 @@ class FpSearchResult:
     pre: PreTransform
 
 
-@functools.cache
-def _candidate_blocks(first: int) -> dict[FpPowers, tuple[int, ...]]:
-    """Every candidate of both degrees and its basis columns in a design of
-    `first` other columns, then z^p and z^p log z, p in `FP_POWER_SET` order."""
-    column = {p: first + i for i, p in enumerate(FP_POWER_SET)}
-    return {powers: tuple(column[p] + 8 * (j and powers.repeated) for j, p in enumerate(powers))
-            for powers in enumerate_fp(1) + enumerate_fp(2)}
-
-
-@functools.cache
-def _basis_labels(variable: str) -> tuple[str, ...]:  # the labels of `_basis`
-    return sum(zip(*(fp_basis_labels(variable, FpPowers((p, p))) for p in FP_POWER_SET)), ())
-
-
-def _basis(z: np.ndarray, center_at: float | None) -> np.ndarray:
-    """The columns z^p and z^p log z of `_candidate_blocks`, less their
-    values at `center_at`; an overflowed column is not finite."""
-    first = [_power_column(z, p) for p in FP_POWER_SET]
-    with np.errstate(all="ignore"):
-        columns = np.column_stack(first + [col * first[FP_POWER_SET.index(0.0)] for col in first])
-        if center_at is not None:
-            center = np.array([center_at])
-            columns = columns - np.concatenate(
-                [fp_basis(center, FpPowers((p, p))) for p in FP_POWER_SET]).T.ravel()
-    return columns
-
-
 class FpSearch:
     """FP candidates of one variable on a fixed adjustment, column subsets of
-    its `design`, scored on demand; keeps each one's score, (+inf, 0) where
-    its fit failed, and every candidate's bounds."""
+    a `design` that holds both (`Design.bases`), scored on demand; keeps each
+    one's score, (+inf, 0) where its fit failed, and every candidate's bounds."""
 
-    def __init__(self, dataset: Dataset, variable: str, adjustment: ModelSpec | None = None,
-                 pre: PreTransform | None = None, center_at: float | None = None):
-        self.adjustment = adjustment or ModelSpec()
-        check_adjustment(self.adjustment, variable)
-        x = dataset.column(variable)
-        self.pre = pretransform(x) if pre is None else pre
-        z = self.pre.apply(x)
-        if np.any(z <= 0.0):
-            raise DomainError("power columns require strictly positive values")
-        self.design = Design(dataset, self.adjustment, columns=_basis(z, center_at),
-                             labels=_basis_labels(variable))
-        self.variable, self.center_at = variable, center_at
-        self._first = self.design.X.shape[1] - 2 * len(FP_POWER_SET)  # the adjustment's columns
+    def __init__(self, design: Design, variable: str, adjustment: ModelSpec):
+        self.design, self.variable, self.adjustment = design, variable, adjustment
+        self.basis = design.bases[variable]
+        self._adjusted = design.columns(adjustment.terms)
         self._scores: dict[FpPowers, tuple[float, int]] = {}
 
     def _columns(self, powers: FpPowers) -> tuple[int, ...]:
         """The columns of a candidate's design: the adjustment's and its basis."""
-        return (*range(self._first), *_candidate_blocks(self._first)[powers])
+        return self._adjusted + self.basis.blocks[powers]
 
     @functools.cached_property
     def _bounds(self) -> dict[FpPowers, tuple[float, float] | None]:
         """`Design.addition_bounds` of every candidate of both degrees."""
-        blocks = _candidate_blocks(self._first)
-        return dict(zip(blocks, self.design.addition_bounds(self.adjustment.terms,
-                                                            [*blocks.values()])))
+        return dict(zip(self.basis.blocks,
+                        self.design.addition_bounds(self.adjustment.terms, self.basis)))
 
     def _score(self, candidates) -> None:
         """Score the candidates not scored yet, together (`Design.batch_scores`
@@ -145,8 +107,8 @@ class FpSearch:
 
     def fit(self, powers: FpPowers) -> FitResult:
         """Fit of the adjustment plus the FP term with the given powers."""
-        term = Term.fp(self.variable, powers, self.pre, self.center_at)
-        return self.design.fit(self.adjustment.with_term(term), self._columns(powers))
+        term = Term.fp(self.variable, powers, self.basis.pre, self.basis.center_at)
+        return self.design.fit(self.adjustment.with_term(term))
 
     def result(self, degree: int) -> FpSearchResult:
         """Every candidate of the degree scored, and the best one fitted."""
@@ -154,7 +116,7 @@ class FpSearch:
         candidates = enumerate_fp(degree)
         self._score(candidates)
         table = {powers: self._scores[powers][0] for powers in candidates}
-        return FpSearchResult(self.variable, degree, best, self.fit(best), table, self.pre)
+        return FpSearchResult(self.variable, degree, best, self.fit(best), table, self.basis.pre)
 
 
 def best_fp(dataset: Dataset, variable: str, degree: int,
@@ -169,4 +131,7 @@ def best_fp(dataset: Dataset, variable: str, degree: int,
     fails scores +inf in the deviance table instead of aborting the search.
     Ties are broken by the canonical enumeration order.
     """
-    return FpSearch(dataset, variable, adjustment, pre, center_at).result(degree)
+    adjustment = adjustment or ModelSpec()
+    check_adjustment(adjustment, variable)
+    design = Design(dataset, adjustment, bases=[(variable, pre, center_at)])
+    return FpSearch(design, variable, adjustment).result(degree)

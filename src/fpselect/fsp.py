@@ -11,10 +11,12 @@ the tests are closed, the familywise type-I error stays near the nominal
 level, and a linear function is the default unless nonlinearity is strongly
 supported.
 
-One `fpsearch.FpSearch` builds the adjustment's design once and scores the
-null model, the straight line (FP1's power 1) and each degree's winner from
-it (`FpSearch.best`, which scores only Gaussian candidates that can still
-win); only the model of the verdict is fitted.
+`closed_test` runs on a `glm.Design` that holds the adjustment's terms and
+the variable's FP basis: `fsp_select` builds one for its variable, `mfp` one
+per analysis for every visit (see `fpsearch`). One `fpsearch.FpSearch` on it
+scores the null model, the straight line (FP1's power 1) and each degree's
+winner (`FpSearch.best`, which scores only Gaussian candidates that can
+still win); only the model of the verdict is fitted.
 """
 
 from __future__ import annotations
@@ -89,13 +91,19 @@ class FunctionDecision:
         return _COMPLEXITY[self.verdict]
 
 
-def _linear_only_decision(dataset: Dataset, variable: str, alpha: float,
+def _searchable(dataset: Dataset, variable: str) -> bool:
+    """Whether the variable has the 5 distinct values an FP search needs."""
+    return np.unique(dataset.column(variable)).size >= 5
+
+
+def _linear_only_decision(design: Design, variable: str, alpha: float,
                           adjustment: ModelSpec, forced: bool,
                           term: Term | None = None,
                           degraded: bool = False) -> FunctionDecision:
+    """Test the variable's straight line, or `term`, against the adjustment,
+    both column subsets of `design`."""
     term = term or Term.linear(variable)
     spec = adjustment.with_term(term)
-    design = Design(dataset, spec)
     pvalues: tuple[float, ...] = ()
     if not forced:
         full, null = design.scores([spec.terms, adjustment.terms])  # full's errors first
@@ -130,20 +138,29 @@ def fsp_select(dataset: Dataset, variable: str, alpha: float,
     alpha_nl = alpha if alpha_nonlinear is None else alpha_nonlinear
     if not 0.0 < alpha_nl <= 1.0:
         raise DomainError(f"alpha_nonlinear must be in (0, 1], got {alpha_nl}")
-    dfs = fsp_degrees_of_freedom(max_degree)
     adjustment = adjustment or ModelSpec()
     check_adjustment(adjustment, variable)
+    if _searchable(dataset, variable):
+        design = Design(dataset, adjustment, bases=[(variable, pre, center_at)])
+    else:
+        design = Design(dataset, adjustment, (Term.linear(variable),))
+    return closed_test(design, variable, alpha, max_degree, adjustment, alpha_nl, force_in)
 
-    x = dataset.column(variable)
-    n_distinct = np.unique(x).size
-    if n_distinct < 2:
-        raise TooFewDistinctValuesError(f"{variable!r} is constant")
-    if n_distinct < 5:
-        return _linear_only_decision(dataset, variable, alpha, adjustment, force_in,
+
+def closed_test(design: Design, variable: str, alpha: float, max_degree: int,
+                adjustment: ModelSpec, alpha_nl: float, force_in: bool) -> FunctionDecision:
+    """`fsp_select`'s test at levels the caller has checked, on a design that
+    holds the adjustment's terms and the variable's basis (`Design.bases`),
+    or, when the variable has fewer than 5 distinct values, its straight line."""
+    dfs = fsp_degrees_of_freedom(max_degree)
+    if variable not in design.bases:
+        if np.unique(design.dataset.column(variable)).size < 2:
+            raise TooFewDistinctValuesError(f"{variable!r} is constant")
+        return _linear_only_decision(design, variable, alpha, adjustment, force_in,
                                      degraded=True)
 
-    search = FpSearch(dataset, variable, adjustment, pre, center_at)
-    design, linear = search.design, FpPowers((1.0,))
+    search = FpSearch(design, variable, adjustment)
+    linear = FpPowers((1.0,))
     # The straight line is fitted only for a Linear verdict, or first when it
     # cannot be scored, so that its fit error is raised before the FP1 search's.
     fit_linear = search.fit(linear) if math.isinf(search.score(linear)[0]) else None
@@ -160,7 +177,7 @@ def fsp_select(dataset: Dataset, variable: str, alpha: float,
         if p1 > alpha:
             return FunctionDecision(variable, FunctionForm.EXCLUDED, None,
                                     tuple(pvalues), alpha, alpha_nl, max_degree,
-                                    search.pre, None, None)
+                                    search.basis.pre, None, None)
 
     p2, _ = design.p_value(linear_score, best_score, dfs[1])
     pvalues.append(p2)
@@ -168,7 +185,7 @@ def fsp_select(dataset: Dataset, variable: str, alpha: float,
         fit_linear = fit_linear or search.fit(linear)
         return FunctionDecision(variable, FunctionForm.LINEAR, None,
                                 tuple(pvalues), alpha, alpha_nl, max_degree,
-                                search.pre, fit_linear.spec.terms[-1], fit_linear,
+                                search.basis.pre, fit_linear.spec.terms[-1], fit_linear,
                                 forced_in=force_in)
 
     chosen, verdict = fp1, FunctionForm.FP1
@@ -179,5 +196,5 @@ def fsp_select(dataset: Dataset, variable: str, alpha: float,
             chosen, verdict = best, FunctionForm.FP2
     chosen_fit = search.fit(chosen)
     return FunctionDecision(variable, verdict, chosen, tuple(pvalues), alpha, alpha_nl,
-                            max_degree, search.pre, chosen_fit.spec.terms[-1], chosen_fit,
+                            max_degree, search.basis.pre, chosen_fit.spec.terms[-1], chosen_fit,
                             forced_in=force_in)

@@ -9,6 +9,11 @@ Two significance levels tune the result: `alpha_select` governs inclusion
 (step 1 of the closed test) and `alpha_fp` the nonlinearity steps. A very
 small `alpha_fp` makes the procedure collapse to plain backward elimination
 on linear terms; `alpha_select` near 1 keeps every variable in.
+
+One `glm.Design` per analysis holds every candidate's base term and the FP
+basis of each that can be searched; the removal order, each visit's closed
+test and the final fit are column subsets of it, and its factorisation memo
+lasts one visit (see `glm.Design`).
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError
-from .fsp import FunctionDecision, FunctionForm, fsp_select, _linear_only_decision
-from .glm import Design, FitResult, fit
+from .fsp import (FunctionDecision, FunctionForm, _linear_only_decision, _searchable,
+                  closed_test)
+from .glm import Design, FitResult
 from .model import Dummy, ModelSpec, Term
 
 
@@ -94,7 +100,12 @@ def removal_order(dataset: Dataset, candidates: Sequence[str],
         return ()
     config = config or MfpConfig()
     full_spec = ModelSpec(tuple(_base_term(dataset, v, config) for v in candidates))
-    design = Design(dataset, full_spec)
+    return _removal_order(Design(dataset, full_spec), candidates, full_spec)
+
+
+def _removal_order(design: Design, candidates: tuple[str, ...],
+                   full_spec: ModelSpec) -> tuple[str, ...]:
+    """`removal_order` from a design of the candidates' base terms, `full_spec`."""
     full, *reduced = design.scores([full_spec.terms] + [full_spec.without_term(term).terms
                                                         for term in full_spec.terms])
     pvalues = [design.p_value(score, full)[0] for score in reduced]
@@ -102,18 +113,14 @@ def removal_order(dataset: Dataset, candidates: Sequence[str],
     return tuple(candidates[i] for i in order)
 
 
-def _decide(dataset: Dataset, variable: str, adjustment: ModelSpec,
-            config: MfpConfig) -> FunctionDecision:
+def _decide(design: Design, variable: str, adjustment: ModelSpec,
+            config: MfpConfig, base: Term) -> FunctionDecision:
     forced = variable in config.force_in
     if variable in config.categorical:
-        return _linear_only_decision(dataset, variable, config.alpha_select,
-                                     adjustment, forced,
-                                     term=_base_term(dataset, variable, config))
-    return fsp_select(dataset, variable, config.alpha_select,
-                      max_degree=config.degree_for(variable),
-                      adjustment=adjustment,
-                      alpha_nonlinear=config.alpha_fp,
-                      force_in=forced)
+        return _linear_only_decision(design, variable, config.alpha_select,
+                                     adjustment, forced, term=base)
+    return closed_test(design, variable, config.alpha_select, config.degree_for(variable),
+                       adjustment, config.alpha_fp, forced)
 
 
 def mfp(dataset: Dataset, candidates: Sequence[str],
@@ -132,10 +139,13 @@ def mfp(dataset: Dataset, candidates: Sequence[str],
         dataset.index(v)
     config = config or MfpConfig()
 
-    order = removal_order(dataset, candidates, config)
-    current_terms: dict[str, Term | None] = {
-        v: _base_term(dataset, v, config) for v in candidates
-    }
+    base = {v: _base_term(dataset, v, config) for v in candidates}
+    full_spec = ModelSpec(tuple(base.values()))
+    design = Design(dataset, full_spec, bases=[
+        (v, None, None) for v in candidates
+        if v not in config.categorical and _searchable(dataset, v)])
+    order = _removal_order(design, candidates, full_spec)
+    current_terms: dict[str, Term | None] = dict(base)
     decisions: dict[str, FunctionDecision] = {}
     trace: list[dict[str, FunctionForm]] = []
     converged = False
@@ -144,13 +154,14 @@ def mfp(dataset: Dataset, candidates: Sequence[str],
     memo: dict[tuple[str, ModelSpec], FunctionDecision] = {}
     for _cycle in range(config.max_cycles):
         for v in order:
+            design.forget()  # factorisations are kept for one visit
             adjustment = ModelSpec(tuple(
                 term for other, term in current_terms.items()
                 if other != v and term is not None
             ))
             decision = memo.get((v, adjustment))
             if decision is None:
-                decision = memo[v, adjustment] = _decide(dataset, v, adjustment, config)
+                decision = memo[v, adjustment] = _decide(design, v, adjustment, config, base[v])
             decisions[v] = decision
             current_terms[v] = decision.term
         trace.append({v: decisions[v].verdict for v in order})
@@ -162,12 +173,11 @@ def mfp(dataset: Dataset, candidates: Sequence[str],
     final_spec = ModelSpec(tuple(
         current_terms[v] for v in order if current_terms[v] is not None
     ))
-    final_fit = fit(dataset, final_spec)
     return MfpResult(
         final_spec=final_spec,
         decisions=decisions,
         cycle_trace=tuple(trace),
         converged=converged,
-        fit=final_fit,
+        fit=design.fit(final_spec),
         visit_order=order,
     )

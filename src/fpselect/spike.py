@@ -132,8 +132,8 @@ def spike_fsp(dataset: Dataset, variable: str, alpha: float,
     z_term = Term.indicator(variable, 0.0)
 
     if decomp.n_distinct_positive < 5:
-        z_only = _linear_only_decision(dataset, variable, alpha, adjustment, False,
-                                       term=z_term)
+        z_only = _linear_only_decision(Design(dataset, adjustment, (z_term,)), variable, alpha,
+                                       adjustment, False, term=z_term)
         verdict = SpikeVerdict.Z_ONLY if z_only.included else SpikeVerdict.NONE
         terms = (z_term,) if z_only.included else ()
         return SpikeDecision(variable, verdict, None, None, z_only.step_pvalues[0],

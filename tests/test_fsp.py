@@ -19,7 +19,8 @@ from fpselect import (Criterion, Dataset, DomainError, Family, FpPowers, Functio
                       TooFewDistinctValuesError, backward_eliminate, best_fp, design_matrix,
                       deviance_test, fit, forward_select, fp_basis, fsp_degrees_of_freedom,
                       fsp_select, mfp, pretransform, simlab)
-from fpselect import cli
+import fpselect
+from fpselect import ModelBuildError, cli
 
 fsp_module = importlib.import_module("fpselect.fsp")
 fpsearch_module = importlib.import_module("fpselect.fpsearch")
@@ -575,6 +576,99 @@ class TestFactorisationMemo:
         assert shapes == [(n, 3), (n, 2)]
 
 
+def _analysis_dataset(seed, family=Family.GAUSSIAN, n=120):
+    """A curved x, a shifted z, a three-level g and a three-valued d."""
+    rng = np.random.default_rng(seed)
+    x = rng.lognormal(sigma=0.7, size=n)
+    z = rng.standard_normal(n) - 2.0
+    g = rng.choice([0.0, 1.0, 2.0], size=n)
+    d = rng.choice([1.0, 2.0, 3.0], size=n)
+    eta = np.log(x) + 0.4 * z + np.where(g == 2.0, 0.6, 0.0) + rng.uniform(-0.5, 0.5) * d
+    if family is Family.GAUSSIAN:
+        y = eta + rng.normal(scale=rng.uniform(0.3, 2.0), size=n)
+    else:
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(eta - eta.mean())))).astype(float)
+    return Dataset.from_columns({"x": x, "z": z, "g": g, "d": d, "y": y}, outcome="y",
+                                family=family)
+
+
+_GROUPS = Term.categorical("g", (0.5, 1.5))
+_ALL_POWERS = st.sampled_from(fpselect.enumerate_fp(1) + fpselect.enumerate_fp(2))
+
+
+class TestSharedBasisColumns:
+    """An FP term's columns in a design that holds its variable's basis
+    behind other terms equal `design_matrix`'s for the term bit for bit, and
+    the term resolves to them."""
+
+    @pytest.mark.parametrize("center_at", [None, 1.3])
+    def test_every_power_vector(self, center_at):
+        ds = _analysis_dataset(907)
+        design = glm_module.Design(ds, ModelSpec((_GROUPS, Term.linear("x"))),
+                                   bases=[("z", None, center_at), ("x", None, center_at)])
+        assert design.bases["z"].blocks[FpPowers((-2.0,))] == (4,)  # after 1 + 2 + 1 columns
+        for variable in ("z", "x"):
+            basis = design.bases[variable]
+            assert basis.pre == pretransform(ds.column(variable))
+            for powers in fpselect.enumerate_fp(1) + fpselect.enumerate_fp(2):
+                term = Term.fp(variable, powers, basis.pre, center_at)
+                X, labels, columns = design_matrix(ds, ModelSpec((_GROUPS, term)))
+                own = np.ascontiguousarray(X[:, columns[term]])
+                shared = np.ascontiguousarray(design.X[:, basis.blocks[powers]])
+                assert shared.tobytes() == own.tobytes(), (variable, powers)
+                assert design.columns([_GROUPS, term]) == (0, 1, 2, *basis.blocks[powers])
+                assert [design.labels[c] for c in basis.blocks[powers]] == term.labels()
+
+    def test_another_pre_transformation_keeps_its_own_columns(self):
+        ds = _analysis_dataset(911)
+        design = glm_module.Design(ds, ModelSpec(), bases=[("x", None, None)])
+        for term in (Term.fp("x", (1.0,), PreTransform(1.0, 2.0)),
+                     Term.fp("x", (1.0,), design.bases["x"].pre, center_at=1.0)):
+            with pytest.raises(KeyError):
+                design.columns([term])
+
+
+class TestAnalysisDesign:
+    """The closed test on one design of several bases and base terms, as
+    `mfp` runs it, equals a standalone `fsp_select` field by field, floats
+    and arrays bit for bit, with adjustments that hold FP terms of the
+    design's bases and a categorical term, on both families and for a
+    variable of fewer than 5 distinct values."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           family=st.sampled_from([Family.GAUSSIAN, Family.BINOMIAL]),
+           max_degree=st.sampled_from([1, 2]), force_in=st.booleans(),
+           x_powers=_ALL_POWERS, z_powers=_ALL_POWERS)
+    def test_equals_standalone(self, seed, family, max_degree, force_in, x_powers, z_powers):
+        ds = _analysis_dataset(seed, family)
+        design = glm_module.Design(
+            ds, ModelSpec((Term.linear("x"), Term.linear("z"), _GROUPS, Term.linear("d"))),
+            bases=[("x", None, None), ("z", None, None)])
+        x_term = Term.fp("x", x_powers, design.bases["x"].pre)
+        z_term = Term.fp("z", z_powers, design.bases["z"].pre)
+        cases = (("x", ModelSpec((z_term, _GROUPS, Term.linear("d")))),
+                 ("z", ModelSpec((_GROUPS, x_term))),
+                 ("d", ModelSpec((x_term, z_term, _GROUPS))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for variable, adjustment in cases:
+                design.forget()
+                try:
+                    alone = fsp_select(ds, variable, 0.05, max_degree, adjustment,
+                                       force_in=force_in)
+                except ModelBuildError as error:
+                    with pytest.raises(type(error)) as raised:
+                        fsp_module.closed_test(design, variable, 0.05, max_degree, adjustment,
+                                               0.05, force_in)
+                    assert str(raised.value) == str(error)
+                    continue
+                shared = fsp_module.closed_test(design, variable, 0.05, max_degree,
+                                                adjustment, 0.05, force_in)
+                assert shared.degraded_to_linear == (variable == "d")
+                _assert_same_decision(shared, alone, (variable, adjustment))
+
+
 def _rescaling_dataset(seed, n=150):
     """A curved x, a linear z, a weak w and noise u, Gaussian."""
     rng = np.random.default_rng(seed)
@@ -655,7 +749,8 @@ class TestAffineOutcomeRescaling:
         cols["y"] = cols["y"] + 1e9 * float(np.std(cols["y"]))
         ds = Dataset.from_columns(cols, outcome="y")
         kwargs = dict(adjustment=ModelSpec((Term.linear("z"), Term.linear("w"))))
-        search = fpsearch_module.FpSearch(ds, "x", **kwargs)
+        design = glm_module.Design(ds, kwargs["adjustment"], bases=[("x", None, None)])
+        search = fpsearch_module.FpSearch(design, "x", kwargs["adjustment"])
         assert all(bound is None for bound in search._bounds.values())
         _assert_same_decision(fsp_select(ds, "x", 0.05, **kwargs),
                               _former_fsp_select(ds, "x", 0.05, **kwargs), "shifted")

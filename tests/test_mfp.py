@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from fpselect import (Criterion, Dataset, DomainError, Family, FunctionForm, MfpConfig,
-                      ModelSpec, Term, backward_eliminate, deviance_test, fit, mfp,
-                      removal_order)
+                      ModelSpec, Term, backward_eliminate, deviance_test, fit, fsp_select,
+                      mfp, removal_order)
 
 # The package exports the `mfp` function under the submodule's name.
 mfp_module = importlib.import_module("fpselect.mfp")
+glm_module = importlib.import_module("fpselect.glm")
 
 
 def scenario_dataset(seed=301, n=400):
@@ -113,7 +114,7 @@ class TestRemovalOrderMatchesFitLoop:
         def no_fit(*args, **kwargs):
             raise AssertionError("removal_order must not fit a model")
 
-        monkeypatch.setattr(mfp_module, "fit", no_fit)
+        monkeypatch.setattr(glm_module, "fit_design", no_fit)
         assert removal_order(scenario_dataset(), ["x1", "x2", "x3", "x4"])[0] == "x1"
 
 
@@ -222,8 +223,9 @@ class TestMfp:
 
 
 def _mfp_deciding_every_visit(dataset, candidates, config):
-    """Reference: the MFP cycle with a fresh function selection test on every
-    visit. Returns (final spec, cycle trace of verdicts)."""
+    """Reference: the MFP cycle with a fresh, standalone function selection
+    test on every visit (no categorical candidates). Returns (final spec,
+    cycle trace of verdicts)."""
     order = removal_order(dataset, candidates, config)
     terms = {v: Term.linear(v) for v in candidates}
     trace, previous = [], None
@@ -232,7 +234,8 @@ def _mfp_deciding_every_visit(dataset, candidates, config):
         for v in order:
             adjustment = ModelSpec(tuple(t for other, t in terms.items()
                                          if other != v and t is not None))
-            decision = mfp_module._decide(dataset, v, adjustment, config)
+            decision = fsp_select(dataset, v, config.alpha_select, config.degree_for(v),
+                                  adjustment, config.alpha_fp, v in config.force_in)
             terms[v], verdicts[v] = decision.term, decision.verdict
         trace.append(verdicts)
         state = {v: terms[v] for v in order}
@@ -250,13 +253,13 @@ class TestDecisionMemo:
         reference_spec, reference_trace = _mfp_deciding_every_visit(ds, candidates, config)
 
         searched = Counter()
-        real_fsp_select = mfp_module.fsp_select
+        real_closed_test = mfp_module.closed_test
 
-        def counting_fsp_select(dataset, variable, *args, adjustment, **kwargs):
+        def counting_closed_test(design, variable, alpha, max_degree, adjustment, *args):
             searched[variable, adjustment] += 1
-            return real_fsp_select(dataset, variable, *args, adjustment=adjustment, **kwargs)
+            return real_closed_test(design, variable, alpha, max_degree, adjustment, *args)
 
-        monkeypatch.setattr(mfp_module, "fsp_select", counting_fsp_select)
+        monkeypatch.setattr(mfp_module, "closed_test", counting_closed_test)
         result = mfp(ds, candidates, config)
         assert max(searched.values()) == 1
         visits = len(result.visit_order) * len(result.cycle_trace)
@@ -266,3 +269,45 @@ class TestDecisionMemo:
         fresh = fit(ds, reference_spec)
         np.testing.assert_array_equal(result.fit.coefficients, fresh.coefficients)
         assert result.fit.deviance == fresh.deviance
+
+
+class TestOneDesignPerAnalysis:
+    """`mfp` builds one design per analysis: each searched variable's
+    pre-transformation and basis are computed once, and no factorisation
+    outlives the visit that made it."""
+
+    @staticmethod
+    def _dataset():
+        rng = np.random.default_rng(373)
+        ds = scenario_dataset(seed=373)
+        columns = {name: ds.column(name) for name in ds.column_names}
+        columns["b"] = (rng.random(ds.n) < 0.5).astype(float)  # 2 values: not searched
+        columns["g"] = rng.choice([0.0, 1.0, 2.0], size=ds.n)  # categorical: not searched
+        return Dataset.from_columns(columns, outcome="y")
+
+    def test_basis_built_once_per_searched_variable(self, monkeypatch):
+        calls = Counter()
+        for name in ("_basis", "pretransform"):
+            real = getattr(glm_module, name)
+            monkeypatch.setattr(glm_module, name,
+                                lambda *args, real=real, name=name:
+                                calls.update([name]) or real(*args))
+        result = mfp(self._dataset(), ["x1", "x2", "b", "g", "x3", "x4"],
+                     MfpConfig(categorical=frozenset({"g"})))
+        assert len(result.visit_order) * len(result.cycle_trace) > 4
+        assert calls == {"_basis": 4, "pretransform": 4}
+
+    def test_memo_holds_one_visit(self, monkeypatch):
+        made = []
+        real = mfp_module._decide
+
+        def checking(design, *args):
+            assert not design._factorisations  # nothing left from an earlier visit
+            decision = real(design, *args)
+            made.append(len(design._factorisations))
+            return decision
+
+        monkeypatch.setattr(mfp_module, "_decide", checking)
+        mfp(self._dataset(), ["x1", "x2", "b", "g", "x3", "x4"],
+            MfpConfig(categorical=frozenset({"g"})))
+        assert len(made) > 6 and min(made) > 0
