@@ -35,7 +35,8 @@ turns into bounds, times 1 -/+ `SCREEN_RTOL`, on its deviance. An FP search
 compares those; a selection step turns them into bounds on its p-value
 (`p_value_bounds`, one pass for removals and additions alike). Only
 candidates whose bounds admit the best value are scored, so a search picks
-what scoring every candidate would.
+what scoring every candidate would; a selection step left with one, its
+p-value bounds on one side of the threshold, scores none.
 Dropping a block B of columns raises the sum by b_B' V_BB^-1 b_B,
 V = covariance / sigma^2 (`removal_bounds`); adding a block C lowers it by
 r' C+ (C+' C+)^-1 C+' r, C+ being C orthogonalised against the design and r

@@ -37,10 +37,14 @@ scored, and the loop picks among them as if it had scored all. The removal
 with the largest exact p-value always passes the screen, so the trace is
 that of scoring every removal, bit for bit. Binomial fits, fits with dropped
 columns and ill-conditioned fits get no bounds, and every removal is scored.
+A step of one contender, whose p-value bounds contain the step's largest
+p-value, is decided unscored (`_decided`) when they lie wholly on one side
+of its threshold: a stop costs no factorisation, and a drop, fitted once,
+records its fit's p-value, the score's bit for bit. Other steps are scored.
 
-The addition scan (forward selection and stepwise) screens alike, by
-`glm.Design.addition_bounds`: only additions whose smallest possible p-value
-reaches the least of the largest possible ones, or without bounds, are
+The addition scan (forward selection and stepwise) screens and decides
+alike, by `glm.Design.addition_bounds`: only additions whose least possible
+p-value reaches the least of the largest possible ones, or unbounded, are
 scored. Augmented backward elimination, which needs every removal's p-value,
 scores every candidate. An addition whose design-column labels the model
 already has (another form of a variable it holds) is skipped.
@@ -143,16 +147,28 @@ def _removals(design: Design, current: FitResult, terms: Sequence[Term],
 
 
 def _screen(spec: ModelSpec, bounds: list[tuple[float, float] | None] | None,
-            protected: Sequence[Term]) -> list[Term]:
+            protected: Sequence[Term]) -> list[tuple[Term, tuple[float, float] | None]]:
     """The unprotected terms, in spec order, whose removal may have the
     largest p-value, judged by its (low, high) p-value `bounds`, those of
     the `Design.removal_bounds` deviances (`p_value_bounds`); every
-    unprotected term when there are none."""
+    unprotected term when there are none; each with its bounds."""
     bounds = bounds or [None] * len(spec.terms)
     candidates = [(t, b) for t, b in zip(spec.terms, bounds) if t not in protected]
     # The largest p-value is the least of the negated ones.
     keep = contenders([b and (-b[1], -b[0]) for _, b in candidates])
-    return [t for (t, _), k in zip(candidates, keep) if k]
+    return list(compress(candidates, keep))
+
+
+def _decided(design: Design, criterion: Criterion,
+             screened: Sequence[tuple[Term, tuple[float, float] | None]]) -> bool | None:
+    """Whether the p-value of a step's one screened (term, bounds), which they
+    contain, exceeds the criterion's threshold (df: the term's columns), as
+    scoring would find, when they lie wholly on one side of it; else None."""
+    if len(screened) != 1 or screened[0][1] is None:
+        return None
+    term, (low, high) = screened[0]
+    threshold = criterion_threshold(criterion, design.dataset.n, len(design.term_columns[term]))
+    return True if low > threshold else False if high <= threshold else None
 
 
 @dataclass
@@ -171,30 +187,38 @@ def _eliminate(runs: Sequence[_Elimination], criterion: Criterion,
                protected: Sequence[Term] = ()) -> None:
     """Advance the runs in lock step (see the module docstring), each
     dropping its least significant unprotected term while that fails the
-    criterion. A run leaves when it stops or when its step raises."""
+    criterion; a step that `_decided` settles scores nothing. A run leaves
+    when it stops or when its step raises."""
     while runs:
         deviances = [run.design.removal_bounds(run.spec, run.current) for run in runs]
         tails = iter(p_value_bounds([(run.design.dataset.n, bound, (run.current.deviance,) * 2,
                                       len(run.design.term_columns[term]))
                                      for run, reduced in zip(runs, deviances)
                                      for bound, term in zip(reduced or (), run.spec.terms)]))
-        terms = [_screen(run.spec, reduced and list(islice(tails, len(reduced))), protected)
-                 for run, reduced in zip(runs, deviances)]
+        screens = [_screen(run.spec, reduced and list(islice(tails, len(reduced))), protected)
+                   for run, reduced in zip(runs, deviances)]
+        drops = [_decided(run.design, criterion, screened) for run, screened in zip(runs, screens)]
+        terms = [[t for t, _ in screened] if drop is None else []  # the removals to score
+                 for screened, drop in zip(screens, drops)]
         scores = iter(Design.batch_scores([
             (run.design, run.design.columns([t for t in run.spec.terms if t is not term]))
-            for run, ts in zip(runs, terms) for term in ts]))
+            for run, ts in zip(runs, terms) for term in ts]) if any(terms) else ())
         going = []
-        for run, ts in zip(runs, terms):
+        for run, screened, drop, ts in zip(runs, screens, drops, terms):
             try:
                 scored = first_error(list(islice(scores, len(ts))))
                 worst = max(_removals(run.design, run.current, ts, scored),
                             key=lambda r: r[0], default=None)
-                if worst is None or worst[0] <= criterion_threshold(
+                term = screened[0][0] if drop else None
+                if worst is not None and worst[0] > criterion_threshold(
                         criterion, run.design.dataset.n, worst[1]):
+                    term = worst[2]
+                if term is None:
                     continue
-                p, _, term = worst
+                full = (run.current.deviance, run.current.model_df)
                 run.spec = run.spec.without_term(term)
                 run.current = run.design.fit(run.spec)
+                p, _ = run.design.p_value((run.current.deviance, run.current.model_df), full)
                 run.steps.append(SelectionStep("drop", term.variable, term, p,
                                                run.current.deviance))
                 going.append(run)
@@ -209,22 +233,27 @@ def _add(design: Design, spec: ModelSpec, current: FitResult, candidates: Sequen
     the (spec, fit) after the step and appends an addition to `steps`.
     Candidates whose column labels the model already has are skipped, and
     only those whose `Design.addition_bounds` admit the least p-value, or
-    that have none, are scored."""
+    that have none, are scored, unless `_decided` settles the step."""
     now = (current.deviance, current.model_df)
     admitted = [term for term in candidates if spec.admits(term)]
     blocks = [design.term_columns[term] for term in admitted]
     added = design.addition_bounds(spec.terms, blocks)
     bounds = p_value_bounds([(design.dataset.n, (now[0], now[0]), bound, len(block))
                              for bound, block in zip(added, blocks)])
-    chosen = list(compress(admitted, contenders(bounds)))
-    scores = design.scores([spec.with_term(term).terms for term in chosen])
-    best = min([(*design.p_value(now, score), term) for score, term in zip(scores, chosen)],
+    screened = list(compress(zip(admitted, bounds), contenders(bounds)))
+    exceeds = _decided(design, criterion, screened)
+    chosen = [t for t, _ in screened] if exceeds is None else []  # the additions to score
+    scores = design.scores([spec.with_term(t).terms for t in chosen])
+    best = min([(*design.p_value(now, score), t) for score, t in zip(scores, chosen)],
                key=lambda r: r[0], default=None)
-    if best is None or best[0] > criterion_threshold(criterion, design.dataset.n, best[1]):
+    term = screened[0][0] if exceeds is False else None
+    if best is not None and best[0] <= criterion_threshold(criterion, design.dataset.n, best[1]):
+        term = best[2]
+    if term is None:
         return spec, current
-    p, _, term = best
     spec = spec.with_term(term)
     current = design.fit(spec)
+    p, _ = design.p_value(now, (current.deviance, current.model_df))
     steps.append(SelectionStep("add", term.variable, term, p, current.deviance))
     return spec, current
 

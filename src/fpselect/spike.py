@@ -6,11 +6,11 @@ centered at the transformed origin, so fitted values for unexposed rows do
 not depend on the curve and the Z coefficient is exactly the jump at zero;
 this separates the qualitative exposed/unexposed contrast from the
 quantitative dose-response within the exposed. The curve is chosen by steps
-2-3 of the closed function selection test (`fsp_select` with the variable
-forced in and Z in the adjustment), so spike-at-zero and plain FP analyses
-share one implementation of that test. The null, indicator-only and
-curve-only models are scored from one `glm.Design`; only the model returned
-is fitted.
+2-3 of the closed function selection test (`fsp.closed_test` with the
+variable forced in and Z in the adjustment), so spike-at-zero and plain FP
+analyses share one implementation of that test. It and the null,
+indicator-only and curve-only models run on one `glm.Design` of the
+adjustment, Z and the spike basis; only the model returned is fitted.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .data import Dataset
 from .errors import AllZeroError, DomainError, NoSpikeError
 from .fp import FpPowers, PreTransform, pretransform
-from .fsp import FunctionForm, _linear_only_decision, fsp_degrees_of_freedom, fsp_select
+from .fsp import FunctionForm, _linear_only_decision, closed_test, fsp_degrees_of_freedom
 from .glm import Design, FitResult
 from .model import ModelSpec, Term
 
@@ -109,8 +109,8 @@ def spike_fsp(dataset: Dataset, variable: str, alpha: float,
     """Select among no effect, indicator only, curve only, or both.
 
     The curve for the positive part is chosen by steps 2-3 of the closed
-    function selection test, run through `fsp_select(force_in=True)` with Z
-    in the adjustment and the basis centred at the transformed origin:
+    function selection test, run through `fsp.closed_test` (forced in) with
+    Z in the adjustment and the basis centred at the transformed origin:
     straight line unless the best FP beats it, then FP1 unless the best FP2
     beats that. Its d.f. follow the function-selection convention (linear 1,
     FP1 2, FP2 4). The joint model {Z, curve} is then tested against the
@@ -139,19 +139,19 @@ def spike_fsp(dataset: Dataset, variable: str, alpha: float,
         return SpikeDecision(variable, verdict, None, None, z_only.step_pvalues[0],
                              None, None, alpha, decomp, terms, z_only.fit)
 
-    curve = fsp_select(dataset, variable, alpha, max_degree, adjustment.with_term(z_term),
-                       force_in=True, pre=decomp.pre, center_at=decomp.origin)
+    z_only = adjustment.with_term(z_term)
+    design = Design(dataset, adjustment, (z_term,), [(variable, decomp.pre, decomp.origin)])
+    curve = closed_test(design, variable, alpha, max_degree, z_only, alpha, True)
     fp_term, powers = curve.term, curve.powers
     fp_df = 2 * powers.degree if powers else 1
 
-    design = Design(dataset, adjustment, (z_term, fp_term))
     joint = (curve.fit.deviance, curve.fit.model_df)
     p_joint, _ = design.p_value(design.scores([adjustment.terms])[0], joint, 1 + fp_df)
     if p_joint > alpha:
         return SpikeDecision(variable, SpikeVerdict.NONE, curve.verdict, powers, p_joint,
                              None, None, alpha, decomp, (), None)
 
-    fp_only, z_only = adjustment.with_term(fp_term), adjustment.with_term(z_term)
+    fp_only = adjustment.with_term(fp_term)
     without_z, without_fp = design.scores([fp_only.terms, z_only.terms])
     p_drop_z, _ = design.p_value(without_z, joint, 1)
     p_drop_fp, _ = design.p_value(without_fp, joint, fp_df)

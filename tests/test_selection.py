@@ -17,7 +17,7 @@ from fpselect import (Criterion, CycleDetectedError, Dataset, DomainError,
                       criterion_threshold, chi2_sf, deviance_test, fit,
                       forward_select, stepwise, univariable_screen)
 from fpselect.fp import PreTransform
-from fpselect.selection import SelectionStep, SelectionTrace, _max_exposure_change
+from fpselect.selection import SelectionStep, SelectionTrace, _decided, _max_exposure_change
 
 
 def make_dataset(cols, outcome="y"):
@@ -670,9 +670,10 @@ class TestRemovalScreen:
         monkeypatch.undo()
         _assert_same_trace(trace, _quiet(_ref_backward, ds, start, criterion))
 
-    def test_one_factorisation_per_step_plus_two(self, monkeypatch):
-        # The start fit, one exact score per step (whose factorisation the
-        # step's fit reuses) and the score that stops the run.
+    def test_one_factorisation_per_step_plus_the_start(self, monkeypatch):
+        # The start fit and one fit per step: each step's one contender has
+        # bounds on one side of the threshold, so no step scores, and the
+        # step that stops the run fits nothing.
         calls = []
         householder = glm._householder
 
@@ -688,7 +689,7 @@ class TestRemovalScreen:
         spec = ModelSpec(tuple(Term.linear(f"x{j}") for j in range(8)))
         trace = backward_eliminate(make_dataset(cols), spec, Criterion.p_value(0.05))
         assert len(trace.steps) >= 4
-        assert len(calls) <= len(trace.steps) + 2
+        assert len(calls) == len(trace.steps) + 1
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(10, 80),
@@ -847,32 +848,49 @@ class TestLockStepElimination:
             with pytest.raises(DomainError, match=re.escape(str(error))):
                 backward_eliminate(dataset, start, Criterion.p_value(0.05))
 
-    def test_one_scoring_call_per_lock_step_and_the_solo_factorisations(self, monkeypatch):
+    def test_one_scoring_call_per_undecided_lock_step_and_the_solo_factorisations(
+            self, monkeypatch):
         datasets, terms = _resampled(317, Family.GAUSSIAN, 16)
-        start, criterion = ModelSpec(terms), Criterion.bic()
-        scorings, factorisations = [], []
+        start = ModelSpec(terms)
+        # The level of the first run's last BIC drop straddles that step's
+        # bounds, so that run scores it; every other step is decided.
+        last = backward_eliminate(datasets[0], start, Criterion.bic()).steps[-1]
+        criterion = Criterion.p_value(last.p_value)
+        events, factorisations = [], []
         score_designs, householder = glm.score_designs, glm._householder
+        removal_bounds = glm.Design.removal_bounds
 
         def counting_scores(*args, **kwargs):
-            scorings.append(1)
+            events.append("score")
             return score_designs(*args, **kwargs)
 
         def counting_householder(A):
             factorisations.append(1)
             return householder(A)
 
+        def marking_bounds(self, *args):  # once per run per lock step
+            events.append("step")
+            return removal_bounds(self, *args)
+
         monkeypatch.setattr(glm, "score_designs", counting_scores)
         monkeypatch.setattr(glm, "_householder", counting_householder)
-        solo = [backward_eliminate(dataset, start, criterion) for dataset in datasets]
-        solo_scorings, solo_factorisations = len(scorings), len(factorisations)
-        scorings.clear()
+        monkeypatch.setattr(glm.Design, "removal_bounds", marking_bounds)
+        solo, scored = [], []  # each run's trace and the steps it scored
+        for dataset in datasets:
+            events.clear()
+            solo.append(backward_eliminate(dataset, start, criterion))
+            step_starts = [i for i, event in enumerate(events) if event == "step"]
+            scored.append({len([s for s in step_starts if s < i]) - 1
+                           for i, event in enumerate(events) if event == "score"})
+        solo_factorisations = len(factorisations)
+        events.clear()
         factorisations.clear()
         batch = backward_eliminate_batch(datasets, start, criterion)
         monkeypatch.undo()
         steps = [len(trace.steps) for trace in solo]
         assert [len(trace.steps) for trace in batch] == steps and max(steps) >= 3
-        assert solo_scorings == sum(steps) + len(steps)  # one per step of each run
-        assert len(scorings) == max(steps) + 1  # one per lock step
+        assert scored[0] == {len(solo[0].steps)} and not any(scored[1:])
+        assert events.count("score") == len(set().union(*scored)) == 1
         assert len(factorisations) == solo_factorisations
 
 
@@ -954,6 +972,57 @@ class TestAdditionScreen:
                 _quiet(run, ds, terms, criterion)
             return
         _assert_same_trace(_quiet(run, ds, terms, criterion), expected)
+
+
+class TestStepsDecidedByBounds:
+    """A Gaussian step whose screen leaves one contender, with p-value bounds
+    wholly on one side of the threshold, is decided without scoring; a step
+    whose bounds straddle the threshold, or that has none, is scored. Either
+    way the trace equals the reference, bit for bit. Each test sets the
+    level to the exact p-value of a reference step, or just below it."""
+
+    @pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
+    def test_straddling_removal_is_scored(self, below, monkeypatch):
+        ds, terms = _mixed_dataset(304, Family.GAUSSIAN)
+        start = ModelSpec(terms)
+        before = _ref_backward(ds, start, Criterion.bic()).steps
+        p = before[-1].p_value
+        criterion = Criterion.p_value(math.nextafter(p, 0.0) if below else p)
+        trace, counts = _exact_scores_per_step(
+            monkeypatch, lambda: backward_eliminate(ds, start, criterion))
+        monkeypatch.undo()
+        j = len(before) - 1
+        assert trace.steps[:j] == before[:j] and counts[:j] == [0] * j
+        assert counts[j] >= 1  # at the level it stops, below it drops
+        assert len(trace.steps) > j if below else len(trace.steps) == j
+        _assert_same_trace(trace, _ref_backward(ds, start, criterion))
+
+    @pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
+    def test_straddling_addition_is_scored(self, below, monkeypatch):
+        ds = TestAdditionScreen._dataset(433)
+        terms = TestAdditionScreen.CANDIDATES
+        before = _ref_forward(ds, terms, Criterion.bic()).steps
+        p = before[-1].p_value
+        criterion = Criterion.p_value(math.nextafter(p, 0.0) if below else p)
+        trace, counts = _exact_scores_per_step(
+            monkeypatch, lambda: forward_select(ds, terms, criterion))
+        monkeypatch.undo()
+        j = len(before) - 1
+        assert trace.steps[:j] == before[:j] and counts[j] >= 1  # at the level it adds
+        assert len(trace.steps) == j if below else trace.steps[j] == before[j]
+        _assert_same_trace(trace, _ref_forward(ds, terms, criterion))
+
+    def test_decided_only_by_one_bounded_contender(self):
+        ds, terms = _mixed_dataset(304, Family.GAUSSIAN)
+        design = glm.Design(ds, ModelSpec(terms))
+        criterion, fp2 = Criterion.p_value(0.05), terms[4]
+        assert _decided(design, criterion, [(fp2, (0.06, 0.07))]) is True
+        assert _decided(design, criterion, [(fp2, (0.04, 0.05))]) is False
+        for screened in ([(fp2, None)], [], [(fp2, (0.04, 0.06))],
+                         [(fp2, (0.06, 0.07)), (terms[0], (0.06, 0.07))]):
+            assert _decided(design, criterion, screened) is None
+        # AIC's threshold for the FP2 term's two columns, 0.135, not one's 0.157
+        assert _decided(design, Criterion.aic(), [(fp2, (0.14, 0.15))]) is True
 
 
 class TestAlternativeForms:
