@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chi2 import chi2_sf
 from .data import Dataset, Family
 from .errors import DomainError, RangeEmptyError, TooFewDistinctValuesError
+from .glm import deviance_p_value
 from .model import Categorical as CutScheme
 
 MIN_P_NOTE = ("cutpoint chosen by minimizing the p-value: the group difference is "
@@ -54,44 +54,42 @@ def cut_by_quantiles(x, k: int) -> CutScheme:
 
 def _two_group_lr_pvalues(y: np.ndarray, x: np.ndarray, cutpoints: np.ndarray,
                           family: Family) -> np.ndarray:
-    """Vectorized 1-d.f. likelihood-ratio p-values for dichotomizing x at each
-    cutpoint (group = x > c) against the intercept-only model."""
+    """Vectorized 1-d.f. likelihood-ratio p-values (`deviance_p_value`) for
+    dichotomizing x at each cutpoint (group = x > c), which leaves rows on
+    both sides, against the intercept-only model. A Gaussian outcome is
+    centred first, so its sums keep their precision under any offset."""
     n = y.size
+    if family is Family.GAUSSIAN:
+        y = y - y.mean()
     order = np.argsort(x, kind="stable")
     y_sorted = y[order]
     x_sorted = x[order]
     csum = np.cumsum(y_sorted)
-    csum2 = np.cumsum(y_sorted ** 2)
     total = csum[-1]
-    total2 = csum2[-1]
+    if family is Family.GAUSSIAN:  # residual sums of squares
+        null = float(np.dot(y, y)) - total ** 2 / n
+    else:
+        null = _binomial_deviance(total, n)
     # Rows with x <= c form the low group.
     n_low = np.searchsorted(x_sorted, cutpoints, side="right")
-    stats = np.empty(cutpoints.size)
+    pvalues = np.empty(cutpoints.size)
     for i, m in enumerate(n_low):
-        if m == 0 or m == n:
-            stats[i] = 0.0
-            continue
         sum_low = csum[m - 1]
         sum_high = total - sum_low
-        if family is Family.GAUSSIAN:
-            rss1 = total2 - sum_low ** 2 / m - sum_high ** 2 / (n - m)
-            rss0 = total2 - total ** 2 / n
-            stats[i] = 0.0 if rss1 <= 0.0 else n * math.log(max(rss0, rss1) / rss1)
+        if family is Family.GAUSSIAN:  # less the nonnegative between-group sum of squares
+            split = null - m * (n - m) / n * (sum_low / m - sum_high / (n - m)) ** 2
         else:
-            stats[i] = _binomial_lr_stat(sum_low, m, sum_high, n - m)
-    return np.array([chi2_sf(max(s, 0.0), 1) for s in stats])
+            split = _binomial_deviance(sum_low, m) + _binomial_deviance(sum_high, n - m)
+        pvalues[i] = deviance_p_value(family, n, null, split, 1)
+    return pvalues
 
 
-def _binomial_lr_stat(k1: float, n1: int, k2: float, n2: int) -> float:
-    def ll(k, n):
-        if k <= 0 or k >= n:
-            return 0.0
-        p = k / n
-        return k * math.log(p) + (n - k) * math.log(1 - p)
-
-    k = k1 + k2
-    n = n1 + n2
-    return 2.0 * (ll(k1, n1) + ll(k2, n2) - ll(k, n))
+def _binomial_deviance(k: float, n: int) -> float:
+    """Deviance of k events in n Bernoulli trials fitted by their mean."""
+    if k <= 0 or k >= n:
+        return 0.0
+    p = k / n
+    return -2.0 * (k * math.log(p) + (n - k) * math.log(1 - p))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ The power set is S = {-2, -1, -0.5, 0, 0.5, 1, 2, 3}, with 0 denoting log x.
 Degree-1 functions use a single power; degree-2 functions use an unordered
 pair of powers, where a repeated pair (p, p) spans {x^p, x^p * log x}.
 That gives 8 degree-1 and 36 degree-2 candidates.
+
+Every FP column, of a model term, of `fp_basis` or of a search's design, is
+one of `_basis`, the one place that checks positivity, takes powers and centres.
 """
 
 from __future__ import annotations
@@ -78,36 +81,19 @@ def enumerate_fp(degree: int) -> tuple[FpPowers, ...]:
     raise DomainError(f"degree must be 1 or 2, got {degree}")
 
 
-def _power_column(x: np.ndarray, p: float) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        if p == 0.0:
-            return np.log(x)
-        return x ** p
-
-
 def fp_basis(x, powers) -> np.ndarray:
-    """Design columns of the fractional polynomial with the given powers.
+    """Design columns of the fractional polynomial with the given powers:
+    their columns of `_basis(x)`, an (n, degree) array.
 
     `x` must be strictly positive (apply a PreTransform first if needed).
     Power 0 maps to log x; a repeated pair (p, p) maps to {x^p, x^p log x}.
-    Returns an (n, degree) array.
     """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
         raise DomainError("empty input")
-    if np.any(x <= 0.0):
-        raise DomainError("fractional polynomial basis requires strictly positive values")
     if not isinstance(powers, FpPowers):
         powers = FpPowers(tuple(np.atleast_1d(powers)))
-    if powers.degree == 1:
-        return _power_column(x, powers.values[0])[:, None]
-    p1, p2 = powers.values
-    first = _power_column(x, p1)
-    if powers.repeated:
-        second = first * np.log(x)
-    else:
-        second = _power_column(x, p2)
-    return np.column_stack([first, second])
+    return _basis(x)[:, _candidate_blocks(0)[powers]]
 
 
 @functools.cache
@@ -119,17 +105,18 @@ def _candidate_blocks(first: int) -> dict[FpPowers, tuple[int, ...]]:
             for powers in enumerate_fp(1) + enumerate_fp(2)}
 
 
-def _basis(z: np.ndarray, center_at: float | None) -> np.ndarray:
+def _basis(z: np.ndarray, center_at: float | None = None) -> np.ndarray:
     """The columns z^p and z^p log z of `_candidate_blocks`, less their
-    values at `center_at`, each candidate's equal to `fp_basis`'s bit for
-    bit; an overflowed column is not finite."""
-    first = [_power_column(z, p) for p in FP_POWER_SET]
+    values at `center_at`, the source of every FP column: `z` and `center_at`
+    must be positive; an overflowed column is not finite."""
+    if np.any(z <= 0.0):
+        raise DomainError("fractional polynomial columns require strictly positive values "
+                          "(apply a PreTransform first)")
     with np.errstate(all="ignore"):
+        first = [np.log(z) if p == 0.0 else z ** p for p in FP_POWER_SET]
         columns = np.column_stack(first + [col * first[FP_POWER_SET.index(0.0)] for col in first])
         if center_at is not None:
-            center = np.array([center_at])
-            columns = columns - np.concatenate(
-                [fp_basis(center, FpPowers((p, p))) for p in FP_POWER_SET]).T.ravel()
+            columns = columns - _basis(np.array([center_at]))[0]
     return columns
 
 

@@ -547,10 +547,7 @@ class Design:
         for variable, pre, center_at in bases:
             x = dataset.column(variable)
             pre = pretransform(x) if pre is None else pre
-            z = pre.apply(x)
-            if np.any(z <= 0.0):
-                raise DomainError("power columns require strictly positive values")
-            columns.append(_basis(z, center_at))
+            columns.append(_basis(pre.apply(x), center_at))
             self.bases[variable] = Basis(pre, center_at, _candidate_blocks(len(self.labels)))
             self.labels += _basis_labels(variable)
         if bases:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError
-from .fp import FpPowers, PreTransform, fp_basis, fp_basis_labels, format_power
+from .fp import FpPowers, PreTransform, _basis, _candidate_blocks, fp_basis_labels, format_power
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,8 @@ class Linear:
 
 @dataclass(frozen=True)
 class Fp:
-    """Fractional polynomial of a covariate after its fixed pre-transformation.
+    """Fractional polynomial of a covariate after its fixed pre-transformation:
+    its block of `fp._basis` of the transformed covariate.
 
     When `center_at` is set, the basis is shifted so that every column is zero
     at that point of the transformed scale; spike-at-zero models use this so
@@ -47,15 +48,8 @@ class Fp:
         return PreTransform(self.shift, self.scale)
 
     def columns(self, x: np.ndarray) -> list[np.ndarray]:
-        z = self.pre.apply(x)
-        if np.any(z <= 0.0):
-            raise DomainError(
-                "fractional polynomial term requires positive values after shift/scale"
-            )
-        basis = fp_basis(z, self.powers)
-        if self.center_at is not None:
-            basis = basis - fp_basis(np.array([self.center_at]), self.powers)
-        return [basis[:, j] for j in range(basis.shape[1])]
+        basis = _basis(self.pre.apply(x), self.center_at)
+        return [basis[:, j] for j in _candidate_blocks(0)[self.powers]]
 
     def labels(self, variable: str) -> list[str]:
         return list(fp_basis_labels(variable, self.powers))
@@ -151,8 +145,6 @@ class Term:
     def fp(variable: str, powers, pre: PreTransform | None = None,
            center_at: float | None = None) -> "Term":
         pre = pre or PreTransform()
-        if not isinstance(powers, FpPowers):
-            powers = FpPowers(tuple(np.atleast_1d(powers)))
         return Term(variable, Fp(powers, pre.shift, pre.scale, center_at))
 
     @staticmethod

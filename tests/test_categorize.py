@@ -132,6 +132,22 @@ class TestMinPCutpoint:
         oracle_p = deviance_test(null_fit, ind_fit, 1)
         assert result.naive_p == pytest.approx(oracle_p, rel=1e-9)
 
+    def test_exact_split_found_with_p_zero(self):
+        x = np.arange(1.0, 41.0)
+        ds = Dataset.from_columns({"x": x, "y": 3.0 * (x > 20.5)}, outcome="y")
+        result = min_p_cutpoint(ds, "x")
+        assert result.cutpoint == 20.5
+        assert result.naive_p == 0.0
+
+    def test_search_unchanged_by_an_outcome_offset(self):
+        ds = two_group_dataset(seed=757, shift=0.8)
+        x, y = ds.column("x"), ds.outcome
+        result = min_p_cutpoint(ds, "x")
+        shifted = min_p_cutpoint(
+            Dataset.from_columns({"x": x, "y": y + 1e8}, outcome="y"), "x")
+        assert shifted.cutpoint == result.cutpoint
+        assert shifted.naive_p == pytest.approx(result.naive_p, rel=1e-6)
+
     def test_binomial_family_supported(self):
         rng = np.random.default_rng(761)
         n = 160

@@ -12,7 +12,9 @@ import pytest
 
 from fpselect import Family, MfpConfig, mfp, spike_fsp
 from fpselect import cli
-from fpselect.cli import EXIT_CONFIG_ERROR, load_dataset, main, render_text
+from fpselect import DataError
+from fpselect.cli import (EXIT_CONFIG_ERROR, EXIT_DATA_ERROR, EXIT_NUMERICAL_ERROR,
+                          load_dataset, main, render_text)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -36,7 +38,7 @@ def write_binary_data(path, seed=5, n=200):
             writer.writerow([row_y] + [f"{v:.6f}" for v in row_x])
 
 
-def run_cli(tmp_path, subcommand, settings):
+def run_cli(tmp_path, subcommand, settings, flags=()):
     data = tmp_path / "data.csv"
     if not data.exists():
         write_binary_data(data)
@@ -44,7 +46,7 @@ def run_cli(tmp_path, subcommand, settings):
     lines = [f"data = {data}", "outcome = y", "family = binomial", "criterion = aic"]
     config.write_text("\n".join(lines + list(settings)) + "\n", encoding="utf-8")
     out = tmp_path / subcommand
-    code = main([subcommand, "--config", str(config), "--out", str(out)])
+    code = main([subcommand, "--config", str(config), "--out", str(out), *flags])
     report_path = out / f"{subcommand.replace('-', '_')}_report.json"
     report = json.loads(report_path.read_text()) if code == 0 else None
     return code, report
@@ -74,6 +76,54 @@ class TestSelectionMethod:
         assert code == 0
         capsys.readouterr()
         assert report["method"] == "backward"
+
+
+# Each flag overrides its config key; `other` is the config's own value.
+OVERRIDES = [
+    pytest.param("stability", ["replications = 5"], "seed", "--seed", "7", "1", id="seed"),
+    pytest.param("mfp", [], "alpha_select", "--alpha-select", "0.5", "0.05",
+                 id="alpha-select"),
+    pytest.param("mfp", [], "alpha_fp", "--alpha-fp", "0.9", "0.05", id="alpha-fp"),
+    pytest.param("select", [], "criterion", "--criterion", "pvalue:0.5", "bic",
+                 id="criterion"),
+]
+
+
+@pytest.mark.parametrize("subcommand, settings, key, flag, value, other", OVERRIDES)
+def test_override_flag_gives_the_report_of_its_config_key(tmp_path, subcommand, settings, key,
+                                                           flag, value, other, capsys):
+    code, keyed = run_cli(tmp_path, subcommand, settings + [f"{key} = {value}"])
+    assert code == 0
+    code, flagged = run_cli(tmp_path, subcommand, settings + [f"{key} = {other}"], [flag, value])
+    assert code == 0
+    code, unflagged = run_cli(tmp_path, subcommand, settings + [f"{key} = {other}"])
+    assert code == 0
+    capsys.readouterr()
+    assert flagged == keyed
+    assert unflagged != keyed  # the flag changes what the analysis does
+
+
+class TestFailureExitCodes:
+    """A data error exits 3 and a model that cannot be built exits 4; in
+    both cases with one line on stderr and no report written."""
+
+    def test_non_numeric_cell_exits_3(self, tmp_path, capsys):
+        (tmp_path / "data.csv").write_text("y,a\n1,0.5\n0,1.5\n1,abc\n", encoding="utf-8")
+        code, _ = run_cli(tmp_path, "fit", [])
+        assert code == EXIT_DATA_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "line 4, column 'a': non-numeric value 'abc'" in err
+        assert not (tmp_path / "fit").exists()
+
+    def test_unfittable_model_exits_4(self, tmp_path, capsys):
+        rows = [f"{i % 2},{i},5" for i in range(1, 21)]
+        (tmp_path / "data.csv").write_text("\n".join(["y,a,c"] + rows) + "\n",
+                                           encoding="utf-8")
+        code, _ = run_cli(tmp_path, "mfp", [])
+        assert code == EXIT_NUMERICAL_ERROR
+        assert capsys.readouterr().err == "numerical error: 'c' is constant\n"
+        assert not (tmp_path / "mfp").exists()
 
 
 class TestPrintedReport:
@@ -257,6 +307,22 @@ class TestLoadDatasetFiniteCells:
             f"{path}: dropped 3 rows with missing or non-finite values in used columns"]
         assert dataset.outcome.tolist() == [1.5, 0.5, -1.0, 2.0]
         assert dataset.column("a").tolist() == [2.0, 1.0, 4.0, 1.0]
+
+    def test_missing_markers_drop_rows_with_a_used_cell(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y,a,b\n1.5,2,NA\n,1,1\n2.5,NA,0\n0.5,1,\n3,4,1\n",
+                        encoding="utf-8")
+        with pytest.warns(UserWarning, match="dropped 2 rows"):
+            dataset, dropped = load_dataset(str(path), "y", Family.GAUSSIAN, ["y", "a"])
+        assert dropped == 2  # "" in y and "NA" in a; the markers in unused b keep their rows
+        assert dataset.outcome.tolist() == [1.5, 0.5, 3.0]
+        assert dataset.column("a").tolist() == [2.0, 1.0, 4.0]
+
+    def test_no_complete_rows_is_a_data_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y,a\nNA,1\n2,\n", encoding="utf-8")
+        with pytest.raises(DataError, match="no complete rows after dropping 2"):
+            load_dataset(str(path), "y", Family.GAUSSIAN)
 
     def test_finite_file_loads_byte_identically(self, tmp_path):
         rng = np.random.default_rng(809)

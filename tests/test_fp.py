@@ -13,7 +13,7 @@ from fpselect import (Dataset, DegenerateVariableError, DomainError, Family, FpP
                       best_fp, enumerate_fp, fit, fp_basis, pretransform,
                       spike_decompose)
 from fpselect.fp import fp_basis_labels
-from fpselect.glm import fit_design
+from fpselect.glm import Design, fit_design
 from fpselect.model import design_matrix
 
 
@@ -77,10 +77,24 @@ class TestBasis:
         np.testing.assert_allclose(cols[0], [0.5, 16.0])
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            fp_basis([1.0, 0.0], (1.0,))
-        with pytest.raises(DomainError):
-            fp_basis([-1.0], (2.0,))
+        """`fp_basis`, an FP term and a search design refuse a nonpositive
+        value or centre with the same error."""
+        ds = Dataset.from_columns({"x": [-1.0, 1.0, 2.0, 3.0], "y": [0.0, 1.0, 0.0, 2.0]},
+                                  outcome="y")
+        builds = [lambda: fp_basis([1.0, 0.0], (1.0,)),
+                  lambda: fp_basis([-1.0], (2.0,)),
+                  lambda: design_matrix(ds, ModelSpec((Term.fp("x", (1.0,)),))),
+                  lambda: design_matrix(ds, ModelSpec((Term.fp("x", (1.0,), PreTransform(2.0),
+                                                               center_at=-0.5),))),
+                  lambda: Design(ds, ModelSpec(), bases=[("x", PreTransform(), None)]),
+                  lambda: Design(ds, ModelSpec(), bases=[("x", None, 0.0)])]
+        messages = set()
+        for build in builds:
+            with pytest.raises(DomainError) as info:
+                build()
+            messages.add(str(info.value))
+        assert messages == {"fractional polynomial columns require strictly positive values "
+                            "(apply a PreTransform first)"}
 
     def test_finite_over_wide_range(self):
         x = np.geomspace(1e-8, 1e8, 64)

@@ -598,8 +598,8 @@ _ALL_POWERS = st.sampled_from(fpselect.enumerate_fp(1) + fpselect.enumerate_fp(2
 
 class TestSharedBasisColumns:
     """An FP term's columns in a design that holds its variable's basis
-    behind other terms equal `design_matrix`'s for the term bit for bit, and
-    the term resolves to them."""
+    behind other terms equal `design_matrix`'s for the term, and `fp_basis`
+    less its value at the centre, bit for bit, and the term resolves to them."""
 
     @pytest.mark.parametrize("center_at", [None, 1.3])
     def test_every_power_vector(self, center_at):
@@ -610,12 +610,17 @@ class TestSharedBasisColumns:
         for variable in ("z", "x"):
             basis = design.bases[variable]
             assert basis.pre == pretransform(ds.column(variable))
+            z = basis.pre.apply(ds.column(variable))
             for powers in fpselect.enumerate_fp(1) + fpselect.enumerate_fp(2):
                 term = Term.fp(variable, powers, basis.pre, center_at)
                 X, labels, columns = design_matrix(ds, ModelSpec((_GROUPS, term)))
                 own = np.ascontiguousarray(X[:, columns[term]])
                 shared = np.ascontiguousarray(design.X[:, basis.blocks[powers]])
                 assert shared.tobytes() == own.tobytes(), (variable, powers)
+                alone = fp_basis(z, powers)
+                if center_at is not None:
+                    alone = alone - fp_basis([center_at], powers)
+                assert shared.tobytes() == np.ascontiguousarray(alone).tobytes(), powers
                 assert design.columns([_GROUPS, term]) == (0, 1, 2, *basis.blocks[powers])
                 assert [design.labels[c] for c in basis.blocks[powers]] == term.labels()
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fpselect import (Criterion, DomainError, Family, Fp, InvalidCorrelationError, Linear,
-                      ModelBuildError, ModelSpec, Term, fit, pretransform, spike_fsp)
+from fpselect import (Criterion, Dataset, DomainError, Family, Fp, InvalidCorrelationError,
+                      Linear, ModelBuildError, ModelSpec, Term, fit, pretransform, spike_fsp)
 from fpselect import simlab
 
 
@@ -267,6 +267,19 @@ class TestChunkedEvaluate:
             simlab.evaluate(lambda datasets: procedure(datasets)[1:],
                             spike_scenario(Family.GAUSSIAN), 37)
 
+
+    # x1's search adjusts for the constant x2 before x2's own visit fails.
+    @pytest.mark.filterwarnings("ignore:dropping aliased design columns")
+    def test_mfp_procedure_answers_a_failing_dataset_with_its_error(self):
+        datasets = [simlab.generate(linear_scenario(), r) for r in range(3)]
+        columns = {"x1": datasets[1].column("x1"), "x2": np.full(datasets[1].n, 2.0),
+                   "y": datasets[1].outcome}
+        datasets[1] = Dataset.from_columns(columns, outcome="y")  # x2 constant
+        results = simlab.mfp_procedure()(datasets)
+        assert isinstance(results[1], ModelBuildError) and str(results[1]) == "'x2' is constant"
+        for dataset, result in zip(datasets[::2], results[::2]):
+            alone = simlab.mfp_procedure()([dataset])[0]
+            assert result.coefficients.tobytes() == alone.coefficients.tobytes()
 
     def test_empty_batch_answers_nothing(self):
         assert simlab.be_procedure(Criterion.aic())([]) == []
