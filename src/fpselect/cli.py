@@ -345,34 +345,42 @@ def load_dataset(path: str, outcome: str, family: Family,
         used = [outcome] + used
     col_idx = {name: header.index(name) for name in used}
 
-    parsed: dict[str, list[float]] = {name: [] for name in used}
-    n_dropped = 0
-    for row_no, row in enumerate(rows, start=2):  # header is line 1
-        if len(row) != len(header):
-            raise DataError(f"{path}: line {row_no} has {len(row)} fields, "
-                            f"expected {len(header)}")
-        values = {}
-        missing = False
-        for name in used:
-            cell = row[col_idx[name]].strip()
-            if cell in MISSING_MARKERS:
-                missing = True
-                break
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: line {row_no}, column {name!r}: "
-                                f"non-numeric value {cell!r}") from None
-            if not math.isfinite(value):
-                missing = True
-                break
-            values[name] = value
-        if missing:
-            n_dropped += 1
-            continue
-        for name in used:
-            parsed[name].append(values[name])
-    if not parsed[outcome]:
+    try:  # the used cells in one conversion, which parses as float() does
+        if any(len(row) != len(header) for row in rows):
+            raise ValueError
+        cells = [["nan" if (cell := row[i].strip()) in MISSING_MARKERS else cell
+                  for i in col_idx.values()] for row in rows]
+        values = np.array(cells, float).reshape(-1, len(col_idx))
+        keep = np.isfinite(values).all(axis=1)
+        parsed, n_dropped = dict(zip(col_idx, values[keep].T)), len(rows) - int(keep.sum())
+    except ValueError:  # the per-cell loop names the bad cell or row
+        parsed, n_dropped = {name: [] for name in used}, 0
+        for row_no, row in enumerate(rows, start=2):  # header is line 1
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {row_no} has {len(row)} fields, "
+                                f"expected {len(header)}")
+            values = {}
+            missing = False
+            for name in used:
+                cell = row[col_idx[name]].strip()
+                if cell in MISSING_MARKERS:
+                    missing = True
+                    break
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(f"{path}: line {row_no}, column {name!r}: "
+                                    f"non-numeric value {cell!r}") from None
+                if not math.isfinite(value):
+                    missing = True
+                    break
+                values[name] = value
+            if missing:
+                n_dropped += 1
+                continue
+            for name in used:
+                parsed[name].append(values[name])
+    if not len(parsed[outcome]):
         raise DataError(f"{path}: no complete rows after dropping {n_dropped}")
     if n_dropped:
         warnings.warn(f"{path}: dropped {n_dropped} rows with missing or "

@@ -14,7 +14,8 @@ columns, which follow the terms'), scored by one entry, `Design.batch_scores`
 of (design, column subset) pairs of one design or several, with a score or an
 error per pair (`Design.scores` raises the first, `first_error`), tested
 (`Design.p_value`) and fitted, and one memo keyed by the subset keeps every
-factorisation (for one visit, in `mfp`).
+factorisation (for one visit, in `mfp`). A selection step records the model
+it moves to (`Design.steps`, a `Step`) instead of fitting it.
 
 The scorer fits its designs `_LOCKSTEP_FITS` at a time, binomial ones (folds,
 FP candidates, an elimination step's removals) in lock step (`_irls`): the
@@ -28,6 +29,8 @@ order); only fits of equal shape are stacked (padding would change numpy's
 pairwise row sums); and a stack holds at most `_LOCKSTEP_FITS` fits, as
 `score_designs` reads no more at a time (200 folds in one stack raised the
 peak RSS of 20 `shrink_loo` analyses from 65.7 to 81.2 MB, 16 by 0.0 MB).
+`Design.steps` stacks the factorisations of the models it records alike,
+one `_scaled_qrs` call per shape, each keeping its own solve and X @ beta.
 
 Gaussian searches need not score every candidate. A QR update of the
 current fit gives each candidate's residual sum of squares, which `Design`
@@ -38,7 +41,8 @@ candidates whose bounds admit the best value are scored, so a search picks
 what scoring every candidate would; a selection step left with one, its
 p-value bounds on one side of the threshold, scores none.
 Dropping a block B of columns raises the sum by b_B' V_BB^-1 b_B,
-V = covariance / sigma^2 (`removal_bounds`); adding a block C lowers it by
+V = (R'R)^-1 = covariance / sigma^2, which the current model's `Step`
+carries (`removal_bounds`); adding a block C lowers it by
 r' C+ (C+' C+)^-1 C+' r, C+ being C orthogonalised against the design and r
 the residual (`addition_bounds`; Miller 2002, *Subset Selection in
 Regression*, ch. 2; Efroymson 1960). There one `dormqr` applies the design's
@@ -54,14 +58,15 @@ being the triangular factor of its p columns scaled to unit norm. One guard
 (`_well_conditioned`) gives bounds only when this bound on c is at most
 `SCREEN_MAX_CONDITION` = 1e6, so u c <= 1.1e-10 and `SCREEN_RTOL` = 1e-6
 leaves a factor of 1e4 for the constants. A removal reads
-VIF_j = ||x_j||^2 V_jj from the fit. An m-column addition has
+VIF_j = ||x_j||^2 V_jj from the `Step`. An m-column addition has
 R = [[R_A, S], [0, R_C]] with ||S||_2 <= sqrt(m), so sum VIF <=
 V_A + V_C (1 + m V_A) with V_A = ||R_A^-1||_F^2 and the orthogonalised
 block's V_C = ||R_C^-1||_F^2 <= 2.5e11: its exact fit, which drops a column
 only beyond a VIF of PIVOT_TOL^-2 = 1e20, keeps every column, and an aliased
 block (a tiny orthogonalised norm) is scored. Measured relative errors:
-removals, at most 0.85 u c on 3,000 random designs (c up to 1e15) and
-9.5e-16 on 464 `stability_be` elimination steps; additions, at most
+removals, with V from `Design.steps`, at most 0.077 u c on 3,000 random
+designs (c up to 3e16; a V from the fit's covariance gave the same) and
+1.3e-15 on 11,328 removals of `stability_be` steps; additions, at most
 1.71 u c on 198,000 candidates of 4,500 random FP searches (collinear,
 offset and rescaled adjustments, c up to 1e15) and 6.7e-14 on the 16,764 of
 24 `mfp_gauss` datasets, 94% of them bounded, where a degree's best two came
@@ -78,7 +83,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtri, dtrtrs
@@ -149,6 +154,16 @@ class FitResult:
         if self.family is Family.BINOMIAL:
             return _expit(eta)
         return eta
+
+
+class Step(NamedTuple):
+    """A model that a selection step moves to (`Design.steps`): a score, and
+    for a Gaussian fit that keeps every column its coefficients and V."""
+
+    deviance: float
+    model_df: int
+    coefficients: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:
@@ -223,19 +238,12 @@ def _r_factor(qr: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _embed(values: np.ndarray, kept: list[int], p: int) -> np.ndarray:
+    """A vector, or a matrix, over the kept of p columns, zero elsewhere."""
     if len(kept) == p:
         return values
-    out = np.zeros(p)
-    out[kept] = values
+    out = np.zeros((p,) * values.ndim)
+    out[np.ix_(*[kept] * values.ndim)] = values
     return out
-
-
-def _embed_cov(cov_kept: np.ndarray, kept: list[int], p: int) -> np.ndarray:
-    if len(kept) == p:
-        return cov_kept
-    cov = np.zeros((p, p))
-    cov[np.ix_(kept, kept)] = cov_kept
-    return cov
 
 
 def _cov_from_r(R: np.ndarray) -> np.ndarray:
@@ -384,25 +392,26 @@ def score_designs(designs: Iterable[tuple[np.ndarray, np.ndarray, tuple | None]]
             yield result
 
 
-def _dropped(column_labels: tuple[str, ...], kept: list[int]) -> tuple[str, ...]:
+def _dropped(column_labels: tuple[str, ...], kept: list[int], warn=True) -> tuple[str, ...]:
     """The labels of the columns not kept, warned of at the caller's caller."""
     dropped = tuple(label for j, label in enumerate(column_labels) if j not in kept)
-    if dropped:
+    if dropped and warn:
         warnings.warn(f"dropping aliased design columns: {', '.join(dropped)}", stacklevel=4)
     return dropped
 
 
 def fit_design(X: np.ndarray, y: np.ndarray, family: Family, column_labels: tuple[str, ...],
-               max_iter: int = MAX_ITER, factors=None, spec: ModelSpec | None = None) -> FitResult:
+               max_iter: int = MAX_ITER, factors=None, spec: ModelSpec | None = None,
+               warn: bool = True) -> FitResult:
     """Fit a prebuilt design matrix. Core engine behind `fit` and the searches.
 
     `factors` is the `_factorise` result of this X and y when the caller
     already has it; `spec`, the model spec X was built from, is recorded in
-    the result."""
+    the result. `warn=False` leaves dropped columns unwarned."""
     n, p = X.shape
     factors = _factorise(X, y) if factors is None else factors
     kept = factors[0]
-    dropped = _dropped(column_labels, kept)
+    dropped = _dropped(column_labels, kept, warn)
     _check_rank(kept, n)
 
     (result,) = _fit_chunk([(X, y, factors)], family, max_iter)
@@ -418,7 +427,7 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family, column_labels: tupl
         log_likelihood = -deviance / 2.0
     return FitResult(
         coefficients=_embed(beta_k, kept, p),
-        covariance=_embed_cov(cov_kept, kept, p),
+        covariance=_embed(cov_kept, kept, p),
         deviance=deviance,
         log_likelihood=log_likelihood,
         model_df=len(kept),
@@ -607,32 +616,69 @@ class Design:
             out.append(scored)
         return out
 
-    def fit(self, spec: ModelSpec) -> FitResult:
-        """Fit of `spec` from the column subset of its terms."""
+    def fit(self, spec: ModelSpec, warn: bool = True) -> FitResult:
+        """Fit of `spec` from the column subset of its terms (`fit_design`)."""
         cols = self.columns(spec.terms)
         return fit_design(self.X[:, cols], self.dataset.outcome, self.dataset.family,
                           tuple(self.labels[c] for c in cols), factors=self._factors(cols),
-                          spec=spec)
+                          spec=spec, warn=warn)
 
-    def removal_bounds(self, spec: ModelSpec,
-                       current: FitResult) -> list[tuple[float, float]] | None:
+    @staticmethod
+    def steps(models: Sequence[tuple[Design, ModelSpec, tuple[float, int] | None]]) -> list:
+        """The `Step` of each (design, spec, score), or the ModelBuildError of
+        its fit; `score` is its `batch_scores` score, which a binomial model
+        takes, or None. The fits reuse memoised factorisations; the others
+        share one `_scaled_qrs` stack per (n, k) shape, unless alone in it,
+        aliased or not finite (`_factorise`). Dropped columns warn."""
+        subsets = [(design, design.columns(spec.terms), score) for design, spec, score in models]
+        Xs, shapes = [design.X[:, cols] for design, cols, _ in subsets], {}
+        for i, (design, cols, _) in enumerate(subsets):
+            if cols not in design._factorisations and 0 < len(cols) <= design.dataset.n:
+                shapes.setdefault(Xs[i].shape, []).append(i)
+        for ids in (ids for ids in shapes.values() if len(ids) > 1):
+            At = np.stack([Xs[i].T for i in ids])  # At[j, c] is column c of design j
+            peak = np.abs(At).max(axis=2)
+            scales, qrs, aliased = _scaled_qrs(At, peak)
+            for j in np.flatnonzero(np.isfinite(peak).all(axis=1) & ~aliased.any(axis=1)):
+                design, cols, _ = subsets[ids[j]]
+                design._factorisations[cols] = (list(range(len(cols))), *qrs[j], scales[j])
+        out, full = [], {}  # the Gaussian fits that keep every column, by k
+        for (design, cols, score), X in zip(subsets, Xs):
+            try:
+                kept, qr, _, scale = factors = design._factors(cols)
+                _dropped(tuple(design.labels[c] for c in cols), kept)
+                _check_rank(kept, design.dataset.n)
+                if score and design.dataset.family is Family.BINOMIAL:
+                    out.append(Step(*score))
+                    continue
+                (beta, R, deviance, *_), = first_error(_fit_chunk(
+                    [(X, design.dataset.outcome, factors)], design.dataset.family))
+                if R is None and len(kept) == len(cols):
+                    full.setdefault(len(kept), []).append((len(out), beta, _r_factor(qr, scale)))
+                out.append(Step(deviance, len(kept)))
+            except ModelBuildError as error:
+                out.append(error)
+        for rows in full.values():  # V = R^-1 R^-T, one batched product per k
+            rinv = np.triu(np.stack([dtrtri(r)[0] for _, _, r in rows]))  # R is full rank
+            for (i, beta, _), v in zip(rows, rinv @ rinv.transpose(0, 2, 1)):
+                out[i] = Step(out[i].deviance, out[i].model_df, beta, v)
+        return out
+
+    def removal_bounds(self, spec: ModelSpec, current: Step) -> list[tuple[float, float]] | None:
         """(low, high) bounds on the deviance of dropping each term of `spec`,
-        in spec order, from the Gaussian fit `current` of `spec` by the Wald
+        in spec order, from its Gaussian fit `current` (a `Step`) by the Wald
         update (see the module docstring); None when the bounds are not
         guaranteed. Scalars are Python floats, which overflow to inf without
         a warning."""
-        dev, p, n = current.deviance, current.model_df, self.dataset.n
-        if (self.dataset.family is not Family.GAUSSIAN or current.dropped_columns
-                or not dev > 0.0 or not (self.intercept or len(spec.terms) > 1)):
+        dev, p, v = current.deviance, current.model_df, current.v
+        if v is None or not dev > 0.0 or not (self.intercept or len(spec.terms) > 1):
             return None
         blocks = [self.term_columns[term] for term in spec.terms]
         cols = [0] * self.intercept + [c for block in blocks for c in block]
         norms = [self._sq_norms[c] for c in cols]
-        var = current.covariance.diagonal().tolist()
-        if min(norms + var) < _TINY:
-            return None
-        sigma2 = dev / (n - p)
-        if not _well_conditioned(p, sum(map(operator.mul, norms, var)) / sigma2, self._yy, dev):
+        var = v.diagonal().tolist()
+        if min(norms + var) < _TINY or not _well_conditioned(
+                p, sum(map(operator.mul, norms, var)), self._yy, dev):
             return None
         beta = current.coefficients.tolist()
         reduced = []
@@ -644,8 +690,8 @@ class Design:
             else:
                 b = current.coefficients[start:end]
                 with np.errstate(all="ignore"):
-                    delta = float(b @ np.linalg.solve(current.covariance[start:end, start:end], b))
-            approx = dev + delta * sigma2
+                    delta = float(b @ np.linalg.solve(v[start:end, start:end], b))
+            approx = dev + delta
             if not math.isfinite(approx):
                 return None
             reduced.append((max(approx * (1.0 - SCREEN_RTOL), dev), approx * (1.0 + SCREEN_RTOL)))

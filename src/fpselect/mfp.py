@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import DomainError
+from .errors import DomainError, TooFewDistinctValuesError
 from .fsp import (FunctionDecision, FunctionForm, _linear_only_decision, _searchable,
                   closed_test)
 from .glm import Design, FitResult
@@ -140,6 +140,9 @@ def mfp(dataset: Dataset, candidates: Sequence[str],
     config = config or MfpConfig()
 
     base = {v: _base_term(dataset, v, config) for v in candidates}
+    for v in candidates:  # `closed_test` would raise this only at the variable's visit
+        if v not in config.categorical and np.unique(dataset.column(v)).size < 2:
+            raise TooFewDistinctValuesError(f"{v!r} is constant")
     full_spec = ModelSpec(tuple(base.values()))
     design = Design(dataset, full_spec, bases=[
         (v, None, None) for v in candidates

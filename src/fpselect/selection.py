@@ -9,45 +9,51 @@ p-value is below chi2_sf(2k, k), and analogously with penalty log(n) for BIC),
 so selection under AIC/BIC is implemented through that equivalence.
 
 Each run builds the design of every term it can use once (`glm.Design`) and
-scores the candidate models of a step, its removals or its additions,
-together from column subsets of it (`glm.Design.scores`; binomial ones in
-lock step): deviance and kept columns, without a covariance or a
-`FitResult`. Only the start model and the models a run moves to are fitted,
-so the trace equals fitting every candidate. One elimination loop and one
-addition scan serve every procedure.
+scores the candidate models of a step, its removals or its additions, together
+from column subsets of it (`glm.Design.scores`; binomial ones in lock step):
+deviance and kept columns, without a covariance or a `FitResult`. The start
+model and each model a run moves to become step records (`glm.Design.steps`,
+`glm.Step`): deviance, model df and, for a Gaussian fit with no dropped
+column, β and V = (R'R)^-1. A scored model reuses its factorisation, and a
+binomial one its score. Only a run's final model is fitted as a `FitResult`,
+which does not warn again of the dropped columns its record warned of. Every
+deviance is that of the fit, so the trace equals fitting every candidate. One
+elimination loop and one addition scan serve every procedure.
 
 The one elimination loop (`_eliminate`) advances a batch of runs, one per
 dataset, in lock step: `backward_eliminate_batch` (a chunk of stability
 replications), and `backward_eliminate` and stepwise's re-checks as batches
-of one. A step bounds every run's removal deviances, turns them all into
-p-value bounds in one `glm.p_value_bounds` pass, scores every run's screened
-removals, column subsets of its design, in one `glm.Design.batch_scores`
-call, and lets each run test, fit and fail on its own; a ModelBuildError
-ends only its run. Each run's removals meet the scorer, its memo and its
-first-error rule (`glm.first_error`) as when alone, so each trace is
-that of its run alone, bit for bit.
+of one. A step records every run's new model in one `glm.Design.steps`
+call, which factorises them in one stack per shape, bounds every run's
+removal deviances, turns them into p-value bounds in one
+`glm.p_value_bounds` pass, scores every run's screened removals in one
+`glm.Design.batch_scores` call, and lets each run test and fail on its own;
+a ModelBuildError ends only its run. Each run's models meet the scorer, its
+memo and its first-error rule (`glm.first_error`) as when alone, so each
+trace is that of its run alone, bit for bit.
 
 The loop screens before it scores. `glm.Design.removal_bounds` bounds the
-deviance of every removal from the current Gaussian fit by the Wald update,
-within a relative `glm.SCREEN_RTOL` = 1e-6, when the fit's residual
+deviance of every removal from the current Gaussian model by the Wald
+update, within a relative `glm.SCREEN_RTOL` = 1e-6, when its residual
 condition estimate is at most `glm.SCREEN_MAX_CONDITION` = 1e6, and the
-loop turns them into bounds on its p-value. Only the removals whose largest
+loop turns them into p-value bounds. Only the removals whose largest
 possible p-value reaches the largest of the smallest possible ones are
-scored, and the loop picks among them as if it had scored all. The removal
-with the largest exact p-value always passes the screen, so the trace is
-that of scoring every removal, bit for bit. Binomial fits, fits with dropped
-columns and ill-conditioned fits get no bounds, and every removal is scored.
-A step of one contender, whose p-value bounds contain the step's largest
-p-value, is decided unscored (`_decided`) when they lie wholly on one side
-of its threshold: a stop costs no factorisation, and a drop, fitted once,
-records its fit's p-value, the score's bit for bit. Other steps are scored.
+scored. The removal with the largest exact p-value always passes, so the
+trace is that of scoring every removal, bit for bit. Binomial models,
+models with dropped columns and ill-conditioned ones get no bounds, and
+every removal is scored. A step of one contender, whose p-value bounds
+contain the step's largest p-value, is decided unscored (`_decided`) when
+they lie wholly on one side of its threshold: a stop costs no
+factorisation, and a drop records the p-value of its model's fit, the
+score's bit for bit. Other steps are scored.
 
-The addition scan (forward selection and stepwise) screens and decides
-alike, by `glm.Design.addition_bounds`: only additions whose least possible
-p-value reaches the least of the largest possible ones, or unbounded, are
-scored. Augmented backward elimination, which needs every removal's p-value,
-scores every candidate. An addition whose design-column labels the model
-already has (another form of a variable it holds) is skipped.
+The addition scan (forward selection and stepwise) screens and decides alike,
+by `glm.Design.addition_bounds`: only additions whose least possible p-value
+reaches the least of the largest possible ones, or unbounded, are scored.
+Augmented backward elimination scores every candidate, as it needs every
+removal's p-value, and keeps `FitResult`s, whose coefficients its
+change-in-estimate check reads. An addition whose design-column labels the
+model already has (another form of a variable it holds) is skipped.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ from typing import Sequence, Union
 from .chi2 import chi2_sf
 from .data import Dataset
 from .errors import CycleDetectedError, DomainError, ExposureMissingError, ModelBuildError
-from .glm import Design, FitResult, contenders, first_error, p_value_bounds
+from .glm import Design, FitResult, Step, contenders, first_error, p_value_bounds
 from .model import ModelSpec, Term
 
 
@@ -138,12 +144,12 @@ class SelectionTrace:
         return tuple(dict.fromkeys(t.variable for t in self.final_spec.terms))
 
 
-def _removals(design: Design, current: FitResult, terms: Sequence[Term],
-              scores: Sequence[tuple[float, int]]) -> list[tuple[float, int, Term]]:
-    """(p-value, df, term) of dropping each of `terms` from the current model,
-    the models without them having scored `scores`."""
+def _removals(design: Design, current: FitResult | Step, terms: Sequence[Term],
+              scores: Sequence[tuple[float, int]]) -> list[tuple[float, int, Term, tuple]]:
+    """(p-value, df, term, score) of dropping each of `terms` from the
+    current model, the models without them having scored `scores`."""
     full = (current.deviance, current.model_df)
-    return [(*design.p_value(score, full), term) for score, term in zip(scores, terms)]
+    return [(*design.p_value(score, full), term, score) for score, term in zip(scores, terms)]
 
 
 def _screen(spec: ModelSpec, bounds: list[tuple[float, float] | None] | None,
@@ -173,12 +179,12 @@ def _decided(design: Design, criterion: Criterion,
 
 @dataclass
 class _Elimination:
-    """One dataset's backward elimination, as `_eliminate` advances it;
-    `error` is the ModelBuildError that ended it, if one did."""
+    """One dataset's backward elimination, as `_eliminate` advances it; `current`
+    is None until it is recorded, `error` the ModelBuildError that ended it."""
 
     design: Design | None
     spec: ModelSpec
-    current: FitResult | None
+    current: Step | None
     steps: list[SelectionStep]
     error: ModelBuildError | None = None
 
@@ -189,7 +195,21 @@ def _eliminate(runs: Sequence[_Elimination], criterion: Criterion,
     dropping its least significant unprotected term while that fails the
     criterion; a step that `_decided` settles scores nothing. A run leaves
     when it stops or when its step raises."""
-    while runs:
+    moves = [(run, None, None) for run in runs if run.current is None]  # (run, term, score)
+    runs = [run for run in runs if run.current is not None]
+    while True:
+        for (run, term, _), step in zip(moves, Design.steps(
+                [(run.design, run.spec, score) for run, _, score in moves]) if moves else ()):
+            if isinstance(step, ModelBuildError):
+                run.error = step
+                continue
+            if term is not None:
+                p, _ = run.design.p_value(step, run.current)
+                run.steps.append(SelectionStep("drop", term.variable, term, p, step.deviance))
+            run.current = step
+            runs.append(run)
+        if not runs:
+            return
         deviances = [run.design.removal_bounds(run.spec, run.current) for run in runs]
         tails = iter(p_value_bounds([(run.design.dataset.n, bound, (run.current.deviance,) * 2,
                                       len(run.design.term_columns[term]))
@@ -203,59 +223,52 @@ def _eliminate(runs: Sequence[_Elimination], criterion: Criterion,
         scores = iter(Design.batch_scores([
             (run.design, run.design.columns([t for t in run.spec.terms if t is not term]))
             for run, ts in zip(runs, terms) for term in ts]) if any(terms) else ())
-        going = []
+        moves = []
         for run, screened, drop, ts in zip(runs, screens, drops, terms):
             try:
                 scored = first_error(list(islice(scores, len(ts))))
                 worst = max(_removals(run.design, run.current, ts, scored),
                             key=lambda r: r[0], default=None)
-                term = screened[0][0] if drop else None
+                move = (screened[0][0], None) if drop else None
                 if worst is not None and worst[0] > criterion_threshold(
                         criterion, run.design.dataset.n, worst[1]):
-                    term = worst[2]
-                if term is None:
-                    continue
-                full = (run.current.deviance, run.current.model_df)
-                run.spec = run.spec.without_term(term)
-                run.current = run.design.fit(run.spec)
-                p, _ = run.design.p_value((run.current.deviance, run.current.model_df), full)
-                run.steps.append(SelectionStep("drop", term.variable, term, p,
-                                               run.current.deviance))
-                going.append(run)
+                    move = worst[2:]
+                if move is not None:
+                    run.spec = run.spec.without_term(move[0])
+                    moves.append((run, *move))
             except ModelBuildError as error:
                 run.error = error
-        runs = going
+        runs = []
 
 
-def _add(design: Design, spec: ModelSpec, current: FitResult, candidates: Sequence[Term],
+def _add(design: Design, spec: ModelSpec, current: Step, candidates: Sequence[Term],
          criterion: Criterion, steps: list[SelectionStep]):
     """Add the most significant candidate if it passes the criterion; returns
-    the (spec, fit) after the step and appends an addition to `steps`.
+    the (spec, `glm.Step`) after the step and appends an addition to `steps`.
     Candidates whose column labels the model already has are skipped, and
     only those whose `Design.addition_bounds` admit the least p-value, or
     that have none, are scored, unless `_decided` settles the step."""
-    now = (current.deviance, current.model_df)
     admitted = [term for term in candidates if spec.admits(term)]
     blocks = [design.term_columns[term] for term in admitted]
     added = design.addition_bounds(spec.terms, blocks)
-    bounds = p_value_bounds([(design.dataset.n, (now[0], now[0]), bound, len(block))
+    bounds = p_value_bounds([(design.dataset.n, (current.deviance,) * 2, bound, len(block))
                              for bound, block in zip(added, blocks)])
     screened = list(compress(zip(admitted, bounds), contenders(bounds)))
     exceeds = _decided(design, criterion, screened)
     chosen = [t for t, _ in screened] if exceeds is None else []  # the additions to score
     scores = design.scores([spec.with_term(t).terms for t in chosen])
-    best = min([(*design.p_value(now, score), t) for score, t in zip(scores, chosen)],
+    best = min([(*design.p_value(current, score), t, score) for score, t in zip(scores, chosen)],
                key=lambda r: r[0], default=None)
-    term = screened[0][0] if exceeds is False else None
+    move = (screened[0][0], None) if exceeds is False else None
     if best is not None and best[0] <= criterion_threshold(criterion, design.dataset.n, best[1]):
-        term = best[2]
-    if term is None:
+        move = best[2:]
+    if move is None:
         return spec, current
-    spec = spec.with_term(term)
-    current = design.fit(spec)
-    p, _ = design.p_value(now, (current.deviance, current.model_df))
-    steps.append(SelectionStep("add", term.variable, term, p, current.deviance))
-    return spec, current
+    spec = spec.with_term(move[0])
+    step = first_error(Design.steps([(design, spec, move[1])]))[0]
+    p, _ = design.p_value(current, step)
+    steps.append(SelectionStep("add", move[0].variable, move[0], p, step.deviance))
+    return spec, step
 
 
 def backward_eliminate_batch(datasets: Sequence[Dataset], start_spec: ModelSpec,
@@ -266,13 +279,13 @@ def backward_eliminate_batch(datasets: Sequence[Dataset], start_spec: ModelSpec,
     runs = []
     for dataset in datasets:
         try:
-            design = Design(dataset, start_spec)
-            runs.append(_Elimination(design, start_spec, design.fit(start_spec), []))
+            runs.append(_Elimination(Design(dataset, start_spec), start_spec, None, []))
         except ModelBuildError as error:  # a run that cannot start
             runs.append(_Elimination(None, start_spec, None, [], error))
     _eliminate([run for run in runs if not run.error], criterion, tuple(protected))
-    return [run.error or SelectionTrace(start_spec, tuple(run.steps), run.spec, run.current,
-                                        criterion) for run in runs]
+    return [run.error or SelectionTrace(start_spec, tuple(run.steps), run.spec,
+                                        run.design.fit(run.spec, warn=False), criterion)
+            for run in runs]
 
 
 def backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
@@ -301,7 +314,7 @@ def forward_select(dataset: Dataset, candidates: Sequence[Union[str, Term]],
     initial = start_spec or ModelSpec()
     terms = _as_terms(candidates)
     design = Design(dataset, initial, terms)
-    spec, current = initial, design.fit(initial)
+    spec, current = initial, first_error(Design.steps([(design, initial, None)]))[0]
     remaining = [t for t in terms if t not in spec.terms]
     steps: list[SelectionStep] = []
     while remaining:
@@ -310,7 +323,7 @@ def forward_select(dataset: Dataset, candidates: Sequence[Union[str, Term]],
         if len(steps) == taken:
             break
         remaining.remove(steps[-1].term)
-    return SelectionTrace(initial, tuple(steps), spec, current, criterion)
+    return SelectionTrace(initial, tuple(steps), spec, design.fit(spec, warn=False), criterion)
 
 
 def stepwise(dataset: Dataset, candidates: Sequence[Union[str, Term]],
@@ -331,7 +344,7 @@ def stepwise(dataset: Dataset, candidates: Sequence[Union[str, Term]],
     all_terms = _as_terms(candidates)
     spec = ModelSpec()
     design = Design(dataset, spec, all_terms)
-    current = design.fit(spec)
+    current = first_error(Design.steps([(design, spec, None)]))[0]
     steps: list[SelectionStep] = []
     for _ in range(max_iterations):
         taken = len(steps)
@@ -344,7 +357,8 @@ def stepwise(dataset: Dataset, candidates: Sequence[Union[str, Term]],
             raise run.error
         spec, current = run.spec, run.current
         if len(steps) == taken:
-            return SelectionTrace(ModelSpec(), tuple(steps), spec, current, criterion_in)
+            return SelectionTrace(ModelSpec(), tuple(steps), spec,
+                                  design.fit(spec, warn=False), criterion_in)
     raise CycleDetectedError(f"stepwise did not settle within {max_iterations} iterations")
 
 
@@ -397,7 +411,7 @@ def augmented_backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
         skip = kept_as_confounder | {exposure_term}
         terms = [t for t in spec.terms if t not in skip]
         scores = design.scores([[t for t in spec.terms if t is not term] for term in terms])
-        ranked = [(p, term) for p, _, term in _removals(design, current, terms, scores)
+        ranked = [(p, term) for p, _, term, _ in _removals(design, current, terms, scores)
                   if p > alpha]
         ranked.sort(key=lambda item: -item[0])
         dropped = False

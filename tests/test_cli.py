@@ -338,3 +338,37 @@ class TestLoadDatasetFiniteCells:
         for j, name in enumerate(("y", "a", "b")):
             column = dataset.outcome if name == "y" else dataset.column(name)
             assert column.tobytes() == np.ascontiguousarray(expected[:, j]).tobytes()
+
+
+class TestLoadDatasetOneConversion:
+    """`load_dataset` parses the used cells in one numpy conversion and falls
+    back to its per-cell loop when that conversion fails; both paths load
+    the same floats and drop the same rows."""
+
+    AWKWARD = [["1_000", " 1.5 ", "x"], ["inf", "2", "x"], ["-0.0", " 3.5", "x"],
+               ["١٢", "+.5", "x"], ["5.", "NA", "x"], ["4.9e-324", "1e400", "x"],
+               ["0.30000000000000004441", " -Infinity", "x"], ["", "7", "x"],
+               ["nan", "8", "x"], ["1e-5", "123456789012345678901234567890", "x"]]
+
+    @staticmethod
+    def _load(tmp_path, rows, name):
+        path = tmp_path / name
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows([["y", "a", "b"]] + rows)
+        with pytest.warns(UserWarning, match="dropped"):
+            return load_dataset(str(path), "y", Family.GAUSSIAN, ["y", "a"])
+
+    def test_fast_path_and_cell_loop_agree_on_awkward_cells(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "math", None)  # the loop's math.isfinite would raise
+        fast, fast_dropped = self._load(tmp_path, self.AWKWARD, "fast.csv")
+        monkeypatch.undo()
+        # A non-numeric cell after a missing one fails the conversion; the
+        # loop then drops that row silently, as it always has.
+        slow, slow_dropped = self._load(tmp_path, self.AWKWARD + [["NA", "abc", "x"]], "loop.csv")
+        assert (fast_dropped, slow_dropped) == (6, 7)
+        expected = [(float(y.strip()), float(a.strip())) for y, a, _ in self.AWKWARD
+                    if "" not in (y.strip(), a.strip()) and "NA" not in (y, a)]
+        expected = np.array([row for row in expected if np.isfinite(row).all()])
+        for dataset in (fast, slow):
+            assert dataset.outcome.tobytes() == np.ascontiguousarray(expected[:, 0]).tobytes()
+            assert dataset.column("a").tobytes() == np.ascontiguousarray(expected[:, 1]).tobytes()

@@ -15,7 +15,7 @@ from fpselect import (Dataset, DomainError, Family, FitResult, ModelBuildError, 
                       NotNestedError, RankDeficientError, Term, deviance_test, fit)
 from fpselect import glm
 from fpselect.glm import (DEVIANCE_RTOL, Design, MAX_ITER, PIVOT_TOL, _MU_EPS, _binomial_deviance,
-                          _cov_from_r, _embed, _embed_cov, _expit, _householder, _r_factor,
+                          _cov_from_r, _embed, _expit, _householder, _r_factor,
                           _solve, deviance_p_value, fit_design, gaussian_log_likelihood,
                           p_value_bounds, score_designs)
 
@@ -208,7 +208,7 @@ def _two_qr_gaussian_fit(X, y):
     resid = y - X[:, kept] @ beta_k
     rss = float(resid @ resid)
     cov = _cov_from_r(R) * (rss / (n - len(kept)))
-    return _embed(beta_k, kept, p), _embed_cov(cov, kept, p), rss
+    return _embed(beta_k, kept, p), _embed(cov, kept, p), rss
 
 
 class TestOneQrGaussianFit:
@@ -780,7 +780,8 @@ def _blocks_dataset(seed, n=200, family=Family.GAUSSIAN):
 
 class TestDesign:
     """`Design.fit` reuses the memoised factorisation of a scored subset, and
-    `Design.removal_bounds` brackets the exact deviance of every removal."""
+    `Design.removal_bounds` brackets the exact deviance of every removal from
+    a model's step record (`Design.steps`)."""
 
     @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL])
     def test_fit_of_the_last_scored_model_factorises_once(self, family, monkeypatch):
@@ -818,7 +819,7 @@ class TestDesign:
         for seed in (603, 604, 605):
             ds, spec = _blocks_dataset(seed)
             design = Design(ds, spec)
-            current = design.fit(spec)
+            current = Design.steps([(design, spec, None)])[0]
             bounds = design.removal_bounds(spec, current)
             assert bounds is not None and len(bounds) == len(spec.terms)
             full = (current.deviance, current.model_df)
@@ -850,13 +851,13 @@ class TestDesign:
             design = Design(ds, spec)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                current = design.fit(spec)
+                current = Design.steps([(design, spec, None)])[0]
             assert design.removal_bounds(spec, current) is None
         # Dropping the only term of an intercept-free model leaves no column.
         ds = make_dataset({"x": x, "y": noisy})
         spec = ModelSpec((Term.linear("x"),), intercept=False)
         design = Design(ds, spec)
-        assert design.removal_bounds(spec, design.fit(spec)) is None
+        assert design.removal_bounds(spec, Design.steps([(design, spec, None)])[0]) is None
 
 
 class TestPValueBounds:

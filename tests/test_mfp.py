@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from fpselect import (Criterion, Dataset, DomainError, Family, FunctionForm, MfpConfig,
-                      ModelSpec, Term, backward_eliminate, deviance_test, fit, fsp_select,
-                      mfp, removal_order)
+                      ModelSpec, Term, TooFewDistinctValuesError, backward_eliminate,
+                      deviance_test, fit, fsp_select, mfp, removal_order)
 
 # The package exports the `mfp` function under the submodule's name.
 mfp_module = importlib.import_module("fpselect.mfp")
@@ -187,6 +187,19 @@ class TestMfp:
     def test_empty_candidates_rejected(self):
         with pytest.raises(DomainError):
             mfp(scenario_dataset(), [], MfpConfig())
+
+    def test_constant_candidate_fails_before_any_fit(self, monkeypatch, recwarn):
+        # Two constant candidates: the first in candidate order is named,
+        # before the analysis builds its design, so no fit warns of an
+        # aliased column.
+        ds = scenario_dataset()
+        columns = {name: ds.column(name) for name in ("x1", "x3", "y")}
+        columns.update(x2=np.full(ds.n, 2.0), x4=np.full(ds.n, -1.0))
+        ds = Dataset.from_columns(columns, outcome="y")
+        monkeypatch.setattr(mfp_module, "Design", None)  # building one would raise TypeError
+        with pytest.raises(TooFewDistinctValuesError, match="^'x2' is constant$"):
+            mfp(ds, ["x1", "x2", "x3", "x4"])
+        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     def test_binary_candidate_gets_single_df_test(self):
         rng = np.random.default_rng(349)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpselect import glm
@@ -555,7 +555,9 @@ class TestScoreThenFit:
         assert {terms[4], terms[5]} <= dropped  # the FP2 term and the dummy block
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
-    def test_one_fit_per_accepted_step_plus_the_start(self, family, monkeypatch):
+    def test_one_fit_per_run(self, family, monkeypatch):
+        # Steps keep step records (`Design.steps`); only the final model of a
+        # run becomes a FitResult.
         fits = []
 
         def counting(*args, **kwargs):
@@ -571,7 +573,7 @@ class TestScoreThenFit:
             fits.clear()
             trace = run()
             assert trace.steps
-            assert len(fits) == 1 + len(trace.steps)
+            assert fits == [trace.final_fit.column_labels]
 
     @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
     def test_rank_failure_raises_the_same_error(self, family):
@@ -591,20 +593,22 @@ class TestScoreThenFit:
 
 def _exact_scores_per_step(monkeypatch, run):
     """Run a selection and return how many removals or additions it scored
-    exactly between consecutive fits, one count per step after the start."""
+    exactly between consecutive step records (`Design.steps`, of the start
+    model and of each model the run moves to), one count per step after the
+    start."""
     events = []
-    batch_scores, fit_ = glm.Design.batch_scores, glm.Design.fit
+    batch_scores, steps = glm.Design.batch_scores, glm.Design.steps
 
     def counting_scores(subsets):  # each (design, column subset) is one model scored
         events.extend(["score"] * len(subsets))
         return batch_scores(subsets)
 
-    def counting_fit(self, spec):
-        events.append("fit")
-        return fit_(self, spec)
+    def counting_steps(models):  # each model recorded is one step, or the start
+        events.extend(["fit"] * len(models))
+        return steps(models)
 
     monkeypatch.setattr(glm.Design, "batch_scores", staticmethod(counting_scores))
-    monkeypatch.setattr(glm.Design, "fit", counting_fit)
+    monkeypatch.setattr(glm.Design, "steps", staticmethod(counting_steps))
     trace = run()
     counts, current = [], None
     for event in events:
@@ -616,6 +620,20 @@ def _exact_scores_per_step(monkeypatch, run):
             current += 1
     counts.append(current)
     return trace, counts
+
+
+def _designs_factorised(monkeypatch) -> list[int]:
+    """Hook `glm._scaled_qrs`: the returned list gets the number of designs
+    each call factorises, the depth of a stack, 1 for one (k, n) design."""
+    counts = []
+    scaled_qrs = glm._scaled_qrs
+
+    def counting(At, peak):
+        counts.append(1 if At.ndim == 2 else len(At))
+        return scaled_qrs(At, peak)
+
+    monkeypatch.setattr(glm, "_scaled_qrs", counting)
+    return counts
 
 
 def _exchangeable_dataset(seed, m=150):
@@ -671,17 +689,11 @@ class TestRemovalScreen:
         _assert_same_trace(trace, _quiet(_ref_backward, ds, start, criterion))
 
     def test_one_factorisation_per_step_plus_the_start(self, monkeypatch):
-        # The start fit and one fit per step: each step's one contender has
-        # bounds on one side of the threshold, so no step scores, and the
-        # step that stops the run fits nothing.
-        calls = []
-        householder = glm._householder
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return householder(*args, **kwargs)
-
-        monkeypatch.setattr(glm, "_householder", counting)
+        # The start model and one model per step: each step's one contender
+        # has bounds on one side of the threshold, so no step scores, the
+        # step that stops the run factorises nothing, and the final fit
+        # reuses its model's factorisation.
+        calls = _designs_factorised(monkeypatch)
         rng = np.random.default_rng(421)
         n = 500
         cols = {f"x{j}": rng.standard_normal(n) for j in range(8)}
@@ -689,7 +701,7 @@ class TestRemovalScreen:
         spec = ModelSpec(tuple(Term.linear(f"x{j}") for j in range(8)))
         trace = backward_eliminate(make_dataset(cols), spec, Criterion.p_value(0.05))
         assert len(trace.steps) >= 4
-        assert len(calls) == len(trace.steps) + 1
+        assert sum(calls) == len(calls) == len(trace.steps) + 1
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(10, 80),
@@ -721,7 +733,9 @@ class TestRemovalScreen:
 class TestLockStepRemovals:
     """Binomial elimination scores each step's removals together: they reach
     `glm._irls` in ceil(removals / `glm._LOCKSTEP_FITS`) calls, not one call
-    per removal, and take the IRLS iterations of fitting each model alone."""
+    per removal, and take the IRLS iterations of fitting each model alone.
+    A step records its model from its score, so beside the removals only the
+    start model and the final fit run IRLS."""
 
     def test_removals_share_irls_calls(self, monkeypatch):
         ds, terms = _mixed_dataset(304, Family.BINOMIAL)
@@ -741,67 +755,83 @@ class TestLockStepRemovals:
         specs = [start]
         for step in trace.steps:
             specs.append(specs[-1].without_term(step.term))
-        sizes, iterations = [], 0
-        for spec in specs:  # each model is fitted, then its removals are scored
+        sizes, iterations = [1], _quiet(fit, ds, start).iterations  # the start model
+        for spec in specs:  # each model's removals are scored
             removals = [spec.without_term(term) for term in spec.terms]
-            sizes += [1] + [min(glm._LOCKSTEP_FITS, len(removals) - s)
-                            for s in range(0, len(removals), glm._LOCKSTEP_FITS)]
-            iterations += sum(_quiet(fit, ds, model).iterations for model in [spec] + removals)
+            sizes += [min(glm._LOCKSTEP_FITS, len(removals) - s)
+                      for s in range(0, len(removals), glm._LOCKSTEP_FITS)]
+            iterations += sum(_quiet(fit, ds, model).iterations for model in removals)
+        sizes.append(1)  # the final fit
+        iterations += trace.final_fit.iterations
         assert [size for size, _ in calls] == sizes
         assert sum(used for _, used in calls) == iterations
 
 
 class TestStepFitReusesItsScore:
     """A `Design` memoises the factorisation of every column subset it
-    scores, so an elimination step fits the removal it takes without a new
-    factorisation, whichever removal was scored last."""
+    scores, and a binomial step records the removal it takes from its score,
+    so the step runs no factorisation and no IRLS, whichever removal was
+    scored last; the final fit reuses the memoised factorisation."""
 
     def test_winner_scored_before_the_last_removal(self, monkeypatch):
         ds, terms = _mixed_dataset(304, Family.BINOMIAL)
         events = []
-        householder, batch_scores, fit_ = glm._householder, glm.Design.batch_scores, glm.Design.fit
+        scaled_qrs, householder, irls = glm._scaled_qrs, glm._householder, glm._irls
+        batch_scores, steps, fit_ = glm.Design.batch_scores, glm.Design.steps, glm.Design.fit
 
-        def counting_householder(A):
-            events.append(("qr",))
-            return householder(A)
+        def counting(name, real):
+            return lambda *args: events.append((name,)) or real(*args)
 
         def recording_scores(subsets):
             events.append(("scores", [cols for _, cols in subsets]))
             return batch_scores(subsets)
 
-        def recording_fit(self, spec, *args):
-            events.append(("fit", self.columns(spec.terms)))
-            result = fit_(self, spec, *args)
-            events.append(("fitted",))
+        def recording_steps(models):
+            (design, spec, _), = models
+            events.append(("step", design.columns(spec.terms)))
+            result = steps(models)
+            events.append(("done",))
             return result
 
-        monkeypatch.setattr(glm, "_householder", counting_householder)
+        def recording_fit(self, spec, **kwargs):
+            events.append(("fit", self.columns(spec.terms)))
+            result = fit_(self, spec, **kwargs)
+            events.append(("done",))
+            return result
+
+        for name, real in (("_scaled_qrs", scaled_qrs), ("_householder", householder),
+                           ("_irls", irls)):
+            monkeypatch.setattr(glm, name, counting(name, real))
         monkeypatch.setattr(glm.Design, "batch_scores", staticmethod(recording_scores))
+        monkeypatch.setattr(glm.Design, "steps", staticmethod(recording_steps))
         monkeypatch.setattr(glm.Design, "fit", recording_fit)
         trace = _quiet(backward_eliminate, ds, ModelSpec(terms), Criterion.aic())
         monkeypatch.undo()
         assert len(trace.steps) >= 2
-        last_scored, fitting, fits = None, False, []  # [columns, last scored, factorisations]
+        last_scored, calls, inside = None, [], False  # [kind, columns, last scored, work]
         for kind, *data in events:
             if kind == "scores":
                 last_scored = data[0][-1]
-            elif kind == "fit":
-                fits.append([data[0], last_scored, 0])
-                fitting = True
-            elif kind == "fitted":
-                fitting = False
-            elif fitting:
-                fits[-1][2] += 1
-        start, *steps = fits
-        assert start[2] == 1 and len(steps) == len(trace.steps)
-        assert any(cols != last for cols, last, _ in steps)
-        assert [qrs for _, _, qrs in steps] == [0] * len(steps)
+            elif kind in ("step", "fit"):
+                calls.append([kind, data[0], last_scored, []])
+                inside = True
+            elif kind == "done":
+                inside = False
+            elif inside:
+                calls[-1][3].append(kind)
+        start, *taken, final = calls
+        assert start[0] == "step" and {"_householder", "_irls"} <= set(start[3])
+        assert [kind for kind, *_ in taken] == ["step"] * len(trace.steps)
+        assert any(cols != last for _, cols, last, _ in taken)
+        assert [work for *_, work in taken] == [[]] * len(taken)
+        assert final[0] == "fit" and final[1] == taken[-1][1]
+        assert "_householder" not in final[3] and final[3].count("_irls") == 1
 
 
-def _resampled(seed, family, size, rows=None):
+def _resampled(seed, family, size, rows=None, aliased=False):
     """`size` subsamples of one `_mixed_dataset`, as `stability` draws them,
     with its terms; a subsample of `rows` rows replaces the third."""
-    ds, terms = _mixed_dataset(seed, family)
+    ds, terms = _mixed_dataset(seed, family, aliased=aliased)
     plan = ResamplePlan(replications=size, master_seed=seed)
     datasets = [ds.take_rows(plan.draw_indices(ds.n, r)) for r in range(size)]
     if rows is not None:
@@ -856,24 +886,19 @@ class TestLockStepElimination:
         # bounds, so that run scores it; every other step is decided.
         last = backward_eliminate(datasets[0], start, Criterion.bic()).steps[-1]
         criterion = Criterion.p_value(last.p_value)
-        events, factorisations = [], []
-        score_designs, householder = glm.score_designs, glm._householder
-        removal_bounds = glm.Design.removal_bounds
+        events = []
+        score_designs, removal_bounds = glm.score_designs, glm.Design.removal_bounds
 
         def counting_scores(*args, **kwargs):
             events.append("score")
             return score_designs(*args, **kwargs)
-
-        def counting_householder(A):
-            factorisations.append(1)
-            return householder(A)
 
         def marking_bounds(self, *args):  # once per run per lock step
             events.append("step")
             return removal_bounds(self, *args)
 
         monkeypatch.setattr(glm, "score_designs", counting_scores)
-        monkeypatch.setattr(glm, "_householder", counting_householder)
+        factorisations = _designs_factorised(monkeypatch)
         monkeypatch.setattr(glm.Design, "removal_bounds", marking_bounds)
         solo, scored = [], []  # each run's trace and the steps it scored
         for dataset in datasets:
@@ -882,7 +907,7 @@ class TestLockStepElimination:
             step_starts = [i for i, event in enumerate(events) if event == "step"]
             scored.append({len([s for s in step_starts if s < i]) - 1
                            for i, event in enumerate(events) if event == "score"})
-        solo_factorisations = len(factorisations)
+        solo_factorisations = sum(factorisations)
         events.clear()
         factorisations.clear()
         batch = backward_eliminate_batch(datasets, start, criterion)
@@ -891,7 +916,92 @@ class TestLockStepElimination:
         assert [len(trace.steps) for trace in batch] == steps and max(steps) >= 3
         assert scored[0] == {len(solo[0].steps)} and not any(scored[1:])
         assert events.count("score") == len(set().union(*scored)) == 1
-        assert len(factorisations) == solo_factorisations
+        assert sum(factorisations) == solo_factorisations
+
+
+def _assert_same_bytes(trace, ref):
+    """`_assert_same_trace`, with every step's deviance and p-value and the
+    final fit's coefficients and covariance compared byte for byte."""
+    _assert_same_trace(trace, ref)
+    assert ([(s.deviance_after.hex(), s.p_value.hex()) for s in trace.steps]
+            == [(s.deviance_after.hex(), s.p_value.hex()) for s in ref.steps])
+    assert trace.final_fit.coefficients.tobytes() == ref.final_fit.coefficients.tobytes()
+    assert trace.final_fit.covariance.tobytes() == ref.final_fit.covariance.tobytes()
+
+
+class TestStepRecords:
+    """Selection steps carry step records (`glm.Design.steps`), and only a
+    run's final model is fitted as a FitResult; backward elimination records
+    the models of a lock step together, in one factorisation stack per
+    shape. Traces and final fits equal those of the references, which fit
+    every candidate with `fit()`, byte for byte."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), size=st.sampled_from([1, 5, 16]),
+           family=st.sampled_from(FAMILIES), criterion=st.sampled_from(CRITERIA),
+           aliased=st.booleans())
+    @example(seed=331, size=5, family=Family.GAUSSIAN, criterion=CRITERIA[1], aliased=True)
+    @example(seed=331, size=16, family=Family.BINOMIAL, criterion=CRITERIA[0], aliased=True)
+    def test_steps_and_final_fits_equal_the_references(self, seed, size, family, criterion,
+                                                       aliased):
+        datasets, terms = _resampled(seed, family, size, aliased=aliased)
+        start = ModelSpec(terms)
+        batch = _quiet(backward_eliminate_batch, datasets, start, criterion)
+        for dataset, trace in zip(datasets, batch):
+            _assert_same_bytes(trace, _quiet(_ref_backward, dataset, start, criterion))
+        for dataset in datasets[:2]:
+            _assert_same_bytes(_quiet(forward_select, dataset, terms, criterion),
+                               _quiet(_ref_forward, dataset, terms, criterion))
+            _assert_same_bytes(_quiet(stepwise, dataset, terms, criterion),
+                               _quiet(_ref_stepwise, dataset, terms, criterion))
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.value)
+    def test_dropped_columns_warn_once_per_model_a_run_holds(self, family):
+        # As when every step was fitted: the start model and each model a
+        # run moves to warn of their aliased column, the final fit no more.
+        ds, terms = _mixed_dataset(304, family, aliased=True)  # x0, x1, a, x2, ...
+        start = ModelSpec(terms)
+        for run in (lambda: backward_eliminate(ds, start, Criterion.aic(), terms[:3]),
+                    lambda: forward_select(ds, terms[3:], Criterion.aic(), ModelSpec(terms[:3]))):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                trace = run()
+            assert trace.steps and trace.final_fit.dropped_columns == ("a",)
+            assert [str(w.message) for w in record] == (
+                ["dropping aliased design columns: a"] * (1 + len(trace.steps)))
+
+    def test_one_stack_per_shape_per_lock_step(self, monkeypatch):
+        datasets, terms = _resampled(317, Family.GAUSSIAN, 16)
+        start, criterion = ModelSpec(terms), Criterion.aic()
+        factorised = _designs_factorised(monkeypatch)
+        solo = [backward_eliminate(dataset, start, criterion) for dataset in datasets]
+        solo_factorised, lock_steps = sum(factorised), []
+        factorised.clear()
+        scaled_qrs, steps = glm._scaled_qrs, glm.Design.steps
+
+        def recording_qrs(At, peak):  # the shapes factorised in each lock step's records
+            if lock_steps and lock_steps[-1][1]:
+                lock_steps[-1][0].append(At.shape)
+            return scaled_qrs(At, peak)
+
+        def recording_steps(models):
+            lock_steps.append(([], True))
+            result = steps(models)
+            lock_steps[-1] = (lock_steps[-1][0], False)
+            return result
+
+        monkeypatch.setattr(glm, "_scaled_qrs", recording_qrs)
+        monkeypatch.setattr(glm.Design, "steps", staticmethod(recording_steps))
+        batch = backward_eliminate_batch(datasets, start, criterion)
+        monkeypatch.undo()
+        assert [trace.steps for trace in batch] == [trace.steps for trace in solo]
+        assert lock_steps[0][0] == [(16, len(start.terms) + 3, datasets[0].n)]  # the starts
+        for shapes, _ in lock_steps:
+            stacked = [shape[1:] for shape in shapes if len(shape) == 3]
+            alone = [shape for shape in shapes if len(shape) == 2]
+            assert len(set(stacked)) == len(stacked) and not set(stacked) & set(alone)
+        assert sum(len(shape) == 3 for shapes, _ in lock_steps for shape in shapes) >= 3
+        assert sum(factorised) <= solo_factorised
 
 
 class TestAdditionScreen:

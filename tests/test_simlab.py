@@ -268,8 +268,6 @@ class TestChunkedEvaluate:
                             spike_scenario(Family.GAUSSIAN), 37)
 
 
-    # x1's search adjusts for the constant x2 before x2's own visit fails.
-    @pytest.mark.filterwarnings("ignore:dropping aliased design columns")
     def test_mfp_procedure_answers_a_failing_dataset_with_its_error(self):
         datasets = [simlab.generate(linear_scenario(), r) for r in range(3)]
         columns = {"x1": datasets[1].column("x1"), "x2": np.full(datasets[1].n, 2.0),

@@ -19,10 +19,14 @@ stored reference as the benchmark's gate does, and fingerprints it:
 - CLI workloads: the bytes of the report file.
 
 The report names every dataset whose fingerprints differ and every gate
-problem, and gives the calls to `glm._householder` and `glm._irls` per
-analysis on each side. The exit code is 1 when a fingerprint differs or a
-reference check fails. Only the standard library is imported here; the
-child processes run each tree's own code.
+problem, and gives per analysis on each side the calls to `glm._householder`
+and `glm._irls` and the designs factorised: the depth of each
+`glm._scaled_qrs` stack, a 2-D call counting 1, IRLS steps included.
+`_householder` calls may fall by design, when designs are factorised in
+stacks instead of one at a time; the designs factorised must not rise. The
+exit code is 1 when a fingerprint differs or a reference check fails. Only
+the standard library is imported here; the child processes run each tree's
+own code.
 """
 
 from __future__ import annotations
@@ -41,7 +45,10 @@ from pathlib import Path
 
 from ab_pairs import tree_of
 
-COUNTED = ("_householder", "_irls")
+# What each call of a counted function adds: 1, or the designs it factorises.
+COUNTED = {"_householder": lambda *args: 1, "_irls": lambda *args: 1,
+           "_scaled_qrs": lambda At, peak: 1 if At.ndim == 2 else len(At)}
+LABELS = {"_scaled_qrs": "designs factorised"}
 WORKLOADS = ("mfp_gauss", "stability_be", "shrink_loo", "mfp_binom")
 
 
@@ -75,7 +82,7 @@ def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += COUNTED[name](*args, **kwargs)
             return real(*args, **kwargs)
         return wrapper
 
@@ -133,11 +140,12 @@ def report(name: str, base: str, change: str, seeds: list[int],
     same = sum(b["fingerprint"] == c["fingerprint"]
                for b, c in zip(records["base"], records["change"]))
     print(f"{same} of {len(records['change'])} outputs identical")
-    print(f"{'calls per analysis':<20} {'base':>10} {'change':>10}")
+    print(f"{'per analysis':<20} {'base':>10} {'change':>10}")
     for function in COUNTED:
         means = [statistics.fmean(r[function] for r in records[side]) if records[side] else 0.0
                  for side in ("base", "change")]
-        print(f"glm.{function:<16} {means[0]:>10.2f} {means[1]:>10.2f}")
+        label = LABELS.get(function, f"glm.{function}")
+        print(f"{label:<20} {means[0]:>10.2f} {means[1]:>10.2f}")
     return bad
 
 
