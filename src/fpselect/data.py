@@ -104,11 +104,13 @@ class Dataset:
         return self.columns[self.index(name)]
 
     def take_rows(self, indices) -> "Dataset":
-        """New dataset restricted to the given row indices (resampling support)."""
+        """New dataset restricted to the given row indices (resampling support);
+        its rows passed this one's checks, so only the index is checked."""
         idx = np.asarray(indices, dtype=int)
-        return Dataset(
-            column_names=self.column_names,
-            columns=tuple(col[idx] for col in self.columns),
-            outcome_index=self.outcome_index,
-            family=self.family,
-        )
+        if idx.ndim != 1 or not idx.size:
+            raise DataError("dataset has no rows" if idx.ndim == 1 else "row index is not 1-D")
+        subset = object.__new__(Dataset)
+        subset.__dict__.update(self.__dict__, columns=tuple(col[idx] for col in self.columns))
+        for col in subset.columns:
+            col.setflags(write=False)
+        return subset

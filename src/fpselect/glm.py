@@ -41,8 +41,8 @@ candidates whose bounds admit the best value are scored, so a search picks
 what scoring every candidate would; a selection step left with one, its
 p-value bounds on one side of the threshold, scores none.
 Dropping a block B of columns raises the sum by b_B' V_BB^-1 b_B,
-V = (R'R)^-1 = covariance / sigma^2, which the current model's `Step`
-carries (`removal_bounds`); adding a block C lowers it by
+V = (R'R)^-1 = covariance / sigma^2, from the R that the current model's
+`Step` carries (`removal_bounds`); adding a block C lowers it by
 r' C+ (C+' C+)^-1 C+' r, C+ being C orthogonalised against the design and r
 the residual (`addition_bounds`; Miller 2002, *Subset Selection in
 Regression*, ch. 2; Efroymson 1960). There one `dormqr` applies the design's
@@ -58,13 +58,13 @@ being the triangular factor of its p columns scaled to unit norm. One guard
 (`_well_conditioned`) gives bounds only when this bound on c is at most
 `SCREEN_MAX_CONDITION` = 1e6, so u c <= 1.1e-10 and `SCREEN_RTOL` = 1e-6
 leaves a factor of 1e4 for the constants. A removal reads
-VIF_j = ||x_j||^2 V_jj from the `Step`. An m-column addition has
+VIF_j = ||x_j||^2 V_jj from the `Step`, ||x_j||^2 from R. An m-column addition has
 R = [[R_A, S], [0, R_C]] with ||S||_2 <= sqrt(m), so sum VIF <=
 V_A + V_C (1 + m V_A) with V_A = ||R_A^-1||_F^2 and the orthogonalised
 block's V_C = ||R_C^-1||_F^2 <= 2.5e11: its exact fit, which drops a column
 only beyond a VIF of PIVOT_TOL^-2 = 1e20, keeps every column, and an aliased
 block (a tiny orthogonalised norm) is scored. Measured relative errors:
-removals, with V from `Design.steps`, at most 0.077 u c on 3,000 random
+removals, with V from the `Step`'s R, at most 0.077 u c on 3,000 random
 designs (c up to 3e16; a V from the fit's covariance gave the same) and
 1.3e-15 on 11,328 removals of `stability_be` steps; additions, at most
 1.71 u c on 198,000 candidates of 4,500 random FP searches (collinear,
@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -157,13 +156,13 @@ class FitResult:
 
 
 class Step(NamedTuple):
-    """A model that a selection step moves to (`Design.steps`): a score, and
-    for a Gaussian fit that keeps every column its coefficients and V."""
+    """A model that a selection step moves to (`Design.steps`): a score, the fit's
+    coefficients unless scored, and for a Gaussian fit of every column `_r_factor`."""
 
     deviance: float
     model_df: int
     coefficients: np.ndarray | None = None
-    v: np.ndarray | None = None
+    r: np.ndarray | None = None
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:
@@ -486,27 +485,18 @@ def contenders(bounds: Sequence[tuple[float, float] | None]) -> list[bool]:
     return [b is None or b[0] <= cut for b in bounds]
 
 
-def p_value_bounds(rows: Sequence[tuple]) -> list[tuple[float, float] | None]:
-    """(low, high) bounds on the Gaussian `Design.p_value` of each row (n,
-    reduced, full, df), `reduced` and `full` being deviance bounds, on n
-    observations and df degrees of freedom, in one vectorised pass: the tails
-    at the bounds of n log(reduced / full), in whose last bit np.log and
-    math.log may differ; None where `full` is, or where the statistic may
-    fall below -`NESTED_TOL` and `p_value` raises."""
-    if not rows:
-        return []
-    n, reduced, full, df = zip(*rows)
-    k = len(df)
-    reduced = np.array(reduced)
-    full = np.array([b or (math.nan, math.nan) for b in full])
+def p_value_bounds(n, reduced: np.ndarray, full: np.ndarray, df) -> np.ndarray:
+    """(low, high) bounds, (m, 2), on the Gaussian `Design.p_value` of nested models on
+    n observations and df degrees of freedom, from (m, 2) bounds or (m, 1) values of the
+    reduced and full deviances, all broadcast: the tails at the bounds of n log(reduced /
+    full) from one chdtrc call (np.log and math.log may differ in the last bit); NaN where
+    a bound is, or where the statistic may fall below -`NESTED_TOL` and `p_value` raises."""
     with np.errstate(all="ignore"):
-        stats = np.array(n * 2, dtype=float) * np.log(np.concatenate([reduced[:, 1] / full[:, 0],
-                                                                      reduced[:, 0] / full[:, 1]]))
-    tails = np.minimum(np.maximum(chdtrc(np.array(df * 2, dtype=float),
-                                         np.maximum(stats, 0.0)), 0.0), 1.0)
-    nested = (stats[k:] >= -NESTED_TOL).tolist()
-    return [(low, high) if ok else None
-            for low, high, ok in zip(tails[:k].tolist(), tails[k:].tolist(), nested)]
+        stats = np.asarray(n, dtype=float)[..., None] * np.log(reduced[:, ::-1] / full)
+    tails = np.clip(chdtrc(np.asarray(df, dtype=float)[..., None], np.maximum(stats, 0.0)),
+                    0.0, 1.0)
+    tails[~(stats[:, 1] >= -NESTED_TOL)] = np.nan
+    return tails
 
 
 def first_error(results: list) -> list:
@@ -566,10 +556,6 @@ class Design:
     def forget(self) -> None:
         """Empty the factorisation memo."""
         self._factorisations.clear()
-
-    @cached_property
-    def _sq_norms(self) -> list[float]:
-        return np.einsum("ij,ij->j", self.X, self.X).tolist()
 
     @cached_property
     def _yy(self) -> float:
@@ -642,7 +628,7 @@ class Design:
             for j in np.flatnonzero(np.isfinite(peak).all(axis=1) & ~aliased.any(axis=1)):
                 design, cols, _ = subsets[ids[j]]
                 design._factorisations[cols] = (list(range(len(cols))), *qrs[j], scales[j])
-        out, full = [], {}  # the Gaussian fits that keep every column, by k
+        out = []
         for (design, cols, score), X in zip(subsets, Xs):
             try:
                 kept, qr, _, scale = factors = design._factors(cols)
@@ -653,49 +639,48 @@ class Design:
                     continue
                 (beta, R, deviance, *_), = first_error(_fit_chunk(
                     [(X, design.dataset.outcome, factors)], design.dataset.family))
-                if R is None and len(kept) == len(cols):
-                    full.setdefault(len(kept), []).append((len(out), beta, _r_factor(qr, scale)))
-                out.append(Step(deviance, len(kept)))
+                full = R is None and len(kept) == len(cols)  # a Gaussian fit of every column
+                out.append(Step(deviance, len(kept), beta, _r_factor(qr, scale) if full else None))
             except ModelBuildError as error:
                 out.append(error)
-        for rows in full.values():  # V = R^-1 R^-T, one batched product per k
-            rinv = np.triu(np.stack([dtrtri(r)[0] for _, _, r in rows]))  # R is full rank
-            for (i, beta, _), v in zip(rows, rinv @ rinv.transpose(0, 2, 1)):
-                out[i] = Step(out[i].deviance, out[i].model_df, beta, v)
         return out
 
-    def removal_bounds(self, spec: ModelSpec, current: Step) -> list[tuple[float, float]] | None:
-        """(low, high) bounds on the deviance of dropping each term of `spec`,
-        in spec order, from its Gaussian fit `current` (a `Step`) by the Wald
-        update (see the module docstring); None when the bounds are not
-        guaranteed. Scalars are Python floats, which overflow to inf without
-        a warning."""
-        dev, p, v = current.deviance, current.model_df, current.v
-        if v is None or not dev > 0.0 or not (self.intercept or len(spec.terms) > 1):
-            return None
-        blocks = [self.term_columns[term] for term in spec.terms]
-        cols = [0] * self.intercept + [c for block in blocks for c in block]
-        norms = [self._sq_norms[c] for c in cols]
-        var = v.diagonal().tolist()
-        if min(norms + var) < _TINY or not _well_conditioned(
-                p, sum(map(operator.mul, norms, var)), self._yy, dev):
-            return None
-        beta = current.coefficients.tolist()
-        reduced = []
-        end = self.intercept
-        for block in blocks:
-            start, end = end, end + len(block)
-            if len(block) == 1:
-                delta = beta[start] * beta[start] / var[start]
-            else:
-                b = current.coefficients[start:end]
-                with np.errstate(all="ignore"):
-                    delta = float(b @ np.linalg.solve(v[start:end, start:end], b))
-            approx = dev + delta
-            if not math.isfinite(approx):
-                return None
-            reduced.append((max(approx * (1.0 - SCREEN_RTOL), dev), approx * (1.0 + SCREEN_RTOL)))
-        return reduced
+    @staticmethod
+    def removal_bounds(models: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+        """(low, high) bounds on the deviance of dropping each term of each (design,
+        spec, step) from its Gaussian fit `step` by the Wald update (see the module
+        docstring), NaN where not guaranteed, and each term's column count: (m, 2) and
+        (m,) arrays over the models' terms in turn. Models of one column layout share
+        V = R^-1 R^-T, one guard and b_j^2 / V_jj, or a solve per larger term size."""
+        sizes = [[len(t._labels) for t in spec.terms] for _, spec, _ in models]
+        bounds, layouts, row = np.full((sum(map(len, sizes)), 2), np.nan), {}, 0
+        for (design, spec, step), size in zip(models, sizes):
+            if step.r is not None and step.deviance > 0.0 and (design.intercept or len(size) > 1):
+                layouts.setdefault((design.intercept, *size), []).append((row, design._yy, step))
+            row += len(size)
+        for (intercept, *size), group in layouts.items():
+            rows, yy, steps = zip(*group)
+            dev, _, beta, r = map(np.array, zip(*steps))
+            r = np.triu(r)
+            rinv = np.array([dtrtri(x)[0] for x in r])  # R is full rank; V = R^-1 R^-T
+            var, norms = np.einsum("gij,gij->gi", rinv, rinv), np.einsum("gij,gij->gj", r, r)
+            start = list(itertools.accumulate(size, initial=int(intercept)))[:-1]  # first columns
+            with np.errstate(all="ignore"):
+                ok = (np.minimum(norms, var).min(axis=1) >= _TINY) & _well_conditioned(
+                    len(var[0]), (norms * var).sum(axis=1), np.array(yy), dev)
+                delta = (beta * beta / var)[:, start]  # that of a one-column term
+                for s in set(size) - {1}:  # b' V_bb^-1 b of the larger ones
+                    at = [j for j, width in enumerate(size) if width == s]
+                    cols = np.array(start)[at, None] + np.arange(s)  # (blocks, s)
+                    b, w = beta[ok][:, cols, None], rinv[ok][:, cols]  # V_bb = w w'
+                    x = np.linalg.solve(w @ w.swapaxes(-1, -2), b)
+                    delta[np.ix_(ok, at)] = (b * x).sum(axis=(2, 3))
+                approx = delta + dev[:, None]
+                ok &= np.isfinite(approx).all(axis=1)
+            where = np.add.outer(rows, np.arange(len(size)))[ok]
+            bounds[where, 0] = np.maximum(approx[ok] * (1.0 - SCREEN_RTOL), dev[ok, None])
+            bounds[where, 1] = approx[ok] * (1.0 + SCREEN_RTOL)
+        return bounds, np.array([c for size in sizes for c in size], dtype=int)
 
     def addition_bounds(self, terms: Sequence[Term],
                         blocks: Sequence[Sequence[int]] | Basis) -> list[tuple[float, float] | None]:

@@ -14,7 +14,7 @@ from column subsets of it (`glm.Design.scores`; binomial ones in lock step):
 deviance and kept columns, without a covariance or a `FitResult`. The start
 model and each model a run moves to become step records (`glm.Design.steps`,
 `glm.Step`): deviance, model df and, for a Gaussian fit with no dropped
-column, β and V = (R'R)^-1. A scored model reuses its factorisation, and a
+column, β and R. A scored model reuses its factorisation, and a
 binomial one its score. Only a run's final model is fitted as a `FitResult`,
 which does not warn again of the dropped columns its record warned of. Every
 deviance is that of the fit, so the trace equals fitting every candidate. One
@@ -23,29 +23,27 @@ elimination loop and one addition scan serve every procedure.
 The one elimination loop (`_eliminate`) advances a batch of runs, one per
 dataset, in lock step: `backward_eliminate_batch` (a chunk of stability
 replications), and `backward_eliminate` and stepwise's re-checks as batches
-of one. A step records every run's new model in one `glm.Design.steps`
-call, which factorises them in one stack per shape, bounds every run's
-removal deviances, turns them into p-value bounds in one
-`glm.p_value_bounds` pass, scores every run's screened removals in one
+of one. A lock step records every run's new model in one `glm.Design.steps`
+call (one factorisation stack per shape), screens every run's removals in
+one array pass (`_screen`), scores those screened in one
 `glm.Design.batch_scores` call, and lets each run test and fail on its own;
 a ModelBuildError ends only its run. Each run's models meet the scorer, its
 memo and its first-error rule (`glm.first_error`) as when alone, so each
 trace is that of its run alone, bit for bit.
 
 The loop screens before it scores. `glm.Design.removal_bounds` bounds the
-deviance of every removal from the current Gaussian model by the Wald
-update, within a relative `glm.SCREEN_RTOL` = 1e-6, when its residual
-condition estimate is at most `glm.SCREEN_MAX_CONDITION` = 1e6, and the
-loop turns them into p-value bounds. Only the removals whose largest
-possible p-value reaches the largest of the smallest possible ones are
-scored. The removal with the largest exact p-value always passes, so the
-trace is that of scoring every removal, bit for bit. Binomial models,
-models with dropped columns and ill-conditioned ones get no bounds, and
-every removal is scored. A step of one contender, whose p-value bounds
-contain the step's largest p-value, is decided unscored (`_decided`) when
-they lie wholly on one side of its threshold: a stop costs no
-factorisation, and a drop records the p-value of its model's fit, the
-score's bit for bit. Other steps are scored.
+deviance of every removal of every run by the Wald update where `glm`
+guarantees it (not for binomial models, dropped columns, a zero deviance or
+a large condition estimate: their removals are all scored). Of a run's
+removals of one size the least deviance has the largest p-value, so only
+those whose bounds admit it get p-value bounds (one `glm.p_value_bounds`
+call), and only those whose largest possible p-value reaches the run's
+largest least one are scored. The removal of largest exact p-value is
+among them, so the trace is that of scoring every removal, bit for bit. A
+step of one contender, whose p-value bounds contain the step's largest
+p-value, is decided unscored (`_decided`) when they lie wholly on one side
+of its threshold: a stop costs no factorisation, and a drop records the
+p-value of its model's fit, the score's bit for bit. Other steps are scored.
 
 The addition scan (forward selection and stepwise) screens and decides alike,
 by `glm.Design.addition_bounds`: only additions whose least possible p-value
@@ -63,10 +61,12 @@ from dataclasses import dataclass
 from itertools import compress, islice
 from typing import Sequence, Union
 
+import numpy as np
+
 from .chi2 import chi2_sf
 from .data import Dataset
 from .errors import CycleDetectedError, DomainError, ExposureMissingError, ModelBuildError
-from .glm import Design, FitResult, Step, contenders, first_error, p_value_bounds
+from .glm import Design, FitResult, Step, first_error, p_value_bounds
 from .model import ModelSpec, Term
 
 
@@ -152,24 +152,41 @@ def _removals(design: Design, current: FitResult | Step, terms: Sequence[Term],
     return [(*design.p_value(score, full), term, score) for score, term in zip(scores, terms)]
 
 
-def _screen(spec: ModelSpec, bounds: list[tuple[float, float] | None] | None,
-            protected: Sequence[Term]) -> list[tuple[Term, tuple[float, float] | None]]:
-    """The unprotected terms, in spec order, whose removal may have the
-    largest p-value, judged by its (low, high) p-value `bounds`, those of
-    the `Design.removal_bounds` deviances (`p_value_bounds`); every
-    unprotected term when there are none; each with its bounds."""
-    bounds = bounds or [None] * len(spec.terms)
-    candidates = [(t, b) for t, b in zip(spec.terms, bounds) if t not in protected]
-    # The largest p-value is the least of the negated ones.
-    keep = contenders([b and (-b[1], -b[0]) for _, b in candidates])
-    return list(compress(candidates, keep))
+def _least(low: np.ndarray, high: np.ndarray, group: np.ndarray, groups: int) -> np.ndarray:
+    """Whether each value, bounded by (low, high) or not (NaN), may be its group's least
+    (`glm.contenders` of one group of tuples, for arrays of several groups)."""
+    cut = np.full(groups, np.inf)
+    np.fmin.at(cut, group, high)  # fmin skips NaN
+    return ~(low > cut[group])
+
+
+def _screen(runs: Sequence[_Elimination], protected: Sequence[Term]) -> list[list[tuple]]:
+    """Each run's (term, its (low, high) p-value bounds or NaN) of the unprotected
+    terms whose removal may have its largest p-value; all runs in one pass."""
+    reduced, df = Design.removal_bounds([(run.design, run.spec, run.current) for run in runs])
+    terms = [(i, term) for i, run in enumerate(runs) for term in run.spec.terms]
+    if protected:  # no bounds, so in no cut
+        reduced[[term in protected for _, term in terms]] = np.nan
+    kept, tails = range(len(terms)), reduced
+    if not np.isnan(reduced).all():  # the least deviances per run and size, then p-values
+        owner, sizes = np.array([i for i, _ in terms]), int(df.max()) + 1
+        kept = np.flatnonzero(_least(*reduced.T, owner * sizes + df, len(runs) * sizes))
+        n, dev = np.array([(run.design.dataset.n, run.current.deviance) for run in runs]).T
+        tails = p_value_bounds(n[owner[kept]], reduced[kept], dev[owner[kept], None], df[kept])
+        keep = _least(-tails[:, 1], -tails[:, 0], owner[kept], len(runs))
+        kept, tails = kept[keep].tolist(), tails[keep]
+    screens = [[] for _ in runs]
+    for i, bounds in zip(kept, tails.tolist()):
+        if terms[i][1] not in protected:
+            screens[terms[i][0]].append((terms[i][1], bounds))
+    return screens
 
 
 def _decided(design: Design, criterion: Criterion,
              screened: Sequence[tuple[Term, tuple[float, float] | None]]) -> bool | None:
     """Whether the p-value of a step's one screened (term, bounds), which they
-    contain, exceeds the criterion's threshold (df: the term's columns), as
-    scoring would find, when they lie wholly on one side of it; else None."""
+    contain, exceeds the criterion's threshold (df: the term's columns), as scoring
+    would find, when they lie wholly on one side of it (NaN: on neither); else None."""
     if len(screened) != 1 or screened[0][1] is None:
         return None
     term, (low, high) = screened[0]
@@ -210,13 +227,7 @@ def _eliminate(runs: Sequence[_Elimination], criterion: Criterion,
             runs.append(run)
         if not runs:
             return
-        deviances = [run.design.removal_bounds(run.spec, run.current) for run in runs]
-        tails = iter(p_value_bounds([(run.design.dataset.n, bound, (run.current.deviance,) * 2,
-                                      len(run.design.term_columns[term]))
-                                     for run, reduced in zip(runs, deviances)
-                                     for bound, term in zip(reduced or (), run.spec.terms)]))
-        screens = [_screen(run.spec, reduced and list(islice(tails, len(reduced))), protected)
-                   for run, reduced in zip(runs, deviances)]
+        screens = _screen(runs, protected)
         drops = [_decided(run.design, criterion, screened) for run, screened in zip(runs, screens)]
         terms = [[t for t, _ in screened] if drop is None else []  # the removals to score
                  for screened, drop in zip(screens, drops)]
@@ -251,9 +262,11 @@ def _add(design: Design, spec: ModelSpec, current: Step, candidates: Sequence[Te
     admitted = [term for term in candidates if spec.admits(term)]
     blocks = [design.term_columns[term] for term in admitted]
     added = design.addition_bounds(spec.terms, blocks)
-    bounds = p_value_bounds([(design.dataset.n, (current.deviance,) * 2, bound, len(block))
-                             for bound, block in zip(added, blocks)])
-    screened = list(compress(zip(admitted, bounds), contenders(bounds)))
+    tails = p_value_bounds(design.dataset.n, np.array([[current.deviance]]),
+                           np.array([b or (math.nan,) * 2 for b in added]).reshape(-1, 2),
+                           [len(block) for block in blocks])
+    screened = list(compress(zip(admitted, tails.tolist()),
+                             _least(*tails.T, np.zeros(len(blocks), dtype=int), 1)))
     exceeds = _decided(design, criterion, screened)
     chosen = [t for t, _ in screened] if exceeds is None else []  # the additions to score
     scores = design.scores([spec.with_term(t).terms for t in chosen])

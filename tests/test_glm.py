@@ -820,12 +820,11 @@ class TestDesign:
             ds, spec = _blocks_dataset(seed)
             design = Design(ds, spec)
             current = Design.steps([(design, spec, None)])[0]
-            bounds = design.removal_bounds(spec, current)
-            assert bounds is not None and len(bounds) == len(spec.terms)
+            bounds, df = Design.removal_bounds([(design, spec, current)])
+            assert bounds.shape == (len(spec.terms), 2) and not np.isnan(bounds).any()
+            assert df.tolist() == [len(design.term_columns[term]) for term in spec.terms]
             full = (current.deviance, current.model_df)
-            tails = p_value_bounds([(ds.n, bound, (current.deviance,) * 2,
-                                     len(design.term_columns[term]))
-                                    for bound, term in zip(bounds, spec.terms)])
+            tails = p_value_bounds(ds.n, bounds, np.array([[current.deviance]]), df)
             for term, (low, high), (p_low, p_high) in zip(spec.terms, bounds, tails):
                 reduced = design.scores([[t for t in spec.terms if t is not term]])[0]
                 assert low <= reduced[0] <= high
@@ -852,20 +851,21 @@ class TestDesign:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 current = Design.steps([(design, spec, None)])[0]
-            assert design.removal_bounds(spec, current) is None
+            assert np.isnan(Design.removal_bounds([(design, spec, current)])[0]).all()
         # Dropping the only term of an intercept-free model leaves no column.
         ds = make_dataset({"x": x, "y": noisy})
         spec = ModelSpec((Term.linear("x"),), intercept=False)
         design = Design(ds, spec)
-        assert design.removal_bounds(spec, Design.steps([(design, spec, None)])[0]) is None
+        bounds, _ = Design.removal_bounds([(design, spec, Design.steps([(design, spec, None)])[0])])
+        assert bounds.shape == (1, 2) and np.isnan(bounds).all()
 
 
 class TestPValueBounds:
     """`p_value_bounds` turns deviance bounds into bounds on the exact
-    Gaussian `deviance_p_value`, for removal rows (n, bound, (dev, dev), df)
-    and addition rows (n, (dev, dev), bound, df) of different n in one pass,
-    and gives none where the full model has no bound or where the statistic
-    may fall below -NESTED_TOL."""
+    Gaussian `deviance_p_value`, for removals (reduced: a bound, full: dev)
+    and additions (reduced: dev, full: a bound) of different n in one pass,
+    and gives none (NaN) where the full model has no bound or where the
+    statistic may fall below -NESTED_TOL."""
 
     def test_bounds_contain_the_exact_p_values(self):
         rng = np.random.default_rng(631)
@@ -883,16 +883,19 @@ class TestPValueBounds:
             else:  # an addition: `other` is the full model's deviance
                 rows.append((n, (dev, dev), None if i % 10 == 0 else bound, df))
                 exact.append(deviance_p_value(Family.GAUSSIAN, n, dev, other, df))
-        tails = p_value_bounds(rows)
-        assert len(tails) == len(rows)
-        for (n, reduced, full, _), p, tail in zip(rows, exact, tails):
+        n, reduced, full, df = zip(*rows)
+        tails = p_value_bounds(np.array(n), np.array(reduced),
+                               np.array([b or (math.nan, math.nan) for b in full]), np.array(df))
+        assert tails.shape == (len(rows), 2)
+        for (n, reduced, full, _), p, tail in zip(rows, exact, tails.tolist()):
             if full is None or n * math.log(reduced[0] / full[1]) < -glm.NESTED_TOL:
-                assert tail is None
+                assert np.isnan(tail).all()
             else:
-                assert tail is not None and tail[0] <= p <= tail[1]
-        bounded = [tail for tail in tails if tail is not None]
+                assert tail[0] <= p <= tail[1]
+        bounded = [tail for tail in tails.tolist() if not np.isnan(tail).any()]
         assert 100 < len(bounded) < 500 and sum(low < high for low, high in bounded) > 100
-        assert p_value_bounds([]) == []
+        assert p_value_bounds(np.zeros(0), np.zeros((0, 2)), np.zeros((0, 2)),
+                              np.zeros(0)).shape == (0, 2)
 
 
 class TestAdditionBounds:

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -893,13 +894,13 @@ class TestLockStepElimination:
             events.append("score")
             return score_designs(*args, **kwargs)
 
-        def marking_bounds(self, *args):  # once per run per lock step
+        def marking_bounds(models):  # once per lock step
             events.append("step")
-            return removal_bounds(self, *args)
+            return removal_bounds(models)
 
         monkeypatch.setattr(glm, "score_designs", counting_scores)
         factorisations = _designs_factorised(monkeypatch)
-        monkeypatch.setattr(glm.Design, "removal_bounds", marking_bounds)
+        monkeypatch.setattr(glm.Design, "removal_bounds", staticmethod(marking_bounds))
         solo, scored = [], []  # each run's trace and the steps it scored
         for dataset in datasets:
             events.clear()
@@ -1002,6 +1003,99 @@ class TestStepRecords:
             assert len(set(stacked)) == len(stacked) and not set(stacked) & set(alone)
         assert sum(len(shape) == 3 for shapes, _ in lock_steps for shape in shapes) >= 3
         assert sum(factorised) <= solo_factorised
+
+
+def _screen_batch(seed, roles):
+    """One Gaussian `_mixed_dataset` per role, of seed `seed` + its index,
+    whose column `a` is 2 x0 - x1 plus noise of scale 1 ("plain"), 0
+    ("aliased": its start model drops `a`, so its step has no R) or 1e-7
+    ("ill": its start model fails the conditioning guard), with the terms:
+    linear ones, an FP2 pair and a dummy block."""
+    datasets = []
+    for i, role in enumerate(roles):
+        ds, terms = _mixed_dataset(seed + i, Family.GAUSSIAN, aliased=True)
+        cols = dict(zip(ds.column_names, ds.columns))
+        noise = np.random.default_rng([seed + i, 1]).standard_normal(ds.n)
+        cols["a"] = cols["a"] + {"plain": 1.0, "aliased": 0.0, "ill": 1e-7}[role] * noise
+        datasets.append(make_dataset(cols))
+    return datasets, terms
+
+
+class TestBatchScreen:
+    """A lock step bounds every run's removals in one `Design.removal_bounds`
+    call and turns them into p-value bounds in one chdtrc call. The bounds
+    contain each removal's exact deviance, a run without guaranteed bounds
+    has none, and each run's trace equals its run alone and the reference,
+    byte for byte."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), size=st.sampled_from([1, 5, 16]),
+           criterion=st.sampled_from(CRITERIA), protect=st.sets(st.integers(0, 6), max_size=2),
+           alone=st.sampled_from(["plain", "aliased", "ill"]))
+    @example(seed=7, size=5, criterion=CRITERIA[1], protect={4}, alone="plain")
+    def test_bounds_contain_the_exact_deviances_and_traces_equal(self, seed, size, criterion,
+                                                                  protect, alone):
+        roles = [alone] if size == 1 else ["aliased", "ill"] + ["plain"] * (size - 2)
+        datasets, terms = _screen_batch(seed, roles)
+        start, protected = ModelSpec(terms), tuple(terms[i] for i in sorted(protect))
+        calls, removal_bounds = [], glm.Design.removal_bounds
+
+        def recording(models):
+            calls.append((models, removal_bounds(models)))
+            return calls[-1][1]
+
+        with mock.patch.object(glm.Design, "removal_bounds", staticmethod(recording)):
+            batch = _quiet(backward_eliminate_batch, datasets, start, criterion, protected)
+        for models, (bounds, df) in calls:
+            rows = iter(zip(bounds.tolist(), df.tolist()))
+            for design, spec, step in models:
+                for term, ((low, high), width) in zip(spec.terms, rows):
+                    assert width == len(design.term_columns[term])
+                    if not math.isnan(low):
+                        reduced = [t for t in spec.terms if t is not term]
+                        assert step.deviance <= low <= design.scores([reduced])[0][0] <= high
+        _, (bounds, _) = calls[0]  # the first lock step holds every run's start model
+        first = np.cumsum([0] + [len(terms)] * len(roles))
+        for role, row in zip(roles, first):
+            assert np.isnan(bounds[row:row + len(terms)]).all() == (role != "plain")
+        for dataset, trace in zip(datasets, batch):
+            _assert_same_bytes(trace, _quiet(backward_eliminate, dataset, start, criterion,
+                                             protected))
+            _assert_same_bytes(trace, _quiet(_ref_backward, dataset, start, criterion, protected))
+            assert set(protected) <= set(trace.final_spec.terms)
+
+    def test_runs_do_not_share_coefficients_or_v(self):
+        # Run b is run a with its outcome times 1e6 and its null columns
+        # times 1e3: its V of those columns is 1e-6 times a's, so a bound of
+        # a with b's V or b's coefficients would show a null column as
+        # significant and screen out a's true first drop.
+        rng = np.random.default_rng(907)
+        n = 300
+        cols = {f"x{j}": rng.standard_normal(n) for j in range(6)}
+        cols["y"] = cols["x0"] + 0.6 * cols["x1"] + rng.standard_normal(n)
+        scaled = {k: v * (1e3 if k in ("x3", "x4", "x5") else 1.0) for k, v in cols.items()}
+        scaled["y"] = 1e6 * cols["y"]
+        datasets = [make_dataset(cols), make_dataset(scaled)] * 2
+        start = ModelSpec(tuple(Term.linear(f"x{j}") for j in range(6)))
+        criterion = Criterion.p_value(0.05)
+        solo = [backward_eliminate(dataset, start, criterion) for dataset in datasets]
+        assert [step.variable for step in solo[0].steps] == ["x4", "x2", "x5", "x3"]
+        for trace, ref in zip(backward_eliminate_batch(datasets, start, criterion), solo):
+            _assert_same_bytes(trace, ref)
+
+    @pytest.mark.parametrize("size", [1, 5, 16])
+    def test_one_bound_call_and_one_chdtrc_call_per_lock_step(self, size, monkeypatch):
+        datasets, terms = _resampled(317, Family.GAUSSIAN, size)
+        start, criterion = ModelSpec(terms), Criterion.aic()
+        calls = []
+        removal_bounds, chdtrc = glm.Design.removal_bounds, glm.chdtrc
+        monkeypatch.setattr(glm.Design, "removal_bounds",
+                            staticmethod(lambda models: calls.append("bound") or removal_bounds(models)))
+        monkeypatch.setattr(glm, "chdtrc", lambda *args: calls.append("chdtrc") or chdtrc(*args))
+        batch = backward_eliminate_batch(datasets, start, criterion)
+        monkeypatch.undo()
+        lock_steps = 1 + max(len(trace.steps) for trace in batch)
+        assert calls == ["bound", "chdtrc"] * lock_steps
 
 
 class TestAdditionScreen:

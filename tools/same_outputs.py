@@ -16,7 +16,12 @@ stored reference as the benchmark's gate does, and fingerprints it:
 - MFP workloads: the summary the gate compares, the bytes of the final
   fit's coefficients and covariance, and every step p-value of every
   function decision, as hex;
-- CLI workloads: the bytes of the report file.
+- CLI workloads: the bytes of the report file, and for every selection run
+  of `selection.backward_eliminate_batch` (each `stability_be`
+  replication), in call order, its step p-values and deviances, as hex,
+  and the bytes of its final fit's coefficients, or its error; a report of
+  frequencies alone would not show a step that moved without changing the
+  selected set.
 
 The report names every dataset whose fingerprints differ and every gate
 problem, and gives per analysis on each side the calls to `glm._householder`
@@ -52,8 +57,9 @@ LABELS = {"_scaled_qrs": "designs factorised"}
 WORKLOADS = ("mfp_gauss", "stability_be", "shrink_loo", "mfp_binom")
 
 
-def _fingerprint(workload, result) -> str:
-    """SHA-1 of an analysis's output, as the module docstring defines it."""
+def _fingerprint(workload, result, traces: list) -> str:
+    """SHA-1 of an analysis's output, as the module docstring defines it;
+    `traces` holds the results of its `backward_eliminate_batch` calls."""
     digest = hashlib.sha1()
     if hasattr(result, "decisions"):
         digest.update(json.dumps(workload.summarize(result)[0], sort_keys=True).encode())
@@ -65,6 +71,13 @@ def _fingerprint(workload, result) -> str:
     else:
         digest.update((workload.directory / "out" / f"{workload.subcommand}_report.json")
                       .read_bytes())
+        for trace in traces:
+            if isinstance(trace, Exception):
+                digest.update(f"{type(trace).__name__}: {trace}".encode())
+                continue
+            digest.update(" ".join(f"{step.p_value.hex()} {step.deviance_after.hex()}"
+                                   for step in trace.steps).encode())
+            digest.update(trace.final_fit.coefficients.tobytes())
     return digest.hexdigest()
 
 
@@ -74,7 +87,7 @@ def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
     # only the standard library; workloads puts the tree's src on the path.
     sys.path.insert(0, str(tree / "perfbench"))
     import workloads
-    from fpselect import glm
+    from fpselect import glm, selection, simlab
 
     os.chdir(workloads.ROOT)
     warnings.simplefilter("ignore")
@@ -88,6 +101,16 @@ def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
 
     for function in COUNTED:
         setattr(glm, function, counting(function, getattr(glm, function)))
+    traces: list = []
+    batch = selection.backward_eliminate_batch
+
+    def recording(*args, **kwargs):
+        results = batch(*args, **kwargs)
+        traces.extend(results)
+        return results
+
+    # simlab calls the name it imported
+    selection.backward_eliminate_batch = simlab.backward_eliminate_batch = recording
     workload = workloads.WORKLOADS[name]
     references = workloads.load_references(name)
     for seed in seeds:
@@ -95,6 +118,7 @@ def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
         for index in range(min(datasets, len(stored))):
             prepared = workload.prepare(seed, index)
             calls.update(dict.fromkeys(COUNTED, 0))
+            traces.clear()
             try:
                 result = workload.analyse(prepared)
             except Exception as error:  # any failure is this dataset's output
@@ -102,7 +126,7 @@ def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
                         "problems": ["analysis raised; the reference has an output"]}
             else:
                 output = workload.summarize(result)[0]
-                line = {"fingerprint": _fingerprint(workload, result),
+                line = {"fingerprint": _fingerprint(workload, result, traces),
                         "problems": workload.check(output) + workload.compare(output,
                                                                               stored[index])}
             print(json.dumps({"seed": seed, "index": index, **line, **calls}), flush=True)
