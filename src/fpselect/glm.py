@@ -50,29 +50,43 @@ reflectors to the blocks' columns and to y, the rows below the design's
 are reduced to their own R, and a batched Householder QR of each block then
 r gives its sum; no Gram matrix, which squares the condition, is formed.
 The bounds must contain the deviance that `score_designs` computes. All come
-from backward-stable Householder QRs, so their relative errors are of order
-u c, where u = 2^-53 and c = (1 + 2 kappa) ||y|| / ||r|| is the condition
-number of the larger model's residual r (Golub & Van Loan, *Matrix
-Computations*, thm. 5.3.1); kappa^2 <= p ||R^-1||_F^2 = p sum_j VIF_j, R
-being the triangular factor of its p columns scaled to unit norm. One guard
-(`_well_conditioned`) gives bounds only when this bound on c is at most
-`SCREEN_MAX_CONDITION` = 1e6, so u c <= 1.1e-10 and `SCREEN_RTOL` = 1e-6
-leaves a factor of 1e4 for the constants. A removal reads
-VIF_j = ||x_j||^2 V_jj from the `Step`, ||x_j||^2 from R. An m-column addition has
-R = [[R_A, S], [0, R_C]] with ||S||_2 <= sqrt(m), so sum VIF <=
-V_A + V_C (1 + m V_A) with V_A = ||R_A^-1||_F^2 and the orthogonalised
-block's V_C = ||R_C^-1||_F^2 <= 2.5e11: its exact fit, which drops a column
-only beyond a VIF of PIVOT_TOL^-2 = 1e20, keeps every column, and an aliased
-block (a tiny orthogonalised norm) is scored. Measured relative errors:
-removals, with V from the `Step`'s R, at most 0.077 u c on 3,000 random
-designs (c up to 3e16; a V from the fit's covariance gave the same) and
-1.3e-15 on 11,328 removals of `stability_be` steps; additions, at most
-1.71 u c on 198,000 candidates of 4,500 random FP searches (collinear,
-offset and rescaled adjustments, c up to 1e15) and 6.7e-14 on the 16,764 of
-24 `mfp_gauss` datasets, 94% of them bounded, where a degree's best two came
-within 1.2e-9 (FP1) and 1.7e-9 (FP2) and were scored. A binomial fit, a
-model with dropped or no columns or fewer residual rows than candidate
-columns, a zero deviance and over- or underflow give no bounds.
+from backward-stable Householder QRs (Higham 2002, *Accuracy and Stability of
+Numerical Algorithms*, thms 19.4 and 20.3), so a computed residual r has a
+relative error of order u c, u = 2^-53, c = (1 + 2 kappa) ||y|| / ||r|| (Golub
+& Van Loan, *Matrix Computations*, thm. 5.3.1), kappa being the condition of
+the larger model's p columns scaled to unit norm: kappa^2 <= p ||R^-1||_F^2 =
+p sum_j VIF_j. A first guard (`_well_conditioned`) bounds when this c is at
+most `SCREEN_MAX_CONDITION` = 1e6, so u c <= 1.1e-10. A removal reads VIF_j =
+||x_j||^2 V_jj from the `Step`, ||x_j||^2 from R. An m-column addition has R =
+[[R_A, S], [0, R_C]] with ||S||_2 <= sqrt(m), so sum VIF <= V_A + V_C (1 + m
+V_A), V_A = ||R_A^-1||_F^2 and V_C = ||R_C^-1||_F^2 of the orthogonalised
+block. The deviance ||r||^2 is better conditioned than r: as A'r = 0, (dA, dy)
+move it by 2 r'(dy - dA beta) to first order, so its relative error is of
+order u c1 + (u kappa)^2, c1 = (||y|| + sum_j |beta_j| ||a_j||) / ||r|| <= c,
+for the update and the exact scorer alike. An addition that fails the first
+guard, as every one does once the adjustment holds an ill-conditioned FP2
+term, gets a second (`_deviance_conditioned`) from the update's own factor:
+beta_C by back-substitution on R_C and the last column of the block's R,
+beta_A = R_A^-1 (Q_A'y - S beta_C) from one triangular solve per call. It is
+bounded when u c1 + u^2 kappa^2 <= `SCREEN_RTOL` / 100 and each diagonal of
+R_C, a unit column's distance from the ones before it, exceeds 1e4
+`PIVOT_TOL`, so that the exact fit, which drops a column at `PIVOT_TOL`, keeps
+every column the update does. The first guard implies the second (its kappa^2
+<= 2.5e11 puts R_C's diagonals above 2e-6), so a call whose blocks all pass it
+computes no c1. The removal guard failed 0 of 4,620 times in 20 `stability_be`
+analyses and has no second.
+Measured relative errors: removals, with V from the `Step`'s R, at most
+0.077 u c on 3,000 random designs (c up to 3e16; a V from the fit's covariance
+gave the same) and 1.3e-15 on 11,328 removals of `stability_be` steps;
+additions, at most 1.71 u c on 198,000 candidates of 4,500 random FP searches
+(collinear, offset and rescaled adjustments, c up to 1e15) and 6.7e-14 on the
+16,764 of 24 `mfp_gauss` datasets, 94% of them bounded, where a degree's best
+two came within 1.2e-9 (FP1) and 1.7e-9 (FP2) and were scored. Of the 26,246
+candidates of the 900 stored `mfp_gauss` benchmark references (seeds 1 and
+8191) that fail the first guard, the second bounds 16,129, with errors of at
+most 1.57 u c1 and 3.1e-9 (`SCREEN_RTOL` / 320). A binomial fit, a model with
+dropped or no columns or fewer residual rows than candidate columns, a zero
+deviance and over- or underflow give no bounds.
 """
 
 from __future__ import annotations
@@ -467,15 +481,37 @@ def _well_conditioned(p, vif_sum, yy, rss):
                 & np.isfinite(rss))
 
 
-def _residual_updates(W: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _residual_updates(W: np.ndarray, blocks: np.ndarray):
     """Batched Householder QR R of each block of rows of the finite W (m
     indices into W) followed by its last row r. Returns the residual sum of
-    squares of r on each block, R_mm^2, and ||R_b^-1||_F^2 of R_b = R[:m, :m]
-    from its singular values (inf when R_b is singular)."""
+    squares of r on each block, R_mm^2, ||R_b^-1||_F^2 of R_b = R[:m, :m]
+    from its singular values (inf when R_b is singular), and the (m + 1) x
+    (m + 1) factors R, whose last columns above R_mm give the block's
+    coefficients (`_deviance_conditioned`)."""
     m = blocks.shape[1]
     rows = np.column_stack([blocks, np.full(len(blocks), len(W) - 1)])
     R = np.linalg.qr(W[rows].transpose(0, 2, 1), mode="r")
-    return R[:, m, m] ** 2, (np.linalg.svd(R[:, :m, :m], compute_uv=False) ** -2.0).sum(axis=1)
+    return R[:, m, m] ** 2, (np.linalg.svd(R[:, :m, :m], compute_uv=False) ** -2.0).sum(axis=1), R
+
+
+def _deviance_conditioned(R, coef, blocks, norms, yy, rss, kappa2) -> np.ndarray:
+    """Whether the residual sum of squares `rss` of each block, m indices
+    into the columns of coef, is well conditioned (see the module docstring):
+    every diagonal of R_C = R[:m, :m], R being its `_residual_updates` factor,
+    above 1e4 `PIVOT_TOL`, and u c1 + u^2 kappa2 <= `SCREEN_RTOL` / 100. The
+    block's unit columns take the coefficients beta_C = R_C^-1 R[:m, m], the
+    design's columns, of norms `norms`, coef[:, -1] - coef[:, block] beta_C;
+    coef is R_A^-1 Q_A' of the blocks' columns and y, and yy is ||y||^2."""
+    m = R.shape[1] - 1
+    beta = np.zeros((len(R), m))
+    for i in reversed(range(m)):  # back-substitution on R_C
+        beta[:, i] = (R[:, i, m] - np.einsum("bj,bj->b", R[:, i, i + 1:m], beta[:, i + 1:])
+                      ) / R[:, i, i]
+    beta_a = coef[:, -1:] - np.einsum("kbj,bj->kb", coef[:, blocks], beta)
+    c1 = (math.sqrt(yy) + norms @ np.abs(beta_a) + np.abs(beta).sum(axis=1)) / np.sqrt(rss)
+    u = 2.0 ** -53
+    return ((np.abs(R.diagonal(axis1=1, axis2=2)[:, :m]).min(axis=1) > 1e4 * PIVOT_TOL)
+            & (u * c1 + u * u * kappa2 <= SCREEN_RTOL / 100.0) & np.isfinite(rss))
 
 
 def contenders(bounds: Sequence[tuple[float, float] | None]) -> list[bool]:
@@ -730,11 +766,24 @@ class Design:
             _check_info("dormqr", info)
             tail, _, _, info = dgeqrf(qtm[k:], overwrite_a=True)
             _check_info("dgeqrf", info)
-            W = np.triu(tail[:q + 1]).T
+            W, updates = np.triu(tail[:q + 1]).T, []
             for group, rows in groups:  # rows of W by position
-                rss[group], vif_block[group] = _residual_updates(W, rows)
+                rss[group], vif_block[group], R = _residual_updates(W, rows)
+                updates.append((group, rows, R))
             vif_sum = vif_base + vif_block * (1.0 + sizes * vif_base)
         ok = (_well_conditioned(k + sizes, vif_sum, self._yy, rss) & (k + sizes < n)).tolist()
+        if not all(ok):  # a second stage for the blocks that failed: the deviance's condition
+            failed = ~np.array(ok)
+            with np.errstate(all="ignore"):
+                coef = dtrtrs(r_base, qtm[:k])[0]  # R_A^-1 Q_A' [C | y]
+                norms = np.sqrt(np.einsum("ij,ij->j", r_base, r_base))
+                for group, rows, R in updates:
+                    if (at := failed[group]).any():
+                        ids = group[at]
+                        admit = _deviance_conditioned(R[at], coef, rows[at], norms, self._yy,
+                                                      rss[ids], (k + sizes[ids]) * vif_sum[ids])
+                        for i in ids[admit].tolist():
+                            ok[i] = True
         return [(d * (1.0 - SCREEN_RTOL), d * (1.0 + SCREEN_RTOL)) if good else None
                 for d, good in zip(rss.tolist(), ok)]
 

@@ -504,22 +504,49 @@ class TestScreenedSearch:
         assert new.powers in (FpPowers((-2.0,)), FpPowers((2.0,)))
         _assert_same_decision(new, _former_fsp_select(ds, "x", 0.05, **kwargs), "near tie")
 
-    def test_ill_conditioned_candidate_is_scored_exactly(self, monkeypatch):
-        # One tiny x makes x^-2 and x^-2 log x nearly proportional: the block
-        # of (-2, -2) is too ill-conditioned for a bound.
+    @staticmethod
+    def _one_tiny_x(tiny):
+        """One tiny x makes x^-2 and x^-2 log x nearly proportional."""
         rng = np.random.default_rng(5)
         n = 300
         x = rng.uniform(0.5, 4.0, n)
-        x[0] = 1e-3
+        x[0] = tiny
         a = rng.standard_normal(n)
         ds = gaussian_dataset(x, np.log(x) + 0.5 * a + rng.standard_normal(n), {"a": a})
-        kwargs = dict(adjustment=ModelSpec((Term.linear("a"),)), pre=PreTransform())
+        return x, ds, dict(adjustment=ModelSpec((Term.linear("a"),)), pre=PreTransform())
+
+    def test_ill_conditioned_candidate_is_scored_exactly(self, monkeypatch):
+        # At x = 1e-4 the orthogonalised block of (-2, -2) lies within the
+        # guard's margin of the aliasing test (its exact fit keeps both
+        # columns): it is too ill-conditioned for a bound.
+        x, ds, kwargs = self._one_tiny_x(1e-4)
         new, designs = _scored_designs(monkeypatch, lambda: fsp_select(ds, "x", 0.05, **kwargs))
         calls = [X[:, -2:] for X in designs]
         basis = fp_basis(x, FpPowers((-2.0, -2.0)))
         assert sum(np.array_equal(cols, basis) for cols in calls) == 1
         assert len(calls) < 44
         _assert_same_decision(new, _former_fsp_select(ds, "x", 0.05, **kwargs), "(-2, -2)")
+
+    def test_ill_conditioned_candidate_with_a_well_conditioned_deviance_is_bounded(
+            self, monkeypatch):
+        # At x = 1e-3 the block fails the residual's condition but not the
+        # deviance's: it is bounded, and the bound holds its exact deviance.
+        _, ds, kwargs = self._one_tiny_x(1e-3)
+        powers = FpPowers((-2.0, -2.0))
+
+        def search():
+            design = glm_module.Design(ds, kwargs["adjustment"],
+                                       bases=[("x", PreTransform(), None)])
+            return fpsearch_module.FpSearch(design, "x", kwargs["adjustment"])
+
+        with monkeypatch.context() as m:  # the residual's condition alone
+            m.setattr(glm_module, "_deviance_conditioned", lambda R, *_: np.zeros(len(R), bool))
+            assert search()._bounds[powers] is None
+        bounded = search()
+        (low, high), (exact, _) = bounded._bounds[powers], bounded.score(powers)
+        assert low <= exact <= high
+        new = fsp_select(ds, "x", 0.05, **kwargs)
+        _assert_same_decision(new, _former_fsp_select(ds, "x", 0.05, **kwargs), "(-2, -2) 1e-3")
 
     def test_well_conditioned_search_scores_at_most_eight(self, monkeypatch):
         for seed in (701, 702, 703):
@@ -536,8 +563,9 @@ class TestScreenedSearch:
                 calls = len(designs)
                 assert 1 <= calls <= 8, (seed, max_degree)
 
-    def test_mfp_factorisations_per_analysis(self, monkeypatch):
-        # The benchmark's scenario: n = 500, eight covariates, four effects.
+    @staticmethod
+    def _benchmark_dataset(seed, replication=0):
+        """The benchmark's scenario: n = 500, eight covariates, four effects."""
         covariates = (simlab.Covariate("x1", simlab.LogNormal()),
                       simlab.Covariate("x2", simlab.Uniform(0.5, 3.0)),
                       simlab.Covariate("x3", simlab.Normal()),
@@ -547,12 +575,60 @@ class TestScreenedSearch:
                    simlab.Effect("x3", "linear", 0.5), simlab.Effect("x4", "linear", 0.5))
         correlation = np.full((8, 8), 0.3)
         np.fill_diagonal(correlation, 1.0)
-        ds = simlab.generate(simlab.Scenario(n=500, covariates=covariates, effects=effects,
-                                             correlation=correlation, seed=709))
+        return simlab.generate(simlab.Scenario(n=500, covariates=covariates, effects=effects,
+                                               correlation=correlation, seed=seed),
+                               replication=replication)
+
+    def test_mfp_factorisations_per_analysis(self, monkeypatch):
+        ds = self._benchmark_dataset(709)
         result, calls = _count_calls(monkeypatch, glm_module, "_householder",
                                      lambda: mfp(ds, ds.candidate_names))
         assert {"x1", "x2"} <= set(result.selected_variables)
         assert calls <= 200
+
+    def test_mfp_with_an_ill_conditioned_fp2_adjustment(self, monkeypatch):
+        # Seed 1, replication 37: once x6 takes FP2 (-2, -2), every later
+        # search fails the residual's condition; the deviance's admits most
+        # of its candidates (624 factorisations with the first guard alone).
+        ds = self._benchmark_dataset(1, replication=37)
+        result, calls = _count_calls(monkeypatch, glm_module, "_householder",
+                                     lambda: mfp(ds, ds.candidate_names))
+        assert result.decisions["x6"].powers == FpPowers((-2.0, -2.0))
+        assert calls <= 150
+
+
+class TestDevianceConditionGuard:
+    """An adjustment that holds a near-aliased FP2 (-2, -2) term fails the
+    residual's condition for every candidate; the deviance's own condition
+    admits bounds that hold the exact deviance, refuses near-aliased
+    candidates, and the screened closed test equals scoring every model."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(40, 200),
+           z_tiny=st.floats(1.5, 4.5), x_tiny=st.sampled_from([None, 2.5, 3.5, 4.5]),
+           max_degree=st.sampled_from([1, 2]), centred=st.booleans(),
+           log_scale=st.sampled_from([-6, 0, 6]))
+    def test_bounds_hold_and_decisions_match(self, seed, n, z_tiny, x_tiny, max_degree,
+                                             centred, log_scale):
+        rng = np.random.default_rng(seed)
+        x, z = rng.lognormal(sigma=0.6, size=n), rng.uniform(0.5, 4.0, n)
+        z[0] = 10.0 ** -z_tiny
+        if x_tiny is not None:
+            x[1] = 10.0 ** -x_tiny
+        y = 10.0 ** log_scale * (np.log(x) + 0.3 * z + rng.standard_normal(n))
+        ds = gaussian_dataset(x, y, {"z": z})
+        adjustment = ModelSpec((Term.fp("z", (-2.0, -2.0)),))
+        center_at = float(np.median(x)) if centred else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            design = glm_module.Design(ds, adjustment, bases=[("x", None, center_at)])
+            search = fpsearch_module.FpSearch(design, "x", adjustment)
+            for powers, bound in search._bounds.items():
+                if bound is not None:
+                    assert bound[0] <= search.score(powers)[0] <= bound[1], powers
+            kwargs = dict(max_degree=max_degree, adjustment=adjustment, center_at=center_at)
+            _assert_same_decision(fsp_select(ds, "x", 0.05, **kwargs),
+                                  _former_fsp_select(ds, "x", 0.05, **kwargs), kwargs)
 
 
 class TestFactorisationMemo:

@@ -944,6 +944,38 @@ class TestAdditionBounds:
         small = make_dataset({k: v[:3] for k, v in cols.items()})
         assert self._bounds(small, (x_,), (w_,))[1] == [None]
 
+    @pytest.mark.parametrize("case", ["second order", "coefficients"])
+    def test_the_deviance_guard(self, case):
+        # A base pair a, b = a + delta v, nearly aliased, fails the residual's
+        # condition for the candidate c, and with delta = 1e-8 for an unrelated
+        # g too, which keeps a bound from the deviance's own condition. c has
+        # none: in the first case (u kappa)^2 ~ 1e-5 rules it out (u c1 ~ 5e-16,
+        # its block 1e-5 from aliasing); in the second u c1 ~ 2.5e-7, from the
+        # coefficients of a and b that fitting c implies (||y|| / ||r|| and the
+        # base's own fit give less than 1e-9).
+        rng = np.random.default_rng(641)
+        n = 100
+        a, v, w, g = rng.standard_normal((4, n))
+        if case == "second order":
+            cols = {"a": a, "b": a + 1e-8 * v, "c": a + 1e-5 * w}
+            basis = np.column_stack([np.ones(n), a, v, w])
+            e = rng.standard_normal(n)
+            y = 2.0 * a + e - basis @ np.linalg.lstsq(basis, e, rcond=None)[0]
+        else:
+            cols = {"a": a, "b": a + 1e-3 * v, "c": v + 1e-2 * w}
+            y = w + 1e-4 * rng.standard_normal(n)
+        ds = make_dataset({**cols, "g": g, "y": y})
+        base = (Term.linear("a"), Term.linear("b"))
+        candidates = (Term.linear("c"), Term.linear("g"))
+        design, bounds = self._bounds(ds, base, candidates)
+        assert bounds[0] is None
+        (exact, _), = design.scores([base + (candidates[1],)])
+        assert bounds[1][0] <= exact <= bounds[1][1]
+        with pytest.MonkeyPatch.context() as m:  # the residual's condition alone
+            m.setattr(glm, "_deviance_conditioned", lambda R, *_: np.zeros(len(R), bool))
+            first = self._bounds(ds, base, candidates)[1]
+        assert first[0] is None and (first[1] is None) == (case == "second order")
+
 
 class TestModelSpecLabels:
     def test_duplicate_column_labels_are_rejected(self):

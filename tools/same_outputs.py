@@ -26,7 +26,9 @@ stored reference as the benchmark's gate does, and fingerprints it:
 The report names every dataset whose fingerprints differ and every gate
 problem, and gives per analysis on each side the calls to `glm._householder`
 and `glm._irls` and the designs factorised: the depth of each
-`glm._scaled_qrs` stack, a 2-D call counting 1, IRLS steps included.
+`glm._scaled_qrs` stack, a 2-D call counting 1, IRLS steps included. Each
+count is given as its mean over the analyses and its 99th percentile, which
+shows the work of the heaviest analyses, where a timing tail comes from.
 `_householder` calls may fall by design, when designs are factorised in
 stacks instead of one at a time; the designs factorised must not rise. The
 exit code is 1 when a fingerprint differs or a reference check fails. Only
@@ -164,12 +166,16 @@ def report(name: str, base: str, change: str, seeds: list[int],
     same = sum(b["fingerprint"] == c["fingerprint"]
                for b, c in zip(records["base"], records["change"]))
     print(f"{same} of {len(records['change'])} outputs identical")
-    print(f"{'per analysis':<20} {'base':>10} {'change':>10}")
+    print(f"{'per analysis':<20} {'base mean':>10} {'p99':>8} {'change mean':>12} {'p99':>8}")
     for function in COUNTED:
-        means = [statistics.fmean(r[function] for r in records[side]) if records[side] else 0.0
-                 for side in ("base", "change")]
+        cells = []
+        for side in ("base", "change"):
+            counts = [r[function] for r in records[side]] or [0]
+            p99 = (statistics.quantiles(counts, n=100, method="inclusive")[98]
+                   if len(counts) > 1 else counts[0])
+            cells.append(f"{statistics.fmean(counts):.2f} {p99:>8.1f}")
         label = LABELS.get(function, f"glm.{function}")
-        print(f"{label:<20} {means[0]:>10.2f} {means[1]:>10.2f}")
+        print(f"{label:<20} {cells[0]:>19} {cells[1]:>21}")
     return bad
 
 
