@@ -66,7 +66,9 @@ Exit codes:
   0  success; the text report is printed
   2  config error: unreadable config, malformed line or value, a setting out
      of its range, a missing seed; raised before any analysis runs
-  3  data error: unreadable or malformed CSV, missing column
+  3  data error: unreadable or malformed CSV, missing column; missing and
+     non-finite cells drop their row, but any other non-numeric used cell or
+     a row of the wrong length is an error naming the first one in file order
   4  numerical error: a model cannot be built or fitted on the data
 """
 
@@ -75,11 +77,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -318,8 +319,9 @@ def load_dataset(path: str, outcome: str, family: Family,
     """Load a CSV file (header row required, UTF-8) into a Dataset.
 
     Cells equal to "" or "NA" are missing; rows with a missing or non-finite
-    value in any used column are dropped and counted. Non-numeric cells raise
-    DataError with the offending location.
+    value in any used column are dropped and counted. Any other non-numeric
+    used cell, or a row of the wrong length, is a DataError naming the first
+    one in file order, wherever it sits in its row.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -353,33 +355,19 @@ def load_dataset(path: str, outcome: str, family: Family,
         values = np.array(cells, float).reshape(-1, len(col_idx))
         keep = np.isfinite(values).all(axis=1)
         parsed, n_dropped = dict(zip(col_idx, values[keep].T)), len(rows) - int(keep.sum())
-    except ValueError:  # the per-cell loop names the bad cell or row
-        parsed, n_dropped = {name: [] for name in used}, 0
+    except ValueError:  # name the first bad row or cell in file order
         for row_no, row in enumerate(rows, start=2):  # header is line 1
             if len(row) != len(header):
                 raise DataError(f"{path}: line {row_no} has {len(row)} fields, "
-                                f"expected {len(header)}")
-            values = {}
-            missing = False
-            for name in used:
-                cell = row[col_idx[name]].strip()
-                if cell in MISSING_MARKERS:
-                    missing = True
-                    break
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(f"{path}: line {row_no}, column {name!r}: "
-                                    f"non-numeric value {cell!r}") from None
-                if not math.isfinite(value):
-                    missing = True
-                    break
-                values[name] = value
-            if missing:
-                n_dropped += 1
-                continue
-            for name in used:
-                parsed[name].append(values[name])
+                                f"expected {len(header)}") from None
+            for name, i in col_idx.items():
+                if (cell := row[i].strip()) not in MISSING_MARKERS:
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DataError(f"{path}: line {row_no}, column {name!r}: "
+                                        f"non-numeric value {cell!r}") from None
+        raise  # numpy rejected a cell that float() accepts
     if not len(parsed[outcome]):
         raise DataError(f"{path}: no complete rows after dropping {n_dropped}")
     if n_dropped:
@@ -448,8 +436,7 @@ def _fit_block(result: FitResult) -> dict:
     return {
         "coefficients": {lab: float(c) for lab, c in
                          zip(result.column_labels, result.coefficients)},
-        "standard_errors": {lab: float(np.sqrt(max(result.covariance[i, i], 0.0)))
-                            for i, lab in enumerate(result.column_labels)},
+        "standard_errors": {lab: result.standard_error(lab) for lab in result.column_labels},
         "deviance": float(result.deviance),
         "log_likelihood": float(result.log_likelihood),
         "model_df": result.model_df,
@@ -762,18 +749,7 @@ def run_simulate(config: AnalysisConfig) -> dict:
         "n": scenario.n,
         "replications": reps,
         "n_failed": report.n_failed,
-        "per_variable": [
-            {
-                "variable": s.variable,
-                "true_form": s.true_form,
-                "inclusion_rate": s.inclusion_rate,
-                "inclusion_mc_error": s.inclusion_mc_error,
-                "correct_rate": s.correct_rate,
-                "shape_distance_mean": s.shape_distance_mean,
-                "shape_distance_mc_error": s.shape_distance_mc_error,
-            }
-            for s in report.per_variable
-        ],
+        "per_variable": [asdict(score) for score in report.per_variable],
         "coefficient_rmse": report.coefficient_rmse,
     }
 

@@ -116,6 +116,25 @@ class TestFailureExitCodes:
         assert "line 4, column 'a': non-numeric value 'abc'" in err
         assert not (tmp_path / "fit").exists()
 
+    def test_short_row_exits_3(self, tmp_path, capsys):
+        (tmp_path / "data.csv").write_text("y,a\n1,0.5\n0\n1,2.5\n", encoding="utf-8")
+        code, _ = run_cli(tmp_path, "fit", [])
+        assert code == EXIT_DATA_ERROR
+        assert capsys.readouterr().err.endswith(": line 3 has 1 fields, expected 2\n")
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("line3, line5, message", [
+        ("1,abc", "0", "line 3, column 'a': non-numeric value 'abc'"),
+        ("0", "1,abc", "line 3 has 1 fields, expected 2"),
+    ])
+    def test_the_first_bad_row_or_cell_in_file_order_is_named(self, tmp_path, capsys,
+                                                               line3, line5, message):
+        (tmp_path / "data.csv").write_text(f"y,a\n1,0.5\n{line3}\n0,1.5\n{line5}\n",
+                                           encoding="utf-8")
+        code, _ = run_cli(tmp_path, "fit", [])
+        assert code == EXIT_DATA_ERROR
+        assert capsys.readouterr().err.endswith(f": {message}\n")
+
     def test_unfittable_model_exits_4(self, tmp_path, capsys):
         rows = [f"{i % 2},{i},5" for i in range(1, 21)]
         (tmp_path / "data.csv").write_text("\n".join(["y,a,c"] + rows) + "\n",
@@ -341,34 +360,34 @@ class TestLoadDatasetFiniteCells:
 
 
 class TestLoadDatasetOneConversion:
-    """`load_dataset` parses the used cells in one numpy conversion and falls
-    back to its per-cell loop when that conversion fails; both paths load
-    the same floats and drop the same rows."""
+    """`load_dataset` parses the used cells in one numpy conversion; when
+    that conversion fails, it names the first bad row or cell in file order."""
 
-    AWKWARD = [["1_000", " 1.5 ", "x"], ["inf", "2", "x"], ["-0.0", " 3.5", "x"],
+    AWKWARD = [["1_000", " 1.5 ", "x"], ["inf", "2", "x"], ["-0.0", " 3.5", "x"],
                ["١٢", "+.5", "x"], ["5.", "NA", "x"], ["4.9e-324", "1e400", "x"],
                ["0.30000000000000004441", " -Infinity", "x"], ["", "7", "x"],
                ["nan", "8", "x"], ["1e-5", "123456789012345678901234567890", "x"]]
 
     @staticmethod
-    def _load(tmp_path, rows, name):
-        path = tmp_path / name
+    def _write(tmp_path, rows):
+        path = tmp_path / "data.csv"
         with open(path, "w", encoding="utf-8", newline="") as handle:
             csv.writer(handle).writerows([["y", "a", "b"]] + rows)
-        with pytest.warns(UserWarning, match="dropped"):
-            return load_dataset(str(path), "y", Family.GAUSSIAN, ["y", "a"])
+        return str(path)
 
-    def test_fast_path_and_cell_loop_agree_on_awkward_cells(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "math", None)  # the loop's math.isfinite would raise
-        fast, fast_dropped = self._load(tmp_path, self.AWKWARD, "fast.csv")
-        monkeypatch.undo()
-        # A non-numeric cell after a missing one fails the conversion; the
-        # loop then drops that row silently, as it always has.
-        slow, slow_dropped = self._load(tmp_path, self.AWKWARD + [["NA", "abc", "x"]], "loop.csv")
-        assert (fast_dropped, slow_dropped) == (6, 7)
+    def test_awkward_cells_load_as_float_parses_them(self, tmp_path):
+        with pytest.warns(UserWarning, match="dropped"):
+            dataset, dropped = load_dataset(self._write(tmp_path, self.AWKWARD), "y",
+                                            Family.GAUSSIAN, ["y", "a"])
+        assert dropped == 6
         expected = [(float(y.strip()), float(a.strip())) for y, a, _ in self.AWKWARD
                     if "" not in (y.strip(), a.strip()) and "NA" not in (y, a)]
         expected = np.array([row for row in expected if np.isfinite(row).all()])
-        for dataset in (fast, slow):
-            assert dataset.outcome.tobytes() == np.ascontiguousarray(expected[:, 0]).tobytes()
-            assert dataset.column("a").tobytes() == np.ascontiguousarray(expected[:, 1]).tobytes()
+        assert dataset.outcome.tobytes() == np.ascontiguousarray(expected[:, 0]).tobytes()
+        assert dataset.column("a").tobytes() == np.ascontiguousarray(expected[:, 1]).tobytes()
+
+    @pytest.mark.parametrize("dropping_cell", ["NA", "inf"])
+    def test_non_numeric_cell_is_an_error_beside_a_dropping_cell(self, tmp_path, dropping_cell):
+        path = self._write(tmp_path, self.AWKWARD + [[dropping_cell, "abc", "x"]])
+        with pytest.raises(DataError, match="line 12, column 'a': non-numeric value 'abc'"):
+            load_dataset(path, "y", Family.GAUSSIAN, ["y", "a"])
