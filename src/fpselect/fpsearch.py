@@ -78,13 +78,13 @@ class FpSearch:
 
     def _score(self, candidates) -> None:
         """Score the candidates not scored yet, together (`Design.batch_scores`
-        of their column subsets); a candidate whose fit fails scores (+inf, 0)."""
+        of their column subsets), keeping each `glm.Fit`'s (deviance, model
+        df); a candidate whose fit fails scores (+inf, 0)."""
         todo = [powers for powers in candidates if powers not in self._scores]
         for powers, scored in zip(todo, Design.batch_scores(
                 [(self.design, self._columns(powers)) for powers in todo])):
-            if isinstance(scored, ModelBuildError) or not math.isfinite(scored[0]):
-                scored = (math.inf, 0)
-            self._scores[powers] = scored
+            failed = isinstance(scored, ModelBuildError) or not math.isfinite(scored.deviance)
+            self._scores[powers] = (math.inf, 0) if failed else scored[:2]
 
     def score(self, powers: FpPowers) -> tuple[float, int]:
         """(deviance, model df) of a candidate, as `_score` keeps it."""

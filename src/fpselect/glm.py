@@ -7,15 +7,17 @@ warning instead of aborting, which keeps exhaustive transformation searches
 alive when a candidate basis degenerates.
 
 Every search scores its candidate models with one scorer, `score_designs`,
-whose deviance is that of the fit bit for bit, and fits only the model it
-returns. Nested models are compared through `Design`, built once: each is a
-column subset of it (an FP candidate or term too, from its variable's basis
-columns, which follow the terms'), scored by one entry, `Design.batch_scores`
-of (design, column subset) pairs of one design or several, with a score or an
-error per pair (`Design.scores` raises the first, `first_error`), tested
-(`Design.p_value`) and fitted, and one memo keyed by the subset keeps every
-factorisation (for one visit, in `mfp`). A selection step records the model
-it moves to (`Design.steps`, a `Step`) instead of fitting it.
+whose record of a fit (`Fit`: deviance, model df, coefficients, binomial R,
+convergence, iterations and factorisation) has the deviance of `fit_design`
+bit for bit, and fits only the model it returns. Nested models are compared
+through `Design`, built once: each is a column subset of it (an FP candidate
+or term too, from its variable's basis columns, which follow the terms'),
+scored by one entry, `Design.batch_scores` of (design, column subset) pairs
+of one design or several, with a `Fit` or an error per pair (`Design.scores`
+raises the first, `first_error`), tested (`Design.p_value`) and fitted, and
+one memo keyed by the subset keeps every factorisation (for one visit, in
+`mfp`). A selection step records the model it moves to (`Design.steps`, a
+`Fit`) instead of fitting it; a scored model is its own record.
 
 The scorer fits its designs `_LOCKSTEP_FITS` at a time, binomial ones (folds,
 FP candidates, an elimination step's removals) in lock step (`_irls`): the
@@ -41,8 +43,8 @@ candidates whose bounds admit the best value are scored, so a search picks
 what scoring every candidate would; a selection step left with one, its
 p-value bounds on one side of the threshold, scores none.
 Dropping a block B of columns raises the sum by b_B' V_BB^-1 b_B,
-V = (R'R)^-1 = covariance / sigma^2, from the R that the current model's
-`Step` carries (`removal_bounds`); adding a block C lowers it by
+V = (R'R)^-1 = covariance / sigma^2, from the R of the current model's
+`Fit` factorisation (`removal_bounds`); adding a block C lowers it by
 r' C+ (C+' C+)^-1 C+' r, C+ being C orthogonalised against the design and r
 the residual (`addition_bounds`; Miller 2002, *Subset Selection in
 Regression*, ch. 2; Efroymson 1960). There one `dormqr` applies the design's
@@ -57,7 +59,7 @@ relative error of order u c, u = 2^-53, c = (1 + 2 kappa) ||y|| / ||r|| (Golub
 the larger model's p columns scaled to unit norm: kappa^2 <= p ||R^-1||_F^2 =
 p sum_j VIF_j. A first guard (`_well_conditioned`) bounds when this c is at
 most `SCREEN_MAX_CONDITION` = 1e6, so u c <= 1.1e-10. A removal reads VIF_j =
-||x_j||^2 V_jj from the `Step`, ||x_j||^2 from R. An m-column addition has R =
+||x_j||^2 V_jj from the `Fit`, ||x_j||^2 from R. An m-column addition has R =
 [[R_A, S], [0, R_C]] with ||S||_2 <= sqrt(m), so sum VIF <= V_A + V_C (1 + m
 V_A), V_A = ||R_A^-1||_F^2 and V_C = ||R_C^-1||_F^2 of the orthogonalised
 block. The deviance ||r||^2 is better conditioned than r: as A'r = 0, (dA, dy)
@@ -75,7 +77,7 @@ every column the update does. The first guard implies the second (its kappa^2
 <= 2.5e11 puts R_C's diagonals above 2e-6), so a call whose blocks all pass it
 computes no c1. The removal guard failed 0 of 4,620 times in 20 `stability_be`
 analyses and has no second.
-Measured relative errors: removals, with V from the `Step`'s R, at most
+Measured relative errors: removals, with V from the `Fit`'s R, at most
 0.077 u c on 3,000 random designs (c up to 3e16; a V from the fit's covariance
 gave the same) and 1.3e-15 on 11,328 removals of `stability_be` steps;
 additions, at most 1.71 u c on 198,000 candidates of 4,500 random FP searches
@@ -169,14 +171,19 @@ class FitResult:
         return eta
 
 
-class Step(NamedTuple):
-    """A model that a selection step moves to (`Design.steps`): a score, the fit's
-    coefficients unless scored, and for a Gaussian fit of every column `_r_factor`."""
+class Fit(NamedTuple):
+    """The fit of a design's kept columns (`_fit_chunk`): its score (deviance,
+    model df) first, β over every column (0 where dropped), a binomial fit's last
+    weighted R (None for a Gaussian fit, whose R is `_r_factor` of `factors`),
+    convergence, iterations and the design's `_factorise` result."""
 
     deviance: float
     model_df: int
-    coefficients: np.ndarray | None = None
-    r: np.ndarray | None = None
+    coefficients: np.ndarray
+    r: np.ndarray | None
+    converged: bool
+    iterations: int
+    factors: tuple
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:
@@ -360,29 +367,32 @@ def _irls(fits, max_iter: int = MAX_ITER) -> list:
 
 
 def _fit_chunk(fits, family: Family, max_iter: int = MAX_ITER) -> list:
-    """(beta, R, deviance, converged, iterations) of the fit of the kept
-    columns of each (X, y, factors) of `fits`, `factors` being the
-    `_factorise` result of X, or the ModelBuildError it raises. Binomial fits
-    run together (`_irls`); a Gaussian fit's R, that of `factors`, is None."""
+    """The `Fit` of the kept columns of each (X, y, factors) of `fits`,
+    `factors` being the `_factorise` result of X, or the ModelBuildError it
+    raises. Binomial fits run together (`_irls`)."""
     if family is Family.BINOMIAL:
-        return _irls(fits, max_iter)
+        return [result if isinstance(result, ModelBuildError) else Fit(
+            result[2], len(factors[0]), _embed(result[0], factors[0], X.shape[1]), result[1],
+            *result[3:], factors) for (X, _, factors), result in zip(fits, _irls(fits, max_iter))]
     out = []
-    for X, y, (kept, qr, tau, scale) in fits:
+    for X, y, factors in fits:
+        kept, qr, tau, scale = factors
         beta = _solve(qr, tau, scale, y)
         # X[:, kept] is an F-ordered copy; an F-ordered X that keeps every
         # column is the same operand, so it gives the same product
         Xk = X if len(kept) == X.shape[1] and X.flags.f_contiguous else X[:, kept]
         resid = y - Xk @ beta
-        out.append((beta, None, float(resid @ resid), True, 1))
+        out.append(Fit(float(resid @ resid), len(kept), _embed(beta, kept, X.shape[1]), None,
+                       True, 1, factors))
     return out
 
 
 def score_designs(designs: Iterable[tuple[np.ndarray, np.ndarray, tuple | None]],
                   family: Family, column_labels: tuple[str, ...] | None = None):
-    """Yield, for each (X, y, factors) of `designs`, the deviance of its fit
-    (that of `fit_design`, bit for bit), its coefficients and its `_factorise`
-    result, or the ModelBuildError that fitting it raises. `factors` is that
-    of X and y when the caller has it, else None. Designs are read
+    """Yield, for each (X, y, factors) of `designs`, the `Fit` of its kept
+    columns (its deviance that of `fit_design`, bit for bit), or the
+    ModelBuildError that fitting it raises. `factors` is the `_factorise`
+    result of X and y when the caller has it, else None. Designs are read
     `_LOCKSTEP_FITS` at a time and fitted together (`_fit_chunk`); with
     `column_labels`, dropped columns warn as in `fit_design`."""
     designs = iter(designs)
@@ -396,13 +406,10 @@ def score_designs(designs: Iterable[tuple[np.ndarray, np.ndarray, tuple | None]]
             except ModelBuildError as exc:
                 checked.append((X, y, factors, exc))
         results = iter(_fit_chunk([fit[:3] for fit in checked if fit[3] is None], family))
-        for X, _, factors, error in checked:
+        for _, _, factors, error in checked:
             if factors is not None and column_labels is not None:
                 _dropped(column_labels, factors[0])  # in order, as a fit of each would
-            result = error or next(results)
-            if not isinstance(result, ModelBuildError):
-                result = (result[2], _embed(result[0], factors[0], X.shape[1]), factors)
-            yield result
+            yield error or next(results)
 
 
 def _dropped(column_labels: tuple[str, ...], kept: list[int], warn=True) -> tuple[str, ...]:
@@ -423,30 +430,27 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family, column_labels: tupl
     the result. `warn=False` leaves dropped columns unwarned."""
     n, p = X.shape
     factors = _factorise(X, y) if factors is None else factors
-    kept = factors[0]
+    kept, qr, _, scale = factors
     dropped = _dropped(column_labels, kept, warn)
     _check_rank(kept, n)
 
-    (result,) = _fit_chunk([(X, y, factors)], family, max_iter)
-    if isinstance(result, ModelBuildError):
-        raise result
-    beta_k, R, deviance, converged, iterations = result
+    (result,) = first_error(_fit_chunk([(X, y, factors)], family, max_iter))
     if family is Family.GAUSSIAN:
-        cov_kept = _cov_from_r(_r_factor(factors[1], factors[3])) * (deviance / (n - len(kept)))
-        log_likelihood, separation = gaussian_log_likelihood(deviance, n), False
+        cov_kept = _cov_from_r(_r_factor(qr, scale)) * (result.deviance / (n - len(kept)))
+        log_likelihood, separation = gaussian_log_likelihood(result.deviance, n), False
     else:
-        separation = bool(np.max(np.abs(beta_k)) > SEPARATION_COEF)
-        cov_kept = _cov_from_r(R)
-        log_likelihood = -deviance / 2.0
+        separation = bool(np.max(np.abs(result.coefficients)) > SEPARATION_COEF)
+        cov_kept = _cov_from_r(result.r)
+        log_likelihood = -result.deviance / 2.0
     return FitResult(
-        coefficients=_embed(beta_k, kept, p),
+        coefficients=result.coefficients,
         covariance=_embed(cov_kept, kept, p),
-        deviance=deviance,
+        deviance=result.deviance,
         log_likelihood=log_likelihood,
-        model_df=len(kept),
+        model_df=result.model_df,
         n=n,
-        converged=converged,
-        iterations=iterations,
+        converged=result.converged,
+        iterations=result.iterations,
         family=family,
         column_labels=column_labels,
         spec=spec,
@@ -617,24 +621,23 @@ class Design:
             self._factorisations[cols] = _factorise(self.X[:, cols], self.dataset.outcome)
         return self._factorisations[cols]
 
-    def scores(self, models: Sequence[Sequence[Term]]) -> list[tuple[float, int]]:
+    def scores(self, models: Sequence[Sequence[Term]]) -> list[Fit]:
         """`batch_scores` of each model's terms, raising the first failing model's error."""
         return first_error(Design.batch_scores([(self, self.columns(model)) for model in models]))
 
     @staticmethod
     def batch_scores(subsets: Sequence[tuple[Design, tuple[int, ...]]]) -> list:
-        """(deviance, model df) of the fit of each (design, column subset), of
-        one family, or the ModelBuildError that fitting it raises, scored
-        together by `score_designs` as it gathers them; a subset is a tuple,
-        as `columns` gives, keying its design's memo."""
+        """The `Fit` of each (design, column subset), of one family, or the
+        ModelBuildError that fitting it raises, scored together by
+        `score_designs` as it gathers them; a subset is a tuple, as `columns`
+        gives, keying its design's memo."""
         family = subsets[0][0].dataset.family if subsets else None
         out = []
         for (design, cols), scored in zip(subsets, score_designs(
                 ((design.X[:, cols], design.dataset.outcome, design._factorisations.get(cols))
                  for design, cols in subsets), family)):
             if not isinstance(scored, ModelBuildError):
-                design._factorisations[cols] = scored[2]
-                scored = scored[0], len(scored[2][0])
+                design._factorisations[cols] = scored.factors
             out.append(scored)
         return out
 
@@ -646,12 +649,12 @@ class Design:
                           spec=spec, warn=warn)
 
     @staticmethod
-    def steps(models: Sequence[tuple[Design, ModelSpec, tuple[float, int] | None]]) -> list:
-        """The `Step` of each (design, spec, score), or the ModelBuildError of
-        its fit; `score` is its `batch_scores` score, which a binomial model
-        takes, or None. The fits reuse memoised factorisations; the others
-        share one `_scaled_qrs` stack per (n, k) shape, unless alone in it,
-        aliased or not finite (`_factorise`). Dropped columns warn."""
+    def steps(models: Sequence[tuple[Design, ModelSpec, Fit | None]]) -> list:
+        """The `Fit` of each (design, spec, score), or the ModelBuildError of
+        its fit; `score` is its `batch_scores` `Fit`, which is the step, or
+        None. The fits reuse memoised factorisations; the others share one
+        `_scaled_qrs` stack per (n, k) shape, unless alone in it, aliased or
+        not finite (`_factorise`). Dropped columns warn."""
         subsets = [(design, design.columns(spec.terms), score) for design, spec, score in models]
         Xs, shapes = [design.X[:, cols] for design, cols, _ in subsets], {}
         for i, (design, cols, _) in enumerate(subsets):
@@ -667,16 +670,11 @@ class Design:
         out = []
         for (design, cols, score), X in zip(subsets, Xs):
             try:
-                kept, qr, _, scale = factors = design._factors(cols)
-                _dropped(tuple(design.labels[c] for c in cols), kept)
-                _check_rank(kept, design.dataset.n)
-                if score and design.dataset.family is Family.BINOMIAL:
-                    out.append(Step(*score))
-                    continue
-                (beta, R, deviance, *_), = first_error(_fit_chunk(
-                    [(X, design.dataset.outcome, factors)], design.dataset.family))
-                full = R is None and len(kept) == len(cols)  # a Gaussian fit of every column
-                out.append(Step(deviance, len(kept), beta, _r_factor(qr, scale) if full else None))
+                factors = design._factors(cols) if score is None else score.factors
+                _dropped(tuple(design.labels[c] for c in cols), factors[0])
+                _check_rank(factors[0], design.dataset.n)
+                out.append(score or first_error(_fit_chunk(
+                    [(X, design.dataset.outcome, factors)], design.dataset.family))[0])
             except ModelBuildError as error:
                 out.append(error)
         return out
@@ -684,20 +682,23 @@ class Design:
     @staticmethod
     def removal_bounds(models: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
         """(low, high) bounds on the deviance of dropping each term of each (design,
-        spec, step) from its Gaussian fit `step` by the Wald update (see the module
+        spec, step) from its Gaussian `Fit` `step` by the Wald update (see the module
         docstring), NaN where not guaranteed, and each term's column count: (m, 2) and
         (m,) arrays over the models' terms in turn. Models of one column layout share
         V = R^-1 R^-T, one guard and b_j^2 / V_jj, or a solve per larger term size."""
         sizes = [[len(t._labels) for t in spec.terms] for _, spec, _ in models]
         bounds, layouts, row = np.full((sum(map(len, sizes)), 2), np.nan), {}, 0
         for (design, spec, step), size in zip(models, sizes):
-            if step.r is not None and step.deviance > 0.0 and (design.intercept or len(size) > 1):
+            full = step.model_df == len(step.coefficients)  # a fit of every column
+            if full and design.dataset.family is Family.GAUSSIAN and step.deviance > 0.0 and (
+                    design.intercept or len(size) > 1):
                 layouts.setdefault((design.intercept, *size), []).append((row, design._yy, step))
             row += len(size)
         for (intercept, *size), group in layouts.items():
             rows, yy, steps = zip(*group)
-            dev, _, beta, r = map(np.array, zip(*steps))
-            r = np.triu(r)
+            dev = np.array([step.deviance for step in steps])
+            beta = np.array([step.coefficients for step in steps])
+            r = np.triu([_r_factor(step.factors[1], step.factors[3]) for step in steps])
             rinv = np.array([dtrtri(x)[0] for x in r])  # R is full rank; V = R^-1 R^-T
             var, norms = np.einsum("gij,gij->gi", rinv, rinv), np.einsum("gij,gij->gj", r, r)
             start = list(itertools.accumulate(size, initial=int(intercept)))[:-1]  # first columns

@@ -142,9 +142,7 @@ def stability(dataset: Dataset, selector: Procedure, plan: ResamplePlan,
             raise DomainError(f"selector returned untracked variables: {sorted(unknown)}")
         n_ok += 1
         idx = sorted(indices[v] for v in selected)
-        for a in idx:
-            for b in idx:
-                joint[a, b] += 1.0
+        joint[np.ix_(idx, idx)] += 1.0
         model_counter[tuple(sorted(selected))] += 1
     if n_ok == 0:
         raise DomainError("every replication failed; nothing to aggregate")

@@ -11,14 +11,15 @@ so selection under AIC/BIC is implemented through that equivalence.
 Each run builds the design of every term it can use once (`glm.Design`) and
 scores the candidate models of a step, its removals or its additions, together
 from column subsets of it (`glm.Design.scores`; binomial ones in lock step):
-deviance and kept columns, without a covariance or a `FitResult`. The start
-model and each model a run moves to become step records (`glm.Design.steps`,
-`glm.Step`): deviance, model df and, for a Gaussian fit with no dropped
-column, β and R. A scored model reuses its factorisation, and a
-binomial one its score. Only a run's final model is fitted as a `FitResult`,
-which does not warn again of the dropped columns its record warned of. Every
-deviance is that of the fit, so the trace equals fitting every candidate. One
-elimination loop and one addition scan serve every procedure.
+each a `glm.Fit` (deviance, model df, β, convergence and factorisation),
+without a covariance or a `FitResult`. The start model and each model a run
+moves to are step records (`glm.Design.steps`), `glm.Fit`s too: a scored
+model is its own, and only an unscored one is fitted. Only a run's final
+model is fitted as a `FitResult`, which does not warn again of the dropped
+columns its record warned of. Every deviance is that of the fit, so the
+trace equals fitting every candidate. One elimination loop and one addition
+scan serve every procedure, and one forward loop (`_forward`) serves forward
+selection and stepwise.
 
 The one elimination loop (`_eliminate`) advances a batch of runs, one per
 dataset, in lock step: `backward_eliminate_batch` (a chunk of stability
@@ -66,7 +67,7 @@ import numpy as np
 from .chi2 import chi2_sf
 from .data import Dataset
 from .errors import CycleDetectedError, DomainError, ExposureMissingError, ModelBuildError
-from .glm import Design, FitResult, Step, first_error, p_value_bounds
+from .glm import Design, Fit, FitResult, first_error, p_value_bounds
 from .model import ModelSpec, Term
 
 
@@ -144,8 +145,8 @@ class SelectionTrace:
         return tuple(dict.fromkeys(t.variable for t in self.final_spec.terms))
 
 
-def _removals(design: Design, current: FitResult | Step, terms: Sequence[Term],
-              scores: Sequence[tuple[float, int]]) -> list[tuple[float, int, Term, tuple]]:
+def _removals(design: Design, current: FitResult | Fit, terms: Sequence[Term],
+              scores: Sequence[Fit]) -> list[tuple[float, int, Term, Fit]]:
     """(p-value, df, term, score) of dropping each of `terms` from the
     current model, the models without them having scored `scores`."""
     full = (current.deviance, current.model_df)
@@ -201,7 +202,7 @@ class _Elimination:
 
     design: Design | None
     spec: ModelSpec
-    current: Step | None
+    current: Fit | None
     steps: list[SelectionStep]
     error: ModelBuildError | None = None
 
@@ -252,10 +253,10 @@ def _eliminate(runs: Sequence[_Elimination], criterion: Criterion,
         runs = []
 
 
-def _add(design: Design, spec: ModelSpec, current: Step, candidates: Sequence[Term],
+def _add(design: Design, spec: ModelSpec, current: Fit, candidates: Sequence[Term],
          criterion: Criterion, steps: list[SelectionStep]):
     """Add the most significant candidate if it passes the criterion; returns
-    the (spec, `glm.Step`) after the step and appends an addition to `steps`.
+    the (spec, `glm.Fit`) after the step and appends an addition to `steps`.
     Candidates whose column labels the model already has are skipped, and
     only those whose `Design.addition_bounds` admit the least p-value, or
     that have none, are scored, unless `_decided` settles the step."""
@@ -319,24 +320,40 @@ def _as_terms(candidates: Sequence[Union[str, Term]]) -> tuple[Term, ...]:
                                for c in candidates))
 
 
+def _forward(dataset: Dataset, start: ModelSpec, candidates: Sequence[Union[str, Term]],
+             criterion_in: Criterion, criterion_out: Criterion | None,
+             max_iterations: int) -> SelectionTrace:
+    """Add the most significant absent candidate while it passes `criterion_in`;
+    with `criterion_out` (stepwise), each iteration then re-checks the model by
+    backward elimination (`_eliminate`). Ends when an iteration takes no step."""
+    terms = _as_terms(candidates)
+    design = Design(dataset, start, terms)
+    spec, current = start, first_error(Design.steps([(design, start, None)]))[0]
+    steps: list[SelectionStep] = []
+    for _ in range(max_iterations):
+        taken = len(steps)
+        absent = [t for t in terms if t not in spec.terms]
+        if absent:
+            spec, current = _add(design, spec, current, absent, criterion_in, steps)
+        if criterion_out is not None:
+            run = _Elimination(design, spec, current, steps)
+            _eliminate([run], criterion_out)
+            if run.error:
+                raise run.error
+            spec, current = run.spec, run.current
+        if len(steps) == taken:
+            return SelectionTrace(start, tuple(steps), spec, design.fit(spec, warn=False),
+                                  criterion_in)
+    raise CycleDetectedError(f"stepwise did not settle within {max_iterations} iterations")
+
+
 def forward_select(dataset: Dataset, candidates: Sequence[Union[str, Term]],
                    criterion: Criterion,
                    start_spec: ModelSpec | None = None) -> SelectionTrace:
     """Starting from the intercept-only model, repeatedly add the most
     significant remaining candidate while it passes the criterion."""
-    initial = start_spec or ModelSpec()
-    terms = _as_terms(candidates)
-    design = Design(dataset, initial, terms)
-    spec, current = initial, first_error(Design.steps([(design, initial, None)]))[0]
-    remaining = [t for t in terms if t not in spec.terms]
-    steps: list[SelectionStep] = []
-    while remaining:
-        taken = len(steps)
-        spec, current = _add(design, spec, current, remaining, criterion, steps)
-        if len(steps) == taken:
-            break
-        remaining.remove(steps[-1].term)
-    return SelectionTrace(initial, tuple(steps), spec, design.fit(spec, warn=False), criterion)
+    return _forward(dataset, start_spec or ModelSpec(), candidates, criterion, None,
+                    len(candidates) + 1)  # one addition per candidate, at most
 
 
 def stepwise(dataset: Dataset, candidates: Sequence[Union[str, Term]],
@@ -354,25 +371,8 @@ def stepwise(dataset: Dataset, candidates: Sequence[Union[str, Term]],
         raise CycleDetectedError(
             f"entry threshold {thr_in:.4g} exceeds exit threshold {thr_out:.4g}"
         )
-    all_terms = _as_terms(candidates)
-    spec = ModelSpec()
-    design = Design(dataset, spec, all_terms)
-    current = first_error(Design.steps([(design, spec, None)]))[0]
-    steps: list[SelectionStep] = []
-    for _ in range(max_iterations):
-        taken = len(steps)
-        absent = [t for t in all_terms if t not in spec.terms]
-        spec, current = _add(design, spec, current, absent, criterion_in, steps)
-        # Backward re-checks until every retained term passes.
-        run = _Elimination(design, spec, current, steps)
-        _eliminate([run], criterion_out)
-        if run.error:
-            raise run.error
-        spec, current = run.spec, run.current
-        if len(steps) == taken:
-            return SelectionTrace(ModelSpec(), tuple(steps), spec,
-                                  design.fit(spec, warn=False), criterion_in)
-    raise CycleDetectedError(f"stepwise did not settle within {max_iterations} iterations")
+    return _forward(dataset, ModelSpec(), candidates, criterion_in, criterion_out,
+                    max_iterations)
 
 
 def _max_exposure_change(fit_with: FitResult, fit_without: FitResult,

@@ -117,7 +117,7 @@ def _out_of_fold_components(dataset: Dataset, spec: ModelSpec, cv: CvScheme):
             designs, dataset.family, labels))):
         if isinstance(fitted, ModelBuildError):
             raise FoldFitFailureError(fold_id, fitted) from fitted
-        C[test, :] = X_full[np.ix_(test, keep)] * fitted[1][keep]
+        C[test, :] = X_full[np.ix_(test, keep)] * fitted.coefficients[keep]
     return C, tuple(labels[j] for j in keep)
 
 

@@ -506,19 +506,20 @@ def _designs_for_scoring():
 
 
 def _scores(designs, family):
-    """(deviance, kept columns) of each (X, y) from `score_designs`, which
-    scores them together; raises the first error it yields."""
+    """The `glm.Fit` of each (X, y) from `score_designs`, which scores them
+    together; raises the first error it yields."""
     out = []
     for scored in score_designs([(X, y, None) for X, y in designs], family):
         if isinstance(scored, ModelBuildError):
             raise scored
-        out.append((scored[0], len(scored[2][0])))
+        out.append(scored)
     return out
 
 
 class TestScoreDesign:
-    """`score_designs` returns the deviance and kept columns of `fit_design`
-    bit for bit, gives its errors and does not warn."""
+    """`score_designs` returns the deviance, kept columns, coefficients,
+    convergence and iterations of `fit_design` bit for bit, gives its errors
+    and does not warn."""
 
     @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL])
     def test_equals_fit_design(self, family):
@@ -533,13 +534,15 @@ class TestScoreDesign:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scores = _scores(designs, family)
-        for (X, y), (deviance, model_df) in zip(designs, scores):
+        for (X, y), scored in zip(designs, scores):
             labels = tuple(f"c{j}" for j in range(X.shape[1]))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 res = fit_design(X, y, family, labels)
-            assert deviance == res.deviance
-            assert model_df == res.model_df
+            assert scored.deviance == res.deviance
+            assert scored.model_df == res.model_df
+            assert scored.coefficients.tobytes() == res.coefficients.tobytes()
+            assert (scored.converged, scored.iterations) == (res.converged, res.iterations)
 
     @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL])
     def test_raises_the_errors_of_fit_design(self, family):
@@ -916,11 +919,11 @@ class TestAdditionBounds:
                 design, bounds = self._bounds(ds, base, candidates)
                 assert len(bounds) == len(candidates)
                 for term, bound in zip(candidates, bounds):
-                    (exact, df), = design.scores([base + (term,)])
+                    exact, = design.scores([base + (term,)])
                     low, high = bound
-                    assert low <= exact <= high
+                    assert low <= exact.deviance <= high
                     assert high <= low * (1.0 + 3.0 * glm.SCREEN_RTOL)
-                    assert df == 1 + sum(len(t.labels()) for t in base + (term,))
+                    assert exact.model_df == 1 + sum(len(t.labels()) for t in base + (term,))
 
     def test_no_bounds_where_they_are_not_guaranteed(self):
         rng = np.random.default_rng(617)
@@ -969,8 +972,8 @@ class TestAdditionBounds:
         candidates = (Term.linear("c"), Term.linear("g"))
         design, bounds = self._bounds(ds, base, candidates)
         assert bounds[0] is None
-        (exact, _), = design.scores([base + (candidates[1],)])
-        assert bounds[1][0] <= exact <= bounds[1][1]
+        exact, = design.scores([base + (candidates[1],)])
+        assert bounds[1][0] <= exact.deviance <= bounds[1][1]
         with pytest.MonkeyPatch.context() as m:  # the residual's condition alone
             m.setattr(glm, "_deviance_conditioned", lambda R, *_: np.zeros(len(R), bool))
             first = self._bounds(ds, base, candidates)[1]

@@ -770,9 +770,32 @@ class TestLockStepRemovals:
 
 class TestStepFitReusesItsScore:
     """A `Design` memoises the factorisation of every column subset it
-    scores, and a binomial step records the removal it takes from its score,
-    so the step runs no factorisation and no IRLS, whichever removal was
-    scored last; the final fit reuses the memoised factorisation."""
+    scores, and a step records the removal it takes as its score, a
+    `glm.Fit`, so the step runs no factorisation, no IRLS and no solve,
+    whichever removal was scored last; the final fit reuses the memoised
+    factorisation."""
+
+    def test_scored_gaussian_step_runs_no_solve(self, monkeypatch):
+        ds, terms = _mixed_dataset(304, Family.GAUSSIAN)
+        spec = ModelSpec(terms[1:])
+        design = glm.Design(ds, ModelSpec(terms))
+        scored, = design.scores([spec.terms])
+        work = []
+        for name in ("_solve", "_scaled_qrs", "_householder", "_irls"):
+            real = getattr(glm, name)
+            monkeypatch.setattr(glm, name,
+                                lambda *args, name=name, real=real: work.append(name) or real(*args))
+        step, = glm.Design.steps([(design, spec, scored)])
+        monkeypatch.undo()
+        assert work == [] and step is scored
+        # The record equals that of the same model fitted unscored, bounds included.
+        other = glm.Design(ds, ModelSpec(terms))
+        fitted, = glm.Design.steps([(other, spec, None)])
+        assert fitted.deviance == step.deviance and fitted.model_df == step.model_df
+        assert fitted.coefficients.tobytes() == step.coefficients.tobytes()
+        bounds = [glm.Design.removal_bounds([(d, spec, s)])[0]
+                  for d, s in ((design, step), (other, fitted))]
+        assert not np.isnan(bounds[0]).all() and bounds[0].tobytes() == bounds[1].tobytes()
 
     def test_winner_scored_before_the_last_removal(self, monkeypatch):
         ds, terms = _mixed_dataset(304, Family.BINOMIAL)

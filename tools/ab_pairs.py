@@ -12,10 +12,11 @@ so an uncommitted change can be timed. Each pair runs `perfbench/run.py --worklo
 alternates from pair to pair, so that a drift of the host's speed falls on
 both sides alike. For every end-to-end metric of `BENCHMARK.json` the report
 gives each side's median [lower quartile, upper quartile], the ratio of the
-medians, and the number of pairs in which the change did better than the
-base, beside each tree's `src/fpselect/*.py` line count (that of
-`cat src/fpselect/*.py | wc -l`). A run that fails its reference gate stops
-the comparison. Only the standard library is used.
+medians, the number of pairs in which the change did better than the base,
+and a verdict against the metric's bound (`verdict`), beside each tree's
+`src/fpselect/*.py` line count (that of `cat src/fpselect/*.py | wc -l`). A
+run that fails its reference gate stops the comparison. Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -79,6 +81,40 @@ def summary(values: list[float]) -> str:
     return f"{median:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def wins(base: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change did better, ties counting for neither."""
+    sign = 1.0 if better == "lower" else -1.0
+    return sum(sign * (c - b) < 0 for b, c in zip(base, change))
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """The verdict on one end-to-end metric from paired runs (base[i] and
+    change[i] are one pair), `better` being "lower" or "higher" and `bound` the
+    fraction of the base median by which the metric may worsen (`BENCHMARK.json`):
+
+    - "gain": the change did better in at least 9 of 10 pairs, ties counting
+      for neither, and its median is better by more than the base's
+      interquartile range;
+    - "worse": the change's median is worse by more than the bound;
+    - "unresolved": the base's interquartile range exceeds the bound, unless
+      every change run is better than every base run;
+    - "no worse" otherwise.
+
+    A single pair has no spread to judge by: it is never a gain, and it is
+    unresolved unless its change run is better."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * value: lower is better
+    base_median, change_median = statistics.median(base), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else (0.0, 0.0, math.inf)
+    if 10 * wins(base, change, better) >= 9 * len(base) and sign * (base_median - change_median) > q3 - q1:
+        return "gain"
+    if sign * (change_median - base_median) > bound * abs(base_median):
+        return "worse"
+    if q3 - q1 > bound * abs(base_median) and not (
+            max(sign * c for c in change) < min(sign * b for b in base)):
+        return "unresolved"
+    return "no worse"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
@@ -91,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
     results: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         trees = {side: tree_of(getattr(args, side), Path(tmp) / side)
@@ -109,15 +145,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"src/fpselect/*.py lines: base {lines['base']}, change {lines['change']} "
           f"({lines['change'] - lines['base']:+d})")
     print(f"{'metric':<16} {'base median [q1, q3]':<30} {'change median [q1, q3]':<30} "
-          f"{'change/base':>11} {'won':>7}")
-    for name, direction in better.items():
+          f"{'change/base':>11} {'won':>7}  verdict (bound)")
+    for name, (direction, bound) in metrics.items():
         base = [r[name] for r in results["base"]]
         change = [r[name] for r in results["change"]]
-        sign = 1.0 if direction == "lower" else -1.0
-        won = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+        won = wins(base, change, direction)
         ratio = statistics.median(change) / statistics.median(base)
         print(f"{name:<16} {summary(base):<30} {summary(change):<30} {ratio:>11.3f} "
-              f"{won:>3}/{len(base)}")
+              f"{won:>3}/{len(base)}  {verdict(base, change, direction, bound)} ({bound:g})")
     return 0
 
 
