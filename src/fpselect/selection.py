@@ -17,9 +17,10 @@ moves to are step records (`glm.Design.steps`), `glm.Fit`s too: a scored
 model is its own, and only an unscored one is fitted. Only a run's final
 model is fitted as a `FitResult`, which does not warn again of the dropped
 columns its record warned of. Every deviance is that of the fit, so the
-trace equals fitting every candidate. One elimination loop and one addition
-scan serve every procedure, and one forward loop (`_forward`) serves forward
-selection and stepwise.
+trace equals fitting every candidate. Every procedure keeps its state in
+one run record (`_Run`), which one elimination loop and one addition scan
+(`_add`) advance in place. Forward selection and stepwise share one forward
+loop (`_forward`), and stepwise re-checks its model only after an addition.
 
 The one elimination loop (`_eliminate`) advances a batch of runs, one per
 dataset, in lock step: `backward_eliminate_batch` (a chunk of stability
@@ -161,7 +162,7 @@ def _least(low: np.ndarray, high: np.ndarray, group: np.ndarray, groups: int) ->
     return ~(low > cut[group])
 
 
-def _screen(runs: Sequence[_Elimination], protected: Sequence[Term]) -> list[list[tuple]]:
+def _screen(runs: Sequence[_Run], protected: Sequence[Term]) -> list[list[tuple]]:
     """Each run's (term, its (low, high) p-value bounds or NaN) of the unprotected
     terms whose removal may have its largest p-value; all runs in one pass."""
     reduced, df = Design.removal_bounds([(run.design, run.spec, run.current) for run in runs])
@@ -196,18 +197,20 @@ def _decided(design: Design, criterion: Criterion,
 
 
 @dataclass
-class _Elimination:
-    """One dataset's backward elimination, as `_eliminate` advances it; `current`
-    is None until it is recorded, `error` the ModelBuildError that ended it."""
+class _Run:
+    """One selection run on one dataset, as `_eliminate` and `_add` advance it:
+    the design of every term it can use, its model's spec and record (a `glm.Fit`,
+    or a `FitResult` in ABE; None until `_eliminate` records it), its steps, and
+    the ModelBuildError that ended it."""
 
     design: Design | None
     spec: ModelSpec
-    current: Fit | None
+    current: Fit | FitResult | None
     steps: list[SelectionStep]
     error: ModelBuildError | None = None
 
 
-def _eliminate(runs: Sequence[_Elimination], criterion: Criterion,
+def _eliminate(runs: Sequence[_Run], criterion: Criterion,
                protected: Sequence[Term] = ()) -> None:
     """Advance the runs in lock step (see the module docstring), each
     dropping its least significant unprotected term while that fails the
@@ -253,13 +256,12 @@ def _eliminate(runs: Sequence[_Elimination], criterion: Criterion,
         runs = []
 
 
-def _add(design: Design, spec: ModelSpec, current: Fit, candidates: Sequence[Term],
-         criterion: Criterion, steps: list[SelectionStep]):
-    """Add the most significant candidate if it passes the criterion; returns
-    the (spec, `glm.Fit`) after the step and appends an addition to `steps`.
-    Candidates whose column labels the model already has are skipped, and
-    only those whose `Design.addition_bounds` admit the least p-value, or
-    that have none, are scored, unless `_decided` settles the step."""
+def _add(run: _Run, candidates: Sequence[Term], criterion: Criterion) -> None:
+    """Advance the run by adding its most significant candidate if that passes
+    the criterion. Candidates whose column labels the model already has are
+    skipped, and only those whose `Design.addition_bounds` admit the least
+    p-value, or that have none, are scored, unless `_decided` settles the step."""
+    design, spec, current = run.design, run.spec, run.current
     admitted = [term for term in candidates if spec.admits(term)]
     blocks = [design.term_columns[term] for term in admitted]
     added = design.addition_bounds(spec.terms, blocks)
@@ -277,12 +279,11 @@ def _add(design: Design, spec: ModelSpec, current: Fit, candidates: Sequence[Ter
     if best is not None and best[0] <= criterion_threshold(criterion, design.dataset.n, best[1]):
         move = best[2:]
     if move is None:
-        return spec, current
-    spec = spec.with_term(move[0])
-    step = first_error(Design.steps([(design, spec, move[1])]))[0]
-    p, _ = design.p_value(current, step)
-    steps.append(SelectionStep("add", move[0].variable, move[0], p, step.deviance))
-    return spec, step
+        return
+    run.spec = spec.with_term(move[0])
+    run.current = first_error(Design.steps([(design, run.spec, move[1])]))[0]
+    p, _ = design.p_value(current, run.current)
+    run.steps.append(SelectionStep("add", move[0].variable, move[0], p, run.current.deviance))
 
 
 def backward_eliminate_batch(datasets: Sequence[Dataset], start_spec: ModelSpec,
@@ -293,9 +294,9 @@ def backward_eliminate_batch(datasets: Sequence[Dataset], start_spec: ModelSpec,
     runs = []
     for dataset in datasets:
         try:
-            runs.append(_Elimination(Design(dataset, start_spec), start_spec, None, []))
+            runs.append(_Run(Design(dataset, start_spec), start_spec, None, []))
         except ModelBuildError as error:  # a run that cannot start
-            runs.append(_Elimination(None, start_spec, None, [], error))
+            runs.append(_Run(None, start_spec, None, [], error))
     _eliminate([run for run in runs if not run.error], criterion, tuple(protected))
     return [run.error or SelectionTrace(start_spec, tuple(run.steps), run.spec,
                                         run.design.fit(run.spec, warn=False), criterion)
@@ -324,26 +325,22 @@ def _forward(dataset: Dataset, start: ModelSpec, candidates: Sequence[Union[str,
              criterion_in: Criterion, criterion_out: Criterion | None,
              max_iterations: int) -> SelectionTrace:
     """Add the most significant absent candidate while it passes `criterion_in`;
-    with `criterion_out` (stepwise), each iteration then re-checks the model by
-    backward elimination (`_eliminate`). Ends when an iteration takes no step."""
+    with `criterion_out` (stepwise), each addition is followed by a re-check of
+    the model by backward elimination (`_eliminate`). Ends when `_add` takes no
+    step: the model is then the start model or one a re-check ran to a stop."""
     terms = _as_terms(candidates)
     design = Design(dataset, start, terms)
-    spec, current = start, first_error(Design.steps([(design, start, None)]))[0]
-    steps: list[SelectionStep] = []
+    run = _Run(design, start, first_error(Design.steps([(design, start, None)]))[0], [])
     for _ in range(max_iterations):
-        taken = len(steps)
-        absent = [t for t in terms if t not in spec.terms]
-        if absent:
-            spec, current = _add(design, spec, current, absent, criterion_in, steps)
+        taken = len(run.steps)
+        _add(run, [t for t in terms if t not in run.spec.terms], criterion_in)
+        if len(run.steps) == taken:
+            return SelectionTrace(start, tuple(run.steps), run.spec,
+                                  design.fit(run.spec, warn=False), criterion_in)
         if criterion_out is not None:
-            run = _Elimination(design, spec, current, steps)
             _eliminate([run], criterion_out)
             if run.error:
                 raise run.error
-            spec, current = run.spec, run.current
-        if len(steps) == taken:
-            return SelectionTrace(start, tuple(steps), spec, design.fit(spec, warn=False),
-                                  criterion_in)
     raise CycleDetectedError(f"stepwise did not settle within {max_iterations} iterations")
 
 
@@ -416,37 +413,32 @@ def augmented_backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
     exposure_labels = exposure_term.labels()
 
     design = Design(dataset, start_spec)
-    spec = start_spec
-    current = design.fit(spec)
-    steps: list[SelectionStep] = []
+    run = _Run(design, start_spec, design.fit(start_spec), [])
     kept_as_confounder: set[Term] = set()
     while True:
         skip = kept_as_confounder | {exposure_term}
-        terms = [t for t in spec.terms if t not in skip]
-        scores = design.scores([[t for t in spec.terms if t is not term] for term in terms])
-        ranked = [(p, term) for p, _, term, _ in _removals(design, current, terms, scores)
+        terms = [t for t in run.spec.terms if t not in skip]
+        scores = design.scores([[t for t in run.spec.terms if t is not term] for term in terms])
+        ranked = [(p, term) for p, _, term, _ in _removals(design, run.current, terms, scores)
                   if p > alpha]
         ranked.sort(key=lambda item: -item[0])
-        dropped = False
         # Only the change-in-estimate check needs a reduced fit: fit lazily.
         for p, term in ranked:
-            reduced_fit = design.fit(spec.without_term(term))
-            change = _max_exposure_change(current, reduced_fit, exposure_labels, mode)
+            reduced_fit = design.fit(run.spec.without_term(term))
+            change = _max_exposure_change(run.current, reduced_fit, exposure_labels, mode)
             if change > cie_threshold:
                 kept_as_confounder.add(term)
-                steps.append(SelectionStep("keep-confounder", term.variable, term,
-                                           p, current.deviance))
+                run.steps.append(SelectionStep("keep-confounder", term.variable, term,
+                                               p, run.current.deviance))
                 continue
-            spec = spec.without_term(term)
-            current = reduced_fit
-            steps.append(SelectionStep("drop", term.variable, term, p, current.deviance))
+            run.spec, run.current = run.spec.without_term(term), reduced_fit
+            run.steps.append(SelectionStep("drop", term.variable, term, p, reduced_fit.deviance))
             # A drop changes every removal test; confounder verdicts are reassessed.
             kept_as_confounder.clear()
-            dropped = True
             break
-        if not dropped:
-            break
-    return SelectionTrace(start_spec, tuple(steps), spec, current, Criterion.p_value(alpha))
+        else:
+            return SelectionTrace(start_spec, tuple(run.steps), run.spec, run.current,
+                                  Criterion.p_value(alpha))
 
 
 SCREENING_NOTE = ("univariable screening is discouraged: adjusted and unadjusted "

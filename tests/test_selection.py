@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fpselect import glm
+from fpselect import glm, selection
 from fpselect import (Criterion, CycleDetectedError, Dataset, DomainError,
                       ExposureMissingError, Family, ModelSpec, RankDeficientError,
                       ResamplePlan, Term, augmented_backward_eliminate, backward_eliminate,
@@ -206,6 +206,43 @@ class TestForwardAndStepwise:
         ds = noise_dataset(rng, n=100, p=2)
         with pytest.raises(CycleDetectedError):
             stepwise(ds, ["x0", "x1"], Criterion.p_value(0.2), Criterion.p_value(0.05))
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=lambda f: f.value)
+    def test_stepwise_rechecks_only_after_an_addition(self, family, monkeypatch):
+        # The model an iteration without an addition holds is one the last
+        # re-check ran to a stop: re-checking it again scores for nothing.
+        rng = np.random.default_rng(211)
+        n = 500
+        cols = {f"x{j}": rng.standard_normal(n) for j in range(8)}
+        eta = 0.6 * cols["x0"] + 0.5 * cols["x1"] + 0.4 * cols["x2"]
+        cols["y"] = (eta + rng.standard_normal(n) if family is Family.GAUSSIAN
+                     else (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float))
+        ds = Dataset.from_columns(cols, outcome="y", family=family)
+        terms = tuple(Term.linear(f"x{j}") for j in range(8))
+        criterion, calls = Criterion.p_value(0.05), []
+        eliminate = selection._eliminate
+        monkeypatch.setattr(selection, "_eliminate",
+                            lambda *args, **kwargs: calls.append(1) or eliminate(*args, **kwargs))
+        trace = stepwise(ds, terms, criterion)
+        monkeypatch.undo()
+        adds = [step for step in trace.steps if step.action == "add"]
+        assert len(adds) >= 3 and len(calls) == len(adds)
+        _assert_same_trace(trace, _ref_stepwise(ds, terms, criterion))
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=lambda f: f.value)
+    def test_every_candidate_taken(self, family, monkeypatch):
+        # At alpha = 1 every candidate, the dummy block and the FP2 term
+        # included, enters, and the last addition scan has nothing to scan.
+        ds, terms = _mixed_dataset(304, family)
+        criterion, scanned = Criterion.p_value(1.0), []
+        add = selection._add
+        monkeypatch.setattr(selection, "_add", lambda run, candidates, criterion:
+                            scanned.append(list(candidates)) or add(run, candidates, criterion))
+        for run, ref in ((forward_select, _ref_forward), (stepwise, _ref_stepwise)):
+            scanned.clear()
+            trace = run(ds, terms, criterion)
+            assert set(trace.final_spec.terms) == set(terms) and scanned[-1] == []
+            _assert_same_trace(trace, ref(ds, terms, criterion))
 
 
 def confounding_dataset(rng, n=400, gamma=0.35, rho=0.75):

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Alternating benchmark pairs of two revisions of this repository.
 
-    python3 tools/ab_pairs.py --base HEAD~1 --change HEAD --workload shrink_loo \\
+    python3 tools/ab_pairs.py --base HEAD~1 --change HEAD --workload mfp_gauss shrink_loo \\
         --seed 1 --seconds 30 --pairs 10
+
+`--workload` takes one or more names; the report gives one block per workload.
 
 Both revisions are unpacked with `git archive` into a temporary directory, so
 the working tree and the index are left untouched. A directory may be named
@@ -115,32 +117,11 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
     return "no worse"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--base", required=True,
-                        help="revision or directory to compare against")
-    parser.add_argument("--change", required=True, help="revision or directory under test")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args(argv)
-
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
-    results: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
-        trees = {side: tree_of(getattr(args, side), Path(tmp) / side)
-                 for side in ("base", "change")}
-        lines = {side: source_lines(tree) for side, tree in trees.items()}
-        for pair in range(args.pairs):
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                results[side].append(run(trees[side], args.workload, args.seed, args.seconds))
-            print(f"pair {pair + 1}/{args.pairs} done ({' first, '.join(order)} second)",
-                  file=sys.stderr, flush=True)
-
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s; "
+def report(workload: str, args: argparse.Namespace, lines: dict[str, int],
+           metrics: dict[str, tuple[str, float]],
+           results: dict[str, list[dict[str, float]]]) -> None:
+    """Print one workload's block: each metric's summaries, wins and verdict."""
+    print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s; "
           f"base {args.base}, change {args.change}")
     print(f"src/fpselect/*.py lines: base {lines['base']}, change {lines['change']} "
           f"({lines['change'] - lines['base']:+d})")
@@ -152,7 +133,36 @@ def main(argv: list[str] | None = None) -> int:
         won = wins(base, change, direction)
         ratio = statistics.median(change) / statistics.median(base)
         print(f"{name:<16} {summary(base):<30} {summary(change):<30} {ratio:>11.3f} "
-              f"{won:>3}/{len(base)}  {verdict(base, change, direction, bound)} ({bound:g})")
+              f"{won:>3}/{len(base)}  {verdict(base, change, direction, bound)} ({bound:g})",
+              flush=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True,
+                        help="revision or directory to compare against")
+    parser.add_argument("--change", required=True, help="revision or directory under test")
+    parser.add_argument("--workload", required=True, nargs="+")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--pairs", type=int, default=10)
+    args = parser.parse_args(argv)
+
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
+        trees = {side: tree_of(getattr(args, side), Path(tmp) / side)
+                 for side in ("base", "change")}
+        lines = {side: source_lines(tree) for side, tree in trees.items()}
+        for workload in args.workload:
+            results: dict[str, list[dict[str, float]]] = {"base": [], "change": []}
+            for pair in range(args.pairs):
+                order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+                for side in order:
+                    results[side].append(run(trees[side], workload, args.seed, args.seconds))
+                print(f"{workload}: pair {pair + 1}/{args.pairs} done "
+                      f"({' first, '.join(order)} second)", file=sys.stderr, flush=True)
+            report(workload, args, lines, metrics, results)
     return 0
 
 

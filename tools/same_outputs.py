@@ -24,11 +24,12 @@ stored reference as the benchmark's gate does, and fingerprints it:
   selected set.
 
 The report names every dataset whose fingerprints differ and every gate
-problem, and gives per analysis on each side the calls to `glm._householder`
-and `glm._irls` and the designs factorised: the depth of each
-`glm._scaled_qrs` stack, a 2-D call counting 1, IRLS steps included. Each
-count is given as its mean over the analyses and its 99th percentile, which
-shows the work of the heaviest analyses, where a timing tail comes from.
+problem, and gives per analysis on each side the calls to `glm._householder`,
+`glm._irls` and `glm._solve` (least-squares solves on a factorisation) and
+the designs factorised: the depth of each `glm._scaled_qrs` stack, a 2-D
+call counting 1, IRLS steps included. Each count is given as its mean over
+the analyses and its 99th percentile, which shows the work of the heaviest
+analyses, where a timing tail comes from.
 `_householder` calls may fall by design, when designs are factorised in
 stacks instead of one at a time; the designs factorised must not rise. The
 exit code is 1 when a fingerprint differs or a reference check fails. Only
@@ -54,6 +55,7 @@ from ab_pairs import tree_of
 
 # What each call of a counted function adds: 1, or the designs it factorises.
 COUNTED = {"_householder": lambda *args: 1, "_irls": lambda *args: 1,
+           "_solve": lambda *args: 1,
            "_scaled_qrs": lambda At, peak: 1 if At.ndim == 2 else len(At)}
 LABELS = {"_scaled_qrs": "designs factorised"}
 WORKLOADS = ("mfp_gauss", "stability_be", "shrink_loo", "mfp_binom")
