@@ -31,8 +31,10 @@ order); only fits of equal shape are stacked (padding would change numpy's
 pairwise row sums); and a stack holds at most `_LOCKSTEP_FITS` fits, as
 `score_designs` reads no more at a time (200 folds in one stack raised the
 peak RSS of 20 `shrink_loo` analyses from 65.7 to 81.2 MB, 16 by 0.0 MB).
-`Design.steps` stacks the factorisations of the models it records alike,
-one `_scaled_qrs` call per shape, each keeping its own solve and X @ beta.
+`_stacked_factors` factorises designs of one shape in one `_scaled_qrs` call,
+and an aliased one goes on from there (`_householder`): `Design.steps` uses
+it, `score_designs` for binomial chunks only (stacked Gaussian chunks made
+`mfp_gauss` analyses 4-8% slower).
 
 Gaussian searches need not score every candidate. A QR update of the
 current fit gives each candidate's residual sum of squares, which `Design`
@@ -70,7 +72,7 @@ guard, as every one does once the adjustment holds an ill-conditioned FP2
 term, gets a second (`_deviance_conditioned`) from the update's own factor:
 beta_C by back-substitution on R_C and the last column of the block's R,
 beta_A = R_A^-1 (Q_A'y - S beta_C) from one triangular solve per call. It is
-bounded when u c1 + u^2 kappa^2 <= `SCREEN_RTOL` / 100 and each diagonal of
+bounded when u c1 + u^2 kappa^2 <= `SCREEN_RTOL` / 20 and each diagonal of
 R_C, a unit column's distance from the ones before it, exceeds 1e4
 `PIVOT_TOL`, so that the exact fit, which drops a column at `PIVOT_TOL`, keeps
 every column the update does. The first guard implies the second (its kappa^2
@@ -85,8 +87,9 @@ additions, at most 1.71 u c on 198,000 candidates of 4,500 random FP searches
 16,764 of 24 `mfp_gauss` datasets, 94% of them bounded, where a degree's best
 two came within 1.2e-9 (FP1) and 1.7e-9 (FP2) and were scored. Of the 26,246
 candidates of the 900 stored `mfp_gauss` benchmark references (seeds 1 and
-8191) that fail the first guard, the second bounds 16,129, with errors of at
-most 1.57 u c1 and 3.1e-9 (`SCREEN_RTOL` / 320). A binomial fit, a model with
+8191) that fail the first guard, the second bounds 17,246, every one holding,
+with errors of at most 2.9e-8 (`SCREEN_RTOL` / 34); the 16,129 within
+`SCREEN_RTOL` / 100 erred by at most 1.57 u c1. A binomial fit, a model with
 dropped or no columns or fewer residual rows than candidate columns, a zero
 deviance and over- or underflow give no bounds.
 """
@@ -188,7 +191,7 @@ class Fit(NamedTuple):
 
 def _expit(eta: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_info(routine: str, info: int) -> None:
@@ -217,15 +220,16 @@ def _scaled_qrs(At: np.ndarray, peak: np.ndarray):
     return scales, qrs, np.abs(As.diagonal(axis1=-2, axis2=-1)) <= PIVOT_TOL * norms
 
 
-def _householder(A: np.ndarray):
+def _householder(A: np.ndarray, attempt=None):
     """Householder QR (`_scaled_qrs`) of the columns of A that the aliasing
     rule keeps.
 
     Zero columns are dropped up front; then the first aliased column is
     dropped and the remaining columns are factorised again, so a full-rank
     design takes one call, with no fancy-index copy. Columns beyond the n-th
-    kept one are aliased. Returns (kept, qr, tau, scale), the factorisation of
-    A[:, kept] / scale."""
+    kept one are aliased; `attempt`, the `_scaled_qrs` result of A when no
+    column is zero and p <= n, stands for the first call. Returns (kept, qr,
+    tau, scale), the factorisation of A[:, kept] / scale."""
     n, p = A.shape
     At = np.asfortranarray(A).T  # C-ordered; At[j] is column j
     peak = np.abs(At).max(axis=1)
@@ -233,12 +237,36 @@ def _householder(A: np.ndarray):
     while True:
         kept = candidates[:n]
         full = len(kept) == p
-        scale, ((qr, tau),), aliased = _scaled_qrs(At if full else At[kept],
-                                                   peak if full else peak[kept])
-        first = aliased.nonzero()[0]
+        scale, ((qr, tau),), aliased = attempt or _scaled_qrs(At if full else At[kept],
+                                                              peak if full else peak[kept])
+        first, attempt = aliased.nonzero()[0], None
         if not first.size:
             return kept.tolist(), qr, tau, scale
         candidates = np.delete(candidates, first[0])
+
+
+def _stacked_factors(designs) -> list:
+    """The `_factorise` result of each (X, y, None) of `designs` whose (n, k)
+    shape, k <= n, others share, with finite nonzero columns and y: they share
+    one `_scaled_qrs` call for their first attempt. Others keep their factors."""
+    out, shapes = [factors for _, _, factors in designs], {}
+    for i, (X, _, factors) in enumerate(designs):
+        if factors is None and 0 < X.shape[1] <= X.shape[0]:
+            shapes.setdefault(X.shape, []).append(i)
+    for ids in (ids for ids in shapes.values() if len(ids) > 1):
+        At = np.empty((len(ids), *designs[ids[0]][0].shape[::-1]))
+        for j, i in enumerate(ids):  # C-ordered, unlike an np.stack of the transposes
+            At[j] = designs[i][0].T  # At[j, c] is column c of design i
+        peak = np.abs(At).max(axis=2)
+        usable = (((peak > 0.0) & np.isfinite(peak)).all(axis=1)  # NaN fails
+                  & np.isfinite([designs[i][1] for i in ids]).all(axis=1))
+        if not usable.all():  # the others are left to `_factorise`
+            At, peak, ids = At[usable], peak[usable], [i for i, u in zip(ids, usable) if u]
+        scales, qrs, aliased = _scaled_qrs(At, peak)
+        for j, (i, lost) in enumerate(zip(ids, aliased.any(axis=1).tolist())):
+            out[i] = (_householder(designs[i][0], (scales[j], qrs[j:j + 1], aliased[j])) if lost
+                      else (list(range(At.shape[1])), *qrs[j], scales[j]))
+    return out
 
 
 def _solve(qr: np.ndarray, tau: np.ndarray, scale: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -306,34 +334,44 @@ def _check_rank(kept: list[int], n: int) -> None:
 def _irls(fits, max_iter: int = MAX_ITER) -> list:
     """Binomial-logit IRLS of independent fits in lock step (see the module
     docstring), one stack per shape. Fit i is (X, y, factors): a design, its
-    0/1 outcome and the `_factorise` result (kept, qr, tau, scale) of X.
+    outcome and the `_factorise` result (kept, qr, tau, scale) of X.
 
     Every starting weight is equal, so a fit's first step is the unweighted
     least squares problem and reuses `factors`; later steps factorise the
     weighted design. Returns, per fit, (beta, R, deviance, converged,
     iterations), R being the triangular factor of the last weighted design,
-    or the RankDeficientError of a design that lost rank under the weights."""
+    or the ModelBuildError of the fit: a DomainError for an outcome not all 0
+    or 1, a RankDeficientError for a design that lost rank under the weights."""
     out: list = [None] * len(fits)
     shapes: dict[tuple[int, int], list[int]] = {}
     for i, (X, _, (kept, *_)) in enumerate(fits):
         shapes.setdefault((len(X), len(kept)), []).append(i)
     for ids in shapes.values():
-        Xt = np.stack([fits[i][0][:, fits[i][2][0]].T for i in ids])  # Xt[j].T is X[:, kept]
         y = np.stack([fits[i][1] for i in ids])
+        binary = ((y == 0.0) | (y == 1.0)).all(axis=1)
+        if not binary.all():
+            for i in np.array(ids)[~binary].tolist():
+                out[i] = DomainError("binomial outcome must contain only 0 and 1")
+            ids, y = [i for i, b in zip(ids, binary) if b], y[binary]
+            if not ids:
+                continue
+        Xt = np.stack([fits[i][0][:, fits[i][2][0]].T for i in ids])  # Xt[j].T is X[:, kept]
         mu = np.clip((y + 0.5) / 2.0, _MU_EPS, 1.0 - _MU_EPS)
         eta = np.log(mu / (1.0 - mu))
         deviance = _binomial_deviance(y, mu)
-        for i, dev in zip(ids, deviance.tolist()):  # the result when max_iter < 1
-            out[i] = (np.zeros(Xt.shape[1]), np.eye(Xt.shape[1]), dev, False, 0)
+        if max_iter < 1:
+            for i, dev in zip(ids, deviance.tolist()):
+                out[i] = (np.zeros(Xt.shape[1]), np.eye(Xt.shape[1]), dev, False, 0)
         for iterations in range(1, max_iter + 1):
             w = np.maximum(mu * (1.0 - mu), _MU_EPS)
             z = eta + (y - mu) / w
-            reuse = (w == w[:, :1]).all(axis=1) & (iterations == 1)
-            if not reuse.all():  # a weighted design with an aliased column lost rank
+            reuse = ((w == w[:, :1]).all(axis=1).tolist() if iterations == 1
+                     else [False] * len(ids))
+            if not all(reuse):  # a weighted design with an aliased column lost rank
                 sw = np.sqrt(w)
                 A = Xt * sw[:, None, :]
                 scales, qrs, aliased = _scaled_qrs(A, np.abs(A).max(axis=2))
-                lost, b = aliased.any(axis=1), z * sw
+                lost, b = aliased.any(axis=1).tolist(), z * sw
             for j, i in enumerate(ids):
                 if reuse[j]:
                     (_, qr, tau, scale), rhs, rw = fits[i][2], z[j], math.sqrt(w[j, 0])
@@ -393,10 +431,13 @@ def score_designs(designs: Iterable[tuple[np.ndarray, np.ndarray, tuple | None]]
     columns (its deviance that of `fit_design`, bit for bit), or the
     ModelBuildError that fitting it raises. `factors` is the `_factorise`
     result of X and y when the caller has it, else None. Designs are read
-    `_LOCKSTEP_FITS` at a time and fitted together (`_fit_chunk`); with
+    `_LOCKSTEP_FITS` at a time, factorised together when binomial
+    (`_stacked_factors`) and fitted together (`_fit_chunk`); with
     `column_labels`, dropped columns warn as in `fit_design`."""
     designs = iter(designs)
     while chunk := list(itertools.islice(designs, _LOCKSTEP_FITS)):
+        if family is Family.BINOMIAL:
+            chunk = [(X, y, factors) for (X, y, _), factors in zip(chunk, _stacked_factors(chunk))]
         checked = []
         for X, y, factors in chunk:
             try:
@@ -460,8 +501,9 @@ def fit_design(X: np.ndarray, y: np.ndarray, family: Family, column_labels: tupl
 
 
 def _binomial_deviance(y: np.ndarray, mu: np.ndarray):
-    """Deviance of each row of the outcome y at the means mu."""
-    return -2.0 * np.sum(y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu), axis=-1)
+    """Deviance of each row of the outcome y, all 0 or 1, at the means mu in
+    (0, 1), one log per value: the bits of y log(mu) + (1 - y) log(1 - mu)."""
+    return -2.0 * np.sum(np.log(np.where(y == 1.0, mu, 1.0 - mu)), axis=-1)
 
 
 def fit(dataset: Dataset, spec: ModelSpec, max_iter: int = MAX_ITER) -> FitResult:
@@ -502,7 +544,7 @@ def _deviance_conditioned(R, coef, blocks, norms, yy, rss, kappa2) -> np.ndarray
     """Whether the residual sum of squares `rss` of each block, m indices
     into the columns of coef, is well conditioned (see the module docstring):
     every diagonal of R_C = R[:m, :m], R being its `_residual_updates` factor,
-    above 1e4 `PIVOT_TOL`, and u c1 + u^2 kappa2 <= `SCREEN_RTOL` / 100. The
+    above 1e4 `PIVOT_TOL`, and u c1 + u^2 kappa2 <= `SCREEN_RTOL` / 20. The
     block's unit columns take the coefficients beta_C = R_C^-1 R[:m, m], the
     design's columns, of norms `norms`, coef[:, -1] - coef[:, block] beta_C;
     coef is R_A^-1 Q_A' of the blocks' columns and y, and yy is ||y||^2."""
@@ -515,7 +557,7 @@ def _deviance_conditioned(R, coef, blocks, norms, yy, rss, kappa2) -> np.ndarray
     c1 = (math.sqrt(yy) + norms @ np.abs(beta_a) + np.abs(beta).sum(axis=1)) / np.sqrt(rss)
     u = 2.0 ** -53
     return ((np.abs(R.diagonal(axis1=1, axis2=2)[:, :m]).min(axis=1) > 1e4 * PIVOT_TOL)
-            & (u * c1 + u * u * kappa2 <= SCREEN_RTOL / 100.0) & np.isfinite(rss))
+            & (u * c1 + u * u * kappa2 <= SCREEN_RTOL / 20.0) & np.isfinite(rss))
 
 
 def contenders(bounds: Sequence[tuple[float, float] | None]) -> list[bool]:
@@ -652,29 +694,21 @@ class Design:
     def steps(models: Sequence[tuple[Design, ModelSpec, Fit | None]]) -> list:
         """The `Fit` of each (design, spec, score), or the ModelBuildError of
         its fit; `score` is its `batch_scores` `Fit`, which is the step, or
-        None. The fits reuse memoised factorisations; the others share one
-        `_scaled_qrs` stack per (n, k) shape, unless alone in it, aliased or
-        not finite (`_factorise`). Dropped columns warn."""
+        None. The fits reuse memoised factorisations; the others are factorised
+        together (`_stacked_factors`) into the memo. Dropped columns warn."""
         subsets = [(design, design.columns(spec.terms), score) for design, spec, score in models]
-        Xs, shapes = [design.X[:, cols] for design, cols, _ in subsets], {}
-        for i, (design, cols, _) in enumerate(subsets):
-            if cols not in design._factorisations and 0 < len(cols) <= design.dataset.n:
-                shapes.setdefault(Xs[i].shape, []).append(i)
-        for ids in (ids for ids in shapes.values() if len(ids) > 1):
-            At = np.stack([Xs[i].T for i in ids])  # At[j, c] is column c of design j
-            peak = np.abs(At).max(axis=2)
-            scales, qrs, aliased = _scaled_qrs(At, peak)
-            for j in np.flatnonzero(np.isfinite(peak).all(axis=1) & ~aliased.any(axis=1)):
-                design, cols, _ = subsets[ids[j]]
-                design._factorisations[cols] = (list(range(len(cols))), *qrs[j], scales[j])
+        fits = [(design.X[:, cols], design.dataset.outcome,
+                 score.factors if score else design._factorisations.get(cols))
+                for design, cols, score in subsets]
         out = []
-        for (design, cols, score), X in zip(subsets, Xs):
+        for (design, cols, score), (X, y, _), factors in zip(subsets, fits, _stacked_factors(fits)):
             try:
-                factors = design._factors(cols) if score is None else score.factors
+                if score is None:
+                    factors = design._factorisations.setdefault(cols, factors or _factorise(X, y))
                 _dropped(tuple(design.labels[c] for c in cols), factors[0])
                 _check_rank(factors[0], design.dataset.n)
-                out.append(score or first_error(_fit_chunk(
-                    [(X, design.dataset.outcome, factors)], design.dataset.family))[0])
+                out.append(score or first_error(
+                    _fit_chunk([(X, y, factors)], design.dataset.family))[0])
             except ModelBuildError as error:
                 out.append(error)
         return out

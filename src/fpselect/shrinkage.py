@@ -10,8 +10,10 @@ are mean-centered before calibration so the intercept absorbs location.
 Global shrinkage with `reselect` re-selects the model inside every training
 fold and calibrates on the folds' own out-of-fold predictors. Otherwise the
 folds refit one design through `glm.score_designs`, the scorer of every
-search, binomial folds of equal size in lock step, bit for bit as one at a
-time, and keep only coefficients.
+search, binomial folds of equal size factorised together and fitted in lock
+step, bit for bit as one at a time. Each held-out row keeps its fold's
+coefficients, and one product of the design and those rows gives every
+component.
 """
 
 from __future__ import annotations
@@ -110,14 +112,15 @@ def _out_of_fold_components(dataset: Dataset, spec: ModelSpec, cv: CvScheme):
         raise DomainError("model spec has no non-intercept terms to shrink")
     # Every transform acts row by row, so the rows of the full design are the
     # design of the training rows.
-    C = np.zeros((dataset.n, len(keep)))
     folds = cv.folds(dataset.n)
     designs = ((X_full[train], dataset.outcome[train], None) for train, _ in folds)
+    beta = np.zeros(X_full.shape)  # each held-out row's fold coefficients
     for fold_id, ((_, test), fitted) in enumerate(zip(folds, score_designs(
             designs, dataset.family, labels))):
         if isinstance(fitted, ModelBuildError):
             raise FoldFitFailureError(fold_id, fitted) from fitted
-        C[test, :] = X_full[np.ix_(test, keep)] * fitted.coefficients[keep]
+        beta[test] = fitted.coefficients
+    C = np.multiply(X_full[:, keep], beta[:, keep], order="C")  # C-ordered: row sums as before
     return C, tuple(labels[j] for j in keep)
 
 

@@ -744,6 +744,103 @@ class TestLockStepIrls:
         assert sum(differs) > n // 2
 
 
+def _first_attempts(monkeypatch, run):
+    """The depth of each `_scaled_qrs` call `run` makes before its first
+    `_irls` call (a 2-D call counting 1), and what `run` returns."""
+    calls = []
+    scaled_qrs, irls = glm._scaled_qrs, glm._irls
+    monkeypatch.setattr(glm, "_scaled_qrs", lambda At, peak: calls.append(
+        1 if At.ndim == 2 else len(At)) or scaled_qrs(At, peak))
+    monkeypatch.setattr(glm, "_irls", lambda *args: calls.append("irls") or irls(*args))
+    result = run()
+    monkeypatch.undo()
+    return calls[:calls.index("irls")] if "irls" in calls else calls, result
+
+
+class TestStackedFactorisations:
+    """Designs of one shape share one `_scaled_qrs` call for their first
+    attempt, and an aliased one goes on from it: designs factorised = fits +
+    retries, none factorised twice."""
+
+    @staticmethod
+    def _folds(aliased):
+        """The first 16 leave-one-out designs of (1, x, s); when `aliased`, s
+        is x but in row 0, so that fold 0's design is aliased."""
+        rng = np.random.default_rng(281)
+        n = 40
+        x = rng.standard_normal(n)
+        s = x.copy() if aliased else x + 0.5 * rng.standard_normal(n)
+        s[0] += 1.0
+        X = np.column_stack([np.ones(n), x, s])
+        y = (rng.random(n) < _expit(x)).astype(float)
+        return [(np.delete(X, i, axis=0), np.delete(y, i)) for i in range(glm._LOCKSTEP_FITS)]
+
+    @pytest.mark.parametrize("aliased", [False, True], ids=["full-rank", "aliased"])
+    def test_a_chunk_of_folds_is_one_stacked_call(self, monkeypatch, aliased):
+        designs = self._folds(aliased)
+        assert len({X.shape for X, _ in designs}) == 1 and len(designs) == glm._LOCKSTEP_FITS
+        attempts, scores = _first_attempts(monkeypatch, lambda: _scores(designs, Family.BINOMIAL))
+        assert [score.model_df for score in scores].count(2) == aliased
+        assert attempts == [glm._LOCKSTEP_FITS] + [1] * aliased  # fits + retries
+        labels = ("c0", "c1", "c2")
+        for (X, y), score in zip(designs, scores):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                res = fit_design(X, y, Family.BINOMIAL, labels)
+            assert score.deviance == res.deviance
+            assert score.coefficients.tobytes() == res.coefficients.tobytes()
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=str)
+    def test_steps_factorise_an_aliased_model_once(self, monkeypatch, family):
+        rng = np.random.default_rng(283)
+        n = 80
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        eta = 0.5 * a - 0.4 * b
+        y = eta + rng.standard_normal(n) if family is Family.GAUSSIAN else (
+            rng.random(n) < _expit(eta)).astype(float)
+        ds = make_dataset({"a": a, "b": b, "c": 2.0 * a, "y": y}, family=family)
+        terms = [Term.linear(v) for v in "abc"]
+        models = [(Design(ds, ModelSpec(tuple(terms))), ModelSpec(tuple(pair)), None)
+                  for pair in ((terms[0], terms[1]), (terms[0], terms[2]))]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            attempts, steps = _first_attempts(monkeypatch, lambda: Design.steps(models))
+        assert attempts == [2, 1]  # one stack of both, then the aliased one's retry
+        assert [str(w.message) for w in record] == ["dropping aliased design columns: c"]
+        assert [step.model_df for step in steps] == [3, 2]
+        for (design, spec, _), step in zip(models, steps):
+            assert design._factorisations[design.columns(spec.terms)] is step.factors
+
+
+class TestBinomialOutcomeGuard:
+    """A binomial outcome that is not all 0 or 1 is a DomainError at both entry
+    points, which the one-log deviance relies on."""
+
+    def test_fit_design_and_score_designs_reject_it(self):
+        rng = np.random.default_rng(287)
+        n = 30
+        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        good = (rng.random(n) < 0.5).astype(float)
+        for y in (np.where(good == 1.0, 0.7, 0.0), np.where(good == 1.0, 2.0, 0.0)):
+            with pytest.raises(DomainError, match="only 0 and 1"):
+                fit_design(X, y, Family.BINOMIAL, ("c0", "c1"))
+            scored = list(score_designs([(X, good, None), (X, y, None), (X, good, None)],
+                                        Family.BINOMIAL))
+            assert isinstance(scored[1], DomainError)
+            assert scored[0].deviance == scored[2].deviance == fit_design(
+                X, good, Family.BINOMIAL, ("c0", "c1")).deviance
+        fit_design(X, rng.standard_normal(n), Family.GAUSSIAN, ("c0", "c1"))
+
+    def test_one_log_deviance_equals_the_two_log_sum(self):
+        rng = np.random.default_rng(289)
+        for _ in range(50):
+            y = (rng.random((16, 199)) < 0.5).astype(float)
+            mu = np.clip(rng.random((16, 199)) ** rng.uniform(0.1, 10.0), _MU_EPS, 1.0 - _MU_EPS)
+            mu[:, :3] = [_MU_EPS, 1.0 - _MU_EPS, 0.5]
+            two_log = -2.0 * np.sum(y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu), axis=-1)
+            assert _binomial_deviance(y, mu).tobytes() == two_log.tobytes()
+
+
 class TestDevianceFunctions:
     """The FitResult test is a thin wrapper of the deviance form."""
 

@@ -524,6 +524,46 @@ class TestLockStepFolds:
             parameterwise_shrinkage(ds, spec, cv)
         assert record[0].filename.endswith("shrinkage.py")
 
+    @pytest.mark.parametrize("cv", [LeaveOneOut(), KFold(5, seed=2)], ids=str)
+    def test_zero_column_and_aliased_folds_match_fold_by_fold(self, cv):
+        """A dummy d whose only 1 is in one fold's held-out rows leaves that
+        fold's training design a zero column (factorised alone), and a column s
+        equal to x but in another fold's held-out rows leaves that fold's
+        design exactly aliased (factorised in its stack, then without s); then
+        a fold of two training rows fails after them."""
+        rng = np.random.default_rng(277)
+        n = 40
+        folds = cv.folds(n)
+        zero_fold, aliased_fold = 1, 3
+        r0, r1 = folds[zero_fold][1][0], folds[aliased_fold][1][0]
+        x = rng.standard_normal(n)
+        d, s = np.zeros(n), x.copy()
+        d[r0], s[r1] = 1.0, x[r1] + 1.5
+        y = (rng.random(n) < _expit(x)).astype(float)
+        ds = Dataset.from_columns({"x": x, "d": d, "s": s, "y": y}, outcome="y",
+                                  family=Family.BINOMIAL)
+        spec = ModelSpec((Term.linear("x"), Term.linear("d"), Term.linear("s")))
+        caught, components = [], []
+        for fold_fits in (_out_of_fold_components, former_components):
+            with warnings.catch_warnings(record=True) as record:
+                warnings.simplefilter("always")
+                C = fold_fits(ds, spec, cv)
+            components.append((C[0] if isinstance(C, tuple) else C).view(np.uint64))
+            caught.append([str(w.message) for w in record])
+        np.testing.assert_array_equal(components[0], components[1])
+        assert caught[0] == caught[1] == ["dropping aliased design columns: d",
+                                          "dropping aliased design columns: s"]
+        rows = np.setdiff1d(np.arange(n), [r0, r1])
+        failing = folds[:4] + [(rows[:2], folds[4][1])] + folds[5:]
+        (new, new_warnings), (old, old_warnings) = [
+            self._failure(fold_fits, ds, spec, GivenFolds(failing))
+            for fold_fits in (_out_of_fold_components, former_components)]
+        assert new.fold == old.fold == 4
+        assert type(new.cause) is type(old.cause) is RankDeficientError
+        assert str(new.cause) == str(old.cause)
+        assert new_warnings == old_warnings == caught[0] + [
+            "dropping aliased design columns: d, s"]
+
     def test_work_equals_fold_by_fold(self, monkeypatch):
         ds, spec = TestRowSubsetRefits._problem(Family.BINOMIAL)
         counts = {"dgeqrf": 0, "irls_iterations": 0}

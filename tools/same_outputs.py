@@ -25,9 +25,11 @@ stored reference as the benchmark's gate does, and fingerprints it:
 
 The report names every dataset whose fingerprints differ and every gate
 problem, and gives per analysis on each side the calls to `glm._householder`,
-`glm._irls` and `glm._solve` (least-squares solves on a factorisation) and
-the designs factorised: the depth of each `glm._scaled_qrs` stack, a 2-D
-call counting 1, IRLS steps included. Each count is given as its mean over
+`glm._irls` and `glm._solve` (least-squares solves on a factorisation), the
+IRLS iterations (the sum of the iteration counts of the fits each `glm._irls`
+call returns; a fit that lost rank returns none) and the designs factorised:
+the depth of each `glm._scaled_qrs` stack, a 2-D call counting 1, IRLS
+steps included. Each count is given as its mean over
 the analyses and its 99th percentile, which shows the work of the heaviest
 analyses, where a timing tail comes from.
 `_householder` calls may fall by design, when designs are factorised in
@@ -57,7 +59,11 @@ from ab_pairs import tree_of
 COUNTED = {"_householder": lambda *args: 1, "_irls": lambda *args: 1,
            "_solve": lambda *args: 1,
            "_scaled_qrs": lambda At, peak: 1 if At.ndim == 2 else len(At)}
-LABELS = {"_scaled_qrs": "designs factorised"}
+# Counts read from a counted function's result: (count, what the result adds).
+RESULTS = {"_irls": ("irls_iterations",
+                     lambda fits: sum(fit[4] for fit in fits if isinstance(fit, tuple)))}
+LABELS = {"_scaled_qrs": "designs factorised", "irls_iterations": "IRLS iterations"}
+COUNTS = (*COUNTED, *(count for count, _ in RESULTS.values()))
 WORKLOADS = ("mfp_gauss", "stability_be", "shrink_loo", "mfp_binom")
 
 
@@ -95,12 +101,16 @@ def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
 
     os.chdir(workloads.ROOT)
     warnings.simplefilter("ignore")
-    calls = dict.fromkeys(COUNTED, 0)
+    calls = dict.fromkeys(COUNTS, 0)
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
             calls[name] += COUNTED[name](*args, **kwargs)
-            return real(*args, **kwargs)
+            result = real(*args, **kwargs)
+            if name in RESULTS:
+                count, adds = RESULTS[name]
+                calls[count] += adds(result)
+            return result
         return wrapper
 
     for function in COUNTED:
@@ -121,7 +131,7 @@ def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
         stored = references.get(seed, [])
         for index in range(min(datasets, len(stored))):
             prepared = workload.prepare(seed, index)
-            calls.update(dict.fromkeys(COUNTED, 0))
+            calls.update(dict.fromkeys(COUNTS, 0))
             traces.clear()
             try:
                 result = workload.analyse(prepared)
@@ -169,7 +179,7 @@ def report(name: str, base: str, change: str, seeds: list[int],
                for b, c in zip(records["base"], records["change"]))
     print(f"{same} of {len(records['change'])} outputs identical")
     print(f"{'per analysis':<20} {'base mean':>10} {'p99':>8} {'change mean':>12} {'p99':>8}")
-    for function in COUNTED:
+    for function in COUNTS:
         cells = []
         for side in ("base", "change"):
             counts = [r[function] for r in records[side]] or [0]
