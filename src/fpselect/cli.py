@@ -263,7 +263,7 @@ def _simulated_variable(name: str, marginal: str = "normal", spike_prob: str = "
     covariate = _configured(simlab.Covariate, name, _configured(_MARGINALS[kind], *args), prob)
     kind, args = _parse_kind("effect", effect)
     # power and step are written kind:p:coef; Effect takes (coefficient, param)
-    return covariate, simlab.Effect(name, kind, *reversed(args))
+    return covariate, _configured(simlab.Effect, name, kind, *reversed(args))
 
 
 def _read_rows(config: AnalysisConfig, schema: str, read_row) -> list:

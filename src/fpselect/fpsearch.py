@@ -6,9 +6,9 @@ of the 44 candidates is a column subset of it; it builds nothing. `mfp`
 builds one design per analysis, so each variable's basis and screen
 preparation are built once; `best_fp` and `fsp.fsp_select` build one of a
 single basis. The design scores candidates as many at a time as a request
-names, binomial ones in lock step, memoises their factorisations (for one
-search) and fits only the model a caller returns: `best_fp` fits one
-degree's winner, and the closed test reads several degrees from one search.
+names, binomial ones in lock step, holds their fit records (for one search)
+and builds a `FitResult`, from its record, of only the model a caller returns
+(`best_fp` one degree's winner; the closed test reads several degrees).
 
 `FpSearch.best` bounds every Gaussian candidate from one update of the
 adjustment's QR (`glm.Design.addition_bounds`) and scores only those that

@@ -161,8 +161,8 @@ def closed_test(design: Design, variable: str, alpha: float, max_degree: int,
 
     search = FpSearch(design, variable, adjustment)
     linear = FpPowers((1.0,))
-    # The straight line is fitted only for a Linear verdict, or first when it
-    # cannot be scored, so that its fit error is raised before the FP1 search's.
+    # A straight line that cannot be scored is fitted first, so that its fit error is
+    # raised before the FP1 search's; a scored one's FitResult is built from its record.
     fit_linear = search.fit(linear) if math.isinf(search.score(linear)[0]) else None
     linear_score = (search.score(linear) if fit_linear is None
                     else (fit_linear.deviance, fit_linear.model_df))

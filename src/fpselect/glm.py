@@ -15,9 +15,9 @@ or term too, from its variable's basis columns, which follow the terms'),
 scored by one entry, `Design.batch_scores` of (design, column subset) pairs
 of one design or several, with a `Fit` or an error per pair (`Design.scores`
 raises the first, `first_error`), tested (`Design.p_value`) and fitted, and
-one memo keyed by the subset keeps every factorisation (for one visit, in
-`mfp`). A selection step records the model it moves to (`Design.steps`, a
-`Fit`) instead of fitting it; a scored model is its own record.
+one memo keyed by the subset holds every `Fit` (for one visit, in `mfp`): a
+later score of the model, a selection step to it (`Design.steps`) and its
+`FitResult` (`Design.fit`) read it instead of fitting the model again.
 
 The scorer fits its designs `_LOCKSTEP_FITS` at a time, binomial ones (folds,
 FP candidates, an elimination step's removals) in lock step (`_irls`): the
@@ -175,10 +175,10 @@ class FitResult:
 
 
 class Fit(NamedTuple):
-    """The fit of a design's kept columns (`_fit_chunk`): its score (deviance,
-    model df) first, β over every column (0 where dropped), a binomial fit's last
-    weighted R (None for a Gaussian fit, whose R is `_r_factor` of `factors`),
-    convergence, iterations and the design's `_factorise` result."""
+    """The fit of a design's kept columns (`_fit_chunk`), all `fit_design` needs for
+    its `FitResult`: its score (deviance, model df) first, β over every column (0 where
+    dropped), a binomial fit's last weighted R (None for a Gaussian fit, whose R is
+    `_r_factor` of `factors`), convergence, iterations and the `_factorise` result."""
 
     deviance: float
     model_df: int
@@ -359,9 +359,6 @@ def _irls(fits, max_iter: int = MAX_ITER) -> list:
         mu = np.clip((y + 0.5) / 2.0, _MU_EPS, 1.0 - _MU_EPS)
         eta = np.log(mu / (1.0 - mu))
         deviance = _binomial_deviance(y, mu)
-        if max_iter < 1:
-            for i, dev in zip(ids, deviance.tolist()):
-                out[i] = (np.zeros(Xt.shape[1]), np.eye(Xt.shape[1]), dev, False, 0)
         for iterations in range(1, max_iter + 1):
             w = np.maximum(mu * (1.0 - mu), _MU_EPS)
             z = eta + (y - mu) / w
@@ -462,20 +459,21 @@ def _dropped(column_labels: tuple[str, ...], kept: list[int], warn=True) -> tupl
 
 
 def fit_design(X: np.ndarray, y: np.ndarray, family: Family, column_labels: tuple[str, ...],
-               max_iter: int = MAX_ITER, factors=None, spec: ModelSpec | None = None,
-               warn: bool = True) -> FitResult:
+               max_iter: int = MAX_ITER, record: Fit | None = None,
+               spec: ModelSpec | None = None, warn: bool = True) -> FitResult:
     """Fit a prebuilt design matrix. Core engine behind `fit` and the searches.
 
-    `factors` is the `_factorise` result of this X and y when the caller
-    already has it; `spec`, the model spec X was built from, is recorded in
+    `record` is the `Fit` of this X and y when the caller holds it, which is
+    not fitted again; `spec`, the model spec X was built from, is recorded in
     the result. `warn=False` leaves dropped columns unwarned."""
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     n, p = X.shape
-    factors = _factorise(X, y) if factors is None else factors
-    kept, qr, _, scale = factors
+    kept, qr, _, scale = factors = _factorise(X, y) if record is None else record.factors
     dropped = _dropped(column_labels, kept, warn)
     _check_rank(kept, n)
 
-    (result,) = first_error(_fit_chunk([(X, y, factors)], family, max_iter))
+    result = record or first_error(_fit_chunk([(X, y, factors)], family, max_iter))[0]
     if family is Family.GAUSSIAN:
         cov_kept = _cov_from_r(_r_factor(qr, scale)) * (result.deviance / (n - len(kept)))
         log_likelihood, separation = gaussian_log_likelihood(result.deviance, n), False
@@ -610,8 +608,8 @@ class Design:
     `pretransform`, center_at) of `bases` follow, so each FP candidate, and
     each FP term of that pre-transformation and centre, is a subset too:
     `mfp` builds one design per analysis, a standalone search one of its
-    adjustment and variable. One memo keeps the factorisation of every subset
-    scored, fitted or bounded, keyed by the subset; gathered designs are not
+    adjustment and variable. One memo keeps the `Fit` of every subset scored,
+    stepped to or bounded from, keyed by the subset; gathered designs are not
     kept. `mfp` empties it at each visit (`forget`): searches seldom share a
     subset, and a memo kept for a whole analysis raised its peak memory 1.24x
     to save 4.4 of ~103 factorisations."""
@@ -633,11 +631,11 @@ class Design:
             self.labels += _basis_labels(variable)
         if bases:
             self.X = np.hstack(columns)
-        self._factorisations: dict[tuple[int, ...], tuple] = {}
+        self._records: dict[tuple[int, ...], Fit] = {}
 
     def forget(self) -> None:
-        """Empty the factorisation memo."""
-        self._factorisations.clear()
+        """Empty the memo of fit records."""
+        self._records.clear()
 
     @cached_property
     def _yy(self) -> float:
@@ -657,12 +655,6 @@ class Design:
             cols.extend(block)
         return tuple(cols)
 
-    def _factors(self, cols: tuple[int, ...]):
-        """The `_factorise` result of a column subset's design, memoised."""
-        if cols not in self._factorisations:
-            self._factorisations[cols] = _factorise(self.X[:, cols], self.dataset.outcome)
-        return self._factorisations[cols]
-
     def scores(self, models: Sequence[Sequence[Term]]) -> list[Fit]:
         """`batch_scores` of each model's terms, raising the first failing model's error."""
         return first_error(Design.batch_scores([(self, self.columns(model)) for model in models]))
@@ -670,45 +662,46 @@ class Design:
     @staticmethod
     def batch_scores(subsets: Sequence[tuple[Design, tuple[int, ...]]]) -> list:
         """The `Fit` of each (design, column subset), of one family, or the
-        ModelBuildError that fitting it raises, scored together by
-        `score_designs` as it gathers them; a subset is a tuple, as `columns`
-        gives, keying its design's memo."""
+        ModelBuildError that fitting it raises: the record its design holds,
+        else scored with the others by `score_designs` as it gathers them and
+        then held; a subset is a tuple, as `columns` gives, keying the memo."""
         family = subsets[0][0].dataset.family if subsets else None
-        out = []
-        for (design, cols), scored in zip(subsets, score_designs(
-                ((design.X[:, cols], design.dataset.outcome, design._factorisations.get(cols))
-                 for design, cols in subsets), family)):
+        out = [design._records.get(cols) for design, cols in subsets]
+        todo = [(i, *subsets[i]) for i, record in enumerate(out) if record is None]
+        for (i, design, cols), scored in zip(todo, score_designs(
+                ((design.X[:, cols], design.dataset.outcome, None) for _, design, cols in todo),
+                family)):
             if not isinstance(scored, ModelBuildError):
-                design._factorisations[cols] = scored.factors
-            out.append(scored)
+                design._records[cols] = scored
+            out[i] = scored
         return out
 
     def fit(self, spec: ModelSpec, warn: bool = True) -> FitResult:
-        """Fit of `spec` from the column subset of its terms (`fit_design`)."""
+        """Fit of `spec` from its terms' column subset (`fit_design`), of its record if held."""
         cols = self.columns(spec.terms)
         return fit_design(self.X[:, cols], self.dataset.outcome, self.dataset.family,
-                          tuple(self.labels[c] for c in cols), factors=self._factors(cols),
+                          tuple(self.labels[c] for c in cols), record=self._records.get(cols),
                           spec=spec, warn=warn)
 
     @staticmethod
-    def steps(models: Sequence[tuple[Design, ModelSpec, Fit | None]]) -> list:
-        """The `Fit` of each (design, spec, score), or the ModelBuildError of
-        its fit; `score` is its `batch_scores` `Fit`, which is the step, or
-        None. The fits reuse memoised factorisations; the others are factorised
-        together (`_stacked_factors`) into the memo. Dropped columns warn."""
-        subsets = [(design, design.columns(spec.terms), score) for design, spec, score in models]
-        fits = [(design.X[:, cols], design.dataset.outcome,
-                 score.factors if score else design._factorisations.get(cols))
-                for design, cols, score in subsets]
+    def steps(models: Sequence[tuple[Design, ModelSpec]]) -> list:
+        """The `Fit` of each (design, spec), or the ModelBuildError of its fit:
+        the record its design holds, which is the step, or a fit of its own,
+        then held. Only the models fitted are gathered, factorised together
+        (`_stacked_factors`) and fitted. Dropped columns warn."""
+        subsets = [(design, design.columns(spec.terms)) for design, spec in models]
+        fits = [(None, None, design._records[cols].factors) if cols in design._records else
+                (design.X[:, cols], design.dataset.outcome, None) for design, cols in subsets]
         out = []
-        for (design, cols, score), (X, y, _), factors in zip(subsets, fits, _stacked_factors(fits)):
+        for (design, cols), (X, y, _), factors in zip(subsets, fits, _stacked_factors(fits)):
             try:
-                if score is None:
-                    factors = design._factorisations.setdefault(cols, factors or _factorise(X, y))
+                factors = factors or _factorise(X, y)
                 _dropped(tuple(design.labels[c] for c in cols), factors[0])
                 _check_rank(factors[0], design.dataset.n)
-                out.append(score or first_error(
-                    _fit_chunk([(X, y, factors)], design.dataset.family))[0])
+                if cols not in design._records:
+                    design._records[cols] = first_error(
+                        _fit_chunk([(X, y, factors)], design.dataset.family))[0]
+                out.append(design._records[cols])
             except ModelBuildError as error:
                 out.append(error)
         return out
@@ -767,11 +760,11 @@ class Design:
         bounds: list[tuple[float, float] | None] = [None] * len(blocks)
         if self.dataset.family is not Family.GAUSSIAN or not blocks:
             return bounds
-        try:
-            cols = self.columns(terms)
-            kept, qr, tau, _ = self._factors(cols)
-        except ModelBuildError:
+        cols = self.columns(terms)
+        record = self._records.get(cols) or Design.batch_scores([(self, cols)])[0]
+        if isinstance(record, ModelBuildError):
             return bounds
+        kept, qr, tau, _ = record.factors
         screen = basis and basis.screen
         if not screen:  # the named columns scaled, then y; per block size, rows among them
             named = sorted({c for block in blocks for c in block})

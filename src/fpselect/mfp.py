@@ -12,8 +12,8 @@ on linear terms; `alpha_select` near 1 keeps every variable in.
 
 One `glm.Design` per analysis holds every candidate's base term and the FP
 basis of each that can be searched; the removal order, each visit's closed
-test and the final fit are column subsets of it, and its factorisation memo
-lasts one visit (see `glm.Design`).
+test and the final fit are column subsets of it, and its memo of fit
+records lasts one visit (see `glm.Design`).
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def mfp(dataset: Dataset, candidates: Sequence[str],
     memo: dict[tuple[str, ModelSpec], FunctionDecision] = {}
     for _cycle in range(config.max_cycles):
         for v in order:
-            design.forget()  # factorisations are kept for one visit
+            design.forget()  # fit records are kept for one visit
             adjustment = ModelSpec(tuple(
                 term for other, term in current_terms.items()
                 if other != v and term is not None

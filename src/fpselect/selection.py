@@ -12,15 +12,15 @@ Each run builds the design of every term it can use once (`glm.Design`) and
 scores the candidate models of a step, its removals or its additions, together
 from column subsets of it (`glm.Design.scores`; binomial ones in lock step):
 each a `glm.Fit` (deviance, model df, β, convergence and factorisation),
-without a covariance or a `FitResult`. The start model and each model a run
-moves to are step records (`glm.Design.steps`), `glm.Fit`s too: a scored
-model is its own, and only an unscored one is fitted. Only a run's final
-model is fitted as a `FitResult`, which does not warn again of the dropped
-columns its record warned of. Every deviance is that of the fit, so the
-trace equals fitting every candidate. Every procedure keeps its state in
-one run record (`_Run`), which one elimination loop and one addition scan
-(`_add`) advance in place. Forward selection and stepwise share one forward
-loop (`_forward`), and stepwise re-checks its model only after an addition.
+without a covariance or a `FitResult`. The design holds each record: the start
+model and each model a run moves to (`glm.Design.steps`) are fitted only when
+unscored, and a run's final `FitResult` is built from its last step's record
+(`glm.Design.fit`), with no refit or second warning of dropped columns. Every
+deviance is that of the fit, so the trace equals fitting every candidate. Every
+procedure keeps its state in one run record (`_Run`), which one elimination
+loop and one addition scan (`_add`) advance in place. Forward selection and
+stepwise share one forward loop (`_forward`), and stepwise re-checks its model
+only after an addition.
 
 The one elimination loop (`_eliminate`) advances a batch of runs, one per
 dataset, in lock step: `backward_eliminate_batch` (a chunk of stability
@@ -147,11 +147,11 @@ class SelectionTrace:
 
 
 def _removals(design: Design, current: FitResult | Fit, terms: Sequence[Term],
-              scores: Sequence[Fit]) -> list[tuple[float, int, Term, Fit]]:
-    """(p-value, df, term, score) of dropping each of `terms` from the
-    current model, the models without them having scored `scores`."""
+              scores: Sequence[Fit]) -> list[tuple[float, int, Term]]:
+    """(p-value, df, term) of dropping each of `terms` from the current
+    model, the models without them having scored `scores`."""
     full = (current.deviance, current.model_df)
-    return [(*design.p_value(score, full), term, score) for score, term in zip(scores, terms)]
+    return [(*design.p_value(score, full), term) for score, term in zip(scores, terms)]
 
 
 def _least(low: np.ndarray, high: np.ndarray, group: np.ndarray, groups: int) -> np.ndarray:
@@ -216,11 +216,11 @@ def _eliminate(runs: Sequence[_Run], criterion: Criterion,
     dropping its least significant unprotected term while that fails the
     criterion; a step that `_decided` settles scores nothing. A run leaves
     when it stops or when its step raises."""
-    moves = [(run, None, None) for run in runs if run.current is None]  # (run, term, score)
+    moves = [(run, None) for run in runs if run.current is None]  # (run, term dropped)
     runs = [run for run in runs if run.current is not None]
     while True:
-        for (run, term, _), step in zip(moves, Design.steps(
-                [(run.design, run.spec, score) for run, _, score in moves]) if moves else ()):
+        for (run, term), step in zip(moves, Design.steps(
+                [(run.design, run.spec) for run, _ in moves]) if moves else ()):
             if isinstance(step, ModelBuildError):
                 run.error = step
                 continue
@@ -244,13 +244,13 @@ def _eliminate(runs: Sequence[_Run], criterion: Criterion,
                 scored = first_error(list(islice(scores, len(ts))))
                 worst = max(_removals(run.design, run.current, ts, scored),
                             key=lambda r: r[0], default=None)
-                move = (screened[0][0], None) if drop else None
+                move = screened[0][0] if drop else None
                 if worst is not None and worst[0] > criterion_threshold(
                         criterion, run.design.dataset.n, worst[1]):
-                    move = worst[2:]
+                    move = worst[2]
                 if move is not None:
-                    run.spec = run.spec.without_term(move[0])
-                    moves.append((run, *move))
+                    run.spec = run.spec.without_term(move)
+                    moves.append((run, move))
             except ModelBuildError as error:
                 run.error = error
         runs = []
@@ -273,17 +273,17 @@ def _add(run: _Run, candidates: Sequence[Term], criterion: Criterion) -> None:
     exceeds = _decided(design, criterion, screened)
     chosen = [t for t, _ in screened] if exceeds is None else []  # the additions to score
     scores = design.scores([spec.with_term(t).terms for t in chosen])
-    best = min([(*design.p_value(current, score), t, score) for score, t in zip(scores, chosen)],
+    best = min([(*design.p_value(current, score), t) for score, t in zip(scores, chosen)],
                key=lambda r: r[0], default=None)
-    move = (screened[0][0], None) if exceeds is False else None
+    move = screened[0][0] if exceeds is False else None
     if best is not None and best[0] <= criterion_threshold(criterion, design.dataset.n, best[1]):
-        move = best[2:]
+        move = best[2]
     if move is None:
         return
-    run.spec = spec.with_term(move[0])
-    run.current = first_error(Design.steps([(design, run.spec, move[1])]))[0]
+    run.spec = spec.with_term(move)
+    run.current = first_error(Design.steps([(design, run.spec)]))[0]
     p, _ = design.p_value(current, run.current)
-    run.steps.append(SelectionStep("add", move[0].variable, move[0], p, run.current.deviance))
+    run.steps.append(SelectionStep("add", move.variable, move, p, run.current.deviance))
 
 
 def backward_eliminate_batch(datasets: Sequence[Dataset], start_spec: ModelSpec,
@@ -330,7 +330,7 @@ def _forward(dataset: Dataset, start: ModelSpec, candidates: Sequence[Union[str,
     step: the model is then the start model or one a re-check ran to a stop."""
     terms = _as_terms(candidates)
     design = Design(dataset, start, terms)
-    run = _Run(design, start, first_error(Design.steps([(design, start, None)]))[0], [])
+    run = _Run(design, start, first_error(Design.steps([(design, start)]))[0], [])
     for _ in range(max_iterations):
         taken = len(run.steps)
         _add(run, [t for t in terms if t not in run.spec.terms], criterion_in)
@@ -419,10 +419,10 @@ def augmented_backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
         skip = kept_as_confounder | {exposure_term}
         terms = [t for t in run.spec.terms if t not in skip]
         scores = design.scores([[t for t in run.spec.terms if t is not term] for term in terms])
-        ranked = [(p, term) for p, _, term, _ in _removals(design, run.current, terms, scores)
+        ranked = [(p, term) for p, _, term in _removals(design, run.current, terms, scores)
                   if p > alpha]
         ranked.sort(key=lambda item: -item[0])
-        # Only the change-in-estimate check needs a reduced fit: fit lazily.
+        # Only the change-in-estimate check needs a reduced FitResult: built lazily.
         for p, term in ranked:
             reduced_fit = design.fit(run.spec.without_term(term))
             change = _max_exposure_change(run.current, reduced_fit, exposure_labels, mode)

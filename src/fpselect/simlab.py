@@ -124,6 +124,8 @@ class Effect:
     def __post_init__(self):
         if self.form not in TRUE_FORMS:
             raise DomainError(f"unknown true form {self.form!r}")
+        if not all(map(math.isfinite, (self.coefficient, self.param))):
+            raise DomainError(f"{self.variable!r} effect needs a finite coefficient and parameter")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -173,6 +175,9 @@ class Scenario:
         object.__setattr__(self, "effects", tuple(self.effects))
         if self.n < 2:
             raise DomainError("scenario needs n >= 2")
+        if not (math.isfinite(self.intercept) and 0.0 <= self.noise_sd < math.inf):
+            raise DomainError("scenario needs a finite intercept and noise_sd >= 0, got "
+                              f"{self.intercept}, {self.noise_sd}")
         names = [c.name for c in self.covariates]
         if len(set(names)) != len(names):
             raise DomainError("duplicate covariate names")

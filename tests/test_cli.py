@@ -258,6 +258,14 @@ BAD_CONFIGS = {
                                  "config error: line 7:"),
     "exponential_zero_rate": ("simulate", ["seed = 1", "[variables]", "a exponential:0"],
                               "config error: line 7:"),
+    "noise_sd_nan": ("simulate", ["seed = 1", "noise_sd = nan", "[variables]", "a"],
+                     "config error:"),
+    "noise_sd_infinite": ("simulate", ["seed = 1", "noise_sd = inf", "[variables]", "a"],
+                          "config error:"),
+    "negative_noise_sd": ("simulate", ["seed = 1", "noise_sd = -1", "[variables]", "a"],
+                          "config error:"),
+    "effect_coefficient_nan": ("simulate", ["seed = 1", "[variables]", "a normal 0 linear:nan"],
+                               "config error: line 7:"),
 }
 
 

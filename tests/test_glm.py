@@ -18,6 +18,7 @@ from fpselect.glm import (DEVIANCE_RTOL, Design, MAX_ITER, PIVOT_TOL, _MU_EPS, _
                           _cov_from_r, _embed, _expit, _householder, _r_factor,
                           _solve, deviance_p_value, fit_design, gaussian_log_likelihood,
                           p_value_bounds, score_designs)
+from fpselect.model import design_matrix
 
 
 def make_dataset(columns, outcome="y", family=Family.GAUSSIAN):
@@ -471,6 +472,18 @@ class TestInvariants:
         assert not res.converged
         assert res.iterations == 1
 
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=str)
+    def test_max_iter_below_one_is_a_domain_error(self, family):
+        # Without an iteration there are no coefficients to report.
+        ds, spec = _blocks_dataset(43, n=50, family=family)
+        X, labels, _ = design_matrix(ds, spec)
+        for max_iter in (0, -1):
+            with pytest.raises(DomainError, match="max_iter"):
+                fit(ds, spec, max_iter=max_iter)
+            with pytest.raises(DomainError, match="max_iter"):
+                fit_design(X, ds.outcome, family, labels, max_iter)
+        assert fit(ds, spec, max_iter=1).iterations == 1
+
 
 def _former_expit(eta):
     """The former masked form of `_expit`: two `exp` calls on the halves."""
@@ -800,7 +813,7 @@ class TestStackedFactorisations:
             rng.random(n) < _expit(eta)).astype(float)
         ds = make_dataset({"a": a, "b": b, "c": 2.0 * a, "y": y}, family=family)
         terms = [Term.linear(v) for v in "abc"]
-        models = [(Design(ds, ModelSpec(tuple(terms))), ModelSpec(tuple(pair)), None)
+        models = [(Design(ds, ModelSpec(tuple(terms))), ModelSpec(tuple(pair)))
                   for pair in ((terms[0], terms[1]), (terms[0], terms[2]))]
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
@@ -808,8 +821,8 @@ class TestStackedFactorisations:
         assert attempts == [2, 1]  # one stack of both, then the aliased one's retry
         assert [str(w.message) for w in record] == ["dropping aliased design columns: c"]
         assert [step.model_df for step in steps] == [3, 2]
-        for (design, spec, _), step in zip(models, steps):
-            assert design._factorisations[design.columns(spec.terms)] is step.factors
+        for (design, spec), step in zip(models, steps):
+            assert design._records[design.columns(spec.terms)] is step
 
 
 class TestBinomialOutcomeGuard:
@@ -879,7 +892,7 @@ def _blocks_dataset(seed, n=200, family=Family.GAUSSIAN):
 
 
 class TestDesign:
-    """`Design.fit` reuses the memoised factorisation of a scored subset, and
+    """`Design.fit` reuses the held record of a scored subset, and
     `Design.removal_bounds` brackets the exact deviance of every removal from
     a model's step record (`Design.steps`)."""
 
@@ -900,7 +913,7 @@ class TestDesign:
         np.testing.assert_array_equal(result.coefficients, expected.coefficients)
         np.testing.assert_array_equal(result.covariance, expected.covariance)
         design.scores([spec.terms[1:]])
-        design.fit(spec)  # another subset was scored last: its factorisation is memoised
+        design.fit(spec)  # another subset was scored last: its record is held
         assert len(calls) == 2
 
     def test_scores_raise_the_first_failing_models_error(self):
@@ -919,7 +932,7 @@ class TestDesign:
         for seed in (603, 604, 605):
             ds, spec = _blocks_dataset(seed)
             design = Design(ds, spec)
-            current = Design.steps([(design, spec, None)])[0]
+            current = Design.steps([(design, spec)])[0]
             bounds, df = Design.removal_bounds([(design, spec, current)])
             assert bounds.shape == (len(spec.terms), 2) and not np.isnan(bounds).any()
             assert df.tolist() == [len(design.term_columns[term]) for term in spec.terms]
@@ -950,14 +963,68 @@ class TestDesign:
             design = Design(ds, spec)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                current = Design.steps([(design, spec, None)])[0]
+                current = Design.steps([(design, spec)])[0]
             assert np.isnan(Design.removal_bounds([(design, spec, current)])[0]).all()
         # Dropping the only term of an intercept-free model leaves no column.
         ds = make_dataset({"x": x, "y": noisy})
         spec = ModelSpec((Term.linear("x"),), intercept=False)
         design = Design(ds, spec)
-        bounds, _ = Design.removal_bounds([(design, spec, Design.steps([(design, spec, None)])[0])])
+        bounds, _ = Design.removal_bounds([(design, spec, Design.steps([(design, spec)])[0])])
         assert bounds.shape == (1, 2) and np.isnan(bounds).all()
+
+
+class TestRecordMemo:
+    """A `Design` holds the `Fit` record of each column subset it scores:
+    `Design.fit` of a held subset builds its FitResult from the record, with
+    no factorisation, solve or IRLS, byte for byte that of fitting the
+    columns from scratch, and `batch_scores` returns the held record."""
+
+    WORK = ("_solve", "_irls", "_scaled_qrs", "_householder")
+
+    @staticmethod
+    def _case(family, aliased):
+        ds, spec = _blocks_dataset(641, family=family)
+        if aliased:  # a column the fit drops
+            columns = {name: ds.column(name) for name in ds.column_names}
+            ds = make_dataset({**columns, "a": 2.0 * columns["x"]}, family=family)
+            spec = spec.with_term(Term.linear("a"))
+        return ds, spec
+
+    @pytest.mark.parametrize("family, aliased", [(Family.GAUSSIAN, False),
+                                                 (Family.BINOMIAL, False),
+                                                 (Family.GAUSSIAN, True)],
+                             ids=["gaussian", "binomial", "aliased"])
+    def test_fit_of_a_scored_model_reads_its_record(self, family, aliased, monkeypatch):
+        ds, spec = self._case(family, aliased)
+        design = Design(ds, spec)
+        cols = design.columns(spec.terms)
+        held, = design.scores([spec.terms])
+        work = []
+        for name in self.WORK:
+            real = getattr(glm, name)
+            monkeypatch.setattr(glm, name, lambda *args, name=name, real=real, **kwargs:
+                                work.append(name) or real(*args, **kwargs))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            result = design.fit(spec)
+            again = Design.batch_scores([(design, cols)])
+        monkeypatch.undo()
+        assert work == []
+        assert again[0] is held
+        assert [str(w.message) for w in record] == (
+            ["dropping aliased design columns: a"] if aliased else [])
+        X, labels, _ = design_matrix(ds, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            expected = fit_design(X, ds.outcome, family, labels, spec=spec)
+        assert result.coefficients.tobytes() == expected.coefficients.tobytes()
+        assert result.covariance.tobytes() == expected.covariance.tobytes()
+        assert result.deviance.hex() == expected.deviance.hex()
+        assert result.log_likelihood.hex() == expected.log_likelihood.hex()
+        for field in ("iterations", "converged", "separation", "dropped_columns", "model_df",
+                      "n", "family", "column_labels", "spec"):
+            assert getattr(result, field) == getattr(expected, field), field
+        assert result.dropped_columns == (("a",) if aliased else ())
 
 
 class TestPValueBounds:

@@ -315,9 +315,9 @@ class TestOneDesignPerAnalysis:
         real = mfp_module._decide
 
         def checking(design, *args):
-            assert not design._factorisations  # nothing left from an earlier visit
+            assert not design._records  # nothing left from an earlier visit
             decision = real(design, *args)
-            made.append(len(design._factorisations))
+            made.append(len(design._records))
             return decision
 
         monkeypatch.setattr(mfp_module, "_decide", checking)

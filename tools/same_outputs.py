@@ -29,9 +29,11 @@ problem, and gives per analysis on each side the calls to `glm._householder`,
 IRLS iterations (the sum of the iteration counts of the fits each `glm._irls`
 call returns; a fit that lost rank returns none) and the designs factorised:
 the depth of each `glm._scaled_qrs` stack, a 2-D call counting 1, IRLS
-steps included. Each count is given as its mean over
-the analyses and its 99th percentile, which shows the work of the heaviest
-analyses, where a timing tail comes from.
+steps included, and the models fitted: the fits handed to each
+`glm._fit_chunk` call, through which every model's least squares solve or
+IRLS run passes, so a model fitted again counts again. Each count is given
+as its mean over the analyses and its 99th percentile, which shows the work
+of the heaviest analyses, where a timing tail comes from.
 `_householder` calls may fall by design, when designs are factorised in
 stacks instead of one at a time; the designs factorised must not rise. The
 exit code is 1 when a fingerprint differs or a reference check fails. Only
@@ -58,11 +60,13 @@ from ab_pairs import tree_of
 # What each call of a counted function adds: 1, or the designs it factorises.
 COUNTED = {"_householder": lambda *args: 1, "_irls": lambda *args: 1,
            "_solve": lambda *args: 1,
-           "_scaled_qrs": lambda At, peak: 1 if At.ndim == 2 else len(At)}
+           "_scaled_qrs": lambda At, peak: 1 if At.ndim == 2 else len(At),
+           "_fit_chunk": lambda fits, *args, **kwargs: len(fits)}
 # Counts read from a counted function's result: (count, what the result adds).
 RESULTS = {"_irls": ("irls_iterations",
                      lambda fits: sum(fit[4] for fit in fits if isinstance(fit, tuple)))}
-LABELS = {"_scaled_qrs": "designs factorised", "irls_iterations": "IRLS iterations"}
+LABELS = {"_scaled_qrs": "designs factorised", "_fit_chunk": "models fitted",
+          "irls_iterations": "IRLS iterations"}
 COUNTS = (*COUNTED, *(count for count, _ in RESULTS.values()))
 WORKLOADS = ("mfp_gauss", "stability_be", "shrink_loo", "mfp_binom")
 
