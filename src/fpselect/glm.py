@@ -22,15 +22,16 @@ later score of the model, a selection step to it (`Design.steps`) and its
 The scorer fits its designs `_LOCKSTEP_FITS` at a time, binomial ones (folds,
 FP candidates, an elimination step's removals) in lock step (`_irls`): the
 clip, `_expit`, weights, working responses, sqrt(w) and column scaling,
-aliasing test (`_scaled_qrs`, shared with `_householder`) and deviances of a
-stack take one numpy call per step, while each fit keeps its own QR, solve,
-X @ beta, first-step reuse and convergence test. Each fit equals its fit
-alone bit for bit by three rules: X @ beta multiplies an F-ordered (n, k)
-view, as X[:, kept] is (a C-ordered one takes another dgemv summation
-order); only fits of equal shape are stacked (padding would change numpy's
-pairwise row sums); and a stack holds at most `_LOCKSTEP_FITS` fits, as
-`score_designs` reads no more at a time (200 folds in one stack raised the
-peak RSS of 20 `shrink_loo` analyses from 65.7 to 81.2 MB, 16 by 0.0 MB).
+aliasing test (`_scaled_qrs`, shared with `_householder`), unscaling of the
+coefficients, X @ beta and deviances of a stack take one numpy call per step,
+while each fit keeps its own QR, `dormqr` and `dtrtrs`, first-step reuse and
+convergence test. Each fit equals its fit alone bit for bit by three rules:
+X @ beta is one np.matmul of F-ordered (n, k) views, as X[:, kept] is (a
+C-ordered one takes another dgemv summation order); only fits of equal shape
+are stacked (padding would change numpy's pairwise row sums); and a stack
+holds at most `_LOCKSTEP_FITS` fits, as `score_designs` reads no more at a
+time (200 folds in one stack raised the peak RSS of 20 `shrink_loo` analyses
+from 65.7 to 81.2 MB, 16 by 0.0 MB).
 `_stacked_factors` factorises designs of one shape in one `_scaled_qrs` call,
 and an aliased one goes on from there (`_householder`): `Design.steps` uses
 it, `score_designs` for binomial chunks only (stacked Gaussian chunks made
@@ -89,9 +90,28 @@ two came within 1.2e-9 (FP1) and 1.7e-9 (FP2) and were scored. Of the 26,246
 candidates of the 900 stored `mfp_gauss` benchmark references (seeds 1 and
 8191) that fail the first guard, the second bounds 17,246, every one holding,
 with errors of at most 2.9e-8 (`SCREEN_RTOL` / 34); the 16,129 within
-`SCREEN_RTOL` / 100 erred by at most 1.57 u c1. A binomial fit, a model with
-dropped or no columns or fewer residual rows than candidate columns, a zero
-deviance and over- or underflow give no bounds.
+`SCREEN_RTOL` / 100 erred by at most 1.57 u c1. A model with dropped or no
+columns or fewer residual rows than candidate columns, a zero deviance and
+over- or underflow give no bounds.
+
+Binomial removals are bounded by duality (Boyd & Vandenberghe 2004, *Convex
+Optimization*, sec. 5; Koh, Kim & Boyd 2007, *JMLR* 8): by Fenchel-Young,
+log(1 + e^eta) - y eta >= (alpha - y) eta + H(alpha) for alpha in [0, 1], H
+the binary entropy, so an alpha with X'alpha = X'y bounds the least deviance
+on X below by 2 sum H(alpha); the deviance at any beta bounds it above. From
+the current coefficients, the term's zeroed, `_dual_bounds` takes a Newton
+step d at the current weights W: alpha = mu + W X d meets X'alpha = X'y by
+the step's normal equations, whatever W, and beta + d gives the high bound (a
+second step where alpha leaves (0, 1)). The computed X'(alpha - y) = r moves
+the low bound by 2 r'beta, so it needs 2 sum_j (|r_j| + n u sum_i |x_ij|)
+|beta_j| <= `SCREEN_RTOL` / 10 of it. The margin is the Gaussian one, the low
+bound at least the current deviance; an unconverged fit, dropped columns or a
+coefficient beyond `SEPARATION_COEF` give none. The high bound presumes an
+exact fit at the optimum, so `selection` checks each scored removal against
+its bounds. Of the 29,551 removals of the 1,000 stored `shrink_loo`
+references (seeds 1 and 8191), 0.04% had no bounds and every bound held its
+scored deviance; without the margin, no low bound lay above it (the closest
+1.8e-13 relative below) and high bounds fell short by at most 4.3e-12.
 """
 
 from __future__ import annotations
@@ -215,7 +235,8 @@ def _scaled_qrs(At: np.ndarray, peak: np.ndarray):
     qrs = []
     for A in (As,) if As.ndim == 2 else As:  # dgeqrf works in place on the F-ordered A.T
         qr, tau, _, info = dgeqrf(A.T, overwrite_a=True)
-        _check_info("dgeqrf", info)
+        if info:
+            _check_info("dgeqrf", info)
         qrs.append((qr, tau))
     return scales, qrs, np.abs(As.diagonal(axis1=-2, axis2=-1)) <= PIVOT_TOL * norms
 
@@ -246,12 +267,12 @@ def _householder(A: np.ndarray, attempt=None):
 
 
 def _stacked_factors(designs) -> list:
-    """The `_factorise` result of each (X, y, None) of `designs` whose (n, k)
-    shape, k <= n, others share, with finite nonzero columns and y: they share
-    one `_scaled_qrs` call for their first attempt. Others keep their factors."""
-    out, shapes = [factors for _, _, factors in designs], {}
-    for i, (X, _, factors) in enumerate(designs):
-        if factors is None and 0 < X.shape[1] <= X.shape[0]:
+    """The `_factorise` result of each (X, y) of `designs` whose (n, k) shape,
+    k <= n, others share, with finite nonzero columns and y, else None: they
+    share one `_scaled_qrs` call for their first attempt."""
+    out, shapes = [None] * len(designs), {}
+    for i, (X, _) in enumerate(designs):
+        if 0 < X.shape[1] <= X.shape[0]:
             shapes.setdefault(X.shape, []).append(i)
     for ids in (ids for ids in shapes.values() if len(ids) > 1):
         At = np.empty((len(ids), *designs[ids[0]][0].shape[::-1]))
@@ -346,7 +367,7 @@ def _irls(fits, max_iter: int = MAX_ITER) -> list:
     shapes: dict[tuple[int, int], list[int]] = {}
     for i, (X, _, (kept, *_)) in enumerate(fits):
         shapes.setdefault((len(X), len(kept)), []).append(i)
-    for ids in shapes.values():
+    for shape, ids in shapes.items():
         y = np.stack([fits[i][1] for i in ids])
         binary = ((y == 0.0) | (y == 1.0)).all(axis=1)
         if not binary.all():
@@ -355,7 +376,9 @@ def _irls(fits, max_iter: int = MAX_ITER) -> list:
             ids, y = [i for i, b in zip(ids, binary) if b], y[binary]
             if not ids:
                 continue
-        Xt = np.stack([fits[i][0][:, fits[i][2][0]].T for i in ids])  # Xt[j].T is X[:, kept]
+        Xt = np.empty((len(ids), *shape[::-1]))
+        for j, (X, _, (kept, *_)) in enumerate(fits[i] for i in ids):  # C-ordered
+            Xt[j] = X.T if len(kept) == X.shape[1] else X[:, kept].T  # Xt[j].T is X[:, kept]
         mu = np.clip((y + 0.5) / 2.0, _MU_EPS, 1.0 - _MU_EPS)
         eta = np.log(mu / (1.0 - mu))
         deviance = _binomial_deviance(y, mu)
@@ -369,16 +392,22 @@ def _irls(fits, max_iter: int = MAX_ITER) -> list:
                 A = Xt * sw[:, None, :]
                 scales, qrs, aliased = _scaled_qrs(A, np.abs(A).max(axis=2))
                 lost, b = aliased.any(axis=1).tolist(), z * sw
+            betas, scaling = np.zeros((len(ids), Xt.shape[1])), np.ones((len(ids), Xt.shape[1]))
             for j, i in enumerate(ids):
                 if reuse[j]:
-                    (_, qr, tau, scale), rhs, rw = fits[i][2], z[j], math.sqrt(w[j, 0])
+                    (_, qr, tau, scaling[j]), rhs, rw = fits[i][2], z[j], math.sqrt(w[j, 0])
                 elif lost[j]:
                     out[i] = RankDeficientError("design lost rank under the working weights")
                     continue
                 else:
-                    (qr, tau), scale, rhs, rw = qrs[j], scales[j], b[j], None
-                out[i] = _solve(qr, tau, scale, rhs), qr, scale, rw
-                eta[j] = Xt[j].T @ out[i][0]
+                    (qr, tau), scaling[j], rhs, rw = qrs[j], scales[j], b[j], None
+                qtb, _, info = dormqr("L", "T", qr, tau, rhs[:, None], 1)
+                raw, triangular = dtrtrs(qr, qtb[:qr.shape[1]])
+                if info or triangular:
+                    _check_info("dormqr", info) or _check_info("dtrtrs", triangular)
+                betas[j], out[i] = raw[:, 0], (betas[j], qr, scaling[j], rw)  # a view of the row
+            betas /= scaling  # each out[i][0] is a row of betas
+            eta = np.matmul(Xt.transpose(0, 2, 1), betas[:, :, None])[:, :, 0]
             mu = np.clip(_expit(eta), _MU_EPS, 1.0 - _MU_EPS)
             new_deviance = _binomial_deviance(y, mu)
             change = np.abs(new_deviance - deviance)
@@ -422,23 +451,22 @@ def _fit_chunk(fits, family: Family, max_iter: int = MAX_ITER) -> list:
     return out
 
 
-def score_designs(designs: Iterable[tuple[np.ndarray, np.ndarray, tuple | None]],
-                  family: Family, column_labels: tuple[str, ...] | None = None):
-    """Yield, for each (X, y, factors) of `designs`, the `Fit` of its kept
-    columns (its deviance that of `fit_design`, bit for bit), or the
-    ModelBuildError that fitting it raises. `factors` is the `_factorise`
-    result of X and y when the caller has it, else None. Designs are read
-    `_LOCKSTEP_FITS` at a time, factorised together when binomial
-    (`_stacked_factors`) and fitted together (`_fit_chunk`); with
-    `column_labels`, dropped columns warn as in `fit_design`."""
+def score_designs(designs: Iterable[tuple[np.ndarray, np.ndarray]], family: Family,
+                  column_labels: tuple[str, ...] | None = None):
+    """Yield, for each (X, y) of `designs`, the `Fit` of its kept columns (its
+    deviance that of `fit_design`, bit for bit), or the ModelBuildError that
+    fitting it raises. Designs are read `_LOCKSTEP_FITS` at a time,
+    factorised together when binomial (`_stacked_factors`) and fitted
+    together (`_fit_chunk`); with `column_labels`, dropped columns warn as in
+    `fit_design`."""
     designs = iter(designs)
     while chunk := list(itertools.islice(designs, _LOCKSTEP_FITS)):
-        if family is Family.BINOMIAL:
-            chunk = [(X, y, factors) for (X, y, _), factors in zip(chunk, _stacked_factors(chunk))]
+        stacked = (_stacked_factors(chunk) if family is Family.BINOMIAL
+                   else [None] * len(chunk))
         checked = []
-        for X, y, factors in chunk:
+        for (X, y), factors in zip(chunk, stacked):
             try:
-                factors = _factorise(X, y) if factors is None else factors
+                factors = factors or _factorise(X, y)
                 _check_rank(factors[0], len(y))
                 checked.append((X, y, factors, None))
             except ModelBuildError as exc:
@@ -558,6 +586,46 @@ def _deviance_conditioned(R, coef, blocks, norms, yy, rss, kappa2) -> np.ndarray
             & (u * c1 + u * u * kappa2 <= SCREEN_RTOL / 20.0) & np.isfinite(rss))
 
 
+def _dual_bounds(X: np.ndarray, y: np.ndarray, beta: np.ndarray, free: np.ndarray,
+                 w: np.ndarray):
+    """(low, high) bounds, without the margin and NaN where not bounded, on the
+    least binomial deviance of y on the columns of X (n, k) that each row of `free`
+    marks, by Newton steps at the weights w from that row of `beta` (see the module
+    docstring); a step solves every row's scaled normal equations in one call."""
+    low, high, todo = np.full(len(beta), np.nan), np.full(len(beta), np.nan), np.arange(len(beta))
+    with np.errstate(all="ignore"):  # a non-finite value gives no bound
+        gram = (X.T * w) @ X
+        scale = 1.0 / np.sqrt(gram.diagonal())
+        system = np.where(free[:, :, None] & free[:, None, :], gram * scale[:, None] * scale,
+                          np.eye(len(scale)))
+        rounding = 2.0 ** -53 * len(y) * np.abs(X).sum(axis=0)  # of X'(alpha - y); |alpha - y| < 1
+        beta, eta = beta.copy(), beta @ X.T
+        mu = np.clip(_expit(eta), _MU_EPS, 1.0 - _MU_EPS)
+        for _ in range(2):
+            try:
+                d = scale * np.linalg.solve(system[todo], ((y - mu) @ X * free[todo] * scale)[
+                    :, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # a singular system
+                break
+            step = d @ X.T
+            alpha = mu + w * step  # X' alpha = X' y on the free columns
+            beta[todo] += d
+            eta = eta + step
+            # NaN where alpha leaves (0, 1)
+            entropy = -2.0 * (alpha * np.log(alpha) + (1.0 - alpha) * np.log1p(-alpha)).sum(axis=1)
+            residual = np.abs((alpha - y) @ X) + rounding
+            deviance = 2.0 * (np.logaddexp(0.0, eta).sum(axis=1) - eta @ y)
+            violation = 2.0 * (residual * np.abs(beta[todo])).sum(axis=1)
+            ok = (violation <= SCREEN_RTOL / 10.0 * entropy) & np.isfinite(deviance)
+            low[todo[ok]], high[todo[ok]] = entropy[ok], deviance[ok]
+            retry = ~np.isfinite(entropy) & np.isfinite(d).all(axis=1)
+            if not retry.any():
+                break
+            todo, eta = todo[retry], eta[retry]
+            mu = np.clip(_expit(eta), _MU_EPS, 1.0 - _MU_EPS)
+    return low, high
+
+
 def contenders(bounds: Sequence[tuple[float, float] | None]) -> list[bool]:
     """Whether each value, bounded by (low, high) or unbounded (None), may be
     the least: its low bound reaches the least high bound, or it has none."""
@@ -565,14 +633,16 @@ def contenders(bounds: Sequence[tuple[float, float] | None]) -> list[bool]:
     return [b is None or b[0] <= cut for b in bounds]
 
 
-def p_value_bounds(n, reduced: np.ndarray, full: np.ndarray, df) -> np.ndarray:
-    """(low, high) bounds, (m, 2), on the Gaussian `Design.p_value` of nested models on
-    n observations and df degrees of freedom, from (m, 2) bounds or (m, 1) values of the
-    reduced and full deviances, all broadcast: the tails at the bounds of n log(reduced /
-    full) from one chdtrc call (np.log and math.log may differ in the last bit); NaN where
-    a bound is, or where the statistic may fall below -`NESTED_TOL` and `p_value` raises."""
+def p_value_bounds(n, reduced: np.ndarray, full: np.ndarray, df, binomial=False) -> np.ndarray:
+    """(low, high) bounds, (m, 2), on the `Design.p_value` of nested models on n
+    observations and df degrees of freedom, from (m, 2) bounds or (m, 1) values of the
+    reduced and full deviances, all broadcast: the tails at the bounds of the statistic,
+    n log(reduced / full), or reduced - full where `binomial`, from one chdtrc call
+    (np.log and math.log may differ in the last bit); NaN where a bound is, or where
+    the statistic may fall below -`NESTED_TOL` and `p_value` raises."""
     with np.errstate(all="ignore"):
-        stats = np.asarray(n, dtype=float)[..., None] * np.log(reduced[:, ::-1] / full)
+        stats = np.where(np.asarray(binomial)[..., None], reduced[:, ::-1] - full,
+                         np.asarray(n, dtype=float)[..., None] * np.log(reduced[:, ::-1] / full))
     tails = np.clip(chdtrc(np.asarray(df, dtype=float)[..., None], np.maximum(stats, 0.0)),
                     0.0, 1.0)
     tails[~(stats[:, 1] >= -NESTED_TOL)] = np.nan
@@ -669,7 +739,7 @@ class Design:
         out = [design._records.get(cols) for design, cols in subsets]
         todo = [(i, *subsets[i]) for i, record in enumerate(out) if record is None]
         for (i, design, cols), scored in zip(todo, score_designs(
-                ((design.X[:, cols], design.dataset.outcome, None) for _, design, cols in todo),
+                ((design.X[:, cols], design.dataset.outcome) for _, design, cols in todo),
                 family)):
             if not isinstance(scored, ModelBuildError):
                 design._records[cols] = scored
@@ -687,21 +757,24 @@ class Design:
     def steps(models: Sequence[tuple[Design, ModelSpec]]) -> list:
         """The `Fit` of each (design, spec), or the ModelBuildError of its fit:
         the record its design holds, which is the step, or a fit of its own,
-        then held. Only the models fitted are gathered, factorised together
+        then held. Only the models not held are gathered, factorised together
         (`_stacked_factors`) and fitted. Dropped columns warn."""
         subsets = [(design, design.columns(spec.terms)) for design, spec in models]
-        fits = [(None, None, design._records[cols].factors) if cols in design._records else
-                (design.X[:, cols], design.dataset.outcome, None) for design, cols in subsets]
-        out = []
-        for (design, cols), (X, y, _), factors in zip(subsets, fits, _stacked_factors(fits)):
+        held = [design._records.get(cols) for design, cols in subsets]
+        fits = [(design.X[:, cols], design.dataset.outcome)
+                for (design, cols), record in zip(subsets, held) if record is None]
+        gathered, out = iter(zip(fits, _stacked_factors(fits))), []
+        for (design, cols), record in zip(subsets, held):
             try:
+                (X, y), factors = (next(gathered) if record is None
+                                   else ((None, None), record.factors))
                 factors = factors or _factorise(X, y)
                 _dropped(tuple(design.labels[c] for c in cols), factors[0])
                 _check_rank(factors[0], design.dataset.n)
-                if cols not in design._records:
-                    design._records[cols] = first_error(
+                if record is None:
+                    record = design._records[cols] = first_error(
                         _fit_chunk([(X, y, factors)], design.dataset.family))[0]
-                out.append(design._records[cols])
+                out.append(record)
             except ModelBuildError as error:
                 out.append(error)
         return out
@@ -709,17 +782,31 @@ class Design:
     @staticmethod
     def removal_bounds(models: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
         """(low, high) bounds on the deviance of dropping each term of each (design,
-        spec, step) from its Gaussian `Fit` `step` by the Wald update (see the module
-        docstring), NaN where not guaranteed, and each term's column count: (m, 2) and
-        (m,) arrays over the models' terms in turn. Models of one column layout share
-        V = R^-1 R^-T, one guard and b_j^2 / V_jj, or a solve per larger term size."""
+        spec, step) from its fit `step` (see the module docstring), NaN where not
+        guaranteed, and each term's column count: (m, 2) and (m,) arrays over the models'
+        terms in turn. A Gaussian `Fit` gives them by the Wald update, models of one
+        column layout sharing V = R^-1 R^-T, one guard and b_j^2 / V_jj, or a solve per
+        larger term size; a binomial `Fit` or `FitResult` by Newton steps (`_dual_bounds`)
+        from its coefficients, the term's zeroed, at its weights, its removals together."""
         sizes = [[len(t._labels) for t in spec.terms] for _, spec, _ in models]
         bounds, layouts, row = np.full((sum(map(len, sizes)), 2), np.nan), {}, 0
         for (design, spec, step), size in zip(models, sizes):
-            full = step.model_df == len(step.coefficients)  # a fit of every column
-            if full and design.dataset.family is Family.GAUSSIAN and step.deviance > 0.0 and (
-                    design.intercept or len(size) > 1):
+            # a fit of every column, and a column left after each removal
+            usable = step.model_df == len(step.coefficients) and (design.intercept or len(size) > 1)
+            if usable and design.dataset.family is Family.GAUSSIAN and isinstance(step, Fit) and (
+                    step.deviance > 0.0):
                 layouts.setdefault((design.intercept, *size), []).append((row, design._yy, step))
+            elif usable and size and design.dataset.family is Family.BINOMIAL and (
+                    step.converged and np.abs(step.coefficients).max() <= SEPARATION_COEF):
+                start = np.cumsum([int(design.intercept), *size])
+                column = np.arange(start[-1])
+                free = (column < start[:-1, None]) | (column >= start[1:, None])  # a row per term
+                X = design.X[:, design.columns(spec.terms)]
+                mu = np.clip(_expit(X @ step.coefficients), _MU_EPS, 1.0 - _MU_EPS)
+                low, high = _dual_bounds(X, design.dataset.outcome, step.coefficients * free,
+                                         free, np.maximum(mu * (1.0 - mu), _MU_EPS))
+                bounds[row:row + len(size)] = np.column_stack([np.maximum(
+                    low * (1.0 - SCREEN_RTOL), step.deviance), high * (1.0 + SCREEN_RTOL)])
             row += len(size)
         for (intercept, *size), group in layouts.items():
             rows, yy, steps = zip(*group)

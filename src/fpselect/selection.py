@@ -34,26 +34,29 @@ memo and its first-error rule (`glm.first_error`) as when alone, so each
 trace is that of its run alone, bit for bit.
 
 The loop screens before it scores. `glm.Design.removal_bounds` bounds the
-deviance of every removal of every run by the Wald update where `glm`
-guarantees it (not for binomial models, dropped columns, a zero deviance or
-a large condition estimate: their removals are all scored). Of a run's
-removals of one size the least deviance has the largest p-value, so only
-those whose bounds admit it get p-value bounds (one `glm.p_value_bounds`
-call), and only those whose largest possible p-value reaches the run's
-largest least one are scored. The removal of largest exact p-value is
+deviance of every removal of every run where `glm` can, by the Wald update
+(Gaussian) or Newton steps to a dual point (binomial); the removals of a
+model it cannot bound (see `glm`) are all scored. Of a run's removals of one
+size the least deviance has the largest p-value, so only those whose bounds
+admit it get p-value bounds (one `glm.p_value_bounds` call), and only those
+whose largest possible p-value reaches the run's largest least one are
+scored. The removal of largest exact p-value is
 among them, so the trace is that of scoring every removal, bit for bit. A
 step of one contender, whose p-value bounds contain the step's largest
 p-value, is decided unscored (`_decided`) when they lie wholly on one side
-of its threshold: a stop costs no factorisation, and a drop records the
-p-value of its model's fit, the score's bit for bit. Other steps are scored.
+of its threshold: a stop costs no factorisation, and a Gaussian drop records
+the p-value of its model's fit, the score's bit for bit. Other steps, and a
+binomial drop, are scored; a run whose scored removal fails or lies outside
+its bounds (a binomial high bound presumes a converged fit) scores them all.
 
 The addition scan (forward selection and stepwise) screens and decides alike,
 by `glm.Design.addition_bounds`: only additions whose least possible p-value
 reaches the least of the largest possible ones, or unbounded, are scored.
-Augmented backward elimination scores every candidate, as it needs every
-removal's p-value, and keeps `FitResult`s, whose coefficients its
-change-in-estimate check reads. An addition whose design-column labels the
-model already has (another form of a variable it holds) is skipped.
+Augmented backward elimination scores every removal whose p-value may exceed
+its level (by binomial bounds; every Gaussian one), as it ranks them all, and
+keeps `FitResult`s, whose coefficients its change-in-estimate check reads.
+An addition whose design-column labels the model already has (another form
+of a variable it holds) is skipped.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .chi2 import chi2_sf
-from .data import Dataset
+from .data import Dataset, Family
 from .errors import CycleDetectedError, DomainError, ExposureMissingError, ModelBuildError
 from .glm import Design, Fit, FitResult, first_error, p_value_bounds
 from .model import ModelSpec, Term
@@ -173,8 +176,11 @@ def _screen(runs: Sequence[_Run], protected: Sequence[Term]) -> list[list[tuple]
     if not np.isnan(reduced).all():  # the least deviances per run and size, then p-values
         owner, sizes = np.array([i for i, _ in terms]), int(df.max()) + 1
         kept = np.flatnonzero(_least(*reduced.T, owner * sizes + df, len(runs) * sizes))
-        n, dev = np.array([(run.design.dataset.n, run.current.deviance) for run in runs]).T
-        tails = p_value_bounds(n[owner[kept]], reduced[kept], dev[owner[kept], None], df[kept])
+        n, dev, binomial = np.array([(run.design.dataset.n, run.current.deviance,
+                                      run.design.dataset.family is Family.BINOMIAL)
+                                     for run in runs]).T
+        tails = p_value_bounds(n[owner[kept]], reduced[kept], dev[owner[kept], None], df[kept],
+                               binomial[owner[kept]] == 1.0)
         keep = _least(-tails[:, 1], -tails[:, 0], owner[kept], len(runs))
         kept, tails = kept[keep].tolist(), tails[keep]
     screens = [[] for _ in runs]
@@ -233,27 +239,50 @@ def _eliminate(runs: Sequence[_Run], criterion: Criterion,
             return
         screens = _screen(runs, protected)
         drops = [_decided(run.design, criterion, screened) for run, screened in zip(runs, screens)]
-        terms = [[t for t, _ in screened] if drop is None else []  # the removals to score
-                 for screened, drop in zip(screens, drops)]
-        scores = iter(Design.batch_scores([
-            (run.design, run.design.columns([t for t in run.spec.terms if t is not term]))
-            for run, ts in zip(runs, terms) for term in ts]) if any(terms) else ())
+        drops = [None if drop and run.design.dataset.family is Family.BINOMIAL else drop
+                 for run, drop in zip(runs, drops)]  # a binomial drop is scored
+        removals = _score_removals(runs, [[t for t, _ in screened] if drop is None else []
+                                          for screened, drop in zip(screens, drops)])
+        # a run whose scored removal fails or lies outside its bounds scores every removal
+        missed = [isinstance(scored, ModelBuildError) or any(
+            p < low or p > high for (p, _, _), (_, (low, high)) in zip(scored, screened))
+            for scored, screened in zip(removals, screens)]
+        if any(missed):
+            again = list(compress(runs, missed))
+            rescored = iter(_score_removals(
+                again, [[t for t in run.spec.terms if t not in protected] for run in again]))
+            removals = [next(rescored) if miss else scored
+                        for scored, miss in zip(removals, missed)]
         moves = []
-        for run, screened, drop, ts in zip(runs, screens, drops, terms):
-            try:
-                scored = first_error(list(islice(scores, len(ts))))
-                worst = max(_removals(run.design, run.current, ts, scored),
-                            key=lambda r: r[0], default=None)
-                move = screened[0][0] if drop else None
-                if worst is not None and worst[0] > criterion_threshold(
-                        criterion, run.design.dataset.n, worst[1]):
-                    move = worst[2]
-                if move is not None:
-                    run.spec = run.spec.without_term(move)
-                    moves.append((run, move))
-            except ModelBuildError as error:
-                run.error = error
+        for run, screened, drop, scored in zip(runs, screens, drops, removals):
+            if isinstance(scored, ModelBuildError):
+                run.error = scored
+                continue
+            worst = max(scored, key=lambda r: r[0], default=None)
+            move = screened[0][0] if drop else None
+            if worst is not None and worst[0] > criterion_threshold(
+                    criterion, run.design.dataset.n, worst[1]):
+                move = worst[2]
+            if move is not None:
+                run.spec = run.spec.without_term(move)
+                moves.append((run, move))
         runs = []
+
+
+def _score_removals(runs: Sequence[_Run], terms: Sequence[Sequence[Term]]) -> list:
+    """Each run's (p-value, df, term) of dropping each of its `terms`, or the first
+    ModelBuildError of those, all scored in one `glm.Design.batch_scores` call."""
+    scores = iter(Design.batch_scores([
+        (run.design, run.design.columns([t for t in run.spec.terms if t is not term]))
+        for run, ts in zip(runs, terms) for term in ts]) if any(terms) else ())
+    out = []
+    for run, ts in zip(runs, terms):
+        try:
+            out.append(_removals(run.design, run.current, ts,
+                                 first_error(list(islice(scores, len(ts))))))
+        except ModelBuildError as error:
+            out.append(error)
+    return out
 
 
 def _add(run: _Run, candidates: Sequence[Term], criterion: Criterion) -> None:
@@ -417,7 +446,11 @@ def augmented_backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
     kept_as_confounder: set[Term] = set()
     while True:
         skip = kept_as_confounder | {exposure_term}
-        terms = [t for t in run.spec.terms if t not in skip]
+        bounds, df = Design.removal_bounds([(design, run.spec, run.current)])  # binomial only
+        tails = p_value_bounds(dataset.n, bounds, np.array([[run.current.deviance]]), df,
+                               dataset.family is Family.BINOMIAL)
+        terms = [t for t, (_, high) in zip(run.spec.terms, tails.tolist())  # p may exceed alpha
+                 if t not in skip and not high <= alpha]
         scores = design.scores([[t for t in run.spec.terms if t is not term] for term in terms])
         ranked = [(p, term) for p, _, term in _removals(design, run.current, terms, scores)
                   if p > alpha]

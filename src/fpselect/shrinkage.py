@@ -33,8 +33,8 @@ from .model import ModelSpec, Term, design_matrix
 @dataclass(frozen=True)
 class LeaveOneOut:
     def folds(self, n: int):
-        idx = np.arange(n)
-        return [(np.delete(idx, i), idx[i:i + 1]) for i in range(n)]
+        rows = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])  # row i skips i
+        return [(rows[i], np.arange(i, i + 1)) for i in range(n)]
 
     def describe(self) -> str:
         return "leave-one-out"
@@ -113,7 +113,7 @@ def _out_of_fold_components(dataset: Dataset, spec: ModelSpec, cv: CvScheme):
     # Every transform acts row by row, so the rows of the full design are the
     # design of the training rows.
     folds = cv.folds(dataset.n)
-    designs = ((X_full[train], dataset.outcome[train], None) for train, _ in folds)
+    designs = ((X_full[train], dataset.outcome[train]) for train, _ in folds)
     beta = np.zeros(X_full.shape)  # each held-out row's fold coefficients
     for fold_id, ((_, test), fitted) in enumerate(zip(folds, score_designs(
             designs, dataset.family, labels))):

@@ -522,7 +522,7 @@ def _scores(designs, family):
     """The `glm.Fit` of each (X, y) from `score_designs`, which scores them
     together; raises the first error it yields."""
     out = []
-    for scored in score_designs([(X, y, None) for X, y in designs], family):
+    for scored in score_designs(designs, family):
         if isinstance(scored, ModelBuildError):
             raise scored
         out.append(scored)
@@ -837,7 +837,7 @@ class TestBinomialOutcomeGuard:
         for y in (np.where(good == 1.0, 0.7, 0.0), np.where(good == 1.0, 2.0, 0.0)):
             with pytest.raises(DomainError, match="only 0 and 1"):
                 fit_design(X, y, Family.BINOMIAL, ("c0", "c1"))
-            scored = list(score_designs([(X, good, None), (X, y, None), (X, good, None)],
+            scored = list(score_designs([(X, good), (X, y), (X, good)],
                                         Family.BINOMIAL))
             assert isinstance(scored[1], DomainError)
             assert scored[0].deviance == scored[2].deviance == fit_design(
@@ -951,8 +951,12 @@ class TestDesign:
         n = 100
         x, w = rng.standard_normal(n), rng.standard_normal(n)
         noisy = x + rng.standard_normal(n)
+        separated = (x > 0.0).astype(float)
         cases = [
-            (_blocks_dataset(608, family=Family.BINOMIAL)[0], ("x", "w")),  # binomial
+            (make_dataset({"x": x, "w": w, "y": separated}, family=Family.BINOMIAL),
+             ("x", "w")),  # a separated binomial fit
+            (make_dataset({"x": x, "w": 2.0 * x, "y": (noisy > 0.0).astype(float)},
+                          family=Family.BINOMIAL), ("x", "w")),  # an aliased binomial fit
             (make_dataset({"x": x, "w": 2.0 * x, "y": noisy}), ("x", "w")),  # aliased
             (make_dataset({"x": x, "w": x + 1e-7 * w, "y": noisy}), ("x", "w")),  # ill-conditioned
             (make_dataset({"x": x, "w": w, "y": 1e7 + noisy}), ("x", "w")),  # tiny residual
@@ -966,11 +970,63 @@ class TestDesign:
                 current = Design.steps([(design, spec)])[0]
             assert np.isnan(Design.removal_bounds([(design, spec, current)])[0]).all()
         # Dropping the only term of an intercept-free model leaves no column.
-        ds = make_dataset({"x": x, "y": noisy})
-        spec = ModelSpec((Term.linear("x"),), intercept=False)
+        for y, family in ((noisy, Family.GAUSSIAN), (separated[::-1].copy(), Family.BINOMIAL)):
+            ds = make_dataset({"x": x, "y": y}, family=family)
+            spec = ModelSpec((Term.linear("x"),), intercept=False)
+            design = Design(ds, spec)
+            bounds, _ = Design.removal_bounds([(design, spec, Design.steps([(design, spec)])[0])])
+            assert bounds.shape == (1, 2) and np.isnan(bounds).all()
+
+    def test_binomial_removal_bounds_contain_the_exact_deviances(self):
+        # Linear terms, an FP2 pair and a dummy block: each removal's Newton
+        # bounds hold its scored deviance, and its p-value bounds the p-value.
+        for seed in (603, 604, 605, 608):
+            ds, spec = _blocks_dataset(seed, family=Family.BINOMIAL)
+            design = Design(ds, spec)
+            current = Design.steps([(design, spec)])[0]
+            bounds, df = Design.removal_bounds([(design, spec, current)])
+            assert not np.isnan(bounds).any()
+            tails = p_value_bounds(ds.n, bounds, np.array([[current.deviance]]), df, True)
+            for term, (low, high), (p_low, p_high) in zip(spec.terms, bounds, tails):
+                reduced = design.scores([[t for t in spec.terms if t is not term]])[0]
+                assert current.deviance <= low <= reduced.deviance <= high
+                assert high <= low * 1.01
+                exact, _ = design.p_value(reduced, (current.deviance, current.model_df))
+                assert p_low <= exact <= p_high
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(20, 150),
+           effect=st.floats(0.0, 6.0), aliased=st.booleans())
+    def test_every_finite_binomial_bound_holds_its_scored_deviance(self, seed, n, effect,
+                                                                   aliased):
+        # Strong effects push fits towards quasi-separation, where bounds must
+        # hold or be NaN; an aliased column leaves the fit without any.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, 3))
+        z = rng.lognormal(size=n)
+        eta = effect * x[:, 0] - 0.5 * x[:, 1] + 0.3 * np.log(z)
+        columns = {"x0": x[:, 0], "x1": x[:, 1], "x2": 2.0 * x[:, 0] if aliased else x[:, 2],
+                   "z": z, "g": rng.uniform(0.0, 3.0, n),
+                   "y": (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)}
+        if len(set(columns["y"])) < 2:
+            return
+        ds = make_dataset(columns, family=Family.BINOMIAL)
+        spec = ModelSpec((Term.linear("x0"), Term.linear("x1"), Term.linear("x2"),
+                          Term.fp("z", (-0.5, 1.0)), Term.categorical("g", (1.0, 2.0))))
         design = Design(ds, spec)
-        bounds, _ = Design.removal_bounds([(design, spec, Design.steps([(design, spec)])[0])])
-        assert bounds.shape == (1, 2) and np.isnan(bounds).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            current = Design.steps([(design, spec)])[0]
+        if isinstance(current, ModelBuildError):
+            return
+        bounds, _ = Design.removal_bounds([(design, spec, current)])
+        if aliased:
+            assert np.isnan(bounds).all()
+        for term, (low, high) in zip(spec.terms, bounds):
+            reduced = design.batch_scores([(design, design.columns(
+                [t for t in spec.terms if t is not term]))])[0]
+            if not (math.isnan(low) or isinstance(reduced, ModelBuildError)):
+                assert low <= reduced.deviance <= high
 
 
 class TestRecordMemo:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpselect import glm, selection
-from fpselect import (Criterion, CycleDetectedError, Dataset, DomainError,
+from fpselect import (Criterion, CycleDetectedError, Dataset, DomainError, ModelBuildError,
                       ExposureMissingError, Family, ModelSpec, RankDeficientError,
                       ResamplePlan, Term, augmented_backward_eliminate, backward_eliminate,
                       backward_eliminate_batch,
@@ -710,19 +710,16 @@ class TestRemovalScreen:
                                "x2": rng.standard_normal(300),
                                "y": x0 + rng.standard_normal(300)})
             start = self.LINEAR
-        else:
+        else:  # the binomial start drops its aliased column, as the Gaussian one does
             family = Family.BINOMIAL if case == "binomial" else Family.GAUSSIAN
-            ds, terms = _mixed_dataset(304, family, aliased=case == "aliased")
+            ds, terms = _mixed_dataset(304, family, aliased=True)
             start = ModelSpec(terms)
         criterion = Criterion.aic()
         trace, counts = _exact_scores_per_step(
             monkeypatch, lambda: _quiet(backward_eliminate, ds, start, criterion))
         assert trace.steps
         every = [len(start.terms) - k for k in range(len(counts))]
-        if case == "binomial":
-            assert counts == every
-        else:  # the first step's fit is aliased or ill-conditioned
-            assert counts[0] == every[0]
+        assert counts[0] == every[0]  # the first step's fit is aliased or ill-conditioned
         monkeypatch.undo()
         _assert_same_trace(trace, _quiet(_ref_backward, ds, start, criterion))
 
@@ -769,39 +766,137 @@ class TestRemovalScreen:
 
 
 class TestLockStepRemovals:
-    """Binomial elimination scores each step's removals together: they reach
-    `glm._irls` in ceil(removals / `glm._LOCKSTEP_FITS`) calls, not one call
-    per removal, and take the IRLS iterations of fitting each model alone.
-    A step records its model from its score, and the final FitResult is built
-    from the last step's record, so beside the removals only the start model
-    runs IRLS."""
+    """Binomial elimination bounds each step's removals (`Design.removal_bounds`)
+    and scores only those that may have the step's largest p-value, together:
+    here the drop each step takes, alone, and nothing in the step that stops,
+    whose one contender's p-value bounds lie below the threshold. The scored
+    removals reach `glm._irls` in one call per step and take the IRLS iterations
+    of fitting each model alone. A step records its model from its score, and
+    the final FitResult is built from the last step's record, so beside the
+    removals only the start model runs IRLS."""
 
     def test_removals_share_irls_calls(self, monkeypatch):
         ds, terms = _mixed_dataset(304, Family.BINOMIAL)
         start = ModelSpec(terms)
-        calls = []
-        irls = glm._irls
+        calls, scored = [], []
+        irls, batch_scores = glm._irls, glm.Design.batch_scores
 
         def counting(fits, *args):
             results = irls(fits, *args)
             calls.append((len(fits), sum(r[4] for r in results)))
             return results
 
+        def recording(subsets):
+            scored.append([cols for _, cols in subsets])
+            return batch_scores(subsets)
+
         monkeypatch.setattr(glm, "_irls", counting)
+        monkeypatch.setattr(glm.Design, "batch_scores", staticmethod(recording))
         trace = _quiet(backward_eliminate, ds, start, Criterion.aic())
         monkeypatch.undo()
-        assert trace.steps
+        _assert_same_trace(trace, _quiet(_ref_backward, ds, start, Criterion.aic()))
+        assert [step.variable for step in trace.steps] == ["x2", "x3"]
+        design, specs = glm.Design(ds, start), [start]
+        for step in trace.steps:
+            specs.append(specs[-1].without_term(step.term))
+        assert scored == [[design.columns(spec.terms)] for spec in specs[1:]]
+        assert [size for size, _ in calls] == [1] * len(specs)
+        assert sum(used for _, used in calls) == sum(_quiet(fit, ds, spec).iterations
+                                                     for spec in specs)
+
+
+class TestBinomialRemovalScreen:
+    """Binomial steps score only the removals whose Newton bounds admit the
+    step's largest p-value, and decide a stop unscored; traces equal those of
+    scoring every removal, bit for bit, errors included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(30, 150),
+           criterion=st.sampled_from(CRITERIA), aliased=st.booleans(),
+           separation=st.sampled_from([0.0, 1.0, 4.0, 12.0]),
+           procedure=st.sampled_from(["backward", "stepwise", "abe"]))
+    @example(seed=5, n=120, criterion=CRITERIA[1], aliased=True, separation=12.0,
+             procedure="backward")
+    def test_screened_selection_equals_reference(self, seed, n, criterion, aliased, separation,
+                                                 procedure):
+        rng = np.random.default_rng(seed)
+        cols = {f"x{j}": rng.standard_normal(n) for j in range(4)}
+        cols["x3"] = cols["x2"] + rng.uniform(0.0, 1.0) * cols["x3"]
+        cols["z"], cols["g"] = rng.lognormal(size=n), rng.uniform(0.0, 3.0, n)
+        eta = (separation * cols["x0"] + rng.uniform(-1.0, 1.0) * cols["x1"]
+               + 0.4 * np.log(cols["z"]) + 0.5 * (cols["g"] > 2.0))
+        cols["y"] = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        terms = [*(Term.linear(f"x{j}") for j in range(4)), Term.fp("z", (-0.5, 1.0)),
+                 Term.categorical("g", (1.0, 2.0))]
+        if aliased:  # a column every model holding x0 and x1 drops
+            cols["a"] = cols["x0"] - 2.0 * cols["x1"]
+            terms.insert(2, Term.linear("a"))
+        ds, start = Dataset.from_columns(cols, outcome="y", family=Family.BINOMIAL), ModelSpec(tuple(terms))
+        alpha = criterion_threshold(criterion, n)
+        run, ref = {
+            "backward": (lambda: backward_eliminate(ds, start, criterion),
+                         lambda: _ref_backward(ds, start, criterion)),
+            "stepwise": (lambda: stepwise(ds, terms, criterion),
+                         lambda: _ref_stepwise(ds, terms, criterion)),
+            "abe": (lambda: augmented_backward_eliminate(ds, start, alpha, "x1"),
+                    lambda: _ref_abe(ds, start, alpha, terms[1], 0.05, "standardized")),
+        }[procedure]
+        try:
+            expected = _quiet(ref)
+        except ModelBuildError as error:
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                _quiet(run)
+            return
+        _assert_same_bytes(_quiet(run), expected)
+
+    def test_a_score_outside_its_bounds_scores_every_removal(self, monkeypatch):
+        # Bounds shifted below the deviances exclude removals on a wrong high
+        # bound; each scored winner then lies above its bounds, so its step
+        # scores every removal as well, and the trace equals the reference.
+        ds, terms = _mixed_dataset(304, Family.BINOMIAL)
+        start = ModelSpec(terms)
+        removal_bounds, batch_scores, sizes = glm.Design.removal_bounds, glm.Design.batch_scores, []
+
+        def shifted(models):
+            bounds, df = removal_bounds(models)
+            return bounds * (1.0 - 1e-3), df
+
+        monkeypatch.setattr(glm.Design, "removal_bounds", staticmethod(shifted))
+        monkeypatch.setattr(glm.Design, "batch_scores", staticmethod(
+            lambda subsets: sizes.append(len(subsets)) or batch_scores(subsets)))
+        trace = backward_eliminate(ds, start, Criterion.aic())
+        monkeypatch.undo()
+        _assert_same_bytes(trace, _ref_backward(ds, start, Criterion.aic()))
+        assert sizes == [1, len(terms), 1, len(terms) - 1]  # a contender, then every removal
+
+    def test_selection_irls_iterations_fall(self, monkeypatch):
+        # Backward elimination of 8 linear terms, binomial n = 200, AIC: the
+        # IRLS iterations of the screened run are at most a third of those of
+        # fitting the start model and every removal of every step.
+        rng = np.random.default_rng(911)
+        cols = {f"x{j}": rng.standard_normal(200) for j in range(8)}
+        eta = 0.8 * cols["x0"] - 0.6 * cols["x1"] + 0.4 * cols["x2"] + 0.3 * cols["x3"]
+        cols["y"] = (rng.random(200) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        ds = Dataset.from_columns(cols, outcome="y", family=Family.BINOMIAL)
+        start = ModelSpec(tuple(Term.linear(f"x{j}") for j in range(8)))
+        used, irls = [], glm._irls
+
+        def counting(fits, *args):
+            results = irls(fits, *args)
+            used.append(sum(r[4] for r in results))
+            return results
+
+        monkeypatch.setattr(glm, "_irls", counting)
+        trace = backward_eliminate(ds, start, Criterion.aic())
+        monkeypatch.undo()
+        _assert_same_bytes(trace, _ref_backward(ds, start, Criterion.aic()))
+        assert len(trace.steps) >= 3
         specs = [start]
         for step in trace.steps:
             specs.append(specs[-1].without_term(step.term))
-        sizes, iterations = [1], _quiet(fit, ds, start).iterations  # the start model
-        for spec in specs:  # each model's removals are scored
-            removals = [spec.without_term(term) for term in spec.terms]
-            sizes += [min(glm._LOCKSTEP_FITS, len(removals) - s)
-                      for s in range(0, len(removals), glm._LOCKSTEP_FITS)]
-            iterations += sum(_quiet(fit, ds, model).iterations for model in removals)
-        assert [size for size, _ in calls] == sizes
-        assert sum(used for _, used in calls) == iterations
+        every = fit(ds, start).iterations + sum(fit(ds, spec.without_term(term)).iterations
+                                                for spec in specs for term in spec.terms)
+        assert sum(used) <= every / 3
 
 
 class TestStepFitReusesItsScore:
@@ -865,6 +960,11 @@ class TestStepFitReusesItsScore:
         monkeypatch.setattr(glm.Design, "batch_scores", staticmethod(recording_scores))
         monkeypatch.setattr(glm.Design, "steps", staticmethod(recording_steps))
         monkeypatch.setattr(glm.Design, "fit", recording_fit)
+        # Without bounds every removal is scored, so a step's winner is not always last.
+        monkeypatch.setattr(glm.Design, "removal_bounds", staticmethod(
+            lambda models: (np.full((sum(len(spec.terms) for _, spec, _ in models), 2), np.nan),
+                            np.array([len(t.labels()) for _, spec, _ in models
+                                      for t in spec.terms]))))
         trace = _quiet(backward_eliminate, ds, ModelSpec(terms), Criterion.aic())
         monkeypatch.undo()
         assert len(trace.steps) >= 2

@@ -25,13 +25,20 @@ stored reference as the benchmark's gate does, and fingerprints it:
 
 The report names every dataset whose fingerprints differ and every gate
 problem, and gives per analysis on each side the calls to `glm._householder`,
-`glm._irls` and `glm._solve` (least-squares solves on a factorisation), the
-IRLS iterations (the sum of the iteration counts of the fits each `glm._irls`
-call returns; a fit that lost rank returns none) and the designs factorised:
+`glm._irls` and `glm._solve` (the least-squares solves of Gaussian fits;
+`_irls` solves its own steps), the IRLS iterations (the sum of the
+iteration counts of the fits each `glm._irls` call returns; a fit that lost
+rank returns none) and the designs factorised:
 the depth of each `glm._scaled_qrs` stack, a 2-D call counting 1, IRLS
 steps included, and the models fitted: the fits handed to each
 `glm._fit_chunk` call, through which every model's least squares solve or
-IRLS run passes, so a model fitted again counts again. Each count is given
+IRLS run passes, so a model fitted again counts again. Two counts split
+that work by where it is done: the IRLS iterations spent inside
+`selection._eliminate` (backward elimination and stepwise re-checks), and
+the bound steps, the systems solved inside `glm._dual_bounds`, one per
+Newton step of a binomial removal's deviance bounds (0 in a tree without
+it); the systems solved are those of every `numpy.linalg.solve` call, each
+system of a batched call counting 1. Each count is given
 as its mean over the analyses and its 99th percentile, which shows the work
 of the heaviest analyses, where a timing tail comes from.
 `_householder` calls may fall by design, when designs are factorised in
@@ -61,13 +68,20 @@ from ab_pairs import tree_of
 COUNTED = {"_householder": lambda *args: 1, "_irls": lambda *args: 1,
            "_solve": lambda *args: 1,
            "_scaled_qrs": lambda At, peak: 1 if At.ndim == 2 else len(At),
-           "_fit_chunk": lambda fits, *args, **kwargs: len(fits)}
+           "_fit_chunk": lambda fits, *args, **kwargs: len(fits),
+           # numpy's, as glm calls it: the systems of a batched solve
+           "linalg.solve": lambda a, b: a.size // a.shape[-1] ** 2}
 # Counts read from a counted function's result: (count, what the result adds).
 RESULTS = {"_irls": ("irls_iterations",
                      lambda fits: sum(fit[4] for fit in fits if isinstance(fit, tuple)))}
+# Counts of the work done inside a function: (its module, its name, the count it takes).
+WITHIN = {"selection_irls": ("selection", "_eliminate", "irls_iterations"),
+          "bound_steps": ("glm", "_dual_bounds", "linalg.solve")}
 LABELS = {"_scaled_qrs": "designs factorised", "_fit_chunk": "models fitted",
-          "irls_iterations": "IRLS iterations"}
-COUNTS = (*COUNTED, *(count for count, _ in RESULTS.values()))
+          "linalg.solve": "systems solved", "irls_iterations": "IRLS iterations",
+          "selection_irls": " in elimination",
+          "bound_steps": "bound steps"}
+COUNTS = (*COUNTED, *(count for count, _ in RESULTS.values()), *WITHIN)
 WORKLOADS = ("mfp_gauss", "stability_be", "shrink_loo", "mfp_binom")
 
 
@@ -105,20 +119,42 @@ def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
 
     os.chdir(workloads.ROOT)
     warnings.simplefilter("ignore")
-    calls = dict.fromkeys(COUNTS, 0)
+    calls, active = dict.fromkeys(COUNTS, 0), set()
+
+    def add(count, amount):
+        calls[count] += amount
+        for within, (_, function, taken) in WITHIN.items():
+            if taken == count and function in active:
+                calls[within] += amount
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
-            calls[name] += COUNTED[name](*args, **kwargs)
+            add(name, COUNTED[name](*args, **kwargs))
             result = real(*args, **kwargs)
             if name in RESULTS:
                 count, adds = RESULTS[name]
-                calls[count] += adds(result)
+                add(count, adds(result))
             return result
         return wrapper
 
+    def marking(name, real):
+        def wrapper(*args, **kwargs):
+            active.add(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                active.discard(name)
+        return wrapper
+
     for function in COUNTED:
-        setattr(glm, function, counting(function, getattr(glm, function)))
+        owner, attribute = ((glm.np.linalg, "solve") if function == "linalg.solve"
+                            else (glm, function))
+        setattr(owner, attribute, counting(function, getattr(owner, attribute)))
+    modules = {"glm": glm, "selection": selection}
+    for module, function, _ in WITHIN.values():  # a tree may lack the function
+        if hasattr(modules[module], function):
+            setattr(modules[module], function,
+                    marking(function, getattr(modules[module], function)))
     traces: list = []
     batch = selection.backward_eliminate_batch
 
