@@ -6,9 +6,10 @@ of the 44 candidates is a column subset of it; it builds nothing. `mfp`
 builds one design per analysis, so each variable's basis and screen
 preparation are built once; `best_fp` and `fsp.fsp_select` build one of a
 single basis. The design scores candidates as many at a time as a request
-names, binomial ones in lock step, holds their fit records (for one search)
-and builds a `FitResult`, from its record, of only the model a caller returns
-(`best_fp` one degree's winner; the closed test reads several degrees).
+names, binomial ones in lock step; its memo of fit records is the search's
+only store of scores (a failed fit is not held, so a second request fits it
+again), and it builds a `FitResult`, from its record, of only the model a
+caller returns (`best_fp` one degree's winner; the closed test reads several).
 
 `FpSearch.best` bounds every Gaussian candidate from one update of the
 adjustment's QR (`glm.Design.addition_bounds`) and scores only those that
@@ -57,14 +58,13 @@ class FpSearchResult:
 
 class FpSearch:
     """FP candidates of one variable on a fixed adjustment, column subsets of
-    a `design` that holds both (`Design.bases`), scored on demand; keeps each
-    one's score, (+inf, 0) where its fit failed, and every candidate's bounds."""
+    a `design` that holds both (`Design.bases`), scored on demand from the
+    design's memo of fit records; keeps every candidate's bounds."""
 
     def __init__(self, design: Design, variable: str, adjustment: ModelSpec):
         self.design, self.variable, self.adjustment = design, variable, adjustment
         self.basis = design.bases[variable]
         self._adjusted = design.columns(adjustment.terms)
-        self._scores: dict[FpPowers, tuple[float, int]] = {}
 
     def _columns(self, powers: FpPowers) -> tuple[int, ...]:
         """The columns of a candidate's design: the adjustment's and its basis."""
@@ -76,20 +76,17 @@ class FpSearch:
         return dict(zip(self.basis.blocks,
                         self.design.addition_bounds(self.adjustment.terms, self.basis)))
 
-    def _score(self, candidates) -> None:
-        """Score the candidates not scored yet, together (`Design.batch_scores`
-        of their column subsets), keeping each `glm.Fit`'s (deviance, model
-        df); a candidate whose fit fails scores (+inf, 0)."""
-        todo = [powers for powers in candidates if powers not in self._scores]
-        for powers, scored in zip(todo, Design.batch_scores(
-                [(self.design, self._columns(powers)) for powers in todo])):
-            failed = isinstance(scored, ModelBuildError) or not math.isfinite(scored.deviance)
-            self._scores[powers] = (math.inf, 0) if failed else scored[:2]
+    def scores(self, candidates) -> list[tuple[float, int]]:
+        """(deviance, model df) of each candidate's `glm.Fit`, (+inf, 0) where
+        its fit fails: `Design.batch_scores` of their column subsets, together."""
+        return [(math.inf, 0) if isinstance(scored, ModelBuildError)
+                or not math.isfinite(scored.deviance) else scored[:2]
+                for scored in Design.batch_scores(
+                    [(self.design, self._columns(powers)) for powers in candidates])]
 
     def score(self, powers: FpPowers) -> tuple[float, int]:
-        """(deviance, model df) of a candidate, as `_score` keeps it."""
-        self._score([powers])
-        return self._scores[powers]
+        """(deviance, model df) of a candidate, as `scores` gives it."""
+        return self.scores([powers])[0]
 
     def best(self, degree: int) -> FpPowers:
         """The candidate of least deviance, ties to canonical order. Only the
@@ -98,9 +95,9 @@ class FpSearch:
         candidates = enumerate_fp(degree)
         kept = list(compress(candidates, contenders([self._bounds[powers]
                                                      for powers in candidates])))
-        self._score(kept)
-        best = min(kept, key=lambda powers: self._scores[powers][0])
-        if math.isinf(self._scores[best][0]):
+        deviance, best = min(zip((d for d, _ in self.scores(kept)), kept),
+                             key=lambda scored: scored[0])
+        if math.isinf(deviance):
             raise ModelBuildError(
                 f"every FP candidate fit failed for {self.variable!r} (degree {degree})")
         return best
@@ -114,8 +111,7 @@ class FpSearch:
         """Every candidate of the degree scored, and the best one fitted."""
         best = self.best(degree)
         candidates = enumerate_fp(degree)
-        self._score(candidates)
-        table = {powers: self._scores[powers][0] for powers in candidates}
+        table = {powers: d for powers, (d, _) in zip(candidates, self.scores(candidates))}
         return FpSearchResult(self.variable, degree, best, self.fit(best), table, self.basis.pre)
 
 

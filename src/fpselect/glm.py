@@ -782,19 +782,18 @@ class Design:
     @staticmethod
     def removal_bounds(models: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
         """(low, high) bounds on the deviance of dropping each term of each (design,
-        spec, step) from its fit `step` (see the module docstring), NaN where not
+        spec, step) from its `Fit` `step` (see the module docstring), NaN where not
         guaranteed, and each term's column count: (m, 2) and (m,) arrays over the models'
-        terms in turn. A Gaussian `Fit` gives them by the Wald update, models of one
+        terms in turn. A Gaussian fit gives them by the Wald update, models of one
         column layout sharing V = R^-1 R^-T, one guard and b_j^2 / V_jj, or a solve per
-        larger term size; a binomial `Fit` or `FitResult` by Newton steps (`_dual_bounds`)
-        from its coefficients, the term's zeroed, at its weights, its removals together."""
+        larger term size; a binomial one by Newton steps (`_dual_bounds`) from its
+        coefficients, the term's zeroed, at its weights, its removals together."""
         sizes = [[len(t._labels) for t in spec.terms] for _, spec, _ in models]
         bounds, layouts, row = np.full((sum(map(len, sizes)), 2), np.nan), {}, 0
         for (design, spec, step), size in zip(models, sizes):
             # a fit of every column, and a column left after each removal
             usable = step.model_df == len(step.coefficients) and (design.intercept or len(size) > 1)
-            if usable and design.dataset.family is Family.GAUSSIAN and isinstance(step, Fit) and (
-                    step.deviance > 0.0):
+            if usable and design.dataset.family is Family.GAUSSIAN and step.deviance > 0.0:
                 layouts.setdefault((design.intercept, *size), []).append((row, design._yy, step))
             elif usable and size and design.dataset.family is Family.BINOMIAL and (
                     step.converged and np.abs(step.coefficients).max() <= SEPARATION_COEF):

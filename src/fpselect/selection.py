@@ -52,9 +52,10 @@ its bounds (a binomial high bound presumes a converged fit) scores them all.
 The addition scan (forward selection and stepwise) screens and decides alike,
 by `glm.Design.addition_bounds`: only additions whose least possible p-value
 reaches the least of the largest possible ones, or unbounded, are scored.
-Augmented backward elimination scores every removal whose p-value may exceed
-its level (by binomial bounds; every Gaussian one), as it ranks them all, and
-keeps `FitResult`s, whose coefficients its change-in-estimate check reads.
+Augmented backward elimination advances a run record too, from the same
+bounds scoring every removal whose p-value may exceed its level, as it ranks
+them all; its change-in-estimate check reads the coefficients of `FitResult`s,
+built from held records, of its model and of the removals it ranks.
 An addition whose design-column labels the model already has (another form
 of a variable it holds) is skipped.
 """
@@ -149,7 +150,7 @@ class SelectionTrace:
         return tuple(dict.fromkeys(t.variable for t in self.final_spec.terms))
 
 
-def _removals(design: Design, current: FitResult | Fit, terms: Sequence[Term],
+def _removals(design: Design, current: Fit, terms: Sequence[Term],
               scores: Sequence[Fit]) -> list[tuple[float, int, Term]]:
     """(p-value, df, term) of dropping each of `terms` from the current
     model, the models without them having scored `scores`."""
@@ -204,14 +205,14 @@ def _decided(design: Design, criterion: Criterion,
 
 @dataclass
 class _Run:
-    """One selection run on one dataset, as `_eliminate` and `_add` advance it:
-    the design of every term it can use, its model's spec and record (a `glm.Fit`,
-    or a `FitResult` in ABE; None until `_eliminate` records it), its steps, and
-    the ModelBuildError that ended it."""
+    """One selection run on one dataset, as `_eliminate`, `_add` and augmented
+    backward elimination advance it: the design of every term it can use, its
+    model's spec and `glm.Fit` record (None until `_eliminate` records it), its
+    steps, and the ModelBuildError that ended it."""
 
     design: Design | None
     spec: ModelSpec
-    current: Fit | FitResult | None
+    current: Fit | None
     steps: list[SelectionStep]
     error: ModelBuildError | None = None
 
@@ -428,6 +429,9 @@ def augmented_backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
     column as |change|/SE in "standardized" mode or |change|/|coefficient| in
     "relative" mode (the maximum over columns for multi-column exposures).
     """
+    criterion = Criterion.p_value(alpha)
+    if math.isnan(cie_threshold):
+        raise DomainError("cie_threshold must not be NaN")
     if mode not in ("standardized", "relative"):
         raise DomainError(f"mode must be 'standardized' or 'relative', got {mode!r}")
     if isinstance(exposure, Term):
@@ -442,36 +446,30 @@ def augmented_backward_eliminate(dataset: Dataset, start_spec: ModelSpec,
     exposure_labels = exposure_term.labels()
 
     design = Design(dataset, start_spec)
-    run = _Run(design, start_spec, design.fit(start_spec), [])
-    kept_as_confounder: set[Term] = set()
-    while True:
-        skip = kept_as_confounder | {exposure_term}
-        bounds, df = Design.removal_bounds([(design, run.spec, run.current)])  # binomial only
+    run = _Run(design, start_spec, first_error(Design.steps([(design, start_spec)]))[0], [])
+    final_fit = design.fit(start_spec, warn=False)  # the model's, for the exposure's change
+    while True:  # a drop changes every removal's test and change: each pass ranks them all
+        bounds, df = Design.removal_bounds([(design, run.spec, run.current)])
         tails = p_value_bounds(dataset.n, bounds, np.array([[run.current.deviance]]), df,
                                dataset.family is Family.BINOMIAL)
         terms = [t for t, (_, high) in zip(run.spec.terms, tails.tolist())  # p may exceed alpha
-                 if t not in skip and not high <= alpha]
+                 if t != exposure_term and not high <= alpha]
         scores = design.scores([[t for t in run.spec.terms if t is not term] for term in terms])
-        ranked = [(p, term) for p, _, term in _removals(design, run.current, terms, scores)
-                  if p > alpha]
-        ranked.sort(key=lambda item: -item[0])
+        ranked = sorted([(p, term, score) for (p, _, term), score
+                         in zip(_removals(design, run.current, terms, scores), scores)
+                         if p > alpha], key=lambda item: -item[0])
         # Only the change-in-estimate check needs a reduced FitResult: built lazily.
-        for p, term in ranked:
+        for p, term, score in ranked:
             reduced_fit = design.fit(run.spec.without_term(term))
-            change = _max_exposure_change(run.current, reduced_fit, exposure_labels, mode)
-            if change > cie_threshold:
-                kept_as_confounder.add(term)
+            if _max_exposure_change(final_fit, reduced_fit, exposure_labels, mode) > cie_threshold:
                 run.steps.append(SelectionStep("keep-confounder", term.variable, term,
                                                p, run.current.deviance))
                 continue
-            run.spec, run.current = run.spec.without_term(term), reduced_fit
-            run.steps.append(SelectionStep("drop", term.variable, term, p, reduced_fit.deviance))
-            # A drop changes every removal test; confounder verdicts are reassessed.
-            kept_as_confounder.clear()
+            run.spec, run.current, final_fit = run.spec.without_term(term), score, reduced_fit
+            run.steps.append(SelectionStep("drop", term.variable, term, p, score.deviance))
             break
         else:
-            return SelectionTrace(start_spec, tuple(run.steps), run.spec, run.current,
-                                  Criterion.p_value(alpha))
+            return SelectionTrace(start_spec, tuple(run.steps), run.spec, final_fit, criterion)
 
 
 SCREENING_NOTE = ("univariable screening is discouraged: adjusted and unadjusted "

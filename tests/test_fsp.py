@@ -401,34 +401,36 @@ class TestMatchesFittingEveryModel:
             assert str(raised.value) == "5 observations cannot identify 5 coefficients"
 
 
+def _exact_candidates(monkeypatch, run, record):
+    """Run a search, passing `record` each (search, candidate) that it scores
+    exactly: one whose fit record its design does not hold when it is asked
+    for (`FpSearch.scores`), so a failed candidate asked for twice counts twice."""
+    real = fpsearch_module.FpSearch.scores
+
+    def recording(self, candidates):
+        for powers in candidates:
+            if self._columns(powers) not in self.design._records:
+                record(self, powers)
+        return real(self, candidates)
+
+    monkeypatch.setattr(fpsearch_module.FpSearch, "scores", recording)
+    result = run()
+    monkeypatch.setattr(fpsearch_module.FpSearch, "scores", real)
+    return result
+
+
 def _exact_scores(monkeypatch, run):
     """Run a search and return the candidates it scored exactly, in order."""
     scored = []
-    real_score = fpsearch_module.FpSearch._score
-
-    def recording(self, candidates):
-        scored.extend(powers for powers in candidates if powers not in self._scores)
-        return real_score(self, candidates)
-
-    monkeypatch.setattr(fpsearch_module.FpSearch, "_score", recording)
-    result = run()
-    monkeypatch.setattr(fpsearch_module.FpSearch, "_score", real_score)
+    result = _exact_candidates(monkeypatch, run, lambda search, powers: scored.append(powers))
     return result, scored
 
 
 def _scored_designs(monkeypatch, run):
     """Run a search and return the candidate designs it scored exactly."""
     designs = []
-    real = fpsearch_module.FpSearch._score
-
-    def recording(self, candidates):
-        designs.extend(self.design.X[:, self._columns(powers)] for powers in candidates
-                       if powers not in self._scores)
-        return real(self, candidates)
-
-    monkeypatch.setattr(fpsearch_module.FpSearch, "_score", recording)
-    result = run()
-    monkeypatch.setattr(fpsearch_module.FpSearch, "_score", real)
+    result = _exact_candidates(monkeypatch, run, lambda search, powers: designs.append(
+        search.design.X[:, search._columns(powers)]))
     return result, designs
 
 

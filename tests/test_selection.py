@@ -328,6 +328,22 @@ class TestAugmentedBackwardElimination:
             augmented_backward_eliminate(ds, ModelSpec((Term.linear("x0"),)),
                                          0.05, "nope", 0.1)
 
+    @pytest.mark.parametrize("alpha, cie_threshold", [(0.0, 0.05), (-1.0, 0.05), (1.5, 0.05),
+                                                      (math.nan, 0.05), (0.2, math.nan)])
+    def test_arguments_checked_before_any_fit(self, alpha, cie_threshold, monkeypatch):
+        # A NaN threshold would never be exceeded, silently disabling the check.
+        rng = np.random.default_rng(239)
+        ds = noise_dataset(rng, n=100, p=4)
+        spec = ModelSpec(tuple(Term.linear(f"x{j}") for j in range(4)))
+        calls = []
+        for name in ("batch_scores", "steps"):
+            real = getattr(glm.Design, name)
+            monkeypatch.setattr(glm.Design, name, staticmethod(
+                lambda subsets, real=real, name=name: calls.append(name) or real(subsets)))
+        with pytest.raises(DomainError):
+            augmented_backward_eliminate(ds, spec, alpha, "x0", cie_threshold)
+        assert calls == []
+
 
 class TestUnivariableScreen:
     def test_suppressor_missed_by_screen_kept_by_be(self):
@@ -897,6 +913,74 @@ class TestBinomialRemovalScreen:
         every = fit(ds, start).iterations + sum(fit(ds, spec.without_term(term)).iterations
                                                 for spec in specs for term in spec.terms)
         assert sum(used) <= every / 3
+
+
+def _gaussian_probe(seed, n=200):
+    """Eight linear covariates, the first four with effects, and a Gaussian outcome."""
+    rng = np.random.default_rng(seed)
+    cols = {f"x{j}": rng.standard_normal(n) for j in range(8)}
+    cols["y"] = (0.8 * cols["x0"] - 0.6 * cols["x1"] + 0.4 * cols["x2"] + 0.3 * cols["x3"]
+                 + rng.standard_normal(n))
+    return make_dataset(cols), ModelSpec(tuple(Term.linear(f"x{j}") for j in range(8)))
+
+
+class TestGaussianAbeScreen:
+    """Gaussian augmented backward elimination screens its removals by the Wald
+    update (`Design.removal_bounds` of its model's `glm.Fit`) and scores only
+    those whose p-value may exceed its level; traces equal those of scoring
+    every removal, bit for bit, errors included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(30, 150),
+           criterion=st.sampled_from(CRITERIA), aliased=st.booleans(),
+           mode=st.sampled_from(["standardized", "relative"]),
+           cie_threshold=st.sampled_from([0.05, 0.3, math.inf]))
+    @example(seed=7, n=120, criterion=CRITERIA[1], aliased=True, mode="standardized",
+             cie_threshold=0.3)
+    @example(seed=33, n=67, criterion=CRITERIA[1], aliased=False, mode="standardized",
+             cie_threshold=0.3)  # x2 (p 0.161) screened out if its bounds rise by 1e-3
+    def test_screened_abe_equals_reference(self, seed, n, criterion, aliased, mode,
+                                           cie_threshold):
+        rng = np.random.default_rng(seed)
+        cols = {f"x{j}": rng.standard_normal(n) for j in range(4)}
+        cols["x3"] = cols["x2"] + rng.uniform(0.0, 1.0) * cols["x3"]
+        cols["z"], cols["g"] = rng.lognormal(size=n), rng.uniform(0.0, 3.0, n)
+        cols["y"] = (rng.uniform(-1.0, 1.0) * cols["x0"] + rng.uniform(-1.0, 1.0) * cols["x1"]
+                     + 0.4 * np.log(cols["z"]) + 0.5 * (cols["g"] > 2.0)
+                     + rng.uniform(0.2, 2.0) * rng.standard_normal(n))
+        terms = [*(Term.linear(f"x{j}") for j in range(4)), Term.fp("z", (-0.5, 1.0)),
+                 Term.categorical("g", (1.0, 2.0))]
+        if aliased:  # a column every model holding x0 and x1 drops
+            cols["a"] = cols["x0"] - 2.0 * cols["x1"]
+            terms.insert(2, Term.linear("a"))
+        ds, start = make_dataset(cols), ModelSpec(tuple(terms))
+        alpha = criterion_threshold(criterion, n)
+        try:
+            expected = _quiet(_ref_abe, ds, start, alpha, terms[1], cie_threshold, mode)
+        except ModelBuildError as error:
+            with pytest.raises(type(error), match=re.escape(str(error))):
+                _quiet(augmented_backward_eliminate, ds, start, alpha, "x1", cie_threshold, mode)
+            return
+        _assert_same_bytes(_quiet(augmented_backward_eliminate, ds, start, alpha, "x1",
+                                  cie_threshold, mode), expected)
+
+    def test_abe_scores_at_most_half_the_removals(self, monkeypatch):
+        # Exposure x0, alpha 0.157: the removals scored are at most half of those
+        # of every pass, each scoring every removal but the exposure's.
+        ds, start = _gaussian_probe(911)
+        scored, batch_scores = [], glm.Design.batch_scores
+        monkeypatch.setattr(glm.Design, "batch_scores", staticmethod(
+            lambda subsets: scored.append(len(subsets)) or batch_scores(subsets)))
+        trace = augmented_backward_eliminate(ds, start, 0.157, "x0")
+        monkeypatch.undo()
+        _assert_same_bytes(trace, _ref_abe(ds, start, 0.157, start.terms[0], 0.05,
+                                           "standardized"))
+        specs = [start]
+        for step in trace.steps:
+            if step.action == "drop":
+                specs.append(specs[-1].without_term(step.term))
+        assert len(specs) >= 4
+        assert sum(scored) <= sum(len(spec.terms) - 1 for spec in specs) / 2
 
 
 class TestStepFitReusesItsScore:
