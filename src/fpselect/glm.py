@@ -71,7 +71,7 @@ order u c1 + (u kappa)^2, c1 = (||y|| + sum_j |beta_j| ||a_j||) / ||r|| <= c,
 for the update and the exact scorer alike. An addition that fails the first
 guard, as every one does once the adjustment holds an ill-conditioned FP2
 term, gets a second (`_deviance_conditioned`) from the update's own factor:
-beta_C by back-substitution on R_C and the last column of the block's R,
+beta_C from R_C^-1 and the last column of the block's R,
 beta_A = R_A^-1 (Q_A'y - S beta_C) from one triangular solve per call. It is
 bounded when u c1 + u^2 kappa^2 <= `SCREEN_RTOL` / 20 and each diagonal of
 R_C, a unit column's distance from the ones before it, exceeds 1e4
@@ -112,6 +112,17 @@ its bounds. Of the 29,551 removals of the 1,000 stored `shrink_loo`
 references (seeds 1 and 8191), 0.04% had no bounds and every bound held its
 scored deviance; without the margin, no low bound lay above it (the closest
 1.8e-13 relative below) and high bounds fell short by at most 4.3e-12.
+
+Work counts. `WORK`, a `collections.Counter`, counts work where it is done. A
+reader copies it and subtracts afterwards, exact when one thread does the work:
+- "designs factorised": by `_scaled_qrs`, a stack counting its depth, aliasing
+  retries and IRLS steps included;
+- "models fitted": by `_fit_chunk`, each a least squares solve or an IRLS run,
+  so a model fitted again counts again;
+- "IRLS runs" and "IRLS iterations": `_irls` calls, each advancing its fits in
+  lock step, and the iterations of the fits they return (none for a fit that
+  lost rank), of which "in elimination" inside `selection._eliminate`;
+- "bound steps": systems `_dual_bounds` solves, one per removal per Newton step.
 """
 
 from __future__ import annotations
@@ -119,6 +130,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -144,6 +156,8 @@ SCREEN_MAX_CONDITION = 1e6
 NESTED_TOL = 1e-6
 _TINY = np.finfo(float).tiny
 _LOCKSTEP_FITS = 16  # fits per lock-step stack: 128 KB at n = 200, k = 5
+WORK: Counter[str] = Counter(dict.fromkeys(("designs factorised", "models fitted", "IRLS runs",
+                                            "IRLS iterations", "in elimination", "bound steps"), 0))
 
 
 @dataclass(frozen=True)
@@ -229,6 +243,7 @@ def _scaled_qrs(At: np.ndarray, peak: np.ndarray):
     two near its peak, which is exact and keeps squared norms from
     overflowing, and is aliased when |R_ii| <= PIVOT_TOL * ||a_i||. Returns the
     scales, each design's (qr, tau) and the aliased mask."""
+    WORK["designs factorised"] += 1 if At.ndim == 2 else len(At)
     scales = np.ldexp(0.5, np.frexp(peak)[1])
     As = At / scales[..., None]
     norms = np.sqrt(np.einsum("...ij,...ij->...i", As, As))
@@ -427,6 +442,8 @@ def _irls(fits, max_iter: int = MAX_ITER) -> list:
             if len(stay) < len(ids):
                 ids = [ids[j] for j in stay]
                 Xt, y, eta, mu, deviance = Xt[stay], y[stay], eta[stay], mu[stay], deviance[stay]
+    WORK.update({"IRLS runs": 1,
+                 "IRLS iterations": sum(fit[4] for fit in out if isinstance(fit, tuple))})
     return out
 
 
@@ -434,6 +451,7 @@ def _fit_chunk(fits, family: Family, max_iter: int = MAX_ITER) -> list:
     """The `Fit` of the kept columns of each (X, y, factors) of `fits`,
     `factors` being the `_factorise` result of X, or the ModelBuildError it
     raises. Binomial fits run together (`_irls`)."""
+    WORK["models fitted"] += len(fits)
     if family is Family.BINOMIAL:
         return [result if isinstance(result, ModelBuildError) else Fit(
             result[2], len(factors[0]), _embed(result[0], factors[0], X.shape[1]), result[1],
@@ -553,17 +571,31 @@ def _well_conditioned(p, vif_sum, yy, rss):
                 & np.isfinite(rss))
 
 
+def _triangular_inverses(R: np.ndarray) -> np.ndarray:
+    """The inverse of each upper triangular R (m, m) of a stack, by back-substitution."""
+    m = R.shape[1]
+    inv, d = np.zeros(R.shape), 1.0 / R.diagonal(axis1=1, axis2=2)
+    inv[:, range(m), range(m)] = d
+    for i in reversed(range(m - 1)):  # row i from the rows below it
+        inv[:, i, i + 1:] = -np.einsum("bj,bjc->bc", R[:, i, i + 1:], inv[:, i + 1:, i + 1:]
+                                       ) * d[:, i, None]
+    return inv
+
+
 def _residual_updates(W: np.ndarray, blocks: np.ndarray):
     """Batched Householder QR R of each block of rows of the finite W (m
     indices into W) followed by its last row r. Returns the residual sum of
     squares of r on each block, R_mm^2, ||R_b^-1||_F^2 of R_b = R[:m, :m]
-    from its singular values (inf when R_b is singular), and the (m + 1) x
+    from its inverse (inf when R_b is singular), and the (m + 1) x
     (m + 1) factors R, whose last columns above R_mm give the block's
     coefficients (`_deviance_conditioned`)."""
     m = blocks.shape[1]
     rows = np.column_stack([blocks, np.full(len(blocks), len(W) - 1)])
     R = np.linalg.qr(W[rows].transpose(0, 2, 1), mode="r")
-    return R[:, m, m] ** 2, (np.linalg.svd(R[:, :m, :m], compute_uv=False) ** -2.0).sum(axis=1), R
+    inv = _triangular_inverses(R[:, :m, :m])
+    vif = np.einsum("bij,bij->b", inv, inv)
+    vif[np.isnan(vif)] = np.inf  # inf times 0 in a singular block's inverse
+    return R[:, m, m] ** 2, vif, R
 
 
 def _deviance_conditioned(R, coef, blocks, norms, yy, rss, kappa2) -> np.ndarray:
@@ -575,10 +607,7 @@ def _deviance_conditioned(R, coef, blocks, norms, yy, rss, kappa2) -> np.ndarray
     design's columns, of norms `norms`, coef[:, -1] - coef[:, block] beta_C;
     coef is R_A^-1 Q_A' of the blocks' columns and y, and yy is ||y||^2."""
     m = R.shape[1] - 1
-    beta = np.zeros((len(R), m))
-    for i in reversed(range(m)):  # back-substitution on R_C
-        beta[:, i] = (R[:, i, m] - np.einsum("bj,bj->b", R[:, i, i + 1:m], beta[:, i + 1:])
-                      ) / R[:, i, i]
+    beta = np.einsum("bij,bj->bi", _triangular_inverses(R[:, :m, :m]), R[:, :m, m])
     beta_a = coef[:, -1:] - np.einsum("kbj,bj->kb", coef[:, blocks], beta)
     c1 = (math.sqrt(yy) + norms @ np.abs(beta_a) + np.abs(beta).sum(axis=1)) / np.sqrt(rss)
     u = 2.0 ** -53
@@ -602,6 +631,7 @@ def _dual_bounds(X: np.ndarray, y: np.ndarray, beta: np.ndarray, free: np.ndarra
         beta, eta = beta.copy(), beta @ X.T
         mu = np.clip(_expit(eta), _MU_EPS, 1.0 - _MU_EPS)
         for _ in range(2):
+            WORK["bound steps"] += len(todo)
             try:
                 d = scale * np.linalg.solve(system[todo], ((y - mu) @ X * free[todo] * scale)[
                     :, :, None])[:, :, 0]
@@ -873,8 +903,9 @@ class Design:
         rss, vif_block = np.empty(len(blocks)), np.empty(len(blocks))
         with np.errstate(all="ignore"):
             r_base = np.triu(qr[:k])
-            vif_base = float((np.linalg.svd(r_base / np.sqrt(np.einsum("ij,ij->j", r_base, r_base)),
-                                            compute_uv=False) ** -2.0).sum())
+            norms = np.sqrt(np.einsum("ij,ij->j", r_base, r_base))
+            rinv, singular = dtrtri(r_base / norms)
+            vif_base = math.inf if singular else float(np.einsum("ij,ij", rinv, rinv))
             # Q'[C | y] below the design's rows, reduced to its own R
             qtm, _, info = dormqr("L", "T", qr, tau, M, 32 * (q + 1))
             _check_info("dormqr", info)
@@ -890,7 +921,6 @@ class Design:
             failed = ~np.array(ok)
             with np.errstate(all="ignore"):
                 coef = dtrtrs(r_base, qtm[:k])[0]  # R_A^-1 Q_A' [C | y]
-                norms = np.sqrt(np.einsum("ij,ij->j", r_base, r_base))
                 for group, rows, R in updates:
                     if (at := failed[group]).any():
                         ids = group[at]

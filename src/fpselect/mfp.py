@@ -129,8 +129,8 @@ def mfp(dataset: Dataset, candidates: Sequence[str],
 
     Every candidate starts linear. Excluded variables stay eligible and are
     re-tested each cycle. Returns the converged decisions (or the full trace
-    with `converged=False` when the cycle cap is hit) plus a fresh fit of the
-    final spec.
+    with `converged=False` when the cycle cap is hit) plus the fit of the
+    final spec: that of a decision that fitted it, else a fit of its own.
     """
     candidates = tuple(dict.fromkeys(candidates))
     if not candidates:
@@ -176,11 +176,14 @@ def mfp(dataset: Dataset, candidates: Sequence[str],
     final_spec = ModelSpec(tuple(
         current_terms[v] for v in order if current_terms[v] is not None
     ))
+    # a decision's fit that dropped columns is not reused: the final fit warns of them
+    fitted = next((d.fit for d in decisions.values() if d.fit is not None
+                   and d.fit.spec == final_spec and not d.fit.dropped_columns), None)
     return MfpResult(
         final_spec=final_spec,
         decisions=decisions,
         cycle_trace=tuple(trace),
         converged=converged,
-        fit=design.fit(final_spec),
+        fit=fitted or design.fit(final_spec),
         visit_order=order,
     )

@@ -72,7 +72,7 @@ import numpy as np
 from .chi2 import chi2_sf
 from .data import Dataset, Family
 from .errors import CycleDetectedError, DomainError, ExposureMissingError, ModelBuildError
-from .glm import Design, Fit, FitResult, first_error, p_value_bounds
+from .glm import WORK, Design, Fit, FitResult, first_error, p_value_bounds
 from .model import ModelSpec, Term
 
 
@@ -222,7 +222,9 @@ def _eliminate(runs: Sequence[_Run], criterion: Criterion,
     """Advance the runs in lock step (see the module docstring), each
     dropping its least significant unprotected term while that fails the
     criterion; a step that `_decided` settles scores nothing. A run leaves
-    when it stops or when its step raises."""
+    when it stops or when its step raises. Its IRLS iterations count in
+    `glm.WORK` "in elimination" too."""
+    before = WORK["IRLS iterations"]
     moves = [(run, None) for run in runs if run.current is None]  # (run, term dropped)
     runs = [run for run in runs if run.current is not None]
     while True:
@@ -237,7 +239,7 @@ def _eliminate(runs: Sequence[_Run], criterion: Criterion,
             run.current = step
             runs.append(run)
         if not runs:
-            return
+            break
         screens = _screen(runs, protected)
         drops = [_decided(run.design, criterion, screened) for run, screened in zip(runs, screens)]
         drops = [None if drop and run.design.dataset.family is Family.BINOMIAL else drop
@@ -268,6 +270,7 @@ def _eliminate(runs: Sequence[_Run], criterion: Criterion,
                 run.spec = run.spec.without_term(move)
                 moves.append((run, move))
         runs = []
+    WORK["in elimination"] += WORK["IRLS iterations"] - before
 
 
 def _score_removals(runs: Sequence[_Run], terms: Sequence[Sequence[Term]]) -> list:

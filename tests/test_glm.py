@@ -897,16 +897,15 @@ class TestDesign:
     a model's step record (`Design.steps`)."""
 
     @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL])
-    def test_fit_of_the_last_scored_model_factorises_once(self, family, monkeypatch):
+    def test_fit_of_the_last_scored_model_factorises_once(self, family):
         ds, spec = _blocks_dataset(601, family=family)
         expected = fit(ds, spec)
-        calls = []
-        factorise = glm._factorise
-        monkeypatch.setattr(glm, "_factorise", lambda *a: calls.append(1) or factorise(*a))
+        before = glm.WORK.copy()
         design = Design(ds, spec)
         design.scores([spec.terms])
         result = design.fit(spec)
-        assert len(calls) == 1
+        work = glm.WORK - before  # one factorisation, and a binomial fit's reweighted steps
+        assert work["models fitted"] == 1 and work["designs factorised"] == expected.iterations
         for field in ("deviance", "log_likelihood", "model_df", "converged", "iterations",
                       "column_labels", "spec", "dropped_columns"):
             assert getattr(result, field) == getattr(expected, field), field
@@ -914,7 +913,7 @@ class TestDesign:
         np.testing.assert_array_equal(result.covariance, expected.covariance)
         design.scores([spec.terms[1:]])
         design.fit(spec)  # another subset was scored last: its record is held
-        assert len(calls) == 2
+        assert glm.WORK["models fitted"] - before["models fitted"] == 2
 
     def test_scores_raise_the_first_failing_models_error(self):
         rng = np.random.default_rng(602)
@@ -1035,8 +1034,6 @@ class TestRecordMemo:
     no factorisation, solve or IRLS, byte for byte that of fitting the
     columns from scratch, and `batch_scores` returns the held record."""
 
-    WORK = ("_solve", "_irls", "_scaled_qrs", "_householder")
-
     @staticmethod
     def _case(family, aliased):
         ds, spec = _blocks_dataset(641, family=family)
@@ -1050,22 +1047,17 @@ class TestRecordMemo:
                                                  (Family.BINOMIAL, False),
                                                  (Family.GAUSSIAN, True)],
                              ids=["gaussian", "binomial", "aliased"])
-    def test_fit_of_a_scored_model_reads_its_record(self, family, aliased, monkeypatch):
+    def test_fit_of_a_scored_model_reads_its_record(self, family, aliased):
         ds, spec = self._case(family, aliased)
         design = Design(ds, spec)
         cols = design.columns(spec.terms)
         held, = design.scores([spec.terms])
-        work = []
-        for name in self.WORK:
-            real = getattr(glm, name)
-            monkeypatch.setattr(glm, name, lambda *args, name=name, real=real, **kwargs:
-                                work.append(name) or real(*args, **kwargs))
+        before = glm.WORK.copy()
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             result = design.fit(spec)
             again = Design.batch_scores([(design, cols)])
-        monkeypatch.undo()
-        assert work == []
+        assert glm.WORK == before  # nothing factorised or fitted
         assert again[0] is held
         assert [str(w.message) for w in record] == (
             ["dropping aliased design columns: a"] if aliased else [])
@@ -1198,6 +1190,23 @@ class TestAdditionBounds:
             m.setattr(glm, "_deviance_conditioned", lambda R, *_: np.zeros(len(R), bool))
             first = self._bounds(ds, base, candidates)[1]
         assert first[0] is None and (first[1] is None) == (case == "second order")
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_block_sums_equal_the_singular_values(self, m):
+        # ||R_b^-1||_F^2 of each block, from its triangular inverse, is the sum
+        # of sigma^-2 of R_b; a block holding a zero row of W is singular: inf
+        # (the computed singular values may leave it finite, above 1e30).
+        rng = np.random.default_rng(643 + m)
+        W = np.triu(rng.standard_normal((9, 9)) * rng.lognormal(0.0, 2.0, 9))
+        W[4] = 0.0
+        blocks = np.array([rng.choice(8, m, replace=False) for _ in range(40)])
+        with np.errstate(all="ignore"):
+            _, vif, R = glm._residual_updates(W, blocks)
+            former = (np.linalg.svd(R[:, :m, :m], compute_uv=False) ** -2.0).sum(axis=1)
+        singular = (blocks == 4).any(axis=1)
+        assert singular.any() and (~singular).any()
+        assert np.isinf(vif[singular]).all() and (former[singular] > 1e30).all()
+        np.testing.assert_allclose(vif[~singular], former[~singular], rtol=1e-12)
 
 
 class TestModelSpecLabels:

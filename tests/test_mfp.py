@@ -324,3 +324,59 @@ class TestOneDesignPerAnalysis:
         mfp(self._dataset(), ["x1", "x2", "b", "g", "x3", "x4"],
             MfpConfig(categorical=frozenset({"g"})))
         assert len(made) > 6 and min(made) > 0
+
+
+class TestFinalFit:
+    """The final fit is the `FitResult` of a decision that fitted the final
+    spec when one did: nothing is factorised or fitted after the last
+    decision, and it equals a fit from scratch byte for byte. A final spec
+    that no decision fitted is fitted."""
+
+    @staticmethod
+    def _binomial_dataset(seed=301, n=300):
+        rng = np.random.default_rng(seed)
+        x1 = rng.uniform(0.3, 6.0, n)
+        x2, x3, x4 = rng.standard_normal((3, n))
+        eta = np.log(x1) - 0.5 + 0.8 * x2
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        return Dataset.from_columns({"x1": x1, "x2": x2, "x3": x3, "x4": x4, "y": y},
+                                    outcome="y", family=Family.BINOMIAL)
+
+    @staticmethod
+    def _work_after_the_last_decision(monkeypatch, ds, config=None):
+        """The result of `mfp` and the work (`glm.WORK`) it did after its last `_decide`."""
+        marks, real = [], mfp_module._decide
+
+        def marking(*args):
+            decision = real(*args)
+            marks.append(glm_module.WORK.copy())
+            return decision
+
+        monkeypatch.setattr(mfp_module, "_decide", marking)
+        result = mfp(ds, ["x1", "x2", "x3", "x4"], config)
+        monkeypatch.undo()
+        return result, glm_module.WORK - marks[-1]
+
+    @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.BINOMIAL], ids=str)
+    def test_a_decisions_fit_is_the_final_fit(self, family, monkeypatch):
+        ds = scenario_dataset() if family is Family.GAUSSIAN else self._binomial_dataset()
+        result, work = self._work_after_the_last_decision(monkeypatch, ds)
+        assert any(d.fit is result.fit for d in result.decisions.values())
+        assert not work  # no factorisation, solve or IRLS
+        expected = fit(ds, result.final_spec)
+        assert result.fit.coefficients.tobytes() == expected.coefficients.tobytes()
+        assert result.fit.covariance.tobytes() == expected.covariance.tobytes()
+        assert result.fit.deviance.hex() == expected.deviance.hex()
+        assert result.fit.log_likelihood.hex() == expected.log_likelihood.hex()
+        for field in ("iterations", "converged", "separation", "dropped_columns", "model_df",
+                      "n", "family", "column_labels", "spec"):
+            assert getattr(result.fit, field) == getattr(expected, field), field
+
+    def test_a_final_spec_no_decision_fitted_is_fitted(self, monkeypatch):
+        rng = np.random.default_rng(313)
+        ds = Dataset.from_columns({**{f"x{j}": rng.uniform(0.5, 3.0, 200) for j in range(1, 5)},
+                                   "y": rng.standard_normal(200)}, outcome="y")
+        result, work = self._work_after_the_last_decision(monkeypatch, ds, MfpConfig(0.01))
+        assert result.final_spec.terms == ()
+        assert work["models fitted"] == 1
+        assert result.fit.deviance == fit(ds, result.final_spec).deviance

@@ -676,18 +676,11 @@ def _exact_scores_per_step(monkeypatch, run):
     return trace, counts
 
 
-def _designs_factorised(monkeypatch) -> list[int]:
-    """Hook `glm._scaled_qrs`: the returned list gets the number of designs
-    each call factorises, the depth of a stack, 1 for one (k, n) design."""
-    counts = []
-    scaled_qrs = glm._scaled_qrs
-
-    def counting(At, peak):
-        counts.append(1 if At.ndim == 2 else len(At))
-        return scaled_qrs(At, peak)
-
-    monkeypatch.setattr(glm, "_scaled_qrs", counting)
-    return counts
+def _work(run):
+    """What `run` returns and the work it did (`glm.WORK`)."""
+    before = glm.WORK.copy()
+    result = run()
+    return result, glm.WORK - before
 
 
 def _exchangeable_dataset(seed, m=150):
@@ -739,20 +732,20 @@ class TestRemovalScreen:
         monkeypatch.undo()
         _assert_same_trace(trace, _quiet(_ref_backward, ds, start, criterion))
 
-    def test_one_factorisation_per_step_plus_the_start(self, monkeypatch):
+    def test_one_factorisation_per_step_plus_the_start(self):
         # The start model and one model per step: each step's one contender
         # has bounds on one side of the threshold, so no step scores, the
         # step that stops the run factorises nothing, and the final fit
         # reuses its model's factorisation.
-        calls = _designs_factorised(monkeypatch)
         rng = np.random.default_rng(421)
         n = 500
         cols = {f"x{j}": rng.standard_normal(n) for j in range(8)}
         cols["y"] = cols["x0"] + 0.5 * cols["x1"] + rng.standard_normal(n)
         spec = ModelSpec(tuple(Term.linear(f"x{j}") for j in range(8)))
-        trace = backward_eliminate(make_dataset(cols), spec, Criterion.p_value(0.05))
+        trace, work = _work(lambda: backward_eliminate(make_dataset(cols), spec,
+                                                       Criterion.p_value(0.05)))
         assert len(trace.steps) >= 4
-        assert sum(calls) == len(calls) == len(trace.steps) + 1
+        assert work["designs factorised"] == work["models fitted"] == len(trace.steps) + 1
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(10, 80),
@@ -786,7 +779,7 @@ class TestLockStepRemovals:
     and scores only those that may have the step's largest p-value, together:
     here the drop each step takes, alone, and nothing in the step that stops,
     whose one contender's p-value bounds lie below the threshold. The scored
-    removals reach `glm._irls` in one call per step and take the IRLS iterations
+    removals reach one IRLS run (`glm.WORK`) per step and take the IRLS iterations
     of fitting each model alone. A step records its model from its score, and
     the final FitResult is built from the last step's record, so beside the
     removals only the start model runs IRLS."""
@@ -794,21 +787,14 @@ class TestLockStepRemovals:
     def test_removals_share_irls_calls(self, monkeypatch):
         ds, terms = _mixed_dataset(304, Family.BINOMIAL)
         start = ModelSpec(terms)
-        calls, scored = [], []
-        irls, batch_scores = glm._irls, glm.Design.batch_scores
-
-        def counting(fits, *args):
-            results = irls(fits, *args)
-            calls.append((len(fits), sum(r[4] for r in results)))
-            return results
+        scored, batch_scores = [], glm.Design.batch_scores
 
         def recording(subsets):
             scored.append([cols for _, cols in subsets])
             return batch_scores(subsets)
 
-        monkeypatch.setattr(glm, "_irls", counting)
         monkeypatch.setattr(glm.Design, "batch_scores", staticmethod(recording))
-        trace = _quiet(backward_eliminate, ds, start, Criterion.aic())
+        trace, work = _work(lambda: _quiet(backward_eliminate, ds, start, Criterion.aic()))
         monkeypatch.undo()
         _assert_same_trace(trace, _quiet(_ref_backward, ds, start, Criterion.aic()))
         assert [step.variable for step in trace.steps] == ["x2", "x3"]
@@ -816,9 +802,8 @@ class TestLockStepRemovals:
         for step in trace.steps:
             specs.append(specs[-1].without_term(step.term))
         assert scored == [[design.columns(spec.terms)] for spec in specs[1:]]
-        assert [size for size, _ in calls] == [1] * len(specs)
-        assert sum(used for _, used in calls) == sum(_quiet(fit, ds, spec).iterations
-                                                     for spec in specs)
+        assert work["IRLS runs"] == work["models fitted"] == len(specs)  # one fit per run
+        assert work["IRLS iterations"] == sum(_quiet(fit, ds, spec).iterations for spec in specs)
 
 
 class TestBinomialRemovalScreen:
@@ -885,7 +870,7 @@ class TestBinomialRemovalScreen:
         _assert_same_bytes(trace, _ref_backward(ds, start, Criterion.aic()))
         assert sizes == [1, len(terms), 1, len(terms) - 1]  # a contender, then every removal
 
-    def test_selection_irls_iterations_fall(self, monkeypatch):
+    def test_selection_irls_iterations_fall(self):
         # Backward elimination of 8 linear terms, binomial n = 200, AIC: the
         # IRLS iterations of the screened run are at most a third of those of
         # fitting the start model and every removal of every step.
@@ -895,16 +880,7 @@ class TestBinomialRemovalScreen:
         cols["y"] = (rng.random(200) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         ds = Dataset.from_columns(cols, outcome="y", family=Family.BINOMIAL)
         start = ModelSpec(tuple(Term.linear(f"x{j}") for j in range(8)))
-        used, irls = [], glm._irls
-
-        def counting(fits, *args):
-            results = irls(fits, *args)
-            used.append(sum(r[4] for r in results))
-            return results
-
-        monkeypatch.setattr(glm, "_irls", counting)
-        trace = backward_eliminate(ds, start, Criterion.aic())
-        monkeypatch.undo()
+        trace, work = _work(lambda: backward_eliminate(ds, start, Criterion.aic()))
         _assert_same_bytes(trace, _ref_backward(ds, start, Criterion.aic()))
         assert len(trace.steps) >= 3
         specs = [start]
@@ -912,7 +888,7 @@ class TestBinomialRemovalScreen:
             specs.append(specs[-1].without_term(step.term))
         every = fit(ds, start).iterations + sum(fit(ds, spec.without_term(term)).iterations
                                                 for spec in specs for term in spec.terms)
-        assert sum(used) <= every / 3
+        assert work["IRLS iterations"] <= every / 3
 
 
 def _gaussian_probe(seed, n=200):
@@ -990,19 +966,13 @@ class TestStepFitReusesItsScore:
     scored last; the final FitResult is built from the held record, with
     none either."""
 
-    def test_scored_gaussian_step_runs_no_solve(self, monkeypatch):
+    def test_scored_gaussian_step_runs_no_solve(self):
         ds, terms = _mixed_dataset(304, Family.GAUSSIAN)
         spec = ModelSpec(terms[1:])
         design = glm.Design(ds, ModelSpec(terms))
         scored, = design.scores([spec.terms])
-        work = []
-        for name in ("_solve", "_scaled_qrs", "_householder", "_irls"):
-            real = getattr(glm, name)
-            monkeypatch.setattr(glm, name,
-                                lambda *args, name=name, real=real: work.append(name) or real(*args))
-        step, = glm.Design.steps([(design, spec)])
-        monkeypatch.undo()
-        assert work == [] and step is scored
+        (step,), work = _work(lambda: glm.Design.steps([(design, spec)]))
+        assert not work and step is scored  # no factorisation, solve or IRLS
         # The record equals that of the same model fitted unscored, bounds included.
         other = glm.Design(ds, ModelSpec(terms))
         fitted, = glm.Design.steps([(other, spec)])
@@ -1142,25 +1112,24 @@ class TestLockStepElimination:
             return removal_bounds(models)
 
         monkeypatch.setattr(glm, "score_designs", counting_scores)
-        factorisations = _designs_factorised(monkeypatch)
         monkeypatch.setattr(glm.Design, "removal_bounds", staticmethod(marking_bounds))
-        solo, scored = [], []  # each run's trace and the steps it scored
+        solo, scored, solo_factorisations = [], [], 0  # each run's trace and the steps it scored
         for dataset in datasets:
             events.clear()
-            solo.append(backward_eliminate(dataset, start, criterion))
+            trace, work = _work(lambda: backward_eliminate(dataset, start, criterion))
+            solo.append(trace)
+            solo_factorisations += work["designs factorised"]
             step_starts = [i for i, event in enumerate(events) if event == "step"]
             scored.append({len([s for s in step_starts if s < i]) - 1
                            for i, event in enumerate(events) if event == "score"})
-        solo_factorisations = sum(factorisations)
         events.clear()
-        factorisations.clear()
-        batch = backward_eliminate_batch(datasets, start, criterion)
+        batch, work = _work(lambda: backward_eliminate_batch(datasets, start, criterion))
         monkeypatch.undo()
         steps = [len(trace.steps) for trace in solo]
         assert [len(trace.steps) for trace in batch] == steps and max(steps) >= 3
         assert scored[0] == {len(solo[0].steps)} and not any(scored[1:])
         assert events.count("score") == len(set().union(*scored)) == 1
-        assert sum(factorisations) == solo_factorisations
+        assert work["designs factorised"] == solo_factorisations
 
 
 def _assert_same_bytes(trace, ref):
@@ -1217,11 +1186,9 @@ class TestStepRecords:
     def test_one_stack_per_shape_per_lock_step(self, monkeypatch):
         datasets, terms = _resampled(317, Family.GAUSSIAN, 16)
         start, criterion = ModelSpec(terms), Criterion.aic()
-        factorised = _designs_factorised(monkeypatch)
-        solo = [backward_eliminate(dataset, start, criterion) for dataset in datasets]
-        solo_factorised, lock_steps = sum(factorised), []
-        factorised.clear()
-        scaled_qrs, steps = glm._scaled_qrs, glm.Design.steps
+        solo, solo_work = _work(lambda: [backward_eliminate(dataset, start, criterion)
+                                         for dataset in datasets])
+        lock_steps, scaled_qrs, steps = [], glm._scaled_qrs, glm.Design.steps
 
         def recording_qrs(At, peak):  # the shapes factorised in each lock step's records
             if lock_steps and lock_steps[-1][1]:
@@ -1236,7 +1203,7 @@ class TestStepRecords:
 
         monkeypatch.setattr(glm, "_scaled_qrs", recording_qrs)
         monkeypatch.setattr(glm.Design, "steps", staticmethod(recording_steps))
-        batch = backward_eliminate_batch(datasets, start, criterion)
+        batch, work = _work(lambda: backward_eliminate_batch(datasets, start, criterion))
         monkeypatch.undo()
         assert [trace.steps for trace in batch] == [trace.steps for trace in solo]
         assert lock_steps[0][0] == [(16, len(start.terms) + 3, datasets[0].n)]  # the starts
@@ -1245,7 +1212,7 @@ class TestStepRecords:
             alone = [shape for shape in shapes if len(shape) == 2]
             assert len(set(stacked)) == len(stacked) and not set(stacked) & set(alone)
         assert sum(len(shape) == 3 for shapes, _ in lock_steps for shape in shapes) >= 3
-        assert sum(factorised) <= solo_factorised
+        assert work["designs factorised"] <= solo_work["designs factorised"]
 
 
 def _screen_batch(seed, roles):

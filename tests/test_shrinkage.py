@@ -566,29 +566,22 @@ class TestLockStepFolds:
 
     def test_work_equals_fold_by_fold(self, monkeypatch):
         ds, spec = TestRowSubsetRefits._problem(Family.BINOMIAL)
-        counts = {"dgeqrf": 0, "irls_iterations": 0}
-        stacks = []
-        dgeqrf, irls = glm.dgeqrf, glm._irls
+        stacks, dgeqrf, work = [], glm.dgeqrf, []
 
-        def counting_dgeqrf(a, *args, **kwargs):
-            counts["dgeqrf"] += 1
+        def recording_dgeqrf(a, *args, **kwargs):  # the depth of each stack factorised
             if a.base is not None and a.base.ndim == 3:
                 stacks.append(a.base.shape[0])
             return dgeqrf(a, *args, **kwargs)
 
-        def counting_irls(fits, *args):
-            results = irls(fits, *args)
-            counts["irls_iterations"] += sum(r[4] for r in results)
-            return results
-
-        monkeypatch.setattr(glm, "dgeqrf", counting_dgeqrf)
-        monkeypatch.setattr(glm, "_irls", counting_irls)
+        monkeypatch.setattr(glm, "dgeqrf", recording_dgeqrf)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            _out_of_fold_components(ds, spec, LeaveOneOut())
-            batched = dict(counts)
-            counts.update(dgeqrf=0, irls_iterations=0)
-            former_components(ds, spec, LeaveOneOut())
+            for fold_fits in (_out_of_fold_components, former_components):
+                before = glm.WORK.copy()
+                fold_fits(ds, spec, LeaveOneOut())
+                work.append({key: glm.WORK[key] - before[key]
+                             for key in ("designs factorised", "IRLS iterations")})
+        batched, counts = work
         assert batched == counts
-        assert batched["irls_iterations"] > 3 * ds.n
+        assert batched["IRLS iterations"] > 3 * ds.n
         assert max(stacks) == glm._LOCKSTEP_FITS  # fits are batched, within the budget

@@ -24,28 +24,15 @@ stored reference as the benchmark's gate does, and fingerprints it:
   selected set.
 
 The report names every dataset whose fingerprints differ and every gate
-problem, and gives per analysis on each side the calls to `glm._householder`,
-`glm._irls` and `glm._solve` (the least-squares solves of Gaussian fits;
-`_irls` solves its own steps), the IRLS iterations (the sum of the
-iteration counts of the fits each `glm._irls` call returns; a fit that lost
-rank returns none) and the designs factorised:
-the depth of each `glm._scaled_qrs` stack, a 2-D call counting 1, IRLS
-steps included, and the models fitted: the fits handed to each
-`glm._fit_chunk` call, through which every model's least squares solve or
-IRLS run passes, so a model fitted again counts again. Two counts split
-that work by where it is done: the IRLS iterations spent inside
-`selection._eliminate` (backward elimination and stepwise re-checks), and
-the bound steps, the systems solved inside `glm._dual_bounds`, one per
-Newton step of a binomial removal's deviance bounds (0 in a tree without
-it); the systems solved are those of every `numpy.linalg.solve` call, each
-system of a batched call counting 1. Each count is given
-as its mean over the analyses and its 99th percentile, which shows the work
-of the heaviest analyses, where a timing tail comes from.
-`_householder` calls may fall by design, when designs are factorised in
-stacks instead of one at a time; the designs factorised must not rise. The
-exit code is 1 when a fingerprint differs or a reference check fails. Only
-the standard library is imported here; the child processes run each tree's
-own code.
+problem, and gives per analysis on each side the tree's work counts,
+`fpselect.glm.WORK` read before and after each analysis (its keys are
+defined under "Work counts" in the `glm` module docstring), each as its mean
+over the analyses and its 99th percentile, which shows the work of the
+heaviest analyses, where a timing tail comes from. A tree older than the
+counter has its fingerprints compared and its counts marked absent. The exit
+code is 1 when a fingerprint differs or a reference check fails. Only the
+standard library is imported here; the child processes run each tree's own
+code.
 """
 
 from __future__ import annotations
@@ -64,24 +51,6 @@ from pathlib import Path
 
 from ab_pairs import tree_of
 
-# What each call of a counted function adds: 1, or the designs it factorises.
-COUNTED = {"_householder": lambda *args: 1, "_irls": lambda *args: 1,
-           "_solve": lambda *args: 1,
-           "_scaled_qrs": lambda At, peak: 1 if At.ndim == 2 else len(At),
-           "_fit_chunk": lambda fits, *args, **kwargs: len(fits),
-           # numpy's, as glm calls it: the systems of a batched solve
-           "linalg.solve": lambda a, b: a.size // a.shape[-1] ** 2}
-# Counts read from a counted function's result: (count, what the result adds).
-RESULTS = {"_irls": ("irls_iterations",
-                     lambda fits: sum(fit[4] for fit in fits if isinstance(fit, tuple)))}
-# Counts of the work done inside a function: (its module, its name, the count it takes).
-WITHIN = {"selection_irls": ("selection", "_eliminate", "irls_iterations"),
-          "bound_steps": ("glm", "_dual_bounds", "linalg.solve")}
-LABELS = {"_scaled_qrs": "designs factorised", "_fit_chunk": "models fitted",
-          "linalg.solve": "systems solved", "irls_iterations": "IRLS iterations",
-          "selection_irls": " in elimination",
-          "bound_steps": "bound steps"}
-COUNTS = (*COUNTED, *(count for count, _ in RESULTS.values()), *WITHIN)
 WORKLOADS = ("mfp_gauss", "stability_be", "shrink_loo", "mfp_binom")
 
 
@@ -119,42 +88,7 @@ def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
 
     os.chdir(workloads.ROOT)
     warnings.simplefilter("ignore")
-    calls, active = dict.fromkeys(COUNTS, 0), set()
-
-    def add(count, amount):
-        calls[count] += amount
-        for within, (_, function, taken) in WITHIN.items():
-            if taken == count and function in active:
-                calls[within] += amount
-
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            add(name, COUNTED[name](*args, **kwargs))
-            result = real(*args, **kwargs)
-            if name in RESULTS:
-                count, adds = RESULTS[name]
-                add(count, adds(result))
-            return result
-        return wrapper
-
-    def marking(name, real):
-        def wrapper(*args, **kwargs):
-            active.add(name)
-            try:
-                return real(*args, **kwargs)
-            finally:
-                active.discard(name)
-        return wrapper
-
-    for function in COUNTED:
-        owner, attribute = ((glm.np.linalg, "solve") if function == "linalg.solve"
-                            else (glm, function))
-        setattr(owner, attribute, counting(function, getattr(owner, attribute)))
-    modules = {"glm": glm, "selection": selection}
-    for module, function, _ in WITHIN.values():  # a tree may lack the function
-        if hasattr(modules[module], function):
-            setattr(modules[module], function,
-                    marking(function, getattr(modules[module], function)))
+    work = getattr(glm, "WORK", None)  # None in a tree older than the counter
     traces: list = []
     batch = selection.backward_eliminate_batch
 
@@ -171,7 +105,7 @@ def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
         stored = references.get(seed, [])
         for index in range(min(datasets, len(stored))):
             prepared = workload.prepare(seed, index)
-            calls.update(dict.fromkeys(COUNTS, 0))
+            before = None if work is None else work.copy()
             traces.clear()
             try:
                 result = workload.analyse(prepared)
@@ -183,7 +117,9 @@ def child(tree: Path, name: str, seeds: list[int], datasets: int) -> None:
                 line = {"fingerprint": _fingerprint(workload, result, traces),
                         "problems": workload.check(output) + workload.compare(output,
                                                                               stored[index])}
-            print(json.dumps({"seed": seed, "index": index, **line, **calls}), flush=True)
+            line["work"] = None if work is None else {key: work[key] - before[key]
+                                                       for key in work}
+            print(json.dumps({"seed": seed, "index": index, **line}), flush=True)
     shutil.rmtree(workloads.WORK_DIR, ignore_errors=True)
 
 
@@ -219,15 +155,19 @@ def report(name: str, base: str, change: str, seeds: list[int],
                for b, c in zip(records["base"], records["change"]))
     print(f"{same} of {len(records['change'])} outputs identical")
     print(f"{'per analysis':<20} {'base mean':>10} {'p99':>8} {'change mean':>12} {'p99':>8}")
-    for function in COUNTS:
+    counted = {side: [r["work"] for r in side_records if r["work"] is not None]
+               for side, side_records in records.items()}
+    for key in dict.fromkeys(key for side in counted.values() for work in side for key in work):
         cells = []
         for side in ("base", "change"):
-            counts = [r[function] for r in records[side]] or [0]
+            counts = [work.get(key, 0) for work in counted[side]]
+            if not counts:
+                cells.append("absent")
+                continue
             p99 = (statistics.quantiles(counts, n=100, method="inclusive")[98]
                    if len(counts) > 1 else counts[0])
             cells.append(f"{statistics.fmean(counts):.2f} {p99:>8.1f}")
-        label = LABELS.get(function, f"glm.{function}")
-        print(f"{label:<20} {cells[0]:>19} {cells[1]:>21}")
+        print(f"{key:<20} {cells[0]:>19} {cells[1]:>21}")
     return bad
 
 
